@@ -3,7 +3,8 @@
 Block distortion in this package is always a transform-domain mean mapped
 back to raw units, so every transform must come with a genuine inverse.
 Parametric kinds invert in closed form; tabulated transforms interpolate
-piecewise-linearly and invert by bisection.
+piecewise-linearly, and the inverse of that map is the piecewise-linear
+interpolation of the swapped table.
 
 A transform may take negative values (the shifted cubic does at 0); nothing
 here clamps, only strict monotonicity is enforced.
@@ -21,7 +22,6 @@ from .errors import MonotonicityError, OutOfRange
 KINDS = ("identity", "power", "sqrt", "shifted_cubic", "exponential", "tabulated")
 
 MONOTONE_SAMPLES = 1024
-_TAB_INVERT_TOL = 1e-12
 _RANGE_SLACK = 1e-12
 
 
@@ -175,18 +175,7 @@ class FTransform:
         xs, ys = self.points[:, 0], self.points[:, 1]
         if np.any(arr < ys[0] - _RANGE_SLACK) or np.any(arr > ys[-1] + _RANGE_SLACK):
             raise OutOfRange(f"value outside tabulated range [{ys[0]:g}, {ys[-1]:g}]")
-        flat = np.clip(np.atleast_1d(arr), ys[0], ys[-1]).ravel()
-        out = np.empty_like(flat)
-        for i, target in enumerate(flat):
-            lo, hi = xs[0], xs[-1]
-            while hi - lo > _TAB_INVERT_TOL:
-                mid = 0.5 * (lo + hi)
-                if np.interp(mid, xs, ys) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            out[i] = 0.5 * (lo + hi)
-        return out.reshape(np.shape(arr))
+        return np.interp(arr, ys, xs)
 
     # -- admissibility -----------------------------------------------------
 

@@ -1,199 +1,111 @@
-"""Numerical inner loops, jitted with numba when available.
+"""Numerical inner loops, in numpy.
 
-Two kernels dominate runtime: the alternating-minimization fixed point for
-one Lagrange slope (called thousands of times per curve) and the exhaustive
-encoder scan of the brute-force code search. Both exist in two forms with
-identical iteration logic:
+Two kernels dominate runtime: the slope fixed point of the reduced direct
+problem (called thousands of times per curve) and the exhaustive encoder
+scan of the brute-force code search. Each has one formulation.
 
-  * a loop form, compiled with ``numba.njit`` (default when numba imports),
-  * a vectorized pure-numpy form used as the fallback.
-
-Set ``IRDF_NUMBA=0`` in the environment to force the numpy fallback; the
-benchmark under benchmarks/ compares the two. Results agree to float
-reassociation noise, not bitwise.
+The fixed point is solved with Cover's multiplicative update (Cover 1984,
+"An algorithm for maximizing expected log investment return"), which is
+the Blahut-Arimoto iteration written on the output pmf alone, and it stops
+on Blahut's duality gap (Blahut 1972, "Computation of channel capacity and
+rate-distortion functions"), a certified bound in nats on the distance of
+the returned rate from the curve at the returned distortion.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
 
-def _ba_fixed_slope_loop(expected_f, pz, s, max_iters, rate_tol, marginal_tol, support_floor):
+def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, support_floor):
     """Fixed point of q(xhat|z) ∝ q(xhat) exp(s * expected_f[z, xhat]).
 
     expected_f: (nz, nx) transform-domain distortion rows for used z only.
-    pz: (nz,) strictly positive, sums to 1. s <= 0.
-    Returns (q_cond, q_out, f_dist, rate_mi, rate_par, iters, converged);
-    rates in nats. Exponents are stabilized by the row minimum over the
-    current support, so arbitrarily negative slopes stay finite.
+    pz: (nz,) strictly positive, sums to 1. s < 0.
+
+    With the tilt A[z, x] = exp(s * (e[z, x] - m[z])), m[z] the row minimum
+    over the current support, each iteration computes
+
+        c(x) = sum_z p(z) A[z, x] / sum_x' q(x') A[z, x']
+
+    and stops once gap = max_x log c(x) <= gap_tol, taken over all letters;
+    otherwise it sets q <- q * c. The gap bounds the returned rate's excess
+    over Blahut's lower bound on the curve. A and m are built once per
+    support: a letter whose mass falls to support_floor is pinned to 0
+    and the tilt is rebuilt, so every entry on the support stays in [0, 1]
+    and den(z) >= q(argmin) > 0 for arbitrarily negative slopes.
+
+    Returns (q_cond, q_out, f_dist, rate_mi, rate_par, iters, gap): q_out is
+    the certified output pmf, q_cond its tilted conditional, rates in nats.
     """
     nz, nx = expected_f.shape
-    q_out = np.full(nx, 1.0 / nx)
-    q_cond = np.zeros((nz, nx))
-    logz = np.zeros(nz)
-    prev_rate = np.inf
-    converged = False
+    sup = np.arange(nx)
+    q = np.full(nx, 1.0 / nx)
     iters = 0
-    f_dist = 0.0
-    rate_par = 0.0
-    for it in range(max_iters):
-        iters = it + 1
-        for z in range(nz):
-            m = np.inf
-            for x in range(nx):
-                if q_out[x] > 0.0 and expected_f[z, x] < m:
-                    m = expected_f[z, x]
-            tot = 0.0
-            for x in range(nx):
-                if q_out[x] > 0.0:
-                    w = q_out[x] * np.exp(s * (expected_f[z, x] - m))
-                    q_cond[z, x] = w
-                    tot += w
-                else:
-                    q_cond[z, x] = 0.0
-            for x in range(nx):
-                q_cond[z, x] /= tot
-            logz[z] = np.log(tot) + s * m
-        f_dist = 0.0
-        lam = 0.0
-        for z in range(nz):
-            row = 0.0
-            for x in range(nx):
-                row += q_cond[z, x] * expected_f[z, x]
-            f_dist += pz[z] * row
-            lam += pz[z] * logz[z]
-        rate_par = s * f_dist - lam
-        dq = 0.0
-        newsum = 0.0
-        for x in range(nx):
-            acc = 0.0
-            for z in range(nz):
-                acc += pz[z] * q_cond[z, x]
-            if acc < support_floor:
-                acc = 0.0
-            step = abs(acc - q_out[x])
-            if step > dq:
-                dq = step
-            q_out[x] = acc
-            newsum += acc
-        for x in range(nx):
-            q_out[x] /= newsum
-        if abs(rate_par - prev_rate) < rate_tol and dq < marginal_tol:
-            converged = True
-            break
-        prev_rate = rate_par
-    mix = np.zeros(nx)
-    for x in range(nx):
-        acc = 0.0
-        for z in range(nz):
-            acc += pz[z] * q_cond[z, x]
-        mix[x] = acc
-    rate_mi = 0.0
-    for z in range(nz):
-        acc = 0.0
-        for x in range(nx):
-            qc = q_cond[z, x]
-            if qc > 0.0 and mix[x] > 0.0:
-                acc += qc * np.log(qc / mix[x])
-        rate_mi += pz[z] * acc
-    return q_cond, mix, f_dist, rate_mi, rate_par, iters, converged
+    # exp of very negative exponents and products of tiny masses underflow to
+    # 0 by design; overflow and invalid operations still follow the caller
+    with np.errstate(under="ignore"):
+        e, m, expo, a = _tilt(expected_f, sup, s)
+        while True:
+            iters += 1
+            den = a.dot(q)
+            t = pz / den
+            c = t.dot(a)
+            # up to ~64 letters Python's max/min over a list beat numpy's reductions
+            gap = math.log(max(c.tolist()))
+            if gap <= gap_tol or iters >= max_iters:
+                break
+            q *= c
+            if min(q.tolist()) <= support_floor:
+                keep = q > support_floor
+                sup, q = sup[keep], q[keep]
+                e, m, expo, a = _tilt(expected_f, sup, s)
+
+        q_cond = a * (q / den[:, None])
+        mix = q * c  # = pz @ q_cond
+        log_c = np.log(c, out=np.zeros_like(c), where=c > 0.0)
+        rate_par = float(pz @ (q_cond * expo).sum(axis=1) - pz @ np.log(den))
+        rate_mi = rate_par - float(mix @ log_c)
+        f_dist = float(pz @ (q_cond * e).sum(axis=1))
+        if sup.size < nx:
+            gap = max(gap, _off_support_gap(expected_f, sup, s, m, t))
+
+    q_cond_full = np.zeros((nz, nx))
+    q_cond_full[:, sup] = q_cond
+    q_full = np.zeros(nx)
+    q_full[sup] = q
+    return q_cond_full, q_full, f_dist, rate_mi, rate_par, iters, gap
 
 
-def _ba_fixed_slope_numpy(expected_f, pz, s, max_iters, rate_tol, marginal_tol, support_floor):
-    """Vectorized twin of _ba_fixed_slope_loop (same criteria, same order)."""
-    nz, nx = expected_f.shape
-    q_out = np.full(nx, 1.0 / nx)
-    q_cond = np.zeros((nz, nx))
-    logz = np.zeros(nz)
-    prev_rate = np.inf
-    converged = False
-    iters = 0
-    f_dist = 0.0
-    rate_par = 0.0
-    for it in range(max_iters):
-        iters = it + 1
-        support = q_out > 0.0
-        m = np.where(support[None, :], expected_f, np.inf).min(axis=1)
-        expo = np.minimum(s * (expected_f - m[:, None]), 0.0)
-        w = np.where(support[None, :], q_out[None, :] * np.exp(expo), 0.0)
-        tot = w.sum(axis=1)
-        q_cond = w / tot[:, None]
-        logz = np.log(tot) + s * m
-        f_dist = float(pz @ (q_cond * expected_f).sum(axis=1))
-        rate_par = s * f_dist - float(pz @ logz)
-        new_q = pz @ q_cond
-        new_q[new_q < support_floor] = 0.0
-        dq = float(np.abs(new_q / new_q.sum() - q_out).max())
-        q_out = new_q / new_q.sum()
-        if abs(rate_par - prev_rate) < rate_tol and dq < marginal_tol:
-            converged = True
-            break
-        prev_rate = rate_par
-    mix = pz @ q_cond
-    ok = (q_cond > 0.0) & (mix[None, :] > 0.0)
-    terms = np.zeros_like(q_cond)
-    np.log(np.where(ok, q_cond / np.where(mix[None, :] > 0.0, mix[None, :], 1.0), 1.0), out=terms)
-    rate_mi = float(pz @ (q_cond * terms).sum(axis=1))
-    return q_cond, mix, f_dist, rate_mi, rate_par, iters, converged
+def _tilt(expected_f, sup, s):
+    """Support columns e, their row minima m, s * (e - m) and its exp."""
+    e = expected_f[:, sup]
+    m = e.min(axis=1)
+    expo = s * (e - m[:, None])
+    return e, m, expo, np.exp(expo)
 
 
-def _best_code_fold_loop(cost, M, total):
+def _off_support_gap(expected_f, sup, s, m, t):
+    """max log c(x) over letters pinned to 0, by log-sum-exp over z: their
+    tilt relative to the support's row minimum may exceed exp(709)."""
+    off = np.ones(expected_f.shape[1], dtype=bool)
+    off[sup] = False
+    log_terms = np.log(t)[:, None] + s * (expected_f[:, off] - m[:, None])
+    top = log_terms.max(axis=0)
+    return float((top + np.log(np.exp(log_terms - top).sum(axis=0))).max())
+
+
+def best_code_fold_loop(cost, M, total, chunk=4096):
     """Scan all M**n_zseq encoder maps in lexicographic order.
 
     cost[j, k] is the criterion contribution of observation sequence j when
     its cell decodes to reconstruction sequence k. For a fixed encoder the
     cells decouple, so each cell takes its first-minimum column; ties keep
-    the lexicographically smallest code overall.
+    the lexicographically smallest code overall. Encoders are enumerated in
+    chunks of ``chunk`` to bound memory.
     """
-    n_zseq, n_dseq = cost.shape
-    enc = np.zeros(n_zseq, np.int64)
-    best_val = np.inf
-    best_enc = np.zeros(n_zseq, np.int64)
-    best_dec = np.zeros(M, np.int64)
-    group = np.zeros((M, n_dseq))
-    for _ in range(total):
-        for w in range(M):
-            for k in range(n_dseq):
-                group[w, k] = 0.0
-        for j in range(n_zseq):
-            w = enc[j]
-            for k in range(n_dseq):
-                group[w, k] += cost[j, k]
-        val = 0.0
-        for w in range(M):
-            bk = 0
-            bv = group[w, 0]
-            for k in range(1, n_dseq):
-                if group[w, k] < bv:
-                    bv = group[w, k]
-                    bk = k
-            val += bv
-        if val < best_val:
-            best_val = val
-            for j in range(n_zseq):
-                best_enc[j] = enc[j]
-            for w in range(M):
-                bk = 0
-                bv = group[w, 0]
-                for k in range(1, n_dseq):
-                    if group[w, k] < bv:
-                        bv = group[w, k]
-                        bk = k
-                best_dec[w] = bk
-        i = n_zseq - 1
-        while i >= 0:
-            enc[i] += 1
-            if enc[i] < M:
-                break
-            enc[i] = 0
-            i -= 1
-    return best_val, best_enc, best_dec
-
-
-def _best_code_fold_numpy(cost, M, total, chunk=4096):
-    """Chunk-vectorized twin of _best_code_fold_loop."""
     n_zseq, n_dseq = cost.shape
     place = M ** (n_zseq - 1 - np.arange(n_zseq, dtype=np.int64))
     best_val = np.inf
@@ -213,20 +125,4 @@ def _best_code_fold_numpy(cost, M, total, chunk=4096):
     return best_val, best_enc, best_dec
 
 
-def _want_numba() -> bool:
-    return os.environ.get("IRDF_NUMBA", "").strip().lower() not in ("0", "false", "no", "off")
-
-
 BACKEND = "numpy"
-ba_fixed_slope_loop = _ba_fixed_slope_numpy
-best_code_fold_loop = _best_code_fold_numpy
-
-if _want_numba():
-    try:
-        from numba import njit
-
-        ba_fixed_slope_loop = njit(cache=True, nogil=True)(_ba_fixed_slope_loop)
-        best_code_fold_loop = njit(cache=True, nogil=True)(_best_code_fold_loop)
-        BACKEND = "numba"
-    except ImportError:
-        pass

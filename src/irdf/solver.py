@@ -14,13 +14,13 @@ At a converged point the mutual-information rate and the slope-form value
 
     s * f_dist - sum_z p(z) log( sum_xhat exp(s * expected_f[z, xhat]) q(xhat) )
 
-agree; both are recorded so consumers can cross-check.
+agree; both are recorded so consumers can cross-check. A point is converged
+when Blahut's duality gap at its output pmf is at most ``gap_tol`` nats; the
+gap is recorded on every point.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,8 +42,7 @@ class SolverConfig:
     """Iteration and tolerance knobs; defaults suit desk-scale alphabets."""
 
     max_iters: int = 20000
-    convergence_tol: float = 1e-12   # change of slope-form rate per iteration, nats
-    marginal_tol: float = 1e-12      # max-norm change of the output pmf
+    gap_tol: float = 1e-12           # Blahut duality gap that certifies a fixed point, nats
     bisection_tol: float = 1e-9      # on achieved distortion; scaled by the transform-domain span
     slope_grid: tuple[float, ...] | None = None
     support_floor: float = 1e-300    # output mass below this is pinned to 0
@@ -52,14 +51,19 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        for name in ("convergence_tol", "marginal_tol", "bisection_tol"):
+        for name in ("gap_tol", "bisection_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
 class SlopePoint:
-    """One solved point: slope, optimal conditional, and both rate forms."""
+    """One solved point: slope, optimal conditional, and both rate forms.
+
+    ``gap`` is Blahut's duality gap at ``q_out`` in nats: the rate exceeds
+    the curve's lower bound at ``f_distortion`` by at most this much.
+    ``converged`` means ``gap <= gap_tol``.
+    """
 
     slope: float
     q_cond: np.ndarray        # (|Z|, |Xhat|); rows for unused z repeat q_out
@@ -69,6 +73,7 @@ class SlopePoint:
     f_distortion: float       # transform-domain expected distortion
     distortion: float         # raw units
     iterations: int
+    gap: float                # nats; 0.0 for the analytic zero-rate point
     converged: bool
     clamped: bool = False     # positive-part clamp applied (rate or level at a boundary)
 
@@ -127,6 +132,7 @@ def _zero_rate_point(e: np.ndarray, w: np.ndarray, used: np.ndarray, f: FTransfo
         f_distortion=f_dist,
         distortion=float(f.invert(f_dist)),
         iterations=0,
+        gap=0.0,
         converged=True,
         clamped=clamped,
     )
@@ -149,13 +155,12 @@ def ba_fixed_slope(
     w = w / w.sum()
     if s == 0.0:
         return _zero_rate_point(e, w, used, amended.f)
-    q_cond_u, q_out, f_dist, rate_mi, rate_par, iters, converged = kernels.ba_fixed_slope_loop(
+    q_cond_u, q_out, f_dist, rate_mi, rate_par, iters, gap = kernels.ba_fixed_slope_loop(
         np.ascontiguousarray(e),
         np.ascontiguousarray(w),
         float(s),
         cfg.max_iters,
-        cfg.convergence_tol,
-        cfg.marginal_tol,
+        cfg.gap_tol,
         cfg.support_floor,
     )
     q_cond = np.tile(q_out, (used.shape[0], 1))
@@ -169,7 +174,8 @@ def ba_fixed_slope(
         f_distortion=float(f_dist),
         distortion=float(amended.f.invert(f_dist)),
         iterations=int(iters),
-        converged=bool(converged),
+        gap=float(gap),
+        converged=bool(gap <= cfg.gap_tol),
         clamped=bool(rate_mi < 0.0),
     )
 
@@ -259,13 +265,6 @@ def solve_at_distortion(
     return _solve_reduced_at(amended, src.z_marginal, float(f.apply(D)), cfg)
 
 
-def _point_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("IRDF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def sweep_curve(
     src: JointSource,
     d: DistortionMatrix,
@@ -276,8 +275,7 @@ def sweep_curve(
     """Solve n_points levels spanning (d_min, d_max], sorted by distortion.
 
     With ``cfg.slope_grid`` set, those slopes are solved directly instead of
-    targeting an even distortion grid. Points may be solved in parallel
-    (IRDF_THREADS); results are independent of the schedule.
+    targeting an even distortion grid.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -295,16 +293,7 @@ def sweep_curve(
         d_grid = d_lo + (d_hi - d_lo) * steps  # even in raw units, left-open
         targets = np.asarray(f.apply(d_grid), dtype=float)
         targets[-1] = hi
-
-        def solve_one(t: float) -> SlopePoint:
-            return _solve_reduced_at(amended, pz, float(t), cfg)
-
-        workers = _point_workers()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                pts = list(pool.map(solve_one, targets))
-        else:
-            pts = [solve_one(t) for t in targets]
+        pts = [_solve_reduced_at(amended, pz, float(t), cfg) for t in targets]
 
     pts.sort(key=lambda p: p.distortion)
     return RdCurve(points=tuple(pts), d_min=d_lo, d_max=d_hi)

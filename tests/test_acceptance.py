@@ -51,7 +51,8 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Compile the jitted kernels once so criterion timings measure the math."""
+    """Run one solve and one code search first so criterion timings measure
+    the math, not first-call set-up."""
     m = BscModel(0.15)
     solve_at_distortion(m.source(), m.distortion(), m.f, 0.3)
     best_code_search(m.source(), m.distortion(), m.f, n=1, M=2)

@@ -47,6 +47,16 @@ def test_tabulated_roundtrip():
     np.testing.assert_allclose(f.invert(f.apply(xs)), xs, atol=1e-10)
 
 
+def test_tabulated_inverse_is_exact_including_edges():
+    knots = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
+    f = FTransform.tabulated(np.column_stack([knots, np.exp(3.0 * knots) - 0.5]))
+    xs = np.concatenate([knots, np.linspace(0.0, 1.0, 1001),
+                         np.random.default_rng(5).uniform(0.0, 1.0, 200)])
+    assert np.abs(f.invert(f.apply(xs)) - xs).max() <= 1e-14
+    for edge in (0.0, 1.0):
+        assert abs(f.invert(f.apply(edge)) - edge) <= 1e-14
+
+
 def test_tabulated_non_monotone_rejected():
     with pytest.raises(MonotonicityError):
         FTransform.tabulated([[0.0, 0.0], [0.5, 0.4], [1.0, 0.3]])

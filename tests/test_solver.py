@@ -26,7 +26,6 @@ from irdf import (
     sweep_curve,
 )
 from irdf import kernels
-from irdf.kernels import _ba_fixed_slope_numpy
 
 LN2 = math.log(2.0)
 
@@ -249,26 +248,108 @@ class TestDistortionAtRate:
         assert distortion_at_rate(src, d, m.f, 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
-class TestParallelSweep:
-    def test_thread_pool_matches_serial(self, monkeypatch):
+class TestSweepDeterminism:
+    def test_identical_sweeps_are_array_equal(self):
+        m, src, d = bsc_problem(0.15, FTransform.exponential(9.2))
+        first = sweep_curve(src, d, m.f, 12)
+        second = sweep_curve(src, d, m.f, 12)
+        np.testing.assert_array_equal(first.distortions, second.distortions)
+        np.testing.assert_array_equal(first.rates, second.rates)
+
+
+def _reduced(am, pz):
+    used = am.used_z
+    return (np.ascontiguousarray(am.expected_f[used]),
+            np.ascontiguousarray(pz[used] / pz[used].sum()))
+
+
+def _blahut_lower_bound(e, pz, s, q, level):
+    """R(level) >= s*level - sum_z p log sum_x q exp(s e) - max_x log c(x)."""
+    row_min = e.min(axis=1)
+    with np.errstate(under="ignore"):
+        tilt = np.exp(s * (e - row_min[:, None]))
+    den = tilt @ q
+    c = (pz / den) @ tilt
+    return s * level - pz @ (np.log(den) + s * row_min) - np.log(c.max())
+
+
+class TestKernel:
+    def test_matches_bsc_closed_form(self):
         m, src, d = bsc_problem(0.15)
-        serial = sweep_curve(src, d, m.f, 12)
-        monkeypatch.setenv("IRDF_THREADS", "4")
-        threaded = sweep_curve(src, d, m.f, 12)
-        np.testing.assert_array_equal(serial.distortions, threaded.distortions)
-        np.testing.assert_array_equal(serial.rates, threaded.rates)
+        e, pz = _reduced(build_amended(src, d, m.f), src.z_marginal)
+        for s in (-0.5, -3.0, -20.0):
+            _, q_out, f_dist, rate_mi, rate_par, iters, gap = kernels.ba_fixed_slope_loop(
+                e, pz, s, 20000, 1e-12, 1e-300
+            )
+            assert gap <= 1e-12
+            assert q_out.sum() == pytest.approx(1.0, abs=1e-14)
+            assert rate_mi == pytest.approx(bsc_irdf(m, f_dist), abs=1e-10)
+            assert rate_par == pytest.approx(rate_mi, abs=1e-10)
+
+    def test_support_shrink_at_steep_slope(self):
+        # Two blocks at s = -2**40; cross-block distortion 1 tilts to exactly 0.
+        # Letter 1 serves row 1 and is within d01 of row 0's minimum, letter 0,
+        # with tilt exp(s * d01) = 1/2. Letter 0's multiplier c settles near
+        # 0.2, so its mass leaves the support after a few hundred iterations;
+        # letter 2's settles near 0.99, which keeps the gap open until then.
+        s = -(2.0**40)
+        d01 = math.log(2.0) / 2.0**40
+        d23 = math.log(0.99 / 0.2) / 2.0**40
+        e = np.array([
+            [0.0, d01, 1.0, 1.0],
+            [1.0, 0.0, 1.0, 1.0],
+            [1.0, 1.0, 0.0, d23],
+            [1.0, 1.0, 1.0, 0.0],
+        ])
+        pz = np.array([0.05, 0.45, 0.1, 0.4])
+        with np.errstate(all="raise"):
+            q_cond, q_out, f_dist, rate_mi, rate_par, iters, gap = kernels.ba_fixed_slope_loop(
+                e, pz, s, 20000, 1e-12, 1e-300
+            )
+        for value in (q_cond, q_out, f_dist, rate_mi, rate_par, gap):
+            assert np.all(np.isfinite(value))
+        assert q_out[0] == 0.0 and np.all(q_cond[:, 0] == 0.0)
+        assert q_out[1] == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(q_cond.sum(axis=1), 1.0, atol=1e-14)
+        assert f_dist == pytest.approx(0.05 * d01 + 0.1 * d23, rel=1e-6)
+        assert rate_mi == pytest.approx(LN2, abs=1e-9)
+        assert gap <= 1e-12 and iters < 20000
+        lower = _blahut_lower_bound(e, pz, s, q_out, f_dist)
+        assert rate_mi - lower <= gap + 1e-12
+
+    def test_pinned_letter_still_counts_in_gap(self):
+        # A floor above letter 1's optimal mass (about 0.2) pins it to 0; the
+        # gap over all letters then refuses to certify the one-letter point.
+        e = np.array([[0.0, 1.0], [1.0, 0.0]])
+        pz = np.array([0.8, 0.2])
+        _, q_out, _, _, _, _, gap = kernels.ba_fixed_slope_loop(e, pz, -5.0, 20000, 1e-12, 0.3)
+        np.testing.assert_array_equal(q_out, [1.0, 0.0])
+        assert 1.0 < gap < np.inf
+
+    def test_zero_gap_tol_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(gap_tol=0)
 
 
-class TestBackends:
-    def test_numpy_twin_matches_selected_backend(self):
-        _, src, d = bsc_problem(0.15, FTransform.exponential(9.2))
-        f = FTransform.exponential(9.2)
-        am = build_amended(src, d, f)
-        e = np.ascontiguousarray(am.expected_f[am.used_z])
-        pz = np.ascontiguousarray(src.z_marginal[am.used_z] / src.z_marginal[am.used_z].sum())
-        for s in (-1e-4, -1e-3, -1e-2):
-            a = kernels.ba_fixed_slope_loop(e, pz, s, 20000, 1e-12, 1e-12, 1e-300)
-            b = _ba_fixed_slope_numpy(e, pz, s, 20000, 1e-12, 1e-12, 1e-300)
-            assert a[2] == pytest.approx(b[2], rel=1e-9)  # distortion
-            assert a[3] == pytest.approx(b[3], abs=1e-9)  # rate
-            assert a[6] == b[6]  # converged flag
+class TestDualityGap:
+    def test_gap_bounds_distance_to_lower_bound(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            nx, nz, nh = rng.integers(2, 5, size=3)
+            joint = rng.random((nx, nz)) ** 2
+            src = JointSource.from_joint(joint / joint.sum())
+            d = DistortionMatrix(rng.random((nx, nh)))
+            f = FTransform.identity()
+            am = build_amended(src, d, f)
+            lo, hi = f_domain_bounds(am, src.z_marginal)
+            D = lo + float(rng.uniform(0.15, 0.9)) * (hi - lo)
+            pt = solve_at_distortion(src, d, f, D, amended=am)
+            assert pt.converged and pt.gap <= SolverConfig().gap_tol
+            e, pz = _reduced(am, src.z_marginal)
+            lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
+            assert pt.rate - lower <= pt.gap + 1e-12
+
+    def test_zero_rate_point_has_zero_gap(self):
+        _, src, d = bsc_problem(0.15)
+        pt = ba_fixed_slope(build_amended(src, d, FTransform.identity()), src.z_marginal, 0.0)
+        assert pt.gap == 0.0 and pt.converged
