@@ -5,10 +5,13 @@ Every point on the curve is the fixed point of the slope-tilted update
     q(xhat|z) ∝ q(xhat) exp(s * expected_f[z, xhat]),   s <= 0,
     q(xhat)   = sum_z p(z) q(xhat|z),
 
-computed by alternating minimization. The slope parameterizes the curve;
-hitting a requested distortion level is a bisection on s, exploiting that
-the achieved transform-domain distortion is monotone in s. All rates are
-nats internally; unit conversion happens only at reporting boundaries.
+whose output pmf q(xhat) maximizes sum_z p(z) log sum_xhat q(xhat)
+exp(s * expected_f[z, xhat]) on the simplex; the kernel finds it by a damped
+active-set Newton ascent (see ``kernels``). The slope parameterizes the
+curve; hitting a requested distortion level is an Illinois (modified regula
+falsi) search on s inside a bracket found by doubling, exploiting that the
+achieved transform-domain distortion is monotone in s. All rates are nats
+internally; unit conversion happens only at reporting boundaries.
 
 At a converged point the mutual-information rate and the slope-form value
 
@@ -27,14 +30,14 @@ import numpy as np
 
 from . import kernels
 from .distortion import AmendedDistortions, DistortionMatrix, build_amended
-from .errors import DomainError
+from .errors import DomainError, NotConverged
 from .ftransform import FTransform
 from .source import JointSource
 
 LN2 = float(np.log(2.0))
 
 _BRACKET_EPS = 1e-15
-_MAX_BISECT = 200
+_MAX_SEARCH = 200
 
 
 @dataclass(frozen=True)
@@ -186,10 +189,13 @@ def _solve_reduced_at(
     target_f: float,
     cfg: SolverConfig,
 ) -> SlopePoint:
-    """Bisect the slope until the achieved transform-domain distortion hits
-    target_f. The left curve endpoint is approached by doubling the slope
-    magnitude; if the target is the endpoint itself the closest achievable
-    point is returned (rates there are within slope*tolerance of the limit).
+    """Search the slope until the achieved transform-domain distortion is
+    within the level tolerance of target_f. Doubling the slope magnitude
+    brackets the target; Illinois steps, or the midpoint when the secant
+    leaves the bracket, then close in on it. If the target is the left curve
+    endpoint itself the closest achievable point is returned (rates there
+    are within slope*tolerance of the limit). The returned point may be
+    uncertified (``converged`` false); callers that use its rate check that.
     """
     pz = np.asarray(pz, dtype=float)
     used = amended.used_z
@@ -229,21 +235,52 @@ def _solve_reduced_at(
     if pt_hi is None:
         pt_hi = _zero_rate_point(e, w, used, amended.f)
 
+    # Illinois (modified regula falsi) on g(s) = D(s) - target_f, with
+    # g(s_lo) < 0 < g(s_hi): when the same end moves twice in a row, the
+    # value kept at the other end is halved
+    g_lo = pt_lo.f_distortion - target_f
+    g_hi = pt_hi.f_distortion - target_f
     best = min((pt_lo, pt_hi), key=lambda p: abs(p.f_distortion - target_f))
-    for _ in range(_MAX_BISECT):
+    kept = 0  # +1 after s_hi moved, -1 after s_lo moved
+    for _ in range(_MAX_SEARCH):
         if abs(best.f_distortion - target_f) <= tol_f:
             return best
         if s_hi - s_lo <= _BRACKET_EPS * max(1.0, abs(s_lo)):
             break
-        s_mid = 0.5 * (s_lo + s_hi)
-        pt = run(s_mid)
-        if abs(pt.f_distortion - target_f) < abs(best.f_distortion - target_f):
+        s_new = (s_lo * g_hi - s_hi * g_lo) / (g_hi - g_lo)
+        if not s_lo < s_new < s_hi:
+            s_new = 0.5 * (s_lo + s_hi)
+        pt = run(s_new)
+        g = pt.f_distortion - target_f
+        if abs(g) < abs(best.f_distortion - target_f):
             best = pt
-        if pt.f_distortion > target_f:
-            s_hi = s_mid
+        if g > 0.0:
+            s_hi, g_hi = s_new, g
+            if kept == 1:
+                g_lo *= 0.5
+            kept = 1
         else:
-            s_lo = s_mid
+            s_lo, g_lo = s_new, g
+            if kept == -1:
+                g_hi *= 0.5
+            kept = -1
     return best
+
+
+def _certified_rate(
+    amended: AmendedDistortions,
+    pz: np.ndarray,
+    target_f: float,
+    cfg: SolverConfig,
+) -> float:
+    """Rate of the point at target_f; NotConverged if its gap exceeds gap_tol."""
+    pt = _solve_reduced_at(amended, pz, target_f, cfg)
+    if not pt.converged:
+        raise NotConverged(
+            f"slope {pt.slope:g}: duality gap {pt.gap:g} nats after {pt.iterations} "
+            f"iterations exceeds gap_tol {cfg.gap_tol:g}"
+        )
+    return pt.rate
 
 
 def solve_at_distortion(
@@ -332,26 +369,27 @@ def characterize(
 
     The routes differ only in which amended matrix enters the solver, so any
     spread beyond roundoff indicates a defect; a spread above 1e-8 nats
-    raises. Uses a tighter bisection than the default config so route
-    differences are not masked by target slack.
+    raises. Uses a tighter level tolerance than the default config so route
+    differences are not masked by target slack. Raises NotConverged if any
+    route's point is not certified.
     """
     cfg = cfg or SolverConfig(bisection_tol=1e-12)
     amended = build_amended(src, d, f)
     pz = src.z_marginal
     target = float(f.apply(D))
 
-    r1 = _solve_reduced_at(amended, pz, target, cfg).rate
+    r1 = _certified_rate(amended, pz, target, cfg)
 
     per_letter = f.apply(d.values)
     expected2 = src.posterior.T @ per_letter
     expected2[~src.used_z] = 0.0
-    r2 = _solve_reduced_at(replace(amended, expected_f=expected2), pz, target, cfg).rate
+    r2 = _certified_rate(replace(amended, expected_f=expected2), pz, target, cfg)
 
     expected3 = f.apply(np.where(amended.used_z[:, None], amended.equivalent, 0.0))
     expected3[~amended.used_z] = 0.0
-    r3 = _solve_reduced_at(replace(amended, expected_f=expected3), pz, target, cfg).rate
+    r3 = _certified_rate(replace(amended, expected_f=expected3), pz, target, cfg)
 
-    r4 = _solve_reduced_at(replace(amended, expected_f=amended.expected_f.copy()), pz, target, cfg).rate
+    r4 = _certified_rate(replace(amended, expected_f=amended.expected_f.copy()), pz, target, cfg)
 
     rates = (r1, r2, r3, r4)
     spread = max(rates) - min(rates)
@@ -374,7 +412,10 @@ def distortion_at_rate(
     cfg: SolverConfig | None = None,
     tol: float = 1e-10,
 ) -> float:
-    """Invert the curve: smallest raw distortion whose rate is <= rate_nats."""
+    """Invert the curve: smallest raw distortion whose rate is <= rate_nats.
+
+    Raises NotConverged if a point it needs is not certified.
+    """
     cfg = cfg or SolverConfig()
     amended = build_amended(src, d, f)
     pz = src.z_marginal
@@ -382,7 +423,7 @@ def distortion_at_rate(
     d_lo, d_hi = float(f.invert(lo)), float(f.invert(hi))
     if rate_nats <= 0.0:
         return d_hi
-    top = _solve_reduced_at(amended, pz, lo, cfg).rate
+    top = _certified_rate(amended, pz, lo, cfg)
     if rate_nats >= top:
         return d_lo
     a, b = d_lo, d_hi
@@ -390,7 +431,7 @@ def distortion_at_rate(
         if b - a <= tol * max(1.0, abs(b)):
             break
         mid = 0.5 * (a + b)
-        r = _solve_reduced_at(amended, pz, float(f.apply(mid)), cfg).rate
+        r = _certified_rate(amended, pz, float(f.apply(mid)), cfg)
         if r > rate_nats:
             a = mid
         else:

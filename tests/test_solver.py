@@ -1,5 +1,5 @@
-"""Solver: slope fixed points, bisection to a target level, sweeps, and the
-four-route equivalence."""
+"""Solver: slope fixed points, the slope search for a target level, sweeps,
+and the four-route equivalence."""
 
 import math
 
@@ -13,6 +13,7 @@ from irdf import (
     DomainError,
     FTransform,
     JointSource,
+    NotConverged,
     SolverConfig,
     ba_fixed_slope,
     binary_entropy,
@@ -25,7 +26,8 @@ from irdf import (
     solve_at_distortion,
     sweep_curve,
 )
-from irdf import kernels
+from irdf import kernels, solver
+from test_acceptance import _random_transform
 
 LN2 = math.log(2.0)
 
@@ -248,6 +250,37 @@ class TestDistortionAtRate:
         assert distortion_at_rate(src, d, m.f, 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
+class TestSlopeSearch:
+    def test_solves_per_target(self, monkeypatch):
+        m, src, d = bsc_problem(0.15)
+        slopes = []
+
+        def counted(amended, pz, s, cfg=None):
+            slopes.append(s)
+            return ba_fixed_slope(amended, pz, s, cfg)
+
+        monkeypatch.setattr(solver, "ba_fixed_slope", counted)
+        n = 40
+        curve = sweep_curve(src, d, m.f, n)
+        assert len(slopes) <= 12 * n  # bisection took 26.2 per target
+        levels = 0.15 + 0.35 * np.arange(1, n + 1) / n
+        tol_f = SolverConfig().bisection_tol
+        for pt, level in zip(curve.points, levels):
+            assert abs(pt.f_distortion - level) <= tol_f
+
+
+class TestUncertifiedPointsRaise:
+    def test_characterize(self):
+        src, d, f, _, D = _criterion_05_draw(97)
+        with pytest.raises(NotConverged):
+            characterize(src, d, f, D, SolverConfig(max_iters=1))
+
+    def test_distortion_at_rate(self):
+        src, d, f, _, _ = _criterion_05_draw(97)
+        with pytest.raises(NotConverged):
+            distortion_at_rate(src, d, f, 0.1, SolverConfig(max_iters=1))
+
+
 class TestSweepDeterminism:
     def test_identical_sweeps_are_array_equal(self):
         m, src, d = bsc_problem(0.15, FTransform.exponential(9.2))
@@ -255,6 +288,22 @@ class TestSweepDeterminism:
         second = sweep_curve(src, d, m.f, 12)
         np.testing.assert_array_equal(first.distortions, second.distortions)
         np.testing.assert_array_equal(first.rates, second.rates)
+
+
+def _criterion_05_draw(index):
+    """Draw ``index`` (0-based) of the criterion-05 generator: source,
+    distortion, transform, amended matrices and the raw target level."""
+    rng = np.random.default_rng(20240817)
+    for _ in range(index + 1):
+        nx, nz, nh = rng.integers(2, 5, size=3)
+        joint = rng.random((nx, nz)) ** 2
+        src = JointSource.from_joint(joint / joint.sum())
+        d = DistortionMatrix(rng.random((nx, nh)))
+        f = _random_transform(rng)
+        am = build_amended(src, d, f)
+        lo, hi = f_domain_bounds(am, src.z_marginal)
+        target = lo + float(rng.uniform(0.15, 0.9)) * (hi - lo)
+    return src, d, f, am, float(f.invert(target))
 
 
 def _reduced(am, pz):
@@ -317,6 +366,20 @@ class TestKernel:
         lower = _blahut_lower_bound(e, pz, s, q_out, f_dist)
         assert rate_mi - lower <= gap + 1e-12
 
+    @pytest.mark.parametrize(
+        "draw, s", [(19, -0.5), (49, -16.0), (72, -0.5), (97, -0.5), (97, -1.0)]
+    )
+    def test_formerly_capped_calls_certify(self, draw, s):
+        # Cover's multiplicative update stopped these at 20,000 iterations
+        # with gaps up to 5.8e-6 nats
+        src, _, _, am, _ = _criterion_05_draw(draw)
+        e, pz = _reduced(am, src.z_marginal)
+        _, q_out, f_dist, rate_mi, _, iters, gap = kernels.ba_fixed_slope_loop(
+            e, pz, s, 20000, 1e-12, 1e-300
+        )
+        assert gap <= 1e-12 and iters <= 100
+        assert rate_mi - _blahut_lower_bound(e, pz, s, q_out, f_dist) <= gap + 1e-12
+
     def test_pinned_letter_still_counts_in_gap(self):
         # A floor above letter 1's optimal mass (about 0.2) pins it to 0; the
         # gap over all letters then refuses to certify the one-letter point.
@@ -325,6 +388,66 @@ class TestKernel:
         _, q_out, _, _, _, _, gap = kernels.ba_fixed_slope_loop(e, pz, -5.0, 20000, 1e-12, 0.3)
         np.testing.assert_array_equal(q_out, [1.0, 0.0])
         assert 1.0 < gap < np.inf
+
+    @pytest.mark.parametrize("s", [-3.0, -(2.0**40)])
+    def test_dropped_letters_return(self, s):
+        # boundary steps drop letters that the optimum needs back; at the
+        # steep slope a step that empties a row's only letter is refused
+        rng = np.random.default_rng(28)
+        e = rng.random((3, 4))
+        pz = rng.random(3) + 0.1
+        pz /= pz.sum()
+        with np.errstate(all="raise"):
+            _, q_out, f_dist, rate_mi, _, iters, gap = kernels.ba_fixed_slope_loop(
+                e, pz, s, 20000, 1e-12, 1e-300
+            )
+        assert gap <= 1e-12 and iters <= 100
+        if s == -3.0:
+            assert rate_mi - _blahut_lower_bound(e, pz, s, q_out, f_dist) <= gap + 1e-12
+
+    def test_starved_letter_returns_with_useful_mass(self):
+        # a letter that alone serves a light row comes back with mass near
+        # its best share; grown by Newton steps alone it needed 142 iterations
+        rng = np.random.default_rng(33)
+        e = np.round(rng.random((4, 4)) * 3) / 3
+        pz = rng.random(4) ** 2 + 1e-3
+        pz /= pz.sum()
+        *_, iters, gap = kernels.ba_fixed_slope_loop(e, pz, -300.0, 20000, 1e-12, 1e-300)
+        assert gap <= 1e-12 and iters <= 30
+
+    def test_damping_keeps_newton_system_regular(self):
+        # tied distortions make H singular on a large support; with damping
+        # allowed below roundoff of H the systems turned exactly singular
+        # and the ascent took 148 iterations
+        e = np.array([
+            [2, 0, 1, 2, 1, 3, 0, 1, 2, 2, 2, 1],
+            [1, 3, 3, 1, 2, 2, 1, 3, 3, 3, 1, 0],
+            [1, 2, 0, 2, 3, 1, 1, 2, 3, 0, 2, 2],
+            [2, 2, 0, 1, 1, 2, 1, 1, 1, 0, 1, 2],
+            [1, 2, 3, 1, 1, 1, 2, 3, 2, 3, 0, 2],
+            [1, 1, 3, 1, 3, 1, 2, 2, 2, 3, 2, 0],
+            [3, 2, 2, 2, 2, 2, 2, 0, 2, 3, 2, 0],
+        ]) / 3.0
+        pz = np.array([0.28, 0.12, 0.1, 0.23, 0.06, 0.09, 0.11])
+        pz /= pz.sum()
+        *_, iters, gap = kernels.ba_fixed_slope_loop(e, pz, -30.0, 20000, 1e-12, 1e-300)
+        assert gap <= 1e-12 and iters <= 100
+
+    def test_gap_tol_below_roundoff_ends_uncertified(self):
+        # the gap cannot fall below roundoff; once no damped step changes q
+        # the kernel stops, where growing the damping further would make the
+        # Newton system singular
+        rng = np.random.default_rng(22)
+        e = rng.random((3, 3))
+        pz = rng.random(3) + 0.1
+        pz /= pz.sum()
+        with np.errstate(all="raise"):
+            _, q_out, _, _, _, iters, gap = kernels.ba_fixed_slope_loop(
+                e, pz, -1.0, 20000, 1e-20, 1e-300
+            )
+        assert iters < 20
+        assert 1e-20 < gap <= 1e-15
+        assert q_out.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_gap_tol_rejected(self):
         with pytest.raises(ValueError):
