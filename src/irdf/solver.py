@@ -8,10 +8,12 @@ Every point on the curve is the fixed point of the slope-tilted update
 whose output pmf q(xhat) maximizes sum_z p(z) log sum_xhat q(xhat)
 exp(s * expected_f[z, xhat]) on the simplex; the kernel finds it by a damped
 active-set Newton ascent (see ``kernels``). The slope parameterizes the
-curve; hitting a requested distortion level is an Illinois (modified regula
-falsi) search on s inside a bracket found by doubling, exploiting that the
-achieved transform-domain distortion is monotone in s. All rates are nats
-internally; unit conversion happens only at reporting boundaries.
+curve, and both the achieved transform-domain distortion and the rate are
+monotone in s, so one search on s serves a distortion target and a rate
+target alike: doubling from s = -1/(hi - lo), the inverse of the
+transform-domain span, brackets the target, then Illinois (modified regula
+falsi) steps close in on it. All rates are nats internally; unit conversion
+happens only at reporting boundaries.
 
 At a converged point the mutual-information rate and the slope-form value
 
@@ -38,6 +40,8 @@ LN2 = float(np.log(2.0))
 
 _BRACKET_EPS = 1e-15
 _MAX_SEARCH = 200
+_MAX_DOUBLINGS = 60
+_SUPPORT_FLOOR = 1e-300  # output mass below this is pinned to 0
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,6 @@ class SolverConfig:
     max_iters: int = 20000
     gap_tol: float = 1e-12           # Blahut duality gap that certifies a fixed point, nats
     bisection_tol: float = 1e-9      # on achieved distortion; scaled by the transform-domain span
-    slope_grid: tuple[float, ...] | None = None
-    support_floor: float = 1e-300    # output mass below this is pinned to 0
-    max_bracket_doublings: int = 60
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -88,7 +89,6 @@ class RdCurve:
     points: tuple[SlopePoint, ...]
     d_min: float
     d_max: float
-    log_base: str = "nats"
 
     @property
     def distortions(self) -> np.ndarray:
@@ -103,28 +103,30 @@ class RdCurve:
         return all(p.converged for p in self.points)
 
 
+def _reduced(amended: AmendedDistortions, pz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expected-f rows of the used z and their renormalized weights."""
+    used = amended.used_z
+    w = np.asarray(pz, dtype=float)[used]
+    return amended.expected_f[used], w / w.sum()
+
+
 def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float, float]:
     """Transform-domain distortion endpoints of the reduced problem.
 
     Lower endpoint: expected row minimum (rate saturates there). Upper
     endpoint: best single reconstruction letter (rate hits zero there).
     """
-    used = amended.used_z
-    e = amended.expected_f[used]
-    w = np.asarray(pz, dtype=float)[used]
-    lo = float(w @ e.min(axis=1))
-    hi = float((w @ e).min())
-    return lo, hi
+    e, w = _reduced(amended, pz)
+    return float(w @ e.min(axis=1)), float((w @ e).min())
 
 
-def _zero_rate_point(e: np.ndarray, w: np.ndarray, used: np.ndarray, f: FTransform,
-                     clamped: bool = False) -> SlopePoint:
+def _zero_rate_point(amended: AmendedDistortions, pz: np.ndarray, clamped=False) -> SlopePoint:
     """Analytic s=0 end of the curve: mass split over the best columns."""
+    e, w = _reduced(amended, pz)
     col = w @ e
     mask = col == col.min()
     q_out = mask / mask.sum()
-    nz = used.shape[0]
-    q_cond = np.tile(q_out, (nz, 1))
+    q_cond = np.tile(q_out, (amended.used_z.shape[0], 1))
     f_dist = float(col[mask].mean())
     return SlopePoint(
         slope=0.0,
@@ -133,7 +135,7 @@ def _zero_rate_point(e: np.ndarray, w: np.ndarray, used: np.ndarray, f: FTransfo
         rate=0.0,
         rate_parametric=0.0,
         f_distortion=f_dist,
-        distortion=float(f.invert(f_dist)),
+        distortion=float(amended.f.invert(f_dist)),
         iterations=0,
         gap=0.0,
         converged=True,
@@ -151,20 +153,17 @@ def ba_fixed_slope(
     cfg = cfg or SolverConfig()
     if s > 0:
         raise ValueError(f"slope must be <= 0, got {s}")
-    pz = np.asarray(pz, dtype=float)
-    used = amended.used_z
-    e = amended.expected_f[used]
-    w = pz[used]
-    w = w / w.sum()
     if s == 0.0:
-        return _zero_rate_point(e, w, used, amended.f)
+        return _zero_rate_point(amended, pz)
+    used = amended.used_z
+    e, w = _reduced(amended, pz)
     q_cond_u, q_out, f_dist, rate_mi, rate_par, iters, gap = kernels.ba_fixed_slope_loop(
         np.ascontiguousarray(e),
         np.ascontiguousarray(w),
         float(s),
         cfg.max_iters,
         cfg.gap_tol,
-        cfg.support_floor,
+        _SUPPORT_FLOOR,
     )
     q_cond = np.tile(q_out, (used.shape[0], 1))
     q_cond[used] = q_cond_u
@@ -183,77 +182,60 @@ def ba_fixed_slope(
     )
 
 
-def _solve_reduced_at(
+def _slope_search(
     amended: AmendedDistortions,
     pz: np.ndarray,
-    target_f: float,
+    span: float,
+    residual,
+    done,
     cfg: SolverConfig,
 ) -> SlopePoint:
-    """Search the slope until the achieved transform-domain distortion is
-    within the level tolerance of target_f. Doubling the slope magnitude
-    brackets the target; Illinois steps, or the midpoint when the secant
-    leaves the bracket, then close in on it. If the target is the left curve
-    endpoint itself the closest achievable point is returned (rates there
-    are within slope*tolerance of the limit). The returned point may be
-    uncertified (``converged`` false); callers that use its rate check that.
+    """Search the slope for a point that ``done(pt, residual(pt))`` accepts.
+
+    ``residual`` must be positive at s = 0 and fall monotonically as s
+    decreases, as the distortion above a target level and the rate short of
+    a target rate do. Doubling the slope magnitude from 1/span, span = hi -
+    lo > 0, brackets its root; Illinois steps, or the midpoint when the
+    secant leaves the bracket, then close in on it. If the root is never
+    bracketed (the target is the left curve endpoint) the steepest point is
+    returned. The point may be uncertified; callers that use its rate check.
     """
-    pz = np.asarray(pz, dtype=float)
-    used = amended.used_z
-    e = amended.expected_f[used]
-    w = pz[used]
-    w = w / w.sum()
-    lo, hi = f_domain_bounds(amended, pz)
-    tol_f = cfg.bisection_tol * max(1.0, hi - lo)
 
-    if target_f > hi + tol_f:
-        return _zero_rate_point(e, w, used, amended.f, clamped=True)
-    if target_f < lo - tol_f:
-        raise DomainError(
-            f"requested distortion {amended.f.invert(target_f):g} below the feasible "
-            f"minimum {amended.f.invert(lo):g}"
-        )
-    if target_f >= hi - tol_f:
-        return _zero_rate_point(e, w, used, amended.f)
+    def run(s: float) -> tuple[SlopePoint, float]:
+        pt = ba_fixed_slope(amended, pz, s, cfg)
+        return pt, residual(pt)
 
-    def run(s: float) -> SlopePoint:
-        return ba_fixed_slope(amended, pz, s, cfg)
-
-    s_lo = -1.0
-    pt_lo = run(s_lo)
+    s_lo = -1.0 / span
+    pt_lo, g_lo = run(s_lo)
     s_hi, pt_hi = 0.0, None
-    doublings = 0
-    while pt_lo.f_distortion > target_f + tol_f:
-        if doublings >= cfg.max_bracket_doublings:
+    for _ in range(_MAX_DOUBLINGS):
+        if g_lo <= 0.0 or done(pt_lo, g_lo):
             break
-        s_hi, pt_hi = s_lo, pt_lo
+        s_hi, pt_hi, g_hi = s_lo, pt_lo, g_lo
         s_lo *= 2.0
-        pt_lo = run(s_lo)
-        doublings += 1
-    if pt_lo.f_distortion >= target_f:
-        # never crossed the target: it is the left endpoint (or within tol)
+        pt_lo, g_lo = run(s_lo)
+    if g_lo >= 0.0:
+        # never crossed the root: the target is the left endpoint (or within tol)
         return pt_lo
     if pt_hi is None:
-        pt_hi = _zero_rate_point(e, w, used, amended.f)
+        pt_hi = _zero_rate_point(amended, pz)
+        g_hi = residual(pt_hi)
 
-    # Illinois (modified regula falsi) on g(s) = D(s) - target_f, with
-    # g(s_lo) < 0 < g(s_hi): when the same end moves twice in a row, the
-    # value kept at the other end is halved
-    g_lo = pt_lo.f_distortion - target_f
-    g_hi = pt_hi.f_distortion - target_f
-    best = min((pt_lo, pt_hi), key=lambda p: abs(p.f_distortion - target_f))
+    # Illinois (modified regula falsi) with g_lo < 0 < g_hi: when the same
+    # end moves twice in a row, the value kept at the other end is halved
+    best, g_best = (pt_lo, g_lo) if abs(g_lo) <= abs(g_hi) else (pt_hi, g_hi)
     kept = 0  # +1 after s_hi moved, -1 after s_lo moved
     for _ in range(_MAX_SEARCH):
-        if abs(best.f_distortion - target_f) <= tol_f:
+        if done(best, g_best):
             return best
         if s_hi - s_lo <= _BRACKET_EPS * max(1.0, abs(s_lo)):
             break
         s_new = (s_lo * g_hi - s_hi * g_lo) / (g_hi - g_lo)
         if not s_lo < s_new < s_hi:
             s_new = 0.5 * (s_lo + s_hi)
-        pt = run(s_new)
-        g = pt.f_distortion - target_f
-        if abs(g) < abs(best.f_distortion - target_f):
-            best = pt
+        pt, g = run(s_new)
+        if abs(g) < abs(g_best):
+            best, g_best = pt, g
         if g > 0.0:
             s_hi, g_hi = s_new, g
             if kept == 1:
@@ -267,20 +249,40 @@ def _solve_reduced_at(
     return best
 
 
-def _certified_rate(
+def _solve_reduced_at(
     amended: AmendedDistortions,
     pz: np.ndarray,
     target_f: float,
     cfg: SolverConfig,
-) -> float:
-    """Rate of the point at target_f; NotConverged if its gap exceeds gap_tol."""
-    pt = _solve_reduced_at(amended, pz, target_f, cfg)
+) -> SlopePoint:
+    """The point whose achieved transform-domain distortion is within the
+    level tolerance tol_f of target_f. If the target is the left curve
+    endpoint itself the closest achievable point is returned (rates there
+    are within slope*tolerance of the limit).
+    """
+    lo, hi = f_domain_bounds(amended, pz)
+    tol_f = cfg.bisection_tol * max(1.0, hi - lo)
+    if target_f > hi + tol_f:
+        return _zero_rate_point(amended, pz, clamped=True)
+    if target_f < lo - tol_f:
+        raise DomainError(
+            f"requested distortion {amended.f.invert(target_f):g} below the feasible "
+            f"minimum {amended.f.invert(lo):g}"
+        )
+    if target_f >= hi - tol_f:
+        return _zero_rate_point(amended, pz)
+    return _slope_search(amended, pz, hi - lo, lambda pt: pt.f_distortion - target_f,
+                         lambda pt, g: abs(g) <= tol_f, cfg)
+
+
+def _certified(pt: SlopePoint, cfg: SolverConfig) -> SlopePoint:
+    """pt itself; NotConverged if its gap exceeds gap_tol."""
     if not pt.converged:
         raise NotConverged(
             f"slope {pt.slope:g}: duality gap {pt.gap:g} nats after {pt.iterations} "
             f"iterations exceeds gap_tol {cfg.gap_tol:g}"
         )
-    return pt.rate
+    return pt
 
 
 def solve_at_distortion(
@@ -309,11 +311,8 @@ def sweep_curve(
     n_points: int,
     cfg: SolverConfig | None = None,
 ) -> RdCurve:
-    """Solve n_points levels spanning (d_min, d_max], sorted by distortion.
-
-    With ``cfg.slope_grid`` set, those slopes are solved directly instead of
-    targeting an even distortion grid.
-    """
+    """Solve n_points levels evenly spaced in raw units over (d_min, d_max],
+    sorted by distortion."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     cfg = cfg or SolverConfig()
@@ -323,36 +322,26 @@ def sweep_curve(
     d_lo = float(f.invert(lo))
     d_hi = float(f.invert(hi))
 
-    if cfg.slope_grid is not None:
-        pts = [ba_fixed_slope(amended, pz, s, cfg) for s in cfg.slope_grid]
-    else:
-        steps = np.arange(1, n_points + 1) / n_points
-        d_grid = d_lo + (d_hi - d_lo) * steps  # even in raw units, left-open
-        targets = np.asarray(f.apply(d_grid), dtype=float)
-        targets[-1] = hi
-        pts = [_solve_reduced_at(amended, pz, float(t), cfg) for t in targets]
-
+    steps = np.arange(1, n_points + 1) / n_points
+    d_grid = d_lo + (d_hi - d_lo) * steps  # even in raw units, left-open
+    targets = np.asarray(f.apply(d_grid), dtype=float)
+    targets[-1] = hi
+    pts = [_solve_reduced_at(amended, pz, float(t), cfg) for t in targets]
     pts.sort(key=lambda p: p.distortion)
     return RdCurve(points=tuple(pts), d_min=d_lo, d_max=d_hi)
 
 
 @dataclass(frozen=True, eq=False)
 class EquivalenceReport:
-    """The four computation routes that must produce one rate."""
+    """The three computation routes that must produce one rate."""
 
     remote_pooled: float          # expected-f reduction of the pooled remote problem
     remote_transformed: float     # same reduction entered via the per-letter f(d) matrix
     direct_equivalent: float      # transform of the certainty-equivalent matrix
-    direct_expected: float        # expected-f matrix used as a plain direct problem
     max_spread: float
 
-    def rates(self) -> tuple[float, float, float, float]:
-        return (
-            self.remote_pooled,
-            self.remote_transformed,
-            self.direct_equivalent,
-            self.direct_expected,
-        )
+    def rates(self) -> tuple[float, float, float]:
+        return (self.remote_pooled, self.remote_transformed, self.direct_equivalent)
 
 
 _EQUIV_ATOL = 1e-8
@@ -365,7 +354,7 @@ def characterize(
     D: float,
     cfg: SolverConfig | None = None,
 ) -> EquivalenceReport:
-    """Evaluate the rate at D along four algebraically equal routes.
+    """Evaluate the rate at D along three algebraically equal routes.
 
     The routes differ only in which amended matrix enters the solver, so any
     spread beyond roundoff indicates a defect; a spread above 1e-8 nats
@@ -378,20 +367,21 @@ def characterize(
     pz = src.z_marginal
     target = float(f.apply(D))
 
-    r1 = _certified_rate(amended, pz, target, cfg)
+    def rate(am: AmendedDistortions) -> float:
+        return _certified(_solve_reduced_at(am, pz, target, cfg), cfg).rate
+
+    r1 = rate(amended)
 
     per_letter = f.apply(d.values)
     expected2 = src.posterior.T @ per_letter
     expected2[~src.used_z] = 0.0
-    r2 = _certified_rate(replace(amended, expected_f=expected2), pz, target, cfg)
+    r2 = rate(replace(amended, expected_f=expected2))
 
     expected3 = f.apply(np.where(amended.used_z[:, None], amended.equivalent, 0.0))
     expected3[~amended.used_z] = 0.0
-    r3 = _certified_rate(replace(amended, expected_f=expected3), pz, target, cfg)
+    r3 = rate(replace(amended, expected_f=expected3))
 
-    r4 = _certified_rate(replace(amended, expected_f=amended.expected_f.copy()), pz, target, cfg)
-
-    rates = (r1, r2, r3, r4)
+    rates = (r1, r2, r3)
     spread = max(rates) - min(rates)
     if spread > _EQUIV_ATOL:
         raise AssertionError(f"equivalent routes disagree by {spread:g} nats at D={D:g}")
@@ -399,7 +389,6 @@ def characterize(
         remote_pooled=r1,
         remote_transformed=r2,
         direct_equivalent=r3,
-        direct_expected=r4,
         max_spread=spread,
     )
 
@@ -410,30 +399,31 @@ def distortion_at_rate(
     f: FTransform,
     rate_nats: float,
     cfg: SolverConfig | None = None,
-    tol: float = 1e-10,
 ) -> float:
     """Invert the curve: smallest raw distortion whose rate is <= rate_nats.
 
-    Raises NotConverged if a point it needs is not certified.
+    The slope search of ``solve_at_distortion`` runs on the rate instead of
+    the distortion and stops once the rate is within |s| * tol_f of
+    rate_nats: the level tolerance carried to the rate axis by the curve's
+    slope s. A rate at or above the curve's maximum gives d_min. Raises
+    NotConverged if the point it lands on is not certified.
     """
     cfg = cfg or SolverConfig()
     amended = build_amended(src, d, f)
     pz = src.z_marginal
     lo, hi = f_domain_bounds(amended, pz)
+    tol_f = cfg.bisection_tol * max(1.0, hi - lo)
     d_lo, d_hi = float(f.invert(lo)), float(f.invert(hi))
     if rate_nats <= 0.0:
         return d_hi
-    top = _certified_rate(amended, pz, lo, cfg)
-    if rate_nats >= top:
+    if hi - lo <= tol_f:  # the whole curve is within the level tolerance of d_min
         return d_lo
-    a, b = d_lo, d_hi
-    for _ in range(200):
-        if b - a <= tol * max(1.0, abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        r = _certified_rate(amended, pz, float(f.apply(mid)), cfg)
-        if r > rate_nats:
-            a = mid
-        else:
-            b = mid
-    return b
+
+    def saturated(pt: SlopePoint, g: float) -> bool:
+        # short of rate_nats within the level tolerance of d_min
+        return g > 0.0 and pt.f_distortion <= lo + tol_f
+
+    pt = _certified(_slope_search(
+        amended, pz, hi - lo, lambda pt: rate_nats - pt.rate,
+        lambda pt, g: abs(g) <= -pt.slope * tol_f or saturated(pt, g), cfg), cfg)
+    return d_lo if saturated(pt, rate_nats - pt.rate) else pt.distortion

@@ -158,7 +158,7 @@ def _random_transform(rng) -> FTransform:
 
 
 def test_criterion_05_equivalence_chain_random_sources():
-    """All four computation routes agree within 1e-8 nats on 100 randomized
+    """All three computation routes agree within 1e-8 nats on 100 randomized
     small sources with random transforms."""
     rng = np.random.default_rng(20240817)
     worst = 0.0

@@ -1,5 +1,5 @@
 """Solver: slope fixed points, the slope search for a target level, sweeps,
-and the four-route equivalence."""
+and the three-route equivalence."""
 
 import math
 
@@ -180,13 +180,6 @@ class TestSweep:
         assert curve.d_min == pytest.approx(math.sqrt(0.001), rel=1e-12)
         assert curve.d_max == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
-    def test_slope_grid_mode(self):
-        m, src, d = bsc_problem(0.15)
-        cfg = SolverConfig(slope_grid=tuple(-np.geomspace(0.1, 50, 12)))
-        curve = sweep_curve(src, d, m.f, 12, cfg)
-        assert len(curve.points) == 12
-        assert np.all(np.diff(curve.distortions) > 0)
-
     def test_raw_axis_not_convex_for_exponential(self):
         f = FTransform.exponential(9.2)
         m, src, d = bsc_problem(0.01, f)
@@ -239,32 +232,66 @@ class TestCharacterize:
         assert rep.max_spread <= 1e-8
 
 
+def _count_solves(monkeypatch):
+    """Slopes of every fixed-slope solve made through ``solver.ba_fixed_slope``."""
+    slopes = []
+
+    def counted(amended, pz, s, cfg=None):
+        slopes.append(s)
+        return ba_fixed_slope(amended, pz, s, cfg)
+
+    monkeypatch.setattr(solver, "ba_fixed_slope", counted)
+    return slopes
+
+
 class TestDistortionAtRate:
-    def test_inverts_the_curve(self):
-        m, src, d = bsc_problem(0.15)
-        D = distortion_at_rate(src, d, m.f, 0.5 * LN2)
-        assert bsc_irdf(m, D) == pytest.approx(0.5 * LN2, abs=1e-8)
+    @pytest.mark.parametrize(
+        "beta, f",
+        [(0.15, FTransform.identity()), (0.01, FTransform.exponential(9.2)),
+         (0.01, FTransform.sqrt())],
+        ids=["identity", "exponential", "sqrt"],
+    )
+    def test_inverts_the_curve(self, beta, f):
+        m, src, d = bsc_problem(beta, f)
+        D = distortion_at_rate(src, d, f, 0.5 * LN2)
+        assert abs(bsc_irdf(m, D) - 0.5 * LN2) <= 1e-8
 
     def test_zero_rate_gives_dmax(self):
         m, src, d = bsc_problem(0.15)
         assert distortion_at_rate(src, d, m.f, 0.0) == pytest.approx(0.5, abs=1e-12)
 
+    def test_rate_above_maximum_gives_dmin(self):
+        m, src, d = bsc_problem(0.15)
+        # d_min itself, not a point within the level tolerance of it
+        assert distortion_at_rate(src, d, m.f, 1.2 * LN2) == pytest.approx(0.15, abs=1e-15)
+
+    def test_one_slope_search(self, monkeypatch):
+        # bisecting the raw level, with a slope search per step, took 321
+        m, src, d = bsc_problem(0.15)
+        slopes = _count_solves(monkeypatch)
+        D = distortion_at_rate(src, d, m.f, 0.3)
+        assert len(slopes) <= 15
+        assert abs(bsc_irdf(m, D) - 0.3) <= 1e-8
+
 
 class TestSlopeSearch:
-    def test_solves_per_target(self, monkeypatch):
-        m, src, d = bsc_problem(0.15)
-        slopes = []
-
-        def counted(amended, pz, s, cfg=None):
-            slopes.append(s)
-            return ba_fixed_slope(amended, pz, s, cfg)
-
-        monkeypatch.setattr(solver, "ba_fixed_slope", counted)
+    @pytest.mark.parametrize(
+        "beta, f",
+        [(0.15, FTransform.identity()), (0.01, FTransform.exponential(9.2))],
+        ids=["identity", "exponential_witness"],
+    )
+    def test_solves_per_target(self, monkeypatch, beta, f):
+        # bisection took 26.2 per target on the identity BSC; a bracket
+        # started at s = -1 took 19.6 on the witness, whose span is ~10**3
+        m, src, d = bsc_problem(beta, f)
+        slopes = _count_solves(monkeypatch)
         n = 40
-        curve = sweep_curve(src, d, m.f, n)
-        assert len(slopes) <= 12 * n  # bisection took 26.2 per target
-        levels = 0.15 + 0.35 * np.arange(1, n + 1) / n
-        tol_f = SolverConfig().bisection_tol
+        curve = sweep_curve(src, d, f, n)
+        assert len(slopes) <= 12 * n
+        lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
+        levels = f.apply(curve.d_min + (curve.d_max - curve.d_min) * np.arange(1, n + 1) / n)
+        levels[-1] = hi
+        tol_f = SolverConfig().bisection_tol * max(1.0, hi - lo)
         for pt, level in zip(curve.points, levels):
             assert abs(pt.f_distortion - level) <= tol_f
 
