@@ -16,8 +16,8 @@ single-letter matrices that carry the whole reduction:
     equivalent[z, xhat]    = f^{-1}( expected_f[z, xhat] )
 
 ``equivalent`` is the certainty-equivalent per-letter distortion as seen from
-the observation; applying f to it must reproduce ``expected_f`` exactly up to
-roundoff, which is checked at construction.
+the observation; applying f to it must reproduce ``expected_f`` up to
+roundoff relative to the entry's size, which is checked at construction.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import EmptyInput, LengthMismatch
 from .ftransform import FTransform
 from .source import JointSource
 
-# absolute slack for the f(equivalent) == expected_f identity
+# slack for the f(equivalent) == expected_f identity, relative to entries above 1
 _AMEND_ATOL = 1e-10
 # margin below which a pooled-vs-mean comparison counts as an equality
 SUBADD_SLACK = 1e-12
@@ -195,11 +195,11 @@ def build_amended(src: JointSource, d: DistortionMatrix, f: FTransform) -> Amend
     equivalent = np.zeros_like(expected)
     if used.any():
         equivalent[used] = f.invert(expected[used])
-        roundtrip = f.apply(equivalent[used])
-        err = np.max(np.abs(roundtrip - expected[used]))
+        drift = np.abs(f.apply(equivalent[used]) - expected[used])
+        err = np.max(drift / np.maximum(1.0, np.abs(expected[used])))
         if err > _AMEND_ATOL:
             raise AssertionError(
-                f"transform inverse drift {err:g} exceeds {_AMEND_ATOL:g} in amended matrices"
+                f"relative transform inverse drift {err:g} exceeds {_AMEND_ATOL:g}"
             )
     per_letter.setflags(write=False)
     expected.setflags(write=False)

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import MonotonicityError, OutOfRange
 
 KINDS = ("identity", "power", "sqrt", "shifted_cubic", "exponential", "tabulated")
+# the one parameter of each parametric kind, by name
+_PARAMS = {"power": "p", "shifted_cubic": "a", "exponential": "rho", "tabulated": "points"}
 
 MONOTONE_SAMPLES = 1024
 _RANGE_SLACK = 1e-12
@@ -99,30 +101,21 @@ class FTransform:
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ValueError(f"transform spec needs a 'kind': {spec!r}")
         kind = spec["kind"]
-        if kind == "identity":
-            return cls.identity()
-        if kind == "power":
-            return cls.power(spec["p"])
-        if kind == "sqrt":
-            return cls.sqrt()
-        if kind == "shifted_cubic":
-            return cls.shifted_cubic(spec["a"])
-        if kind == "exponential":
-            return cls.exponential(spec["rho"])
-        if kind == "tabulated":
-            return cls.tabulated(spec["points"])
-        raise ValueError(f"unknown transform kind {kind!r}")
+        if kind not in KINDS:
+            raise ValueError(f"unknown transform kind {kind!r}")
+        param = _PARAMS.get(kind)
+        if param is None:
+            return cls(kind)
+        if param not in spec:
+            raise ValueError(f"{kind} transform spec needs {param!r}")
+        return getattr(cls, kind)(spec[param])
 
     def to_spec(self) -> dict:
-        if self.kind == "power":
-            return {"kind": "power", "p": self.p}
-        if self.kind == "shifted_cubic":
-            return {"kind": "shifted_cubic", "a": self.a}
-        if self.kind == "exponential":
-            return {"kind": "exponential", "rho": self.rho}
-        if self.kind == "tabulated":
-            return {"kind": "tabulated", "points": self.points.tolist()}
-        return {"kind": self.kind}
+        param = _PARAMS.get(self.kind)
+        if param is None:
+            return {"kind": self.kind}
+        value = getattr(self, param)
+        return {"kind": self.kind, param: value.tolist() if param == "points" else value}
 
     # -- application -------------------------------------------------------
 

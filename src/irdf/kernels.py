@@ -12,6 +12,9 @@ ascent on the simplex, which converges quadratically near the optimum, and
 stops on Blahut's duality gap (Blahut 1972, "Computation of channel
 capacity and rate-distortion functions"), a certified bound in nats on the
 distance of the returned rate from the curve at the returned distortion.
+A letter leaves the support only at the simplex boundary and may return
+later; the gap covers every letter, and the one rate returned is the mutual
+information at the certified output pmf.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import numpy as np
 
 
-def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, support_floor):
+def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol):
     """Fixed point of q(xhat|z) ∝ q(xhat) exp(s * expected_f[z, xhat]).
 
     expected_f: (nz, nx) transform-domain distortion rows for used z only.
@@ -34,10 +37,10 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, support_floor):
 
         c(x) = sum_z p(z) A[z, x] / den(z),   den = A q,
 
-    and stops once gap = max_x log c(x) <= gap_tol over every letter that
-    may still move, so a start that is already certified costs one
-    iteration. Otherwise a dropped letter with c > 1 returns (``_readmit``),
-    or the iteration tries a damped Newton step on S:
+    and stops once gap = max_x log c(x) <= gap_tol over every letter, so a
+    start that is already certified costs one iteration. Otherwise a dropped
+    letter with c > 1 returns (``_readmit``), or the iteration tries a damped
+    Newton step on S:
 
         [H + lam * diag(1 / q_S), 1; 1', 0] [d; nu] = [c_S; 0],
         H = A_S' diag(p / den**2) A_S.
@@ -49,17 +52,18 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, support_floor):
     roundoff, when max c falls; lam then shrinks. After a rejection lam
     grows and the next iteration tries again from the same q. A step that
     would leave the simplex stops at its boundary and drops the letters it
-    reaches. A letter whose mass falls to support_floor is pinned to 0 for
-    good. The loop also ends, uncertified, at max_iters or when the damped
-    step no longer changes q.
+    reaches, the only way a letter leaves S; every dropped letter stays a
+    candidate for return. The loop also ends, uncertified, at max_iters or
+    when the damped step no longer changes q.
 
     The tilt is rebuilt whenever S changes, so every entry on S stays in
     [0, 1] and den(z) >= q(argmin) > 0 for arbitrarily negative slopes. The
-    returned gap, over all letters including pinned ones, bounds the rate's
-    excess over Blahut's lower bound on the curve.
+    returned gap, over all letters, bounds the rate's excess over Blahut's
+    lower bound on the curve.
 
-    Returns (q_cond, q_out, f_dist, rate_mi, rate_par, iters, gap): q_out is
-    the certified output pmf, q_cond its tilted conditional, rates in nats.
+    Returns (q_cond, q_out, f_dist, rate, iters, gap): q_out is the output
+    pmf the gap certifies, q_cond its tilted conditional, and rate their
+    mutual information in nats.
     """
     nz, nx = expected_f.shape
     sup = np.arange(nx)
@@ -90,8 +94,6 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, support_floor):
                 if back > 1.0:
                     x = out.pop(c_out.index(back))
                     q, sup = _readmit(expected_f, pz, s, m, den, q, sup, x)
-                    if q[-1] <= support_floor:
-                        q, sup = q[:-1] / q[:-1].sum(), sup[:-1]
                     e, m, expo, a, a_out = _tilt(expected_f, sup, out, s)
                     den = a.dot(q)
                     continue
@@ -137,9 +139,9 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, support_floor):
                 continue
             lam *= _LAM_SHRINK
             q, den = q_new, den_new
-            if min(q.tolist()) <= support_floor:
-                out.extend(sup[q <= 0.0].tolist())  # reached, or just past by roundoff
-                keep = q > support_floor
+            if min(q.tolist()) <= 0.0:  # reached, or just past by roundoff
+                keep = q > 0.0
+                out.extend(sup[~keep].tolist())
                 sup, q = sup[keep], q[keep] / q[keep].sum()
                 e, m, expo, a, a_out = _tilt(expected_f, sup, out, s)
                 den = a.dot(q)
@@ -147,8 +149,8 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, support_floor):
         q_cond = a * (q / den[:, None])
         mix = q * c  # = pz @ q_cond
         log_c = np.log(c, out=np.zeros_like(c), where=c > 0.0)
-        rate_par = float(pz @ (q_cond * expo).sum(axis=1) - pz @ np.log(den))
-        rate_mi = rate_par - float(mix @ log_c)
+        # I(Z; Xhat) = sum p q_cond log(q_cond / q) - mix . log(mix / q), mix / q = c
+        rate = float(pz @ (q_cond * expo).sum(axis=1) - pz @ np.log(den)) - float(mix @ log_c)
         f_dist = float(pz @ (q_cond * e).sum(axis=1))
         if sup.size < nx:
             gap = max(gap, _off_support_gap(expected_f, sup, s, m, t))
@@ -157,7 +159,7 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, support_floor):
     q_cond_full[:, sup] = q_cond
     q_full = np.zeros(nx)
     q_full[sup] = q
-    return q_cond_full, q_full, f_dist, rate_mi, rate_par, iters, gap
+    return q_cond_full, q_full, f_dist, rate, iters, gap
 
 
 _FLAT = 1e-14        # a change of Phi below this (relative) is roundoff
@@ -213,22 +215,22 @@ def _readmit(expected_f, pz, s, m, den, q, sup, x):
     return np.append((1.0 - lo) * q, lo), np.append(sup, x)
 
 
-def best_code_fold_loop(cost, M, total, chunk=4096):
+def best_code_fold_loop(cost, M, total):
     """Scan all M**n_zseq encoder maps in lexicographic order.
 
     cost[j, k] is the criterion contribution of observation sequence j when
     its cell decodes to reconstruction sequence k. For a fixed encoder the
     cells decouple, so each cell takes its first-minimum column; ties keep
     the lexicographically smallest code overall. Encoders are enumerated in
-    chunks of ``chunk`` to bound memory.
+    chunks of ``_CHUNK`` to bound memory.
     """
     n_zseq, n_dseq = cost.shape
     place = M ** (n_zseq - 1 - np.arange(n_zseq, dtype=np.int64))
     best_val = np.inf
     best_enc = np.zeros(n_zseq, np.int64)
     best_dec = np.zeros(M, np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         enc = (idx[:, None] // place[None, :]) % M          # (c, n_zseq)
         onehot = (enc[:, :, None] == np.arange(M)[None, None, :]).astype(float)
         group = np.einsum("cjw,jk->cwk", onehot, cost)       # (c, M, n_dseq)
@@ -240,5 +242,7 @@ def best_code_fold_loop(cost, M, total, chunk=4096):
             best_dec = group[i].argmin(axis=1).astype(np.int64)
     return best_val, best_enc, best_dec
 
+
+_CHUNK = 4096  # encoders per scan step
 
 BACKEND = "numpy"

@@ -101,6 +101,18 @@ def _comparator_fn(comparator: str):
     raise ValueError(f"comparator must be '>' or '>=', got {comparator!r}")
 
 
+def _check_code(src: JointSource, d: DistortionMatrix, code: BlockCode) -> None:
+    """ValueError unless the code's tables fit the source and the distortion."""
+    n_zseq = src.z_alphabet.size**code.n
+    if code.encoder.size != n_zseq:
+        raise ValueError(
+            f"encoder has {code.encoder.size} entries, expected {n_zseq} observation sequences"
+        )
+    syms = code.decoder.ravel().tolist()  # Python's min/max beat numpy's on a few symbols
+    if min(syms, default=0) < 0 or max(syms, default=0) >= d.n_reconstruction:
+        raise ValueError(f"decoder symbols outside [0, {d.n_reconstruction})")
+
+
 def _decoded_columns(code: BlockCode, n_xhat: int) -> np.ndarray:
     """Reconstruction-sequence index chosen for each observation sequence."""
     dec_idx = _seq_index(code.decoder, n_xhat)
@@ -121,8 +133,10 @@ def evaluate_code(
     """Average pooled distortion and exceedance probability of a code.
 
     'exact' enumerates the product law (TooLarge past the cap); 'sample'
-    uses seeded Monte Carlo with the given number of draws.
+    uses seeded Monte Carlo with the given number of draws. Raises
+    ValueError if the code does not fit the source or the distortion.
     """
+    _check_code(src, d, code)
     f.check_strictly_increasing(d.d_max)
     cmp = _comparator_fn(comparator)
     nh = d.n_reconstruction
@@ -158,7 +172,7 @@ def evaluate_code(
 @dataclass(frozen=True, eq=False)
 class ExcessEquivalence:
     p_pooled: float   # P[pooled block distortion beyond D + gamma]
-    p_mean: float     # P[transform-domain mean beyond f(D) + delta_star]
+    p_mean: float     # P[transform-domain mean beyond f(D) + delta]
     equal: bool
     events_agree: bool
 
@@ -170,20 +184,20 @@ def excess_event_equivalence(
     code: BlockCode,
     D: float,
     gamma: float,
-    delta_star: float | None = None,
     comparator: str = ">",
 ) -> ExcessEquivalence:
     """Check that the raw-domain excess event equals the transform-domain one.
 
     The pooled distortion exceeds D + gamma exactly when the transform-domain
-    mean exceeds f(D) + delta_star with delta_star = f(D + gamma) - f(D);
-    both probabilities are accumulated from the same exact enumeration.
+    mean exceeds f(D) + delta with delta = f(D + gamma) - f(D); both
+    probabilities are accumulated from the same exact enumeration. Raises
+    ValueError if the code does not fit the source or the distortion.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
+    _check_code(src, d, code)
     f.check_strictly_increasing(d.d_max)
-    if delta_star is None:
-        delta_star = float(f.apply(D + gamma)) - float(f.apply(D))
+    delta = float(f.apply(D + gamma)) - float(f.apply(D))
     cmp = _comparator_fn(comparator)
     _check_exact_size(src, d, code.n)
     pjoint = _product_pmf(src.joint, code.n)
@@ -191,7 +205,7 @@ def excess_event_equivalence(
     pooled = f.invert(means)
     cols = _decoded_columns(code, d.n_reconstruction)
     ev_pooled = cmp(pooled[:, cols], D + gamma)
-    ev_mean = cmp(means[:, cols], float(f.apply(D)) + delta_star)
+    ev_mean = cmp(means[:, cols], float(f.apply(D)) + delta)
     p1 = float((pjoint * ev_pooled).sum())
     p2 = float((pjoint * ev_mean).sum())
     return ExcessEquivalence(
@@ -241,9 +255,7 @@ def best_code_search(
         raise ValueError(f"criterion must be 'average' or 'excess', got {criterion!r}")
     cost = pjoint.T @ weight  # (n_zseq, n_dseq)
 
-    best_val, best_enc, best_dec = kernels.best_code_fold_loop(
-        np.ascontiguousarray(cost), M, M**n_zseq
-    )
+    best_val, best_enc, best_dec = kernels.best_code_fold_loop(cost, M, M**n_zseq)
     decoder = _seq_digits(n_dseq, n, nh)[best_dec]
     code = BlockCode(n=n, M=M, encoder=best_enc, decoder=decoder)
     thr = d.d_max + 1.0 if threshold is None else threshold

@@ -12,16 +12,15 @@ curve, and both the achieved transform-domain distortion and the rate are
 monotone in s, so one search on s serves a distortion target and a rate
 target alike: doubling from s = -1/(hi - lo), the inverse of the
 transform-domain span, brackets the target, then Illinois (modified regula
-falsi) steps close in on it. All rates are nats internally; unit conversion
-happens only at reporting boundaries.
+falsi) steps close in on it. The bracket-width stop is relative to the
+slopes, so the search behaves alike at every transform-domain scale.
+All rates are nats internally; unit conversion happens only at reporting
+boundaries.
 
-At a converged point the mutual-information rate and the slope-form value
-
-    s * f_dist - sum_z p(z) log( sum_xhat exp(s * expected_f[z, xhat]) q(xhat) )
-
-agree; both are recorded so consumers can cross-check. A point is converged
-when Blahut's duality gap at its output pmf is at most ``gap_tol`` nats; the
-gap is recorded on every point.
+The rate of a point is the mutual information of its conditional. A point is
+converged when Blahut's duality gap at its output pmf is at most ``gap_tol``
+nats; the gap is recorded on every point and bounds the rate's distance
+from the curve.
 """
 
 from __future__ import annotations
@@ -38,10 +37,9 @@ from .source import JointSource
 
 LN2 = float(np.log(2.0))
 
-_BRACKET_EPS = 1e-15
+_BRACKET_EPS = 1e-15  # bracket width, relative to its slopes, at which the search stops
 _MAX_SEARCH = 200
 _MAX_DOUBLINGS = 60
-_SUPPORT_FLOOR = 1e-300  # output mass below this is pinned to 0
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SlopePoint:
-    """One solved point: slope, optimal conditional, and both rate forms.
+    """One solved point: slope, optimal conditional, rate and distortion.
 
     ``gap`` is Blahut's duality gap at ``q_out`` in nats: the rate exceeds
     the curve's lower bound at ``f_distortion`` by at most this much.
@@ -73,7 +71,6 @@ class SlopePoint:
     q_cond: np.ndarray        # (|Z|, |Xhat|); rows for unused z repeat q_out
     q_out: np.ndarray
     rate: float               # nats, mutual information, clamped at 0
-    rate_parametric: float    # nats, slope-form value
     f_distortion: float       # transform-domain expected distortion
     distortion: float         # raw units
     iterations: int
@@ -133,7 +130,6 @@ def _zero_rate_point(amended: AmendedDistortions, pz: np.ndarray, clamped=False)
         q_cond=q_cond,
         q_out=q_out,
         rate=0.0,
-        rate_parametric=0.0,
         f_distortion=f_dist,
         distortion=float(amended.f.invert(f_dist)),
         iterations=0,
@@ -157,13 +153,8 @@ def ba_fixed_slope(
         return _zero_rate_point(amended, pz)
     used = amended.used_z
     e, w = _reduced(amended, pz)
-    q_cond_u, q_out, f_dist, rate_mi, rate_par, iters, gap = kernels.ba_fixed_slope_loop(
-        np.ascontiguousarray(e),
-        np.ascontiguousarray(w),
-        float(s),
-        cfg.max_iters,
-        cfg.gap_tol,
-        _SUPPORT_FLOOR,
+    q_cond_u, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+        e, w, float(s), cfg.max_iters, cfg.gap_tol
     )
     q_cond = np.tile(q_out, (used.shape[0], 1))
     q_cond[used] = q_cond_u
@@ -171,14 +162,13 @@ def ba_fixed_slope(
         slope=float(s),
         q_cond=q_cond,
         q_out=q_out,
-        rate=max(0.0, float(rate_mi)),
-        rate_parametric=float(rate_par),
+        rate=max(0.0, float(rate)),
         f_distortion=float(f_dist),
         distortion=float(amended.f.invert(f_dist)),
         iterations=int(iters),
         gap=float(gap),
         converged=bool(gap <= cfg.gap_tol),
-        clamped=bool(rate_mi < 0.0),
+        clamped=bool(rate < 0.0),
     )
 
 
@@ -228,7 +218,7 @@ def _slope_search(
     for _ in range(_MAX_SEARCH):
         if done(best, g_best):
             return best
-        if s_hi - s_lo <= _BRACKET_EPS * max(1.0, abs(s_lo)):
+        if s_hi - s_lo <= _BRACKET_EPS * abs(s_lo):
             break
         s_new = (s_lo * g_hi - s_hi * g_lo) / (g_hi - g_lo)
         if not s_lo < s_new < s_hi:
@@ -372,8 +362,7 @@ def characterize(
 
     r1 = rate(amended)
 
-    per_letter = f.apply(d.values)
-    expected2 = src.posterior.T @ per_letter
+    expected2 = src.posterior.T @ amended.per_letter_f
     expected2[~src.used_z] = 0.0
     r2 = rate(replace(amended, expected_f=expected2))
 

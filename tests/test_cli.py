@@ -8,6 +8,7 @@ import pytest
 
 from irdf.cli import main
 from irdf.closed_form import BscModel, bsc_irdf
+from irdf.ftransform import FTransform
 
 LN2 = math.log(2.0)
 
@@ -55,6 +56,23 @@ class TestPoint:
         )
         assert code == 2
         assert "error" in err
+
+    def test_missing_transform_parameter_exit_code(self, capsys):
+        code, _, err = run(
+            capsys, "point", "--model", "bsc", "--beta", "0.15",
+            "--f", '{"kind": "power"}', "--D", "0.3",
+        )
+        assert code == 2
+        assert "'p'" in err
+
+    def test_steep_exponential_pooling(self, capsys):
+        code, out, _ = run(
+            capsys, "point", "--model", "bsc", "--beta", "0.1",
+            "--f", "exponential", "--rho", "40", "--D", "0.96",
+        )
+        assert code == 0
+        f = FTransform.exponential(40.0)
+        assert float(out) == pytest.approx(bsc_irdf(BscModel(0.1, f), 0.96), abs=1e-8)
 
     def test_non_convergence_exit_code(self, capsys, monkeypatch):
         import dataclasses

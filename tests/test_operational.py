@@ -11,6 +11,7 @@ from irdf import (
     BscModel,
     DistortionMatrix,
     FTransform,
+    JointSource,
     TooLarge,
     best_code_search,
     binary_entropy_inverse,
@@ -98,6 +99,35 @@ class TestEvaluateCode:
                         decoder=np.zeros((2, 14), dtype=int))
         with pytest.raises(TooLarge):
             evaluate_code(src, d, FTransform.identity(), big, threshold=0.5)
+
+
+# the three ways a code meets a source: exact and sampled evaluation and the
+# excess-event identity
+CODE_QUERIES = {
+    "exact": lambda src, d, code: evaluate_code(src, d, FTransform.identity(), code, 0.5),
+    "sample": lambda src, d, code: evaluate_code(
+        src, d, FTransform.identity(), code, 0.5, method="sample", draws=100),
+    "excess": lambda src, d, code: excess_event_equivalence(
+        src, d, FTransform.identity(), code, 0.2, 0.1),
+}
+
+
+class TestCodeMustFitSource:
+    @pytest.mark.parametrize("query", CODE_QUERIES)
+    def test_decoder_symbol_outside_reconstruction_alphabet(self, query):
+        # decoded as a sequence index, symbol 2 at the last of two binary
+        # positions would read as the sequence (1, 0)
+        src = JointSource.from_joint(np.array([[0.5, 0.1], [0.1, 0.3]]))
+        code = BlockCode(n=2, M=1, encoder=np.zeros(4, dtype=int), decoder=np.array([[0, 2]]))
+        with pytest.raises(ValueError, match="decoder"):
+            CODE_QUERIES[query](src, HAMMING, code)
+
+    @pytest.mark.parametrize("query", CODE_QUERIES)
+    def test_encoder_shorter_than_observation_sequences(self, query):
+        src = JointSource.from_joint(np.array([[0.5, 0.1], [0.1, 0.3]]))
+        code = BlockCode(n=2, M=2, encoder=np.array([0, 1]), decoder=np.array([[0, 0], [1, 1]]))
+        with pytest.raises(ValueError, match="encoder"):
+            CODE_QUERIES[query](src, HAMMING, code)
 
 
 class TestExcessEventEquivalence:

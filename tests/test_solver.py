@@ -96,15 +96,13 @@ class TestFixedSlope:
         dists = [ba_fixed_slope(am, src.z_marginal, s).f_distortion for s in slopes]
         assert np.all(np.diff(dists) <= 1e-9)
 
-    def test_rate_forms_agree_and_marginal_consistent(self):
+    def test_marginal_consistent(self):
         for f in (FTransform.identity(), FTransform.exponential(9.2)):
             _, src, d = bsc_problem(0.15, f)
             am = build_amended(src, d, f)
             for s_scale in (0.1, 1.0, 10.0):
                 span = np.ptp(am.expected_f)
                 pt = ba_fixed_slope(am, src.z_marginal, -s_scale / span)
-                if pt.rate > 0:
-                    assert pt.rate == pytest.approx(pt.rate_parametric, abs=1e-8)
                 np.testing.assert_allclose(pt.q_cond.sum(axis=1), 1.0, atol=1e-10)
                 np.testing.assert_allclose(
                     pt.q_out, src.z_marginal @ pt.q_cond, atol=1e-10
@@ -296,6 +294,35 @@ class TestSlopeSearch:
             assert abs(pt.f_distortion - level) <= tol_f
 
 
+class TestTransformScale:
+    @pytest.mark.parametrize("scale", [1.0, 1e12, 1e16])
+    def test_scaled_loss_gives_unscaled_answers(self, scale):
+        # target slopes are ~1 / span, so a bracket stop that does not scale
+        # with s ends the search before it reaches the level
+        m, src, _ = bsc_problem(0.15)
+        d = DistortionMatrix(DistortionMatrix.hamming(2).values * scale)
+        f = FTransform.identity()
+        pt = solve_at_distortion(src, d, f, 0.3 * scale)
+        lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
+        assert abs(pt.f_distortion - 0.3 * scale) <= SolverConfig().bisection_tol * (hi - lo)
+        assert pt.converged and abs(pt.rate - bsc_irdf(m, 0.3)) <= 1e-8
+        D = distortion_at_rate(src, d, f, 0.3)
+        assert abs(bsc_irdf(m, D / scale) - 0.3) <= 1e-8
+
+    @pytest.mark.parametrize("rho", [20.0, 40.0])
+    def test_steep_exponential_pooling(self, rho):
+        # f reaches e**rho, so roundoff in f(f^-1(y)) is ~1e-15 of that and
+        # exceeds any fixed absolute bound
+        f = FTransform.exponential(rho)
+        m, src, d = bsc_problem(0.1, f)
+        lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
+        d_lo, d_hi = f.invert(lo), f.invert(hi)
+        for frac in (0.2, 0.5, 0.8):
+            D = d_lo + frac * (d_hi - d_lo)
+            pt = solve_at_distortion(src, d, f, D)
+            assert pt.converged and abs(pt.rate - bsc_irdf(m, D)) <= 1e-8
+
+
 class TestUncertifiedPointsRaise:
     def test_characterize(self):
         src, d, f, _, D = _criterion_05_draw(97)
@@ -335,8 +362,7 @@ def _criterion_05_draw(index):
 
 def _reduced(am, pz):
     used = am.used_z
-    return (np.ascontiguousarray(am.expected_f[used]),
-            np.ascontiguousarray(pz[used] / pz[used].sum()))
+    return am.expected_f[used], pz[used] / pz[used].sum()
 
 
 def _blahut_lower_bound(e, pz, s, q, level):
@@ -349,18 +375,33 @@ def _blahut_lower_bound(e, pz, s, q, level):
     return s * level - pz @ (np.log(den) + s * row_min) - np.log(c.max())
 
 
+def _dropping_problem():
+    # a boundary step drops letters that the optimum needs back
+    rng = np.random.default_rng(28)
+    e = rng.random((3, 4))
+    pz = rng.random(3) + 0.1
+    return e, pz / pz.sum()
+
+
+def _starving_problem():
+    # one letter alone serves a light row
+    rng = np.random.default_rng(33)
+    e = np.round(rng.random((4, 4)) * 3) / 3
+    pz = rng.random(4) ** 2 + 1e-3
+    return e, pz / pz.sum()
+
+
 class TestKernel:
     def test_matches_bsc_closed_form(self):
         m, src, d = bsc_problem(0.15)
         e, pz = _reduced(build_amended(src, d, m.f), src.z_marginal)
         for s in (-0.5, -3.0, -20.0):
-            _, q_out, f_dist, rate_mi, rate_par, iters, gap = kernels.ba_fixed_slope_loop(
-                e, pz, s, 20000, 1e-12, 1e-300
+            _, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+                e, pz, s, 20000, 1e-12
             )
             assert gap <= 1e-12
             assert q_out.sum() == pytest.approx(1.0, abs=1e-14)
-            assert rate_mi == pytest.approx(bsc_irdf(m, f_dist), abs=1e-10)
-            assert rate_par == pytest.approx(rate_mi, abs=1e-10)
+            assert rate == pytest.approx(bsc_irdf(m, f_dist), abs=1e-10)
 
     def test_support_shrink_at_steep_slope(self):
         # Two blocks at s = -2**40; cross-block distortion 1 tilts to exactly 0.
@@ -379,19 +420,19 @@ class TestKernel:
         ])
         pz = np.array([0.05, 0.45, 0.1, 0.4])
         with np.errstate(all="raise"):
-            q_cond, q_out, f_dist, rate_mi, rate_par, iters, gap = kernels.ba_fixed_slope_loop(
-                e, pz, s, 20000, 1e-12, 1e-300
+            q_cond, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+                e, pz, s, 20000, 1e-12
             )
-        for value in (q_cond, q_out, f_dist, rate_mi, rate_par, gap):
+        for value in (q_cond, q_out, f_dist, rate, gap):
             assert np.all(np.isfinite(value))
         assert q_out[0] == 0.0 and np.all(q_cond[:, 0] == 0.0)
         assert q_out[1] == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(q_cond.sum(axis=1), 1.0, atol=1e-14)
         assert f_dist == pytest.approx(0.05 * d01 + 0.1 * d23, rel=1e-6)
-        assert rate_mi == pytest.approx(LN2, abs=1e-9)
+        assert rate == pytest.approx(LN2, abs=1e-9)
         assert gap <= 1e-12 and iters < 20000
         lower = _blahut_lower_bound(e, pz, s, q_out, f_dist)
-        assert rate_mi - lower <= gap + 1e-12
+        assert rate - lower <= gap + 1e-12
 
     @pytest.mark.parametrize(
         "draw, s", [(19, -0.5), (49, -16.0), (72, -0.5), (97, -0.5), (97, -1.0)]
@@ -401,46 +442,48 @@ class TestKernel:
         # with gaps up to 5.8e-6 nats
         src, _, _, am, _ = _criterion_05_draw(draw)
         e, pz = _reduced(am, src.z_marginal)
-        _, q_out, f_dist, rate_mi, _, iters, gap = kernels.ba_fixed_slope_loop(
-            e, pz, s, 20000, 1e-12, 1e-300
-        )
+        _, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(e, pz, s, 20000, 1e-12)
         assert gap <= 1e-12 and iters <= 100
-        assert rate_mi - _blahut_lower_bound(e, pz, s, q_out, f_dist) <= gap + 1e-12
-
-    def test_pinned_letter_still_counts_in_gap(self):
-        # A floor above letter 1's optimal mass (about 0.2) pins it to 0; the
-        # gap over all letters then refuses to certify the one-letter point.
-        e = np.array([[0.0, 1.0], [1.0, 0.0]])
-        pz = np.array([0.8, 0.2])
-        _, q_out, _, _, _, _, gap = kernels.ba_fixed_slope_loop(e, pz, -5.0, 20000, 1e-12, 0.3)
-        np.testing.assert_array_equal(q_out, [1.0, 0.0])
-        assert 1.0 < gap < np.inf
+        assert rate - _blahut_lower_bound(e, pz, s, q_out, f_dist) <= gap + 1e-12
 
     @pytest.mark.parametrize("s", [-3.0, -(2.0**40)])
     def test_dropped_letters_return(self, s):
         # boundary steps drop letters that the optimum needs back; at the
         # steep slope a step that empties a row's only letter is refused
-        rng = np.random.default_rng(28)
-        e = rng.random((3, 4))
-        pz = rng.random(3) + 0.1
-        pz /= pz.sum()
+        e, pz = _dropping_problem()
         with np.errstate(all="raise"):
-            _, q_out, f_dist, rate_mi, _, iters, gap = kernels.ba_fixed_slope_loop(
-                e, pz, s, 20000, 1e-12, 1e-300
+            _, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+                e, pz, s, 20000, 1e-12
             )
         assert gap <= 1e-12 and iters <= 100
         if s == -3.0:
-            assert rate_mi - _blahut_lower_bound(e, pz, s, q_out, f_dist) <= gap + 1e-12
+            assert rate - _blahut_lower_bound(e, pz, s, q_out, f_dist) <= gap + 1e-12
 
     def test_starved_letter_returns_with_useful_mass(self):
         # a letter that alone serves a light row comes back with mass near
         # its best share; grown by Newton steps alone it needed 142 iterations
-        rng = np.random.default_rng(33)
-        e = np.round(rng.random((4, 4)) * 3) / 3
-        pz = rng.random(4) ** 2 + 1e-3
-        pz /= pz.sum()
-        *_, iters, gap = kernels.ba_fixed_slope_loop(e, pz, -300.0, 20000, 1e-12, 1e-300)
+        e, pz = _starving_problem()
+        *_, iters, gap = kernels.ba_fixed_slope_loop(e, pz, -300.0, 20000, 1e-12)
         assert gap <= 1e-12 and iters <= 30
+
+    @pytest.mark.parametrize(
+        "problem, s", [(_dropping_problem, -3.0), (_starving_problem, -300.0)],
+        ids=["dropping", "starving"],
+    )
+    def test_gap_covers_dropped_letters(self, problem, s):
+        # stopped at every cap on the way to convergence, the returned gap is
+        # max log c over all letters at the returned pmf, dropped ones included
+        e, pz = problem()
+        tilt = np.exp(s * (e - e.min(axis=1)[:, None]))
+        dropped = 0
+        for cap in range(1, 101):
+            _, q_out, _, _, iters, gap = kernels.ba_fixed_slope_loop(e, pz, s, cap, 1e-12)
+            c = (pz / (tilt @ q_out)) @ tilt
+            assert gap == pytest.approx(np.log(c.max()), abs=1e-12)
+            dropped += bool(np.any(q_out == 0.0))
+            if gap <= 1e-12:
+                break
+        assert gap <= 1e-12 and dropped > 0
 
     def test_damping_keeps_newton_system_regular(self):
         # tied distortions make H singular on a large support; with damping
@@ -457,7 +500,7 @@ class TestKernel:
         ]) / 3.0
         pz = np.array([0.28, 0.12, 0.1, 0.23, 0.06, 0.09, 0.11])
         pz /= pz.sum()
-        *_, iters, gap = kernels.ba_fixed_slope_loop(e, pz, -30.0, 20000, 1e-12, 1e-300)
+        *_, iters, gap = kernels.ba_fixed_slope_loop(e, pz, -30.0, 20000, 1e-12)
         assert gap <= 1e-12 and iters <= 100
 
     def test_gap_tol_below_roundoff_ends_uncertified(self):
@@ -469,9 +512,7 @@ class TestKernel:
         pz = rng.random(3) + 0.1
         pz /= pz.sum()
         with np.errstate(all="raise"):
-            _, q_out, _, _, _, iters, gap = kernels.ba_fixed_slope_loop(
-                e, pz, -1.0, 20000, 1e-20, 1e-300
-            )
+            _, q_out, _, _, iters, gap = kernels.ba_fixed_slope_loop(e, pz, -1.0, 20000, 1e-20)
         assert iters < 20
         assert 1e-20 < gap <= 1e-15
         assert q_out.sum() == pytest.approx(1.0, abs=1e-14)
