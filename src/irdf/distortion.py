@@ -159,6 +159,8 @@ def is_subadditive_sample(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     f.check_strictly_increasing(d.d_max)
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, d.n_source, size=(trials, n))

@@ -14,7 +14,8 @@ capacity and rate-distortion functions"), a certified bound in nats on the
 distance of the returned rate from the curve at the returned distortion.
 A letter leaves the support only at the simplex boundary and may return
 later; the gap covers every letter, and the one rate returned is the mutual
-information at the certified output pmf.
+information at the certified output pmf. The ascent may start from any
+output pmf, such as the certified one of a nearby slope (a warm start).
 """
 
 from __future__ import annotations
@@ -24,11 +25,14 @@ import math
 import numpy as np
 
 
-def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol):
+def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
     """Fixed point of q(xhat|z) ∝ q(xhat) exp(s * expected_f[z, xhat]).
 
     expected_f: (nz, nx) transform-domain distortion rows for used z only.
     pz: (nz,) strictly positive, sums to 1. s < 0.
+    q0: (nx,) nonnegative start for the output pmf, or None for the uniform
+    pmf. Its positive letters form the starting support, renormalized; its
+    zero-mass letters start dropped and may return like any other.
 
     The output pmf q maximizes Phi(q) = sum_z p(z) log (A q)(z) on the
     simplex, with the tilt A[z, x] = exp(s * (e[z, x] - m[z])) and m[z] the
@@ -66,9 +70,20 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol):
     mutual information in nats.
     """
     nz, nx = expected_f.shape
-    sup = np.arange(nx)
-    out = []  # letters a boundary step set to 0; they may return
-    q = np.full(nx, 1.0 / nx)
+    out = []  # letters at 0, set there by a boundary step or by q0; they may return
+    if q0 is None:
+        sup = np.arange(nx)
+        q = np.full(nx, 1.0 / nx)
+    else:
+        # on a few letters Python lists beat numpy's masks and reductions
+        q0 = np.asarray(q0, dtype=float)
+        ql = q0.tolist()
+        if q0.shape != (nx,) or not min(ql) >= 0.0 or not max(ql) > 0.0:
+            raise ValueError(f"q0 must be a nonnegative ({nx},) vector with positive mass")
+        sup = [x for x, v in enumerate(ql) if v > 0.0]
+        out = [x for x, v in enumerate(ql) if v == 0.0]
+        q = q0[sup] / sum(ql)
+        sup = np.array(sup)
     lam = _LAM_START
     iters = 0
     fresh = True  # q changed since c was last computed

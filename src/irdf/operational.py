@@ -3,8 +3,7 @@
 A block code maps observation sequences to an index and indices back to
 reconstruction sequences. At the sizes handled here everything is computed
 by exact enumeration of the product law, so distortion statistics and the
-best-code search are free of sampling error; a seeded sampling mode covers
-blocklengths just past the exact cap.
+best-code search are free of sampling error.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ class CodeEvaluation:
     excess_prob: float
     threshold: float
     comparator: str
-    method: str
 
 
 def _seq_digits(count: int, n: int, base: int) -> np.ndarray:
@@ -70,7 +68,9 @@ def _product_pmf(joint: np.ndarray, n: int) -> np.ndarray:
     """p(x_1..n, z_1..n) as a (|X|**n, |Z|**n) matrix."""
     out = np.array([[1.0]])
     for _ in range(n):
-        out = np.kron(out, joint)
+        out = (out[:, None, :, None] * joint[None, :, None, :]).reshape(
+            out.shape[0] * joint.shape[0], out.shape[1] * joint.shape[1]
+        )
     return out
 
 
@@ -126,46 +126,23 @@ def evaluate_code(
     code: BlockCode,
     threshold: float,
     comparator: str = ">",
-    method: str = "exact",
-    draws: int = 10**6,
-    seed: int = 0,
 ) -> CodeEvaluation:
-    """Average pooled distortion and exceedance probability of a code.
-
-    'exact' enumerates the product law (TooLarge past the cap); 'sample'
-    uses seeded Monte Carlo with the given number of draws. Raises
+    """Average pooled distortion and exceedance probability of a code, by
+    exact enumeration of the product law (TooLarge past the cap). Raises
     ValueError if the code does not fit the source or the distortion.
     """
     _check_code(src, d, code)
     f.check_strictly_increasing(d.d_max)
     cmp = _comparator_fn(comparator)
-    nh = d.n_reconstruction
-    if method == "exact":
-        _check_exact_size(src, d, code.n)
-        pjoint = _product_pmf(src.joint, code.n)
-        pooled = f.invert(_mean_f_table(d, f, code.n))
-        cols = _decoded_columns(code, nh)
-        vals = pooled[:, cols]  # aligned with pjoint
-        avg = float((pjoint * vals).sum())
-        excess = float((pjoint * cmp(vals, threshold)).sum())
-    elif method == "sample":
-        rng = np.random.default_rng(seed)
-        nx, nz = src.joint.shape
-        flat = rng.choice(nx * nz, size=(draws, code.n), p=src.joint.ravel())
-        xs, zs = flat // nz, flat % nz
-        zidx = _seq_index(zs, nz)
-        rec = code.decoder[code.encoder[zidx]]
-        pooled = f.invert(f.apply(d.values[xs, rec]).mean(axis=1))
-        avg = float(pooled.mean())
-        excess = float(cmp(pooled, threshold).mean())
-    else:
-        raise ValueError(f"method must be 'exact' or 'sample', got {method!r}")
+    _check_exact_size(src, d, code.n)
+    pjoint = _product_pmf(src.joint, code.n)
+    pooled = f.invert(_mean_f_table(d, f, code.n))
+    vals = pooled[:, _decoded_columns(code, d.n_reconstruction)]  # aligned with pjoint
     return CodeEvaluation(
-        avg_distortion=avg,
-        excess_prob=excess,
+        avg_distortion=float((pjoint * vals).sum()),
+        excess_prob=float((pjoint * cmp(vals, threshold)).sum()),
         threshold=float(threshold),
         comparator=comparator,
-        method=method,
     )
 
 

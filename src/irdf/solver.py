@@ -10,10 +10,15 @@ exp(s * expected_f[z, xhat]) on the simplex; the kernel finds it by a damped
 active-set Newton ascent (see ``kernels``). The slope parameterizes the
 curve, and both the achieved transform-domain distortion and the rate are
 monotone in s, so one search on s serves a distortion target and a rate
-target alike: doubling from s = -1/(hi - lo), the inverse of the
-transform-domain span, brackets the target, then Illinois (modified regula
-falsi) steps close in on it. The bracket-width stop is relative to the
-slopes, so the search behaves alike at every transform-domain scale.
+target alike. The search keeps a memo of the slopes it has solved, which a
+sweep shares across its targets: the memo points around the target bracket
+it, or else doubling from the steepest of them (or from s = -1/(hi - lo),
+the inverse of the transform-domain span) does. Inverse quadratic
+interpolation (Brent 1973, "Algorithms for Minimization without
+Derivatives"), with Illinois (modified regula falsi) and bisection steps as
+fallbacks, then closes in on it, and every solve starts the kernel from the
+output pmf of the nearest solved slope. The bracket-width stop is relative
+to the slopes, so the search behaves alike at every transform-domain scale.
 All rates are nats internally; unit conversion happens only at reporting
 boundaries.
 
@@ -25,6 +30,8 @@ from the curve.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -144,8 +151,10 @@ def ba_fixed_slope(
     pz: np.ndarray,
     s: float,
     cfg: SolverConfig | None = None,
+    q0: np.ndarray | None = None,
 ) -> SlopePoint:
-    """Solve the fixed point at one slope s <= 0."""
+    """Solve the fixed point at one slope s <= 0, starting the kernel from
+    the output pmf q0 (uniform when None)."""
     cfg = cfg or SolverConfig()
     if s > 0:
         raise ValueError(f"slope must be <= 0, got {s}")
@@ -154,7 +163,7 @@ def ba_fixed_slope(
     used = amended.used_z
     e, w = _reduced(amended, pz)
     q_cond_u, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
-        e, w, float(s), cfg.max_iters, cfg.gap_tol
+        e, w, float(s), cfg.max_iters, cfg.gap_tol, q0
     )
     q_cond = np.tile(q_out, (used.shape[0], 1))
     q_cond[used] = q_cond_u
@@ -172,6 +181,17 @@ def ba_fixed_slope(
     )
 
 
+def _iqi(pairs) -> float:
+    """Inverse quadratic interpolation: the root of the quadratic in g that
+    passes through the three (s, g) pairs; nan unless the g are distinct."""
+    (sa, ga), (sb, gb), (sc, gc) = pairs
+    if ga == gb or ga == gc or gb == gc:
+        return math.nan
+    return (sa * gb * gc / ((ga - gb) * (ga - gc))
+            + sb * ga * gc / ((gb - ga) * (gb - gc))
+            + sc * ga * gb / ((gc - ga) * (gc - gb)))
+
+
 def _slope_search(
     amended: AmendedDistortions,
     pz: np.ndarray,
@@ -179,40 +199,70 @@ def _slope_search(
     residual,
     done,
     cfg: SolverConfig,
+    memo: list[SlopePoint] | None = None,
 ) -> SlopePoint:
     """Search the slope for a point that ``done(pt, residual(pt))`` accepts.
 
     ``residual`` must be positive at s = 0 and fall monotonically as s
     decreases, as the distortion above a target level and the rate short of
-    a target rate do. Doubling the slope magnitude from 1/span, span = hi -
-    lo > 0, brackets its root; Illinois steps, or the midpoint when the
-    secant leaves the bracket, then close in on it. If the root is never
-    bracketed (the target is the left curve endpoint) the steepest point is
-    returned. The point may be uncertified; callers that use its rate check.
+    a target rate do. ``memo`` holds the fixed-slope solves of earlier
+    searches on the same problem in ascending slope order; every solve of
+    this one is added to it. A memo point that ``done`` accepts is returned
+    without a solve. Otherwise the memo points on either side of the
+    residual's sign change bracket the root; the analytic s = 0 point closes
+    a bracket with no point above the root, and doubling the slope
+    magnitude, from the steepest memo point or from 1/span, span = hi - lo
+    > 0, finds one with no point below it. Each solve starts the kernel from
+    the output pmf of the memo point nearest in slope. Inside the bracket
+    the next slope is the inverse quadratic interpolation through the last
+    three solved points, if it falls strictly inside; else the Illinois
+    secant, if that does; else the midpoint. If the root is never bracketed
+    (the target is the left curve endpoint) the steepest point is returned.
+    The point may be uncertified; callers that use its rate check.
     """
+    memo = [] if memo is None else memo
+    tried: list[tuple[float, float]] = []  # (s, g) for inverse quadratic interpolation
 
     def run(s: float) -> tuple[SlopePoint, float]:
-        pt = ba_fixed_slope(amended, pz, s, cfg)
-        return pt, residual(pt)
+        i = bisect.bisect_left(memo, s, key=lambda p: p.slope)
+        warm = min(memo[max(i - 1, 0): i + 1], key=lambda p: abs(p.slope - s), default=None)
+        pt = ba_fixed_slope(amended, pz, s, cfg, None if warm is None else warm.q_out)
+        if not pt.converged and warm is not None:
+            # near a kink of the curve a warm start can stall where a cold one certifies
+            cold = ba_fixed_slope(amended, pz, s, cfg)
+            pt = cold if cold.gap < pt.gap else pt
+        memo.insert(i, pt)
+        g = residual(pt)
+        tried.append((s, g))
+        return pt, g
 
-    s_lo = -1.0 / span
-    pt_lo, g_lo = run(s_lo)
-    s_hi, pt_hi = 0.0, None
-    for _ in range(_MAX_DOUBLINGS):
-        if g_lo <= 0.0 or done(pt_lo, g_lo):
-            break
-        s_hi, pt_hi, g_hi = s_lo, pt_lo, g_lo
-        s_lo *= 2.0
-        pt_lo, g_lo = run(s_lo)
-    if g_lo >= 0.0:
-        # never crossed the root: the target is the left endpoint (or within tol)
-        return pt_lo
-    if pt_hi is None:
-        pt_hi = _zero_rate_point(amended, pz)
-        g_hi = residual(pt_hi)
+    # memo[:i] lie at or below the root and memo[i:] above it; with none
+    # above, the s = 0 point closes the bracket
+    i = bisect.bisect_right(memo, 0.0, key=residual)
+    above = memo[i: i + 2] or [_zero_rate_point(amended, pz)]
+    near = sorted(((p, residual(p)) for p in memo[max(i - 2, 0): i] + above),
+                  key=lambda pg: -abs(pg[1]))
+    for pt, g in reversed(near):
+        if done(pt, g):
+            return pt
+    tried.extend((p.slope, g) for p, g in near)  # the last are nearest the root
+    pt_hi, g_hi = above[0], residual(above[0])
+    if i > 0:
+        pt_lo, g_lo = memo[i - 1], residual(memo[i - 1])
+    else:
+        pt_lo, g_lo = run(2.0 * pt_hi.slope if pt_hi.slope < 0.0 else -1.0 / span)
+        for _ in range(_MAX_DOUBLINGS):
+            if g_lo <= 0.0 or done(pt_lo, g_lo):
+                break
+            pt_hi, g_hi = pt_lo, g_lo
+            pt_lo, g_lo = run(2.0 * pt_lo.slope)
+        if g_lo >= 0.0:
+            # never crossed the root: the target is the left endpoint (or within tol)
+            return pt_lo
+    s_lo, s_hi = pt_lo.slope, pt_hi.slope
 
-    # Illinois (modified regula falsi) with g_lo < 0 < g_hi: when the same
-    # end moves twice in a row, the value kept at the other end is halved
+    # g_lo <= 0 < g_hi. Illinois (modified regula falsi): when the same end
+    # moves twice in a row, the value kept at the other end is halved
     best, g_best = (pt_lo, g_lo) if abs(g_lo) <= abs(g_hi) else (pt_hi, g_hi)
     kept = 0  # +1 after s_hi moved, -1 after s_lo moved
     for _ in range(_MAX_SEARCH):
@@ -220,7 +270,9 @@ def _slope_search(
             return best
         if s_hi - s_lo <= _BRACKET_EPS * abs(s_lo):
             break
-        s_new = (s_lo * g_hi - s_hi * g_lo) / (g_hi - g_lo)
+        s_new = _iqi(tried[-3:]) if len(tried) >= 3 else math.nan
+        if not s_lo < s_new < s_hi:
+            s_new = (s_lo * g_hi - s_hi * g_lo) / (g_hi - g_lo)
         if not s_lo < s_new < s_hi:
             s_new = 0.5 * (s_lo + s_hi)
         pt, g = run(s_new)
@@ -244,11 +296,13 @@ def _solve_reduced_at(
     pz: np.ndarray,
     target_f: float,
     cfg: SolverConfig,
+    memo: list[SlopePoint] | None = None,
 ) -> SlopePoint:
     """The point whose achieved transform-domain distortion is within the
     level tolerance tol_f of target_f. If the target is the left curve
     endpoint itself the closest achievable point is returned (rates there
-    are within slope*tolerance of the limit).
+    are within slope*tolerance of the limit). ``memo`` is the slope
+    search's, shared by the targets of one problem.
     """
     lo, hi = f_domain_bounds(amended, pz)
     tol_f = cfg.bisection_tol * max(1.0, hi - lo)
@@ -262,7 +316,7 @@ def _solve_reduced_at(
     if target_f >= hi - tol_f:
         return _zero_rate_point(amended, pz)
     return _slope_search(amended, pz, hi - lo, lambda pt: pt.f_distortion - target_f,
-                         lambda pt, g: abs(g) <= tol_f, cfg)
+                         lambda pt, g: abs(g) <= tol_f, cfg, memo)
 
 
 def _certified(pt: SlopePoint, cfg: SolverConfig) -> SlopePoint:
@@ -316,7 +370,8 @@ def sweep_curve(
     d_grid = d_lo + (d_hi - d_lo) * steps  # even in raw units, left-open
     targets = np.asarray(f.apply(d_grid), dtype=float)
     targets[-1] = hi
-    pts = [_solve_reduced_at(amended, pz, float(t), cfg) for t in targets]
+    memo: list[SlopePoint] = []  # one slope search memo for every target
+    pts = [_solve_reduced_at(amended, pz, float(t), cfg, memo) for t in targets]
     pts.sort(key=lambda p: p.distortion)
     return RdCurve(points=tuple(pts), d_min=d_lo, d_max=d_hi)
 

@@ -224,6 +224,13 @@ class TestSubadd:
         assert not payload["all_passed"]
         assert payload["worst_margin"] == pytest.approx(0.5 - math.sqrt(0.5), abs=1e-12)
 
+    def test_zero_length_tuples_exit_code(self, capsys):
+        # printed "worst_margin": NaN, which is not JSON, and exited 0
+        code, out, err = run(capsys, "subadd", "--f", "sqrt", "--n", "0", "--trials", "5")
+        assert code == 2
+        assert out == ""
+        assert "n must be >= 1" in err
+
 
 class TestSourceFile:
     def test_curve_from_json_source(self, capsys, tmp_path):

@@ -168,6 +168,12 @@ class TestSubadditivity:
         assert not report.all_passed
         assert report.worst_margin <= 0.5 - math.sqrt(0.5) + 1e-12
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_tuples_rejected(self, n):
+        # pooling an empty tuple is a mean of nothing: NaN margins
+        with pytest.raises(ValueError, match="n must be"):
+            is_subadditive_sample(FTransform.sqrt(), HAMMING, trials=5, n=n)
+
 
 class TestBuildAmended:
     @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name())

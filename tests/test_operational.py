@@ -74,24 +74,6 @@ class TestEvaluateCode:
         assert strict.excess_prob == 0.0
         assert loose.excess_prob == pytest.approx(0.15, abs=1e-15)
 
-    def test_sampled_close_to_exact(self):
-        src, d = bsc_problem(0.15)
-        exact = evaluate_code(src, d, FTransform.identity(), identity_code(), 0.5)
-        sampled = evaluate_code(
-            src, d, FTransform.identity(), identity_code(), 0.5,
-            method="sample", draws=400000, seed=7,
-        )
-        assert sampled.avg_distortion == pytest.approx(exact.avg_distortion, abs=3e-3)
-        assert sampled.excess_prob == pytest.approx(exact.excess_prob, abs=3e-3)
-
-    def test_sampled_is_seeded(self):
-        src, d = bsc_problem(0.15)
-        a = evaluate_code(src, d, FTransform.identity(), identity_code(), 0.5,
-                          method="sample", draws=1000, seed=5)
-        b = evaluate_code(src, d, FTransform.identity(), identity_code(), 0.5,
-                          method="sample", draws=1000, seed=5)
-        assert a.avg_distortion == b.avg_distortion
-
     def test_too_large(self):
         src, d = bsc_problem(0.15)
         big = BlockCode(n=14, M=2,
@@ -101,12 +83,10 @@ class TestEvaluateCode:
             evaluate_code(src, d, FTransform.identity(), big, threshold=0.5)
 
 
-# the three ways a code meets a source: exact and sampled evaluation and the
-# excess-event identity
+# the two ways a code meets a source: its evaluation and the excess-event
+# identity
 CODE_QUERIES = {
     "exact": lambda src, d, code: evaluate_code(src, d, FTransform.identity(), code, 0.5),
-    "sample": lambda src, d, code: evaluate_code(
-        src, d, FTransform.identity(), code, 0.5, method="sample", draws=100),
     "excess": lambda src, d, code: excess_event_equivalence(
         src, d, FTransform.identity(), code, 0.2, 0.1),
 }

@@ -16,6 +16,7 @@ from irdf import (
     NotConverged,
     SolverConfig,
     ba_fixed_slope,
+    bec_irdf,
     binary_entropy,
     bsc_irdf,
     build_amended,
@@ -234,9 +235,9 @@ def _count_solves(monkeypatch):
     """Slopes of every fixed-slope solve made through ``solver.ba_fixed_slope``."""
     slopes = []
 
-    def counted(amended, pz, s, cfg=None):
+    def counted(amended, pz, s, cfg=None, q0=None):
         slopes.append(s)
-        return ba_fixed_slope(amended, pz, s, cfg)
+        return ba_fixed_slope(amended, pz, s, cfg, q0)
 
     monkeypatch.setattr(solver, "ba_fixed_slope", counted)
     return slopes
@@ -285,13 +286,67 @@ class TestSlopeSearch:
         slopes = _count_solves(monkeypatch)
         n = 40
         curve = sweep_curve(src, d, f, n)
-        assert len(slopes) <= 12 * n
+        # one memo for the sweep: each target starts from its neighbours' bracket
+        assert len(slopes) <= 5 * n
         lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
         levels = f.apply(curve.d_min + (curve.d_max - curve.d_min) * np.arange(1, n + 1) / n)
         levels[-1] = hi
         tol_f = SolverConfig().bisection_tol * max(1.0, hi - lo)
         for pt, level in zip(curve.points, levels):
             assert abs(pt.f_distortion - level) <= tol_f
+
+
+    @pytest.mark.parametrize("bsc", [True, False], ids=["bsc", "bec"])
+    @pytest.mark.parametrize(
+        "f",
+        [FTransform.identity(), FTransform.sqrt(), FTransform.power(2.0),
+         FTransform.shifted_cubic(0.3), FTransform.exponential(9.2)],
+        ids=["identity", "sqrt", "power", "shifted_cubic", "exponential"],
+    )
+    def test_shared_memo_keeps_sweep_levels(self, bsc, f):
+        # points found from another target's bracket and warm start are still
+        # on their own level and on the closed-form curve
+        m, src, d = bsc_problem(0.1, f) if bsc else bec_problem(0.3, f)
+        oracle = bsc_irdf if bsc else bec_irdf
+        n = 40
+        curve = sweep_curve(src, d, f, n)
+        lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
+        levels = f.apply(curve.d_min + (curve.d_max - curve.d_min) * np.arange(1, n + 1) / n)
+        levels[-1] = hi
+        tol_f = SolverConfig().bisection_tol * max(1.0, hi - lo)
+        for pt, level in zip(curve.points, levels):
+            assert pt.converged and abs(pt.f_distortion - level) <= tol_f
+            assert abs(pt.rate - oracle(m, pt.distortion)) <= 1e-8
+
+
+    def test_uncertified_warm_start_is_solved_again_cold(self, monkeypatch):
+        # next to a kink of the curve a warm start can stall uncertified where
+        # the uniform start certifies; here every warm start is cut at one
+        # iteration
+        src, d, f, _, _ = _criterion_05_draw(97)
+        starts = []
+
+        def stalled_when_warm(amended, pz, s, cfg=None, q0=None):
+            starts.append(q0 is not None)
+            if q0 is not None:
+                cfg = SolverConfig(max_iters=1)
+            return ba_fixed_slope(amended, pz, s, cfg, q0)
+
+        monkeypatch.setattr(solver, "ba_fixed_slope", stalled_when_warm)
+        curve = sweep_curve(src, d, f, 8)
+        assert curve.all_converged
+        assert any(a and not b for a, b in zip(starts, starts[1:]))
+
+    def test_memo_point_on_the_level_is_returned_without_a_solve(self, monkeypatch):
+        m, src, d = bsc_problem(0.15)
+        am = build_amended(src, d, m.f)
+        target = float(m.f.apply(0.3))
+        memo = []
+        first = solver._solve_reduced_at(am, src.z_marginal, target, SolverConfig(), memo)
+        slopes = _count_solves(monkeypatch)
+        again = solver._solve_reduced_at(am, src.z_marginal, target, SolverConfig(), memo)
+        assert again is first and slopes == []
+        assert all(a.slope < b.slope < 0.0 for a, b in zip(memo, memo[1:]))
 
 
 class TestTransformScale:
@@ -458,6 +513,37 @@ class TestKernel:
         assert gap <= 1e-12 and iters <= 100
         if s == -3.0:
             assert rate - _blahut_lower_bound(e, pz, s, q_out, f_dist) <= gap + 1e-12
+
+    def test_warm_start_at_the_same_slope_is_certified_at_once(self):
+        src, _, _, am, _ = _criterion_05_draw(19)
+        cold = ba_fixed_slope(am, src.z_marginal, -0.5)
+        assert cold.converged and cold.iterations > 1
+        warm = ba_fixed_slope(am, src.z_marginal, -0.5, q0=cold.q_out)
+        assert warm.converged and warm.iterations == 1
+        assert abs(warm.rate - cold.rate) <= cold.gap
+
+    def test_zero_mass_start_letter_returns(self):
+        # a warm start from a slope where a letter the optimum uses had no mass
+        e, pz = _dropping_problem()
+        _, q_cold, _, rate_cold, _, _ = kernels.ba_fixed_slope_loop(e, pz, -3.0, 20000, 1e-12)
+        x = int(np.argmax(q_cold))
+        q0 = np.full(q_cold.size, 1.0)
+        q0[x] = 0.0
+        with np.errstate(all="raise"):
+            _, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+                e, pz, -3.0, 20000, 1e-12, q0
+            )
+        assert q_out[x] > 0.0
+        assert gap <= 1e-12 and iters <= 100
+        assert abs(rate - rate_cold) <= 1e-10
+        assert rate - _blahut_lower_bound(e, pz, -3.0, q_out, f_dist) <= gap + 1e-12
+
+    @pytest.mark.parametrize("q0", [[0.0, 0.0, 0.0, 0.0], [0.5, -0.1, 0.3, 0.3], [0.5, 0.5]],
+                             ids=["no_mass", "negative", "wrong_size"])
+    def test_invalid_start_rejected(self, q0):
+        e, pz = _dropping_problem()
+        with pytest.raises(ValueError, match="q0"):
+            kernels.ba_fixed_slope_loop(e, pz, -3.0, 20000, 1e-12, np.array(q0))
 
     def test_starved_letter_returns_with_useful_mass(self):
         # a letter that alone serves a light row comes back with mass near
