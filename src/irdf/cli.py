@@ -226,15 +226,10 @@ def _cmd_verify(args) -> int:
     src, d, f, model = _build_problem(args)
     if model is None:
         raise DomainError("verify needs --model bsc|bec")
-    d_lo, d_hi = domain_bounds(model)
-    steps = np.arange(1, args.points + 1) / args.points
-    levels = d_lo + (d_hi - d_lo) * steps
-    cfg = SolverConfig()
-    worst = 0.0
-    for D in levels:
-        solved = solve_at_distortion(src, d, f, float(D), cfg).rate
-        closed = _closed_rate(model, float(D))
-        worst = max(worst, abs(solved - closed))
+    curve = sweep_curve(src, d, f, args.points, SolverConfig())
+    if not curve.all_converged:
+        raise NotConverged("one or more verification points did not converge")
+    worst = max(abs(p.rate - _closed_rate(model, p.distortion)) for p in curve.points)
     _emit(f"max_deviation_nats={_g17(worst)} tol={_g17(args.tol)} points={args.points}\n", args.out)
     return EXIT_OK if worst <= args.tol else EXIT_VERIFY_FAILED
 

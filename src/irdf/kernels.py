@@ -1,8 +1,8 @@
 """Numerical inner loops, in numpy.
 
 Two kernels dominate runtime: the slope fixed point of the reduced direct
-problem (called thousands of times per curve) and the exhaustive encoder
-scan of the brute-force code search. Each has one formulation.
+problem (called for every slope a curve search tries) and the exhaustive
+encoder scan of the brute-force code search. Each has one formulation.
 
 At a fixed slope the output pmf maximizes a log-optimal portfolio
 objective (Cover 1984, "An algorithm for maximizing expected log investment
@@ -16,6 +16,14 @@ A letter leaves the support only at the simplex boundary and may return
 later; the gap covers every letter, and the one rate returned is the mutual
 information at the certified output pmf. The ascent may start from any
 output pmf, such as the certified one of a nearby slope (a warm start).
+
+The fixed-point kernel solves a batch of slopes at once, one lane each, on
+one problem. Its start and its result assembly are vectorized over lanes:
+the tilt, the gradient and the gap of every lane at its start, and the
+conditional, distortion, rate and gap at the end. A lane certified at its
+start costs no per-lane work; the others climb one at a time, because a
+lane-batched Newton step costs more than a one-lane step on these small
+systems, and each lane stops on its own certificate.
 """
 
 from __future__ import annotations
@@ -26,25 +34,109 @@ import numpy as np
 
 
 def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
-    """Fixed point of q(xhat|z) ∝ q(xhat) exp(s * expected_f[z, xhat]).
+    """Fixed points q(xhat|z) ∝ q(xhat) exp(s[b] * expected_f[z, xhat]), one
+    lane b per slope.
 
     expected_f: (nz, nx) transform-domain distortion rows for used z only.
-    pz: (nz,) strictly positive, sums to 1. s < 0.
-    q0: (nx,) nonnegative start for the output pmf, or None for the uniform
-    pmf. Its positive letters form the starting support, renormalized; its
-    zero-mass letters start dropped and may return like any other.
+    pz: (nz,) strictly positive, sums to 1. s: (B,) slopes, all < 0.
+    q0: (B, nx) nonnegative start pmfs, one row per lane, or None for the
+    uniform pmf in every lane. The positive letters of a row form its lane's
+    starting support, renormalized; its zero-mass letters start dropped and
+    may return like any other.
 
-    The output pmf q maximizes Phi(q) = sum_z p(z) log (A q)(z) on the
-    simplex, with the tilt A[z, x] = exp(s * (e[z, x] - m[z])) and m[z] the
-    row minimum over the support S (the letters with positive mass). Each
-    iteration after a move first computes the gradient
+    In each lane the output pmf q maximizes Phi(q) = sum_z p(z) log (A q)(z)
+    on the simplex, with the tilt A[z, x] = exp(s * (e[z, x] - m[z])) and
+    m[z] the row minimum over the support S (the letters with positive mass).
+    The gradient
 
         c(x) = sum_z p(z) A[z, x] / den(z),   den = A q,
 
-    and stops once gap = max_x log c(x) <= gap_tol over every letter, so a
-    start that is already certified costs one iteration. Otherwise a dropped
-    letter with c > 1 returns (``_readmit``), or the iteration tries a damped
-    Newton step on S:
+    certifies q once gap = max_x log c(x) <= gap_tol over every letter. One
+    vectorized pass computes the tilt, c and the gap of every lane at its
+    start, so a start that is already certified costs one iteration and no
+    per-lane work. Each other lane climbs on its own (``_ascend``) and retires
+    on its own certificate, and a second vectorized pass assembles every
+    lane's results at its final pmf.
+
+    Returns (q_cond, q_out, f_dist, rate, iters, gap) stacked over lanes, with
+    shapes (B, nz, nx), (B, nx), (B,), (B,), (B,), (B,): q_out is the output
+    pmf the gap certifies, q_cond its tilted conditional, rate their mutual
+    information in nats, and iters the lane's iteration count.
+    """
+    nz, nx = expected_f.shape
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1:
+        raise ValueError("s must be a 1-D array of slopes, one per lane")
+    low = 1.0
+    if q0 is None:
+        q = np.full((s.size, nx), 1.0 / nx)
+    else:
+        q0 = np.asarray(q0, dtype=float)
+        low = q0.min(initial=1.0)
+        if q0.shape != (s.size, nx) or not low >= 0.0:
+            raise ValueError(f"q0 must be a nonnegative ({s.size}, {nx}) stack")
+        mass = q0.sum(axis=1, keepdims=True)
+        if not mass.min(initial=1.0) > 0.0:
+            raise ValueError("q0 must have positive mass in every row")
+        q = q0 / mass
+    iters = [1] * s.size
+    # exp of very negative exponents and products of tiny masses underflow to
+    # 0 by design; overflow and invalid operations still follow the caller
+    with np.errstate(under="ignore"):
+        m, a, den, t, c = _tilted(expected_f, pz, s, q, low > 0.0)
+        c_top = c.max(axis=1)
+        if max_iters > 1:
+            for b, v in enumerate(c_top.tolist()):
+                if math.log(v) > gap_tol:
+                    # the lane's rows are views, which the ascent leaves at its final pmf
+                    iters[b], c_top[b] = _ascend(expected_f, pz, s[b], q[b], m[b], a[b], den[b],
+                                                 t[b], c[b], max_iters, gap_tol)
+        gap = np.log(c_top)
+        if a.max(initial=0.0) >= _A_CAP or gap.max(initial=0.0) == math.inf:
+            # a capped tilt understates c off the support, and c there may
+            # overflow: there log c comes by log-sum-exp over z
+            sup = q > 0.0
+            terms = np.log(pz / den)[:, :, None] + s[:, None, None] * (expected_f - m[:, :, None])
+            top = terms.max(axis=1)
+            off = top + np.log(np.exp(terms - top[:, None, :]).sum(axis=1))
+            c = np.where(sup, c, 0.0)
+            gap = np.maximum(np.log(c.max(axis=1)), np.where(sup, -np.inf, off).max(axis=1))
+        q_cond = a * (q[:, None, :] / den[:, :, None])
+        above = (q_cond * (expected_f - m[:, :, None])).sum(axis=2)  # E[e | z] - m(z)
+        f_dist = (above + m) @ pz
+        # I(Z; Xhat) = sum p q_cond log(q_cond / q) - mix . log(mix / q), with
+        # mix = q * c = pz @ q_cond and mix / q = c on the support
+        mix = q * c
+        log_c = np.log(c, out=np.zeros_like(c), where=mix > 0.0)
+        rate = (s[:, None] * above - np.log(den)) @ pz - (mix * log_c).sum(axis=1)
+    return q_cond, q, f_dist, rate, np.array(iters), gap
+
+
+def _tilted(expected_f, pz, s, q, full):
+    """Row minima m over each lane's support, the tilt a over all letters
+    (its exponent capped at _EXP_CAP off the support), den = a q, t = pz / den
+    and c, stacked over lanes. ``full`` says that every lane's support has
+    every letter, so that no exponent is positive."""
+    if full:
+        m = np.repeat(expected_f.min(axis=1)[None], s.size, axis=0)
+        a = np.exp(s[:, None, None] * (expected_f - m[:, :, None]))
+    else:
+        m = np.where(q[:, None, :] > 0.0, expected_f, np.inf).min(axis=2)
+        a = np.exp(np.minimum(s[:, None, None] * (expected_f - m[:, :, None]), _EXP_CAP))
+    den = np.matmul(a, q[:, :, None])[:, :, 0]
+    t = pz / den
+    return m, a, den, t, np.einsum("bz,bzx->bx", t, a)
+
+
+def _ascend(expected_f, pz, s, q_row, m_row, a_row, den_row, t, c_row, max_iters, gap_tol):
+    """Damped active-set Newton ascent of one lane, from its start pmf and the
+    start's row minima, tilt, den, t = pz / den and c over all letters. It
+    leaves the same quantities at its final pmf in those rows and returns its
+    iteration count and max c over all letters there.
+
+    Each iteration after a move computes c at the new q and stops once the
+    gap is at most gap_tol. Otherwise a dropped letter with c > 1 returns
+    (``_readmit``), or the iteration tries a damped Newton step on S:
 
         [H + lam * diag(1 / q_S), 1; 1', 0] [d; nu] = [c_S; 0],
         H = A_S' diag(p / den**2) A_S.
@@ -61,120 +153,106 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
     when the damped step no longer changes q.
 
     The tilt is rebuilt whenever S changes, so every entry on S stays in
-    [0, 1] and den(z) >= q(argmin) > 0 for arbitrarily negative slopes. The
-    returned gap, over all letters, bounds the rate's excess over Blahut's
-    lower bound on the curve.
-
-    Returns (q_cond, q_out, f_dist, rate, iters, gap): q_out is the output
-    pmf the gap certifies, q_cond its tilted conditional, and rate their
-    mutual information in nats.
+    [0, 1] and den(z) >= q(argmin) > 0 for arbitrarily negative slopes.
     """
-    nz, nx = expected_f.shape
-    out = []  # letters at 0, set there by a boundary step or by q0; they may return
-    if q0 is None:
-        sup = np.arange(nx)
-        q = np.full(nx, 1.0 / nx)
+    # on a few letters Python lists beat numpy's masks; the letters at 0,
+    # set there by the start or by a boundary step, may return
+    ql = q_row.tolist()
+    out = [x for x, v in enumerate(ql) if v == 0.0]
+    m, den = m_row, den_row
+    if out:
+        sup = np.array([x for x, v in enumerate(ql) if v > 0.0])
+        a, a_out, q = a_row[:, sup], a_row[:, out], q_row[sup]
+        c, c_out = c_row[sup], c_row[out].tolist()
     else:
-        # on a few letters Python lists beat numpy's masks and reductions
-        q0 = np.asarray(q0, dtype=float)
-        ql = q0.tolist()
-        if q0.shape != (nx,) or not min(ql) >= 0.0 or not max(ql) > 0.0:
-            raise ValueError(f"q0 must be a nonnegative ({nx},) vector with positive mass")
-        sup = [x for x, v in enumerate(ql) if v > 0.0]
-        out = [x for x, v in enumerate(ql) if v == 0.0]
-        q = q0[sup] / sum(ql)
-        sup = np.array(sup)
+        sup, a, a_out, c, c_out, q = np.arange(len(ql)), a_row, None, c_row, [], q_row.copy()
     lam = _LAM_START
     iters = 0
     fresh = True  # q changed since c was last computed
-    # exp of very negative exponents and products of tiny masses underflow to
-    # 0 by design; overflow and invalid operations still follow the caller
-    with np.errstate(under="ignore"):
-        e, m, expo, a, a_out = _tilt(expected_f, sup, out, s)
-        den = a.dot(q)
-        while True:
-            iters += 1
-            if fresh:
+    phi = None  # Phi at q, once known for the current tilt
+    kkt = np.zeros((0, 0))  # the bordered Newton system, kept while |S| holds
+    while True:
+        iters += 1
+        if fresh:
+            if iters > 1:
                 t = pz / den
                 c = t.dot(a)
-                # up to ~64 letters Python's max over a list beats numpy's reduction
-                c_top = max(c.tolist())
-                back = 0.0
                 if out:
                     c_out = t.dot(a_out).tolist()
-                    back = max(c_out)
-                gap = math.log(max(c_top, back))
-                if gap <= gap_tol or iters >= max_iters:
-                    break
-                if back > 1.0:
-                    x = out.pop(c_out.index(back))
-                    q, sup = _readmit(expected_f, pz, s, m, den, q, sup, x)
-                    e, m, expo, a, a_out = _tilt(expected_f, sup, out, s)
-                    den = a.dot(q)
-                    continue
-                phi = float(pz.dot(np.log(den)))
-                # The system in u = d / q: [Q H Q + lam Q, q; q', 0] [u; nu] =
-                # [q c; 0]. No entry of Q H Q exceeds max c, so none overflows.
-                k = q.size
-                b = a * q
-                kkt = np.zeros((k + 1, k + 1))
-                kkt[:k, :k] = (b * (t / den)[:, None]).T.dot(b)
-                kkt[:k, k] = kkt[k, :k] = q
-                diag = kkt.reshape(-1)[: k * (k + 2) : k + 2]  # view on the H block's diagonal
-                qhq_diag = diag.copy()
-                rhs = np.zeros(k + 1)
-                rhs[:k] = q * c
-                # damping below roundoff of H would leave the system singular
-                lam = max(lam, _LAM_MIN * c_top)
-            elif iters >= max_iters:
+            # up to ~64 letters Python's max over a list beats numpy's reduction
+            c_top = max(c.tolist())
+            back = max(c_out) if out else 0.0
+            if math.log(max(c_top, back)) <= gap_tol or iters >= max_iters:
                 break
-            diag[:] = qhq_diag + lam * q
-            u = np.linalg.solve(kkt, rhs)[:k]
-            # go at most to the simplex boundary; the letters it reaches leave
-            ul = u.tolist()
-            reach = [-1.0 / v if v < 0.0 else math.inf for v in ul]
-            alpha = min(1.0, min(reach))
-            if alpha * max(map(abs, ul)) < 1e-15:
-                break  # no step moves q any more
-            q_new = q * (1.0 + alpha * u)
-            for i, r in enumerate(reach):
-                if r <= alpha:
-                    q_new[i] = 0.0
-            q_new /= sum(q_new.tolist())
-            den_new = a.dot(q_new)
-            fresh = False
-            if min(den_new.tolist()) > 0.0:
-                rise = float(pz.dot(np.log(den_new))) - phi
-                flat = _FLAT * (1.0 + abs(phi))
-                fresh = rise > flat or (
-                    rise >= -flat and max((pz / den_new).dot(a).tolist()) < c_top
-                )
-            if not fresh:
-                lam *= _LAM_GROW
-                continue
-            lam *= _LAM_SHRINK
-            q, den = q_new, den_new
-            if min(q.tolist()) <= 0.0:  # reached, or just past by roundoff
-                keep = q > 0.0
-                out.extend(sup[~keep].tolist())
-                sup, q = sup[keep], q[keep] / q[keep].sum()
-                e, m, expo, a, a_out = _tilt(expected_f, sup, out, s)
+            if back > 1.0:
+                x = out.pop(c_out.index(back))
+                q, sup = _readmit(expected_f, pz, s, m, den, q, sup, x)
+                m, a, a_out = _tilt(expected_f, sup, out, s)
                 den = a.dot(q)
+                phi = None
+                continue
+            if phi is None:
+                phi = float(pz.dot(np.log(den)))
+            # The system in u = d / q: [Q H Q + lam Q, q; q', 0] [u; nu] =
+            # [q c; 0]. No entry of Q H Q exceeds max c, so none overflows.
+            k = q.size
+            if kkt.shape[0] != k + 1:  # every other entry is rewritten below
+                kkt, rhs = np.zeros((k + 1, k + 1)), np.zeros(k + 1)
+                diag = kkt.reshape(-1)[: k * (k + 2) : k + 2]  # view on the H block's diagonal
+            b = a * q
+            kkt[:k, :k] = (b * (t / den)[:, None]).T.dot(b)
+            kkt[:k, k] = kkt[k, :k] = q
+            qhq_diag = diag.copy()
+            rhs[:k] = q * c
+            # damping below roundoff of H would leave the system singular
+            lam = max(lam, _LAM_MIN * c_top)
+        elif iters >= max_iters:
+            break
+        np.add(qhq_diag, lam * q, out=diag)
+        u = np.linalg.solve(kkt, rhs)[:k]
+        # go at most to the simplex boundary; the letters it reaches leave
+        ul = u.tolist()
+        reach = [-1.0 / v if v < 0.0 else math.inf for v in ul]
+        alpha = min(1.0, min(reach))
+        if alpha * max(map(abs, ul)) < 1e-15:
+            break  # no step moves q any more
+        q_new = [0.0 if r <= alpha else v * (1.0 + alpha * d)
+                 for v, d, r in zip(q.tolist(), ul, reach)]
+        q_new = np.array(q_new) / sum(q_new)
+        den_new = a.dot(q_new)
+        fresh = False
+        if min(den_new.tolist()) > 0.0:
+            phi_new = float(pz.dot(np.log(den_new)))
+            rise = phi_new - phi
+            flat = _FLAT * (1.0 + abs(phi))
+            fresh = rise > flat or (
+                rise >= -flat and max((pz / den_new).dot(a).tolist()) < c_top
+            )
+        if not fresh:
+            lam *= _LAM_GROW
+            continue
+        lam *= _LAM_SHRINK
+        q, den, phi = q_new, den_new, phi_new
+        if min(q.tolist()) <= 0.0:  # reached, or just past by roundoff
+            keep = q > 0.0
+            out.extend(sup[~keep].tolist())
+            sup, q = sup[keep], q[keep] / q[keep].sum()
+            m, a, a_out = _tilt(expected_f, sup, out, s)
+            den = a.dot(q)
+            phi = None
 
-        q_cond = a * (q / den[:, None])
-        mix = q * c  # = pz @ q_cond
-        log_c = np.log(c, out=np.zeros_like(c), where=c > 0.0)
-        # I(Z; Xhat) = sum p q_cond log(q_cond / q) - mix . log(mix / q), mix / q = c
-        rate = float(pz @ (q_cond * expo).sum(axis=1) - pz @ np.log(den)) - float(mix @ log_c)
-        f_dist = float(pz @ (q_cond * e).sum(axis=1))
-        if sup.size < nx:
-            gap = max(gap, _off_support_gap(expected_f, sup, s, m, t))
-
-    q_cond_full = np.zeros((nz, nx))
-    q_cond_full[:, sup] = q_cond
-    q_full = np.zeros(nx)
-    q_full[sup] = q
-    return q_cond_full, q_full, f_dist, rate, iters, gap
+    q_row[:] = 0.0
+    q_row[sup] = q
+    den_row[:] = den
+    c_row[sup] = c
+    if out:
+        c_row[out] = c_out
+    if a is not a_row:  # the tilt was taken apart or rebuilt
+        m_row[:] = m
+        a_row[:, sup] = a
+        if out:
+            a_row[:, out] = a_out
+    return iters, max(c_top, back)
 
 
 _FLAT = 1e-14        # a change of Phi below this (relative) is roundoff
@@ -183,28 +261,18 @@ _LAM_SHRINK = 0.1
 _LAM_GROW = 10.0
 _LAM_MIN = 1e-12     # times max c
 _EXP_CAP = 300.0
+_A_CAP = float(np.exp(_EXP_CAP))  # the capped tilt
 
 
 def _tilt(expected_f, sup, out, s):
-    """Support columns e, their row minima m, s * (e - m) and its exp, and
-    the tilt of the dropped letters, capped so that c stays finite."""
+    """Row minima m over the support, its tilt, and the tilt of the dropped
+    letters, capped so that c stays finite."""
     e = expected_f[:, sup]
     m = e.min(axis=1)
-    expo = s * (e - m[:, None])
     a_out = None
     if out:
         a_out = np.exp(np.minimum(s * (expected_f[:, out] - m[:, None]), _EXP_CAP))
-    return e, m, expo, np.exp(expo), a_out
-
-
-def _off_support_gap(expected_f, sup, s, m, t):
-    """max log c(x) over letters off the support, by log-sum-exp over z: their
-    tilt relative to the support's row minimum may exceed exp(709)."""
-    off = np.ones(expected_f.shape[1], dtype=bool)
-    off[sup] = False
-    log_terms = np.log(t)[:, None] + s * (expected_f[:, off] - m[:, None])
-    top = log_terms.max(axis=0)
-    return float((top + np.log(np.exp(log_terms - top).sum(axis=0))).max())
+    return m, np.exp(s * (e - m[:, None])), a_out
 
 
 def _readmit(expected_f, pz, s, m, den, q, sup, x):

@@ -192,6 +192,25 @@ class TestVerify:
         )
         assert code == 1
 
+    def test_uncertified_points_exit_code(self, capsys, monkeypatch):
+        # every kernel lane reports a gap above gap_tol, so no solved point
+        # is certified; their rates must not enter the deviation
+        from irdf import kernels
+
+        real = kernels.ba_fixed_slope_loop
+
+        def uncertified(*args):
+            *out, gap = real(*args)
+            return (*out, gap + 1e-6)
+
+        monkeypatch.setattr(kernels, "ba_fixed_slope_loop", uncertified)
+        code, out, err = run(
+            capsys, "verify", "--model", "bsc", "--beta", "0.15",
+            "--f", "identity", "--points", "10",
+        )
+        assert code == 3
+        assert out == "" and "converge" in err
+
 
 class TestBrute:
     def test_json_payload(self, capsys):

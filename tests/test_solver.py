@@ -232,14 +232,15 @@ class TestCharacterize:
 
 
 def _count_solves(monkeypatch):
-    """Slopes of every fixed-slope solve made through ``solver.ba_fixed_slope``."""
+    """Slopes of every kernel lane, in call order."""
     slopes = []
+    real = kernels.ba_fixed_slope_loop
 
-    def counted(amended, pz, s, cfg=None, q0=None):
-        slopes.append(s)
-        return ba_fixed_slope(amended, pz, s, cfg, q0)
+    def counted(expected_f, pz, s, *args):
+        slopes.extend(np.asarray(s).tolist())
+        return real(expected_f, pz, s, *args)
 
-    monkeypatch.setattr(solver, "ba_fixed_slope", counted)
+    monkeypatch.setattr(kernels, "ba_fixed_slope_loop", counted)
     return slopes
 
 
@@ -296,6 +297,44 @@ class TestSlopeSearch:
             assert abs(pt.f_distortion - level) <= tol_f
 
 
+    @pytest.mark.parametrize(
+        "beta, f",
+        [(0.15, FTransform.identity()), (0.01, FTransform.exponential(9.2))],
+        ids=["identity", "exponential_witness"],
+    )
+    def test_kernel_calls_per_sweep(self, monkeypatch, beta, f):
+        # the targets advance in lockstep, one kernel call per round (plus a
+        # cold retry when a warm lane ends uncertified); one call per solve
+        # made ~125 calls here
+        m, src, d = bsc_problem(beta, f)
+        calls = []
+        real = kernels.ba_fixed_slope_loop
+
+        def counted(expected_f, pz, s, *args):
+            calls.append(len(s))
+            return real(expected_f, pz, s, *args)
+
+        monkeypatch.setattr(kernels, "ba_fixed_slope_loop", counted)
+        curve = sweep_curve(src, d, f, 40)
+        assert curve.all_converged
+        assert len(calls) <= 15 and max(calls) > 1
+
+    @pytest.mark.parametrize("draw, frac", [(165, 0.3), (165, 0.7), (363, 0.01)])
+    def test_levels_on_linear_segments(self, draw, frac):
+        # f_distortion jumps across one slope s* here (draw 363: from 60.2936
+        # to 60.8026 at s* = -0.105877, supports {0, 2} and {0, 1, 2}); the
+        # bracket collapses onto s*, and its ends came back off the level by
+        # 0.545, 8.0 and -0.124, flagged converged
+        src, d, f, am = _segment_draw(draw)
+        lo, hi = f_domain_bounds(am, src.z_marginal)
+        level = lo + frac * (hi - lo)
+        pt = solve_at_distortion(src, d, f, float(f.invert(level)), amended=am)
+        assert abs(pt.f_distortion - level) <= SolverConfig().bisection_tol * max(1.0, hi - lo)
+        assert pt.converged == (pt.gap <= SolverConfig().gap_tol)
+        e, pz = _reduced(am, src.z_marginal)
+        lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
+        assert pt.rate - lower <= pt.gap + 1e-12
+
     @pytest.mark.parametrize("bsc", [True, False], ids=["bsc", "bec"])
     @pytest.mark.parametrize(
         "f",
@@ -325,14 +364,15 @@ class TestSlopeSearch:
         # iteration
         src, d, f, _, _ = _criterion_05_draw(97)
         starts = []
+        real = kernels.ba_fixed_slope_loop
 
-        def stalled_when_warm(amended, pz, s, cfg=None, q0=None):
-            starts.append(q0 is not None)
+        def stalled_when_warm(expected_f, pz, s, max_iters, gap_tol, q0=None):
+            starts.extend([q0 is not None] * len(s))
             if q0 is not None:
-                cfg = SolverConfig(max_iters=1)
-            return ba_fixed_slope(amended, pz, s, cfg, q0)
+                max_iters = 1
+            return real(expected_f, pz, s, max_iters, gap_tol, q0)
 
-        monkeypatch.setattr(solver, "ba_fixed_slope", stalled_when_warm)
+        monkeypatch.setattr(kernels, "ba_fixed_slope_loop", stalled_when_warm)
         curve = sweep_curve(src, d, f, 8)
         assert curve.all_converged
         assert any(a and not b for a, b in zip(starts, starts[1:]))
@@ -415,6 +455,19 @@ def _criterion_05_draw(index):
     return src, d, f, am, float(f.invert(target))
 
 
+def _segment_draw(index):
+    """Draw ``index`` (0-based) of the criterion-05 generator without its
+    level draw: source, distortion, transform and amended matrices."""
+    rng = np.random.default_rng(20240817)
+    for _ in range(index + 1):
+        nx, nz, nh = rng.integers(2, 5, size=3)
+        joint = rng.random((nx, nz)) ** 2
+        src = JointSource.from_joint(joint / joint.sum())
+        d = DistortionMatrix(rng.random((nx, nh)))
+        f = _random_transform(rng)
+    return src, d, f, build_amended(src, d, f)
+
+
 def _reduced(am, pz):
     used = am.used_z
     return am.expected_f[used], pz[used] / pz[used].sum()
@@ -446,12 +499,20 @@ def _starving_problem():
     return e, pz / pz.sum()
 
 
+def _one_lane(e, pz, s, max_iters, gap_tol, q0=None):
+    """The kernel's results for a one-lane call at slope s, read at lane 0."""
+    out = kernels.ba_fixed_slope_loop(
+        e, pz, np.array([s]), max_iters, gap_tol, None if q0 is None else np.asarray(q0)[None]
+    )
+    return tuple(v[0] for v in out)
+
+
 class TestKernel:
     def test_matches_bsc_closed_form(self):
         m, src, d = bsc_problem(0.15)
         e, pz = _reduced(build_amended(src, d, m.f), src.z_marginal)
         for s in (-0.5, -3.0, -20.0):
-            _, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+            _, q_out, f_dist, rate, iters, gap = _one_lane(
                 e, pz, s, 20000, 1e-12
             )
             assert gap <= 1e-12
@@ -475,7 +536,7 @@ class TestKernel:
         ])
         pz = np.array([0.05, 0.45, 0.1, 0.4])
         with np.errstate(all="raise"):
-            q_cond, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+            q_cond, q_out, f_dist, rate, iters, gap = _one_lane(
                 e, pz, s, 20000, 1e-12
             )
         for value in (q_cond, q_out, f_dist, rate, gap):
@@ -497,7 +558,7 @@ class TestKernel:
         # with gaps up to 5.8e-6 nats
         src, _, _, am, _ = _criterion_05_draw(draw)
         e, pz = _reduced(am, src.z_marginal)
-        _, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(e, pz, s, 20000, 1e-12)
+        _, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s, 20000, 1e-12)
         assert gap <= 1e-12 and iters <= 100
         assert rate - _blahut_lower_bound(e, pz, s, q_out, f_dist) <= gap + 1e-12
 
@@ -507,7 +568,7 @@ class TestKernel:
         # steep slope a step that empties a row's only letter is refused
         e, pz = _dropping_problem()
         with np.errstate(all="raise"):
-            _, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+            _, q_out, f_dist, rate, iters, gap = _one_lane(
                 e, pz, s, 20000, 1e-12
             )
         assert gap <= 1e-12 and iters <= 100
@@ -525,12 +586,12 @@ class TestKernel:
     def test_zero_mass_start_letter_returns(self):
         # a warm start from a slope where a letter the optimum uses had no mass
         e, pz = _dropping_problem()
-        _, q_cold, _, rate_cold, _, _ = kernels.ba_fixed_slope_loop(e, pz, -3.0, 20000, 1e-12)
+        _, q_cold, _, rate_cold, _, _ = _one_lane(e, pz, -3.0, 20000, 1e-12)
         x = int(np.argmax(q_cold))
         q0 = np.full(q_cold.size, 1.0)
         q0[x] = 0.0
         with np.errstate(all="raise"):
-            _, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+            _, q_out, f_dist, rate, iters, gap = _one_lane(
                 e, pz, -3.0, 20000, 1e-12, q0
             )
         assert q_out[x] > 0.0
@@ -543,13 +604,13 @@ class TestKernel:
     def test_invalid_start_rejected(self, q0):
         e, pz = _dropping_problem()
         with pytest.raises(ValueError, match="q0"):
-            kernels.ba_fixed_slope_loop(e, pz, -3.0, 20000, 1e-12, np.array(q0))
+            _one_lane(e, pz, -3.0, 20000, 1e-12, np.array(q0))
 
     def test_starved_letter_returns_with_useful_mass(self):
         # a letter that alone serves a light row comes back with mass near
         # its best share; grown by Newton steps alone it needed 142 iterations
         e, pz = _starving_problem()
-        *_, iters, gap = kernels.ba_fixed_slope_loop(e, pz, -300.0, 20000, 1e-12)
+        *_, iters, gap = _one_lane(e, pz, -300.0, 20000, 1e-12)
         assert gap <= 1e-12 and iters <= 30
 
     @pytest.mark.parametrize(
@@ -563,7 +624,7 @@ class TestKernel:
         tilt = np.exp(s * (e - e.min(axis=1)[:, None]))
         dropped = 0
         for cap in range(1, 101):
-            _, q_out, _, _, iters, gap = kernels.ba_fixed_slope_loop(e, pz, s, cap, 1e-12)
+            _, q_out, _, _, iters, gap = _one_lane(e, pz, s, cap, 1e-12)
             c = (pz / (tilt @ q_out)) @ tilt
             assert gap == pytest.approx(np.log(c.max()), abs=1e-12)
             dropped += bool(np.any(q_out == 0.0))
@@ -586,7 +647,7 @@ class TestKernel:
         ]) / 3.0
         pz = np.array([0.28, 0.12, 0.1, 0.23, 0.06, 0.09, 0.11])
         pz /= pz.sum()
-        *_, iters, gap = kernels.ba_fixed_slope_loop(e, pz, -30.0, 20000, 1e-12)
+        *_, iters, gap = _one_lane(e, pz, -30.0, 20000, 1e-12)
         assert gap <= 1e-12 and iters <= 100
 
     def test_gap_tol_below_roundoff_ends_uncertified(self):
@@ -598,10 +659,60 @@ class TestKernel:
         pz = rng.random(3) + 0.1
         pz /= pz.sum()
         with np.errstate(all="raise"):
-            _, q_out, _, _, iters, gap = kernels.ba_fixed_slope_loop(e, pz, -1.0, 20000, 1e-20)
+            _, q_out, _, _, iters, gap = _one_lane(e, pz, -1.0, 20000, 1e-20)
         assert iters < 20
         assert 1e-20 < gap <= 1e-15
         assert q_out.sum() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("draw", [0, 19, 49, 72, 97])
+    def test_lanes_match_one_lane_calls(self, draw):
+        # lanes are independent: a call with several slopes gives each lane
+        # what a call with that slope alone gives
+        src, _, _, am, _ = _criterion_05_draw(draw)
+        e, pz = _reduced(am, src.z_marginal)
+        slopes = np.array([-0.5, -4.0, -32.0])
+        _, _, _, rates, iters, gaps = kernels.ba_fixed_slope_loop(e, pz, slopes, 20000, 1e-12)
+        for b, s in enumerate(slopes):
+            *_, rate, it, gap = _one_lane(e, pz, s, 20000, 1e-12)
+            assert iters[b] == it
+            assert gaps[b] <= 1e-12 and gap <= 1e-12
+            assert abs(rates[b] - rate) <= gaps[b] + gap + 1e-15
+
+    def test_lanes_retire_on_their_own_certificates(self):
+        # one lane certified at its start, one that needs Newton steps, and
+        # one whose start has a zero-mass letter that the optimum uses
+        e, pz = _dropping_problem()
+        _, q_opt, *_ = _one_lane(e, pz, -3.0, 20000, 1e-12)
+        starved = np.ones(q_opt.size)
+        starved[np.argmax(q_opt)] = 0.0
+        uniform = np.full(q_opt.size, 1.0 / q_opt.size)
+        slopes = np.array([-3.0, -1.0, -3.0])
+        starts = np.array([q_opt, uniform, starved])
+        with np.errstate(all="raise"):
+            _, q_out, _, rates, iters, gaps = kernels.ba_fixed_slope_loop(
+                e, pz, slopes, 20000, 1e-12, starts
+            )
+        assert iters[0] == 1 and iters[1] > 1 and iters[2] > 1
+        assert np.all(gaps <= 1e-12)
+        assert q_out[2, np.argmax(q_opt)] > 0.0
+        for b in range(3):
+            *_, rate, it, _ = _one_lane(e, pz, slopes[b], 20000, 1e-12, starts[b])
+            assert iters[b] == it and abs(rates[b] - rate) <= 1e-15
+
+    def test_overflowing_gradient_off_the_support(self):
+        # the row minimum's letter has mass 1e-300, so t = p / den ~ 5e299 and
+        # c of the dropped letter (tilt e**23) overflows; its gap comes by
+        # log-sum-exp and the results stay finite at every cap
+        e = np.array([[0.023, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        pz = np.array([0.5, 0.5])
+        q0 = [1e-300, 1.0, 0.0]
+        with np.errstate(all="raise"):
+            first = _one_lane(e, pz, -1000.0, 1, 1e-12, q0)
+            final = _one_lane(e, pz, -1000.0, 20000, 1e-12, q0)
+        for q_cond, q_out, f_dist, rate, _, gap in (first, final):
+            assert all(np.all(np.isfinite(v)) for v in (q_cond, q_out, f_dist, rate, gap))
+        assert first[5] == pytest.approx(math.log(0.5) + 23.0 + 300.0 * math.log(10.0), rel=1e-12)
+        assert final[5] <= 1e-12
 
     def test_zero_gap_tol_rejected(self):
         with pytest.raises(ValueError):
