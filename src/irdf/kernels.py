@@ -146,11 +146,13 @@ def _ascend(expected_f, pz, s, q_row, m_row, a_row, den_row, t, c_row, max_iters
     damping is needed because H is rank-deficient whenever |S| exceeds the
     number of rows. The step is accepted when Phi rises or, with Phi flat to
     roundoff, when max c falls; lam then shrinks. After a rejection lam
-    grows and the next iteration tries again from the same q. A step that
-    would leave the simplex stops at its boundary and drops the letters it
-    reaches, the only way a letter leaves S; every dropped letter stays a
-    candidate for return. The loop also ends, uncertified, at max_iters or
-    when the damped step no longer changes q.
+    grows and the next iteration tries again from the same q. At each new q,
+    as in Levenberg-Marquardt, lam is capped by the gap, log max c: a lam
+    left large would stall the ascent along a direction of near-zero
+    curvature. A step that would leave the simplex stops at its boundary and
+    drops the letters it reaches, the only way a letter leaves S; every
+    dropped letter stays a candidate for return. The loop also ends,
+    uncertified, at max_iters or when the damped step no longer changes q.
 
     The tilt is rebuilt whenever S changes, so every entry on S stays in
     [0, 1] and den(z) >= q(argmin) > 0 for arbitrarily negative slopes.
@@ -204,8 +206,8 @@ def _ascend(expected_f, pz, s, q_row, m_row, a_row, den_row, t, c_row, max_iters
             kkt[:k, k] = kkt[k, :k] = q
             qhq_diag = diag.copy()
             rhs[:k] = q * c
-            # damping below roundoff of H would leave the system singular
-            lam = max(lam, _LAM_MIN * c_top)
+            # damping tracks the gap; below roundoff of H it leaves the system singular
+            lam = max(min(lam, math.log(c_top)), _LAM_MIN * c_top)
         elif iters >= max_iters:
             break
         np.add(qhq_diag, lam * q, out=diag)

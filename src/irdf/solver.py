@@ -13,20 +13,23 @@ monotone in s, so one search on s serves a distortion target and a rate
 target alike.
 
 A search advances all of its targets (the levels of a sweep, or one level)
-in lockstep rounds over a shared memo of solved slopes. Each round every
-unresolved target proposes one slope: the memo points around the target
-bracket it, or else doubling from the steepest of them (or from s = -1/(hi
-- lo), the inverse of the transform-domain span) does; inside a bracket,
-inverse quadratic interpolation (Brent 1973, "Algorithms for Minimization
-without Derivatives"), with Illinois (modified regula falsi) and bisection
-steps as fallbacks, closes in. Equal proposals merge, and the round's slopes
-go to one kernel call as lanes, each started from the output pmf of the
-nearest solved slope. A bracket that collapses onto one slope straddles a
-linear segment of the curve, whose level is reached by time-sharing the two
-ends. The bracket-width stop is relative to the slopes, so the search
-behaves alike at every transform-domain scale. Raw distortions come from
-one vectorized f.invert over the points a search returns. All rates are
-nats internally; unit conversion happens only at reporting boundaries.
+in lockstep rounds over a flat memo: slope, distortion and rate columns
+sorted by slope, and the solved conditionals as rows of one array. Each
+round every unresolved target bisects the memo: a point on its level
+resolves it, the points around the level bracket it, or else doubling from
+the steepest of them (or from s = -1/(hi - lo), the inverse of the
+transform-domain span) does; inside a bracket, inverse quadratic
+interpolation (Brent 1973, "Algorithms for Minimization without
+Derivatives"), with Illinois (modified regula falsi) and bisection steps as
+fallbacks, closes in. Equal proposals merge, and the round's slopes go to
+one kernel call as lanes, each started from the output pmf of the nearest
+solved slope. A bracket that collapses onto one slope straddles a linear
+segment of the curve, whose level is reached by time-sharing the two ends.
+The bracket-width stop is relative to the slopes, so the search behaves
+alike at every transform-domain scale. Only the points a search returns
+become ``SlopePoint``s, with raw distortions from one vectorized f.invert.
+All rates are nats internally; unit conversion happens only at reporting
+boundaries.
 
 The rate of a point is the mutual information of its conditional. A point is
 converged when Blahut's duality gap at its output pmf is at most ``gap_tol``
@@ -162,44 +165,53 @@ class _Problem:
         self.amended = amended
         self.e, self.w = _reduced(amended, pz)
         self.lo, self.hi = f_domain_bounds(amended, pz)
-        self.zero = _zero_rate_point(amended, pz)
+        self.zero = z = _zero_rate_point(amended, pz)
+        self.zero_row = np.concatenate(([0.0, z.f_distortion, 0.0, 0.0, 0.0], z.q_out,
+                                        z.q_cond[amended.used_z].ravel()))
 
 
-def _lanes(amended: AmendedDistortions, e: np.ndarray, w: np.ndarray, slopes: list[float], q0,
-           cfg: SolverConfig) -> list[SlopePoint]:
+# columns of a memo row: slope, f_distortion, rate (before its clamp at 0),
+# gap and iterations, then q_out from _Q on and the q_cond rows of the used z
+_S, _F, _R, _GAP, _IT, _Q = range(6)
+
+
+class _Memo:
+    """The fixed-slope solves (s < 0 only) on one problem: slope, f_distortion
+    and rate columns in ascending slope order, and the index of each solve's
+    memo row in ``rows``, which also holds the other rows a search reads."""
+
+    def __init__(self):
+        self.rows: np.ndarray | None = None
+        self.slope, self.f, self.rate, self.row = [], [], [], []  # rate before its clamp at 0
+
+
+def _lanes(e: np.ndarray, w: np.ndarray, slopes: np.ndarray, q0, cfg: SolverConfig) -> np.ndarray:
     """One kernel call on the reduced rows e, w with a lane per slope, started
-    from the rows of q0 (uniform when None). Raw distortions are left NaN;
-    ``_with_raw`` fills them for the points a search returns."""
-    q_cond_u, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
-        e, w, np.array(slopes, dtype=float), cfg.max_iters, cfg.gap_tol, q0
+    from the rows of q0 (uniform when None): a memo row per lane."""
+    q_cond, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+        e, w, slopes, cfg.max_iters, cfg.gap_tol, q0
     )
+    return np.concatenate((np.array((slopes, f_dist, rate, gap, iters)).T, q_out,
+                           q_cond.reshape(slopes.size, -1)), axis=1)
+
+
+def _points(amended: AmendedDistortions, rows: np.ndarray, converged) -> list[SlopePoint]:
+    """The SlopePoints of memo rows, with raw distortions from one vectorized
+    f.invert."""
     used = amended.used_z
-    q_cond = q_cond_u
+    nx = amended.expected_f.shape[1]
+    q_out = rows[:, _Q: _Q + nx]
+    q_cond = rows[:, _Q + nx:].reshape(len(rows), -1, nx)
     if not used.all():  # rows for unused z repeat q_out
-        q_cond = np.repeat(q_out[:, None, :], used.size, axis=1)
-        q_cond[:, used] = q_cond_u
+        q_cond, q_used = np.repeat(q_out[:, None, :], used.size, axis=1), q_cond
+        q_cond[:, used] = q_used
+    raw = np.asarray(amended.f.invert(rows[:, _F]), dtype=float).tolist()
     return [
         SlopePoint(slope=s, q_cond=qc, q_out=qo, rate=max(0.0, r), f_distortion=fd,
-                   distortion=math.nan, iterations=it, gap=g, converged=g <= cfg.gap_tol,
-                   clamped=r < 0.0)
-        for s, qc, qo, r, fd, it, g in zip(slopes, q_cond, q_out, rate.tolist(),
-                                           f_dist.tolist(), iters.tolist(), gap.tolist())
+                   distortion=d, iterations=int(it), gap=g, converged=ok, clamped=r < 0.0)
+        for (s, fd, r, g, it), qc, qo, d, ok in zip(rows[:, :_Q].tolist(), q_cond, q_out, raw,
+                                                    converged.tolist())
     ]
-
-
-def _with_raw(problem: _Problem, pts: list[SlopePoint], memo: list[SlopePoint]) -> list[SlopePoint]:
-    """pts with their raw distortions, from one vectorized f.invert over the
-    points that lack one. A memo point among them is replaced in the memo by
-    its completed copy, so a later search returns that copy itself."""
-    todo = {id(p): p for p in pts if math.isnan(p.distortion)}
-    if not todo:
-        return pts
-    raw = problem.amended.f.invert(np.array([p.f_distortion for p in todo.values()])).tolist()
-    done = {k: replace(p, distortion=d) for (k, p), d in zip(todo.items(), raw)}
-    for i, p in enumerate(memo):
-        if id(p) in done:
-            memo[i] = done[id(p)]
-    return [done.get(id(p), p) for p in pts]
 
 
 def ba_fixed_slope(
@@ -218,8 +230,147 @@ def ba_fixed_slope(
         return _zero_rate_point(amended, pz)
     if q0 is not None:
         q0 = np.asarray(q0, dtype=float)[None]
-    pt = _lanes(amended, *_reduced(amended, pz), [float(s)], q0, cfg)[0]
-    return replace(pt, distortion=float(amended.f.invert(pt.f_distortion)))
+    row = _lanes(*_reduced(amended, pz), np.array([float(s)]), q0, cfg)
+    return _points(amended, row, row[:, _GAP] <= cfg.gap_tol)[0]
+
+
+def _search(problem: _Problem, levels: list[float], key, done, cfg: SolverConfig,
+            memo: _Memo) -> tuple[np.ndarray, np.ndarray]:
+    """Slope searches for all ``levels`` at once, in lockstep rounds: the
+    memo row each one ends on and whether that point is converged.
+
+    ``key(f, rate)`` maps f_distortion and rate lists to the searched
+    quantity, increasing with the slope (the f_distortion, or minus the
+    rate); a level's residual g = key - level is positive at s = 0 and falls
+    as s decreases. ``done(g, s, f)`` accepts a point.
+
+    Each round every unresolved target bisects the key column for its root
+    (the s = 0 point closes a bracket with no solve above it) and takes one
+    scalar step over the two solves on either side: the one ``done``
+    accepts with the smallest |g| is its result; with no solve below, its
+    lane doubles the steepest slope (or is -1/span); inside the bracket it
+    is the inverse quadratic interpolation through the last three (s, g) of
+    the target's history if that falls strictly inside, else the Illinois
+    secant (after the same end stays twice in a row its g is halved) if that
+    does, else the midpoint. The solves around the root start a history;
+    the bracket ends, nearest last, and the target's lanes join it, each
+    slope once. A bracket collapsed onto one slope straddles a linear
+    segment: its lane time-shares the two ends (``_mix``) and is the
+    result, flagged unconverged unless ``done`` accepts it, as is a solve
+    settled on after ``_MAX_DOUBLINGS`` doublings or ``_MAX_SEARCH`` steps.
+
+    Equal slopes merge into one kernel call, each regular lane started from
+    the output pmf of the nearest solve (uniform while the memo is empty);
+    lanes that end uncertified are solved again from the uniform start,
+    keeping the smaller gap (near a kink a warm start can stall where a cold
+    one certifies), and then join the memo.
+    """
+    span = problem.hi - problem.lo
+    nx = problem.e.shape[1]
+    zero = problem.zero_row
+    memo.rows = zero[None] if memo.rows is None else np.concatenate((memo.rows, zero[None]))
+    z_f, z_row = zero[_F], len(memo.rows) - 1
+    bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
+    n = len(levels)
+    found, ok = [z_row] * n, [True] * n
+    rungs, steps = [0] * n, [0] * n  # doublings, and bracket steps
+    # the last step's bracket, its g as Illinois scaled them, and +1 when only
+    # s_hi moved, -1 when only s_lo moved
+    brk = [(math.nan, math.nan, math.nan, math.nan, 0)] * n
+    tried: list = [None] * n  # each target's history: g by slope, in the order joined
+    todo = list(range(n))
+    while todo:
+        m = len(memo.slope)
+        # the memo's columns, the s = 0 point appended: it closes every bracket
+        S, F, R = memo.slope + [0.0], memo.f + [z_f], memo.row + [z_row]
+        K = key(F, memo.rate + [0.0])
+        lanes: dict[float, list[int]] = {}  # the targets proposing each slope
+        mixes = []
+        for t in todo:
+            level = levels[t]
+            i = bisect_right(K, level, 0, m)  # the solves below i are at or below the level
+            near = range(i - 2 if i > 2 else 0, i + 2 if i < m else m + 1)
+            best = None
+            for j in near:
+                g = K[j] - level
+                if done(g, S[j], F[j]) and (best is None or abs(g) < best[0]):
+                    best = (abs(g), j)
+            if best is not None:
+                found[t] = R[best[1]]
+                continue
+            hist = tried[t]
+            if hist is None:  # the solves around the root start the history, nearest last
+                hist = tried[t] = dict(sorted(((S[j], K[j] - level) for j in near),
+                                              key=lambda p: -abs(p[1])))
+            if i == 0:
+                if rungs[t] > _MAX_DOUBLINGS:  # never crossed: the left endpoint
+                    found[t], ok[t] = R[0], False
+                    continue
+                rungs[t] += 1
+                lanes.setdefault(2.0 * S[0] if m else -1.0 / span, []).append(t)
+                continue
+            s_lo, s_hi, g_lo, g_hi = S[i - 1], S[i], K[i - 1] - level, K[i] - level
+            if s_hi - s_lo <= _BRACKET_EPS * abs(s_lo):
+                mixes.append((t, R[i - 1], R[i], g_lo, g_hi))
+                continue
+            if steps[t] >= _MAX_SEARCH:
+                found[t], ok[t] = R[min((abs(K[j] - level), j) for j in near)[1]], False
+                continue
+            steps[t] += 1
+            p_lo, p_hi, pg_lo, pg_hi, kept = brk[t]
+            gs_lo, gs_hi, k = g_lo, g_hi, 0
+            if s_lo == p_lo and s_hi != p_hi:
+                gs_lo, k = pg_lo * (0.5 if kept == 1 else 1.0), 1
+            elif s_hi == p_hi and s_lo != p_lo:
+                gs_hi, k = pg_hi * (0.5 if kept == -1 else 1.0), -1
+            brk[t] = s_lo, s_hi, gs_lo, gs_hi, k
+            # bracket ends solved for other targets join the history, nearest last
+            ends = (s_lo, g_lo), (s_hi, g_hi)
+            for s, g in ends[::-1] if abs(g_lo) < abs(g_hi) else ends:
+                hist.setdefault(s, g)
+            s_new = _iqi(list(hist.items())[-3:]) if len(hist) >= 3 else math.nan
+            if not s_lo < s_new < s_hi:
+                s_new = (s_lo * gs_hi - s_hi * gs_lo) / (gs_hi - gs_lo)
+                if not s_lo < s_new < s_hi:
+                    s_new = 0.5 * (s_lo + s_hi)
+            lanes.setdefault(s_new, []).append(t)
+        todo = [t for ts in lanes.values() for t in ts]
+        if not (lanes or mixes):
+            continue
+        uniq = sorted(lanes)
+        u = len(uniq)
+        starts = None  # cold while the memo is empty, which also rules out time-sharing
+        if m:  # the nearer solve, the lower one on a tie
+            at = [bisect_left(S, s, 0, m) for s in uniq]
+            starts = memo.rows[[R[j - 1] if j == m or (j and s - S[j - 1] <= S[j] - s) else R[j]
+                                for s, j in zip(uniq, at)], _Q: _Q + nx]
+        slopes = np.array(uniq)
+        if mixes:
+            mix_t, lo, hi, g_lo, g_hi = (list(c) for c in zip(*mixes))
+            chord, mix_q = _mix(memo.rows[lo], np.array(g_lo), memo.rows[hi], np.array(g_hi), nx)
+            slopes, starts = np.concatenate((slopes, chord)), np.concatenate((starts, mix_q))
+        new = _lanes(problem.e, problem.w, slopes, starts, cfg)
+        again = [b for b, g in enumerate(new[:u, _GAP].tolist()) if g > cfg.gap_tol] if m else []
+        if again:
+            cold = _lanes(problem.e, problem.w, slopes[again], None, cfg)
+            better = cold[:, _GAP] < new[again, _GAP]
+            new[np.array(again)[better]] = cold[better]
+        base = len(memo.rows)
+        memo.rows = np.concatenate((memo.rows, new))
+        s_col, f_col, r_col = new[:, :_GAP].T.tolist()
+        if mixes:
+            for b, (t, g) in enumerate(zip(mix_t, key(f_col[u:], r_col[u:])), u):
+                found[t], ok[t] = base + b, done(g - levels[t], s_col[b], f_col[b])
+        for b, (s, f, r, k_new) in enumerate(zip(s_col, f_col, r_col, key(f_col[:u], r_col[:u]))):
+            j = bisect_left(memo.slope, s)
+            memo.slope.insert(j, s)
+            memo.f.insert(j, f)
+            memo.rate.insert(j, r)
+            memo.row.insert(j, base + b)
+            for t in lanes[s]:
+                tried[t][s] = k_new - levels[t]
+    rows = memo.rows[found]
+    return rows, np.array(ok) & (rows[:, _GAP] <= cfg.gap_tol)
 
 
 def _iqi(pairs) -> float:
@@ -233,103 +384,10 @@ def _iqi(pairs) -> float:
             + sc * ga * gb / ((gc - ga) * (gc - gb)))
 
 
-class _Target:
-    """One target of a slope search: its residual, the test that accepts a
-    point, and the bracket state it carries from one round to the next.
-
-    ``residual`` must be positive at s = 0 and fall monotonically as s
-    decreases, as the distortion above a target level and the rate short of
-    a target rate do.
-    """
-
-    def __init__(self, residual, done):
-        self.residual, self.done = residual, done
-        self.point: SlopePoint | None = None
-        self.rungs = 0      # doublings of the steepest slope
-        self.steps = 0      # slopes proposed inside the bracket
-        self.s_lo = self.s_hi = self.g_lo = self.g_hi = math.nan
-        self.kept = 0       # +1 after only s_hi moved, -1 after only s_lo moved
-        self.tried: list[tuple[float, float]] | None = None  # (s, g) for interpolation
-        self.seen: set[float] = set()  # the slopes in ``tried``
-
-    def record(self, s: float, g: float) -> None:
-        """Add a solved slope and its residual to the history, once."""
-        if s not in self.seen:
-            self.seen.add(s)
-            self.tried.append((s, g))
-
-    def propose(self, memo: list[SlopePoint], zero: SlopePoint, span: float):
-        """The next lane as (slope, start pmf), the start None for a warm start
-        from the memo; or None once ``point`` is set.
-
-        memo[:i] lie at or below the root and memo[i:] above it; with none
-        above, the s = 0 point closes the bracket. A memo point that ``done``
-        accepts is the result. With no memo point below the root the lane is
-        the next doubling of the steepest slope, or -1/span. Inside the
-        bracket it is the inverse quadratic interpolation through the last
-        three points of the target's history, if that falls strictly inside;
-        else the Illinois secant, if that does; else the midpoint. The
-        history holds the target's own lanes, seeded by the memo points
-        nearest the root when it starts and joined by the bracket ends that
-        other targets' lanes put there. A bracket that has collapsed onto one
-        slope straddles a linear segment of the curve: its two ends are
-        time-shared (see ``_mix``).
-        """
-        res = self.residual
-        i = bisect.bisect_right(memo, 0.0, key=res)
-        below = memo[max(i - 2, 0): i]
-        above = memo[i: i + 2]
-        if len(above) < 2:
-            above.append(zero)
-        near = [(p, res(p)) for p in below + above]
-        hits = [(abs(g), k) for k, (p, g) in enumerate(near) if self.done(p, g)]
-        if hits:
-            self.point = near[min(hits)[1]][0]
-            return None
-        if self.tried is None:  # the memo points nearest the root seed the history
-            self.tried = [(p.slope, g) for p, g in sorted(near, key=lambda pg: -abs(pg[1]))]
-            self.seen = {s for s, _ in self.tried}
-        hi, g_hi = near[len(below)]
-        if i == 0:
-            if self.rungs > _MAX_DOUBLINGS:
-                # never crossed the root: the target is the left endpoint
-                self.point = replace(hi, converged=False)
-                return None
-            self.rungs += 1
-            return (2.0 * hi.slope if hi.slope < 0.0 else -1.0 / span), None
-        lo, g_lo = near[len(below) - 1]
-        s_lo, s_hi = lo.slope, hi.slope
-        if s_hi - s_lo <= _BRACKET_EPS * abs(s_lo):
-            return _mix(lo, g_lo, hi, g_hi)
-        if self.steps >= _MAX_SEARCH:
-            self.point = replace(min(near, key=lambda pg: abs(pg[1]))[0], converged=False)
-            return None
-        self.steps += 1
-        # Illinois (modified regula falsi): when the same end moves twice in
-        # a row, the value kept at the other end is halved
-        gs_lo, gs_hi, kept = g_lo, g_hi, 0
-        if s_lo == self.s_lo and s_hi != self.s_hi:
-            gs_lo, kept = self.g_lo * (0.5 if self.kept == 1 else 1.0), 1
-        elif s_hi == self.s_hi and s_lo != self.s_lo:
-            gs_hi, kept = self.g_hi * (0.5 if self.kept == -1 else 1.0), -1
-        self.s_lo, self.s_hi, self.g_lo, self.g_hi, self.kept = s_lo, s_hi, gs_lo, gs_hi, kept
-        # bracket ends solved for other targets join the history, nearest last
-        ends = [(s_lo, g_lo), (s_hi, g_hi)]
-        if abs(g_lo) < abs(g_hi):
-            ends.reverse()
-        for s, g in ends:
-            self.record(s, g)
-        s_new = _iqi(self.tried[-3:]) if len(self.tried) >= 3 else math.nan
-        if not s_lo < s_new < s_hi:
-            s_new = (s_lo * gs_hi - s_hi * gs_lo) / (gs_hi - gs_lo)
-        if not s_lo < s_new < s_hi:
-            s_new = 0.5 * (s_lo + s_hi)
-        return s_new, None
-
-
-def _mix(lo: SlopePoint, g_lo: float, hi: SlopePoint, g_hi: float) -> tuple[float, np.ndarray]:
-    """Time-sharing lane between the two ends of a collapsed bracket: the
-    slope of their chord and the mix of their output pmfs.
+def _mix(lo: np.ndarray, g_lo: np.ndarray, hi: np.ndarray, g_hi: np.ndarray, nx: int):
+    """Time-sharing lanes between the two ends of collapsed brackets (memo
+    rows lo and hi, residuals g_lo and g_hi): the slopes of their chords and
+    the mixes of their output pmfs.
 
     Both ends maximize Phi at (nearly) one slope s*. Phi is strictly concave
     in den = A q, so every maximizer at s* has the same den, and the
@@ -340,78 +398,17 @@ def _mix(lo: SlopePoint, g_lo: float, hi: SlopePoint, g_hi: float) -> tuple[floa
     are optimal only to the gap, so the bracket can collapse a little off
     s*, where the mix is not optimal and the kernel cannot certify it.
     """
-    w = g_lo / (g_lo - g_hi)
-    chord = (hi.rate - lo.rate) / (hi.f_distortion - lo.f_distortion)
-    return chord, (1.0 - w) * lo.q_out + w * hi.q_out
-
-
-def _search(problem: _Problem, targets: list[_Target], cfg: SolverConfig,
-            memo: list[SlopePoint]) -> None:
-    """Advance every target's slope search in lockstep rounds until each has
-    its ``point``.
-
-    ``memo`` holds the fixed-slope solves on this problem in ascending slope
-    order, shared by the targets, and every regular lane of a round is added
-    to it. Each round, every unresolved target proposes its next lane;
-    equal slopes merge, and all lanes go to one kernel call. A lane starts
-    from the output pmf of the memo point nearest its slope (uniform while
-    the memo is empty), and the lanes of that call that end uncertified are
-    solved again from the uniform start in one follow-up call, keeping the
-    smaller gap: near a kink of the curve a warm start can stall where a cold
-    one certifies. A time-sharing lane is the result of its target, flagged
-    unconverged unless ``done`` accepts it. A point that a target settles on
-    without ``done`` (no crossing after the doublings, or ``_MAX_SEARCH``
-    bracket steps) is flagged the same way.
-    """
-    span = problem.hi - problem.lo
-    todo = targets
-    while todo:
-        slopes: dict[float, list[_Target]] = {}  # equal proposals share a lane
-        mixes = []
-        for tg in todo:
-            lane = tg.propose(memo, problem.zero, span)
-            if lane is not None and lane[1] is None:
-                slopes.setdefault(lane[0], []).append(tg)
-            elif lane is not None:
-                mixes.append((tg, *lane))
-        if slopes or mixes:
-            warm = list(slopes)
-            starts = None  # cold while the memo is empty, which also rules out time-sharing
-            if memo:
-                starts = np.array([_nearest(memo, s).q_out for s in warm]
-                                  + [q for _, _, q in mixes])
-            pts = _lanes(problem.amended, problem.e, problem.w,
-                         warm + [s for _, s, _ in mixes], starts, cfg)
-            again = [b for b, p in enumerate(pts[: len(warm)]) if not p.converged]
-            if again and starts is not None:
-                cold = _lanes(problem.amended, problem.e, problem.w,
-                              [warm[b] for b in again], None, cfg)
-                for b, p in zip(again, cold):
-                    if p.gap < pts[b].gap:
-                        pts[b] = p
-            for (s, proposers), p in zip(slopes.items(), pts):
-                bisect.insort(memo, p, key=_slope)
-                for tg in proposers:
-                    tg.record(s, tg.residual(p))
-            for (tg, _, _), p in zip(mixes, pts[len(warm):]):
-                tg.point = p if tg.done(p, tg.residual(p)) else replace(p, converged=False)
-        todo = [tg for tg in todo if tg.point is None]
-
-
-def _slope(p: SlopePoint) -> float:
-    return p.slope
-
-
-def _nearest(memo: list[SlopePoint], s: float) -> SlopePoint:
-    i = bisect.bisect_left(memo, s, key=_slope)
-    return min(memo[max(i - 1, 0): i + 1], key=lambda p: abs(p.slope - s))
+    w = (g_lo / (g_lo - g_hi))[:, None]
+    chord = ((np.maximum(hi[:, _R], 0.0) - np.maximum(lo[:, _R], 0.0))
+             / (hi[:, _F] - lo[:, _F]))
+    return chord, (1.0 - w) * lo[:, _Q: _Q + nx] + w * hi[:, _Q: _Q + nx]
 
 
 def _solve_levels(
     problem: _Problem,
     levels,
     cfg: SolverConfig,
-    memo: list[SlopePoint] | None = None,
+    memo: _Memo | None = None,
 ) -> list[SlopePoint]:
     """The points whose achieved transform-domain distortions are within the
     level tolerance tol_f of ``levels``, found by one lockstep search. A
@@ -422,7 +419,7 @@ def _solve_levels(
     lo, hi, zero = problem.lo, problem.hi, problem.zero
     tol_f = cfg.bisection_tol * max(1.0, hi - lo)
     pts: list[SlopePoint | None] = []
-    targets = []
+    todo = []
     for level in levels:
         if level > hi + tol_f:
             pts.append(replace(zero, clamped=True))
@@ -436,12 +433,13 @@ def _solve_levels(
             pts.append(zero)
         else:
             pts.append(None)
-            targets.append(_Target(lambda pt, t=level: pt.f_distortion - t,
-                                   lambda pt, g: abs(g) <= tol_f))
-    memo = [] if memo is None else memo
-    _search(problem, targets, cfg, memo)
-    found = iter(targets)
-    return _with_raw(problem, [p if p is not None else next(found).point for p in pts], memo)
+            todo.append(level)
+    if not todo:
+        return pts
+    rows, conv = _search(problem, todo, lambda f, rate: f, lambda g, s, f: abs(g) <= tol_f, cfg,
+                         memo if memo is not None else _Memo())
+    found = iter(_points(problem.amended, rows, conv))
+    return [p if p is not None else next(found) for p in pts]
 
 
 def _solve_reduced_at(
@@ -449,7 +447,7 @@ def _solve_reduced_at(
     pz: np.ndarray,
     target_f: float,
     cfg: SolverConfig,
-    memo: list[SlopePoint] | None = None,
+    memo: _Memo | None = None,
 ) -> SlopePoint:
     """The point within the level tolerance tol_f of target_f
     (``_solve_levels`` with one level)."""
@@ -595,12 +593,11 @@ def distortion_at_rate(
     if hi - lo <= tol_f:  # the whole curve is within the level tolerance of d_min
         return d_lo
 
-    def saturated(pt: SlopePoint, g: float) -> bool:
+    def saturated(g, f):
         # short of rate_nats within the level tolerance of d_min
-        return g > 0.0 and pt.f_distortion <= lo + tol_f
+        return g > 0.0 and f <= lo + tol_f
 
-    target = _Target(lambda pt: rate_nats - pt.rate,
-                     lambda pt, g: abs(g) <= -pt.slope * tol_f or saturated(pt, g))
-    _search(problem, [target], cfg, [])
-    pt = _certified(target.point, cfg)
-    return d_lo if saturated(pt, rate_nats - pt.rate) else float(f.invert(pt.f_distortion))
+    rows, conv = _search(problem, [-rate_nats], lambda f, rate: [-max(r, 0.0) for r in rate],
+                         lambda g, s, f: abs(g) <= -s * tol_f or saturated(g, f), cfg, _Memo())
+    pt = _certified(_points(problem.amended, rows, conv)[0], cfg)
+    return d_lo if saturated(rate_nats - pt.rate, pt.f_distortion) else pt.distortion

@@ -298,14 +298,16 @@ class TestSlopeSearch:
 
 
     @pytest.mark.parametrize(
-        "beta, f",
-        [(0.15, FTransform.identity()), (0.01, FTransform.exponential(9.2))],
-        ids=["identity", "exponential_witness"],
+        "beta, f, n",
+        [(0.15, FTransform.identity(), 40), (0.01, FTransform.exponential(9.2), 40),
+         (0.01, FTransform.exponential(9.2), 200)],
+        ids=["identity", "exponential_witness", "headline_200"],
     )
-    def test_kernel_calls_per_sweep(self, monkeypatch, beta, f):
+    def test_kernel_calls_per_sweep(self, monkeypatch, beta, f, n):
         # the targets advance in lockstep, one kernel call per round (plus a
         # cold retry when a warm lane ends uncertified); one call per solve
-        # made ~125 calls here
+        # made ~125 calls for 40 points, and the 200-point headline curve
+        # takes 10 calls of 642 lanes
         m, src, d = bsc_problem(beta, f)
         calls = []
         real = kernels.ba_fixed_slope_loop
@@ -315,7 +317,7 @@ class TestSlopeSearch:
             return real(expected_f, pz, s, *args)
 
         monkeypatch.setattr(kernels, "ba_fixed_slope_loop", counted)
-        curve = sweep_curve(src, d, f, 40)
+        curve = sweep_curve(src, d, f, n)
         assert curve.all_converged
         assert len(calls) <= 15 and max(calls) > 1
 
@@ -334,6 +336,26 @@ class TestSlopeSearch:
         e, pz = _reduced(am, src.z_marginal)
         lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
         assert pt.rate - lower <= pt.gap + 1e-12
+
+    @pytest.mark.parametrize("n", [10, 40])
+    @pytest.mark.parametrize("draw", [165, 270, 363])
+    def test_sweeps_across_linear_segments(self, draw, n):
+        # every level of one search, the ones on a linear segment of the
+        # curve among them, is on its level, flagged as its gap says, and
+        # within its gap of Blahut's bound
+        src, d, f, am = _segment_draw(draw)
+        curve = sweep_curve(src, d, f, n)
+        lo, hi = f_domain_bounds(am, src.z_marginal)
+        cfg = SolverConfig()
+        tol_f = cfg.bisection_tol * max(1.0, hi - lo)
+        levels = f.apply(curve.d_min + (curve.d_max - curve.d_min) * np.arange(1, n + 1) / n)
+        levels[-1] = hi
+        e, pz = _reduced(am, src.z_marginal)
+        for pt, level in zip(curve.points, levels):
+            assert abs(pt.f_distortion - level) <= tol_f
+            assert pt.converged == (pt.gap <= cfg.gap_tol)
+            lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
+            assert pt.rate - lower <= pt.gap + 1e-12
 
     @pytest.mark.parametrize("bsc", [True, False], ids=["bsc", "bec"])
     @pytest.mark.parametrize(
@@ -381,12 +403,14 @@ class TestSlopeSearch:
         m, src, d = bsc_problem(0.15)
         am = build_amended(src, d, m.f)
         target = float(m.f.apply(0.3))
-        memo = []
+        memo = solver._Memo()
         first = solver._solve_reduced_at(am, src.z_marginal, target, SolverConfig(), memo)
         slopes = _count_solves(monkeypatch)
         again = solver._solve_reduced_at(am, src.z_marginal, target, SolverConfig(), memo)
-        assert again is first and slopes == []
-        assert all(a.slope < b.slope < 0.0 for a, b in zip(memo, memo[1:]))
+        assert slopes == []
+        for name in ("slope", "rate", "f_distortion", "gap"):
+            assert getattr(again, name) == getattr(first, name)
+        assert all(a < b < 0.0 for a, b in zip(memo.slope, memo.slope[1:]))
 
 
 class TestTransformScale:
@@ -713,6 +737,16 @@ class TestKernel:
             assert all(np.all(np.isfinite(v)) for v in (q_cond, q_out, f_dist, rate, gap))
         assert first[5] == pytest.approx(math.log(0.5) + 23.0 + 300.0 * math.log(10.0), rel=1e-12)
         assert final[5] <= 1e-12
+
+    def test_flat_direction_certifies(self):
+        # the whole gap lies along a direction of near-zero curvature: with
+        # the damping left where rejections from the uniform start had grown
+        # it, the step shrank until q stopped moving, 11 iterations in, at
+        # gap 2.5e-10
+        e = np.array([[5.04e-7, 2.80e-10]])
+        with np.errstate(all="raise"):
+            *_, iters, gap = _one_lane(e, np.array([1.0]), -0.001, 20000, 1e-12)
+        assert gap <= 1e-12 and iters <= 5
 
     def test_zero_gap_tol_rejected(self):
         with pytest.raises(ValueError):
