@@ -24,6 +24,14 @@ conditional, distortion, rate and gap at the end. A lane certified at its
 start costs no per-lane work; the others climb one at a time, because a
 lane-batched Newton step costs more than a one-lane step on these small
 systems, and each lane stops on its own certificate.
+
+A lone level target has a third kernel, ``level_newton``: Newton steps on
+the joint KKT system in the output pmf and the slope (Boyd & Vandenberghe
+2004, "Convex Optimization", sections 10.2-10.3, for the bordered Newton
+step), which move the slope and the fixed point together toward the point
+of the curve at a given distortion. It certifies nothing itself: its point
+is handed to the fixed-point kernel, which certifies it once, at the end,
+instead of at every slope a root search on s would try.
 """
 
 from __future__ import annotations
@@ -80,19 +88,24 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
             raise ValueError("q0 must have positive mass in every row")
         q = q0 / mass
     iters = [1] * s.size
+    full = low > 0.0  # every lane's support has every letter
     # exp of very negative exponents and products of tiny masses underflow to
     # 0 by design; overflow and invalid operations still follow the caller
     with np.errstate(under="ignore"):
-        m, a, den, t, c = _tilted(expected_f, pz, s, q, low > 0.0)
+        m, a, den, t, c = _tilted(expected_f, pz, s, q, full)
         c_top = c.max(axis=1)
         if max_iters > 1:
             for b, v in enumerate(c_top.tolist()):
                 if math.log(v) > gap_tol:
+                    if len(m) < s.size:  # the one row of minima of full starts
+                        m = m.repeat(s.size, axis=0)
                     # the lane's rows are views, which the ascent leaves at its final pmf
-                    iters[b], c_top[b] = _ascend(expected_f, pz, s[b], q[b], m[b], a[b], den[b],
-                                                 t[b], c[b], max_iters, gap_tol)
+                    iters[b], c_top[b], kept = _ascend(expected_f, pz, s[b], q[b], m[b], a[b],
+                                                       den[b], t[b], c[b], max_iters, gap_tol)
+                    full = full and kept
         gap = np.log(c_top)
-        if a.max(initial=0.0) >= _A_CAP or gap.max(initial=0.0) == math.inf:
+        # on full supports no exponent is positive, so no tilt is capped
+        if (not full and a.max(initial=0.0) >= _A_CAP) or gap.max(initial=0.0) == math.inf:
             # a capped tilt understates c off the support, and c there may
             # overflow: there log c comes by log-sum-exp over z
             sup = q > 0.0
@@ -107,7 +120,7 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
         # I(Z; Xhat) = sum p q_cond log(q_cond / q) - mix . log(mix / q), with
         # mix = q * c = pz @ q_cond and mix / q = c on the support
         mix = q * c
-        log_c = np.log(c, out=np.zeros_like(c), where=mix > 0.0)
+        log_c = np.log(c) if mix.all() else np.log(c, out=np.zeros_like(c), where=mix > 0.0)
         rate = (s[:, None] * above - np.log(den)) @ pz - (mix * log_c).sum(axis=1)
     return q_cond, q, f_dist, rate, np.array(iters), gap
 
@@ -116,9 +129,10 @@ def _tilted(expected_f, pz, s, q, full):
     """Row minima m over each lane's support, the tilt a over all letters
     (its exponent capped at _EXP_CAP off the support), den = a q, t = pz / den
     and c, stacked over lanes. ``full`` says that every lane's support has
-    every letter, so that no exponent is positive."""
+    every letter, so that no exponent is positive; m is then one row that
+    broadcasts over the lanes."""
     if full:
-        m = np.repeat(expected_f.min(axis=1)[None], s.size, axis=0)
+        m = expected_f.min(axis=1)[None]
         a = np.exp(s[:, None, None] * (expected_f - m[:, :, None]))
     else:
         m = np.where(q[:, None, :] > 0.0, expected_f, np.inf).min(axis=2)
@@ -132,7 +146,8 @@ def _ascend(expected_f, pz, s, q_row, m_row, a_row, den_row, t, c_row, max_iters
     """Damped active-set Newton ascent of one lane, from its start pmf and the
     start's row minima, tilt, den, t = pz / den and c over all letters. It
     leaves the same quantities at its final pmf in those rows and returns its
-    iteration count and max c over all letters there.
+    iteration count, max c over all letters there and whether its support
+    still has every letter.
 
     Each iteration after a move computes c at the new q and stops once the
     gap is at most gap_tol. Otherwise a dropped letter with c > 1 returns
@@ -254,7 +269,149 @@ def _ascend(expected_f, pz, s, q_row, m_row, a_row, den_row, t, c_row, max_iters
         a_row[:, sup] = a
         if out:
             a_row[:, out] = a_out
-    return iters, max(c_top, back)
+    return iters, max(c_top, back), not out
+
+
+def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
+    """Joint Newton iteration on (q, s) toward the curve's point at the
+    transform-domain distortion ``level`` (below the zero-rate end hi), from
+    the output pmf q_row at slope s < 0, such as a certified lane of
+    ``ba_fixed_slope_loop``.
+
+    On the support S of q it solves c_S = 1, sum q = 1 and f = level, with c
+    the kernel's gradient and f = sum_z p(z) E[e | z] the distortion of the
+    tilted conditional, by Newton steps on the bordered KKT system
+
+        [-H, g,   1] [dq ]   [1 - c_S  ]
+        [g', f_s, 0] [ds ] = [level - f]
+        [1', 0,   0] [dnu]   [0        ]
+
+    H = A_S' diag(p / den**2) A_S is the ascent's Hessian, g = dc_S/ds =
+    df/dq_S and f_s = df/ds = sum_z p(z) Var[e | z]: Phi is concave in q and
+    convex in s, and the system is that of its saddle point. It is solved
+    scaled, in u = dq / q and ds / |s|, with the ascent's smallest damping on
+    the diagonal. A step is kept when the scaled residual |q (1 - c_S)|**2 +
+    (s (level - f))**2 does not grow, and halved otherwise. It stops at the
+    simplex boundary and drops the letters it reaches, as the ascent does;
+    a dropped letter whose c exceeds every c on S returns (``_readmit``).
+    The slope moves at most to 3 s, and at most halfway to the flattest slope
+    known to lie above the level's: 0 at first, then any slope at which the
+    best letter alone was optimal (f = hi there, and the next slope is twice
+    as steep, which brings a letter back).
+
+    Returns (s, q, ok): the last slope and output pmf (over all letters) and
+    whether that point met gap <= gap_tol over every letter and |f - level|
+    <= tol_f. It gives up, not ok, once it has evaluated max_iters or
+    _NEWTON_ITERS points, or when no step reduces the residual. The point is
+    not certified here: the caller solves it again with
+    ``ba_fixed_slope_loop`` at its slope.
+    """
+    nx = expected_f.shape[1]
+    ql = np.asarray(q_row, dtype=float).tolist()
+    out = [x for x, v in enumerate(ql) if v == 0.0]
+    sup = np.array([x for x, v in enumerate(ql) if v > 0.0])
+    q = np.array([ql[x] for x in sup.tolist()])
+    q /= q.sum()
+    cap = min(max_iters, _NEWTON_ITERS)
+    iters, s_top = 1, 0.0
+    with np.errstate(under="ignore"):
+        at = _level_point(expected_f, pz, s, sup, out, q)
+        while True:
+            m, a, a_out, den, t, c, dev, f = at
+            c_out = t.dot(a_out).tolist() if out else []
+            back = max(c_out) if out else 0.0
+            c_top = max(c.tolist())
+            ok = math.log(max(c_top, back)) <= gap_tol and abs(f - level) <= tol_f
+            if ok or iters >= cap:
+                break
+            iters += 1
+            if back > c_top:
+                x = out.pop(c_out.index(back))
+                q, sup = _readmit(expected_f, pz, s, m, den, q, sup, x)
+                at = _level_point(expected_f, pz, s, sup, out, q)
+                continue
+            k = q.size
+            if k == 1:
+                if f < level:
+                    break  # the best letter alone is below the level only by roundoff
+                s_top = s
+                s *= _S_STEEPER
+                at = _level_point(expected_f, pz, s, sup, out, q)
+                continue
+            r = -s
+            ad = a * dev
+            b = a * q
+            kkt = np.zeros((k + 2, k + 2))
+            kkt[:k, :k] = -(b * (t / den)[:, None]).T.dot(b)
+            kkt.reshape(-1)[: k * (k + 3): k + 3] -= _LAM_MIN * c_top * q
+            kkt[:k, k] = kkt[k, :k] = r * q * t.dot(ad)
+            kkt[k, k] = r * r * float(q.dot(t.dot(ad * dev)))
+            kkt[:k, k + 1] = kkt[k + 1, :k] = q
+            rhs = np.zeros(k + 2)
+            rhs[:k] = res = q * (1.0 - c)
+            rhs[k] = lag = r * (level - f)
+            try:
+                sol = np.linalg.solve(kkt, rhs).tolist()
+            except np.linalg.LinAlgError:  # taken as an unbounded step
+                sol = [math.inf] * (k + 2)
+            ul, ds = sol[:k], r * sol[k]
+            size = max(max(map(abs, ul)), abs(ds) / r)
+            if not size < math.inf:
+                # f and c stand still in s here (saturated tilts): the slope
+                # alone moves, toward the level
+                s = s + _S_TOWARD_ZERO * (s_top - s) if f < level else _S_STEEPER * s
+                at = _level_point(expected_f, pz, s, sup, out, q)
+                continue
+            merit = float(res.dot(res)) + lag * lag
+            reach = [-1.0 / v if v < 0.0 else math.inf for v in ul]
+            alpha = min(1.0, min(reach))
+            if ds > 0.0:
+                alpha = min(alpha, _S_TOWARD_ZERO * (s_top - s) / ds)
+            elif ds < 0.0:
+                alpha = min(alpha, _S_STEEPER * r / -ds)
+            while True:
+                q_new = [0.0 if w <= alpha else v * (1.0 + alpha * d)
+                         for v, d, w in zip(q.tolist(), ul, reach)]
+                q_new = np.array(q_new) / sum(q_new)
+                s_new = s + alpha * ds
+                keep = q_new > 0.0
+                sup_new, out_new = sup, out
+                if not keep.all():
+                    sup_new, q_new = sup[keep], q_new[keep]
+                    out_new = out + sup[~keep].tolist()
+                at = _level_point(expected_f, pz, s_new, sup_new, out_new, q_new)
+                res = q_new * (1.0 - at[5])  # at[5] is c, at[7] f
+                lag = r * (level - at[7])
+                if float(res.dot(res)) + lag * lag <= merit:
+                    break
+                alpha *= 0.5
+                if alpha * size < 1e-15 or iters >= cap:
+                    alpha = 0.0
+                    break
+                iters += 1
+            if alpha == 0.0:
+                break  # no step reduces the residual
+            q, s, sup, out = q_new, s_new, sup_new, out_new
+    q_full = np.zeros(nx)
+    q_full[sup] = q
+    return s, q_full, ok
+
+
+def _level_point(expected_f, pz, s, sup, out, q):
+    """The tilt of support sup at slope s (``_tilt``), and at the pmf q on
+    it den, t = pz / den, c, the deviations e - E[e | z] and the distortion
+    f."""
+    m, a, a_out = _tilt(expected_f, sup, out, s)
+    den = a.dot(q)
+    t = pz / den
+    e = expected_f[:, sup] - m[:, None]
+    mean = (a * e).dot(q) / den  # E[e | z] - m(z)
+    return m, a, a_out, den, t, t.dot(a), e - mean[:, None], float(pz.dot(mean + m))
+
+
+_NEWTON_ITERS = 40   # points a joint Newton iteration evaluates before it gives up
+_S_TOWARD_ZERO = 0.5  # of the way to the flattest slope known to be too flat
+_S_STEEPER = 2.0      # times |s|
 
 
 _FLAT = 1e-14        # a change of Phi below this (relative) is roundoff

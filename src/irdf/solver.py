@@ -28,6 +28,16 @@ segment of the curve, whose level is reached by time-sharing the two ends.
 The bracket-width stop is relative to the slopes, so the search behaves
 alike at every transform-domain scale. Only the points a search returns
 become ``SlopePoint``s, with raw distortions from one vectorized f.invert.
+
+A lone level target (``solve_at_distortion``, each ``characterize`` route)
+first takes the search's own first lane, a cold solve at s = -1/span, and
+runs the joint Newton iteration on (q, s) from it (``kernels.level_newton``),
+which solves the slope and the fixed point together. Its point is solved
+again by the fixed-point kernel at its slope, from its pmf, in one call;
+certified, it joins the memo, where the search finds it on the level and
+returns it with no further solve. Otherwise the search goes on from the
+solves already made. Sweeps and the rate target of ``distortion_at_rate``
+run the search alone.
 All rates are nats internally; unit conversion happens only at reporting
 boundaries.
 
@@ -134,40 +144,31 @@ def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float,
     return float(w @ e.min(axis=1)), float((w @ e).min())
 
 
-def _zero_rate_point(amended: AmendedDistortions, pz: np.ndarray, clamped=False) -> SlopePoint:
-    """Analytic s=0 end of the curve: mass split over the best columns."""
-    e, w = _reduced(amended, pz)
-    col = w @ e
-    mask = col == col.min()
-    q_out = mask / mask.sum()
-    q_cond = np.tile(q_out, (amended.used_z.shape[0], 1))
-    f_dist = float(col[mask].mean())
-    return SlopePoint(
-        slope=0.0,
-        q_cond=q_cond,
-        q_out=q_out,
-        rate=0.0,
-        f_distortion=f_dist,
-        distortion=float(amended.f.invert(f_dist)),
-        iterations=0,
-        gap=0.0,
-        converged=True,
-        clamped=clamped,
-    )
-
-
 class _Problem:
-    """One amended problem, reduced to its used z, with its transform-domain
-    bounds and its analytic zero-rate point, built once for all the targets
-    solved on it."""
+    """One amended problem, reduced to its used z once, with its
+    transform-domain bounds and its analytic zero-rate point (s = 0: mass
+    split over the best columns), built once for all the targets solved on
+    it."""
 
     def __init__(self, amended: AmendedDistortions, pz: np.ndarray):
         self.amended = amended
-        self.e, self.w = _reduced(amended, pz)
-        self.lo, self.hi = f_domain_bounds(amended, pz)
-        self.zero = z = _zero_rate_point(amended, pz)
-        self.zero_row = np.concatenate(([0.0, z.f_distortion, 0.0, 0.0, 0.0], z.q_out,
-                                        z.q_cond[amended.used_z].ravel()))
+        self.e, self.w = e, w = _reduced(amended, pz)
+        col = w @ e
+        self.lo, self.hi = float(w @ e.min(axis=1)), float(col.min())
+        mask = col == self.hi
+        q_out = mask / mask.sum()
+        self.zero = SlopePoint(
+            slope=0.0,
+            q_cond=q_out[None].repeat(amended.used_z.size, axis=0),
+            q_out=q_out,
+            rate=0.0,
+            f_distortion=self.hi,
+            distortion=float(amended.f.invert(self.hi)),
+            iterations=0,
+            gap=0.0,
+            converged=True,
+        )
+        self.zero_row = np.concatenate([[0.0, self.hi, 0.0, 0.0, 0.0]] + [q_out] * (len(e) + 1))
 
 
 # columns of a memo row: slope, f_distortion, rate (before its clamp at 0),
@@ -193,6 +194,21 @@ def _lanes(e: np.ndarray, w: np.ndarray, slopes: np.ndarray, q0, cfg: SolverConf
     )
     return np.concatenate((np.array((slopes, f_dist, rate, gap, iters)).T, q_out,
                            q_cond.reshape(slopes.size, -1)), axis=1)
+
+
+def _join(memo: _Memo, new: np.ndarray, u: int) -> int:
+    """Append the memo rows ``new`` to ``memo.rows`` and insert the first u
+    of them (fixed-slope solves) in its columns; the index of the first new
+    row."""
+    base = 0 if memo.rows is None else len(memo.rows)
+    memo.rows = new if memo.rows is None else np.concatenate((memo.rows, new))
+    for b, (s, f, r) in enumerate(new[:u, :_GAP].tolist(), base):
+        j = bisect.bisect_left(memo.slope, s)
+        memo.slope.insert(j, s)
+        memo.f.insert(j, f)
+        memo.rate.insert(j, r)
+        memo.row.insert(j, b)
+    return base
 
 
 def _points(amended: AmendedDistortions, rows: np.ndarray, converged) -> list[SlopePoint]:
@@ -227,7 +243,7 @@ def ba_fixed_slope(
     if s > 0:
         raise ValueError(f"slope must be <= 0, got {s}")
     if s == 0.0:
-        return _zero_rate_point(amended, pz)
+        return _Problem(amended, pz).zero
     if q0 is not None:
         q0 = np.asarray(q0, dtype=float)[None]
     row = _lanes(*_reduced(amended, pz), np.array([float(s)]), q0, cfg)
@@ -355,18 +371,12 @@ def _search(problem: _Problem, levels: list[float], key, done, cfg: SolverConfig
             cold = _lanes(problem.e, problem.w, slopes[again], None, cfg)
             better = cold[:, _GAP] < new[again, _GAP]
             new[np.array(again)[better]] = cold[better]
-        base = len(memo.rows)
-        memo.rows = np.concatenate((memo.rows, new))
+        base = _join(memo, new, u)
         s_col, f_col, r_col = new[:, :_GAP].T.tolist()
         if mixes:
             for b, (t, g) in enumerate(zip(mix_t, key(f_col[u:], r_col[u:])), u):
                 found[t], ok[t] = base + b, done(g - levels[t], s_col[b], f_col[b])
-        for b, (s, f, r, k_new) in enumerate(zip(s_col, f_col, r_col, key(f_col[:u], r_col[:u]))):
-            j = bisect_left(memo.slope, s)
-            memo.slope.insert(j, s)
-            memo.f.insert(j, f)
-            memo.rate.insert(j, r)
-            memo.row.insert(j, base + b)
+        for s, k_new in zip(s_col, key(f_col[:u], r_col[:u])):
             for t in lanes[s]:
                 tried[t][s] = k_new - levels[t]
     rows = memo.rows[found]
@@ -414,7 +424,8 @@ def _solve_levels(
     level tolerance tol_f of ``levels``, found by one lockstep search. A
     level at the left curve endpoint itself gives the closest achievable
     point (rates there are within slope*tolerance of the limit). ``memo`` is
-    the search's, shared by the levels of one problem.
+    the search's, shared by the levels of one problem; without one, a lone
+    level seeds a new memo by the joint Newton iteration (``_newton_seed``).
     """
     lo, hi, zero = problem.lo, problem.hi, problem.zero
     tol_f = cfg.bisection_tol * max(1.0, hi - lo)
@@ -436,10 +447,35 @@ def _solve_levels(
             todo.append(level)
     if not todo:
         return pts
+    if memo is None:
+        memo = _Memo()
+        if len(levels) == 1:
+            _newton_seed(problem, todo[0], tol_f, cfg, memo)
     rows, conv = _search(problem, todo, lambda f, rate: f, lambda g, s, f: abs(g) <= tol_f, cfg,
-                         memo if memo is not None else _Memo())
+                         memo)
     found = iter(_points(problem.amended, rows, conv))
     return [p if p is not None else next(found) for p in pts]
+
+
+def _newton_seed(problem: _Problem, level: float, tol_f: float, cfg: SolverConfig,
+                 memo: _Memo) -> None:
+    """Seed an empty memo for a lone level: the search's own first lane, a
+    cold solve at s = -1/span, and, when the joint Newton iteration on (q, s)
+    started from it (``kernels.level_newton``) meets its tolerances, its
+    point solved again by the kernel at its slope from its pmf. That solve
+    joins the memo only if certified; on the level, it resolves the search
+    with no further solve."""
+    e, w = problem.e, problem.w
+    nx = e.shape[1]
+    cold = _lanes(e, w, np.array([-1.0 / (problem.hi - problem.lo)]), None, cfg)
+    new = cold
+    s, q, ok = kernels.level_newton(e, w, cold[0, _S], cold[0, _Q: _Q + nx], level, tol_f,
+                                    cfg.max_iters, cfg.gap_tol)
+    if ok and s != cold[0, _S]:  # else the cold solve is on the level itself
+        final = _lanes(e, w, np.array([s]), q[None], cfg)
+        if final[0, _GAP] <= cfg.gap_tol:
+            new = np.concatenate((cold, final))
+    _join(memo, new, len(new))
 
 
 def _solve_reduced_at(

@@ -1,6 +1,7 @@
 """Solver: slope fixed points, the slope search for a target level, sweeps,
 and the three-route equivalence."""
 
+import itertools
 import math
 
 import numpy as np
@@ -327,15 +328,17 @@ class TestSlopeSearch:
         # to 60.8026 at s* = -0.105877, supports {0, 2} and {0, 1, 2}); the
         # bracket collapses onto s*, and its ends came back off the level by
         # 0.545, 8.0 and -0.124, flagged converged
-        src, d, f, am = _segment_draw(draw)
-        lo, hi = f_domain_bounds(am, src.z_marginal)
-        level = lo + frac * (hi - lo)
-        pt = solve_at_distortion(src, d, f, float(f.invert(level)), amended=am)
-        assert abs(pt.f_distortion - level) <= SolverConfig().bisection_tol * max(1.0, hi - lo)
-        assert pt.converged == (pt.gap <= SolverConfig().gap_tol)
-        e, pz = _reduced(am, src.z_marginal)
-        lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
-        assert pt.rate - lower <= pt.gap + 1e-12
+        _check_segment_level(draw, frac)
+
+    @pytest.mark.parametrize("frac", [0.01, 0.3, 0.7])
+    @pytest.mark.parametrize("draw", [165, 270, 363])
+    def test_levels_on_linear_segments_through_the_search(self, monkeypatch, draw, frac):
+        # the joint Newton iteration gives up at once, so the lone level is
+        # left to the slope search, seeded with the cold solve
+        monkeypatch.setattr(kernels, "level_newton", lambda e, pz, s, q, *args: (s, q, False))
+        slopes = _count_solves(monkeypatch)
+        _check_segment_level(draw, frac)
+        assert len(slopes) > 1
 
     @pytest.mark.parametrize("n", [10, 40])
     @pytest.mark.parametrize("draw", [165, 270, 363])
@@ -413,6 +416,56 @@ class TestSlopeSearch:
         assert all(a < b < 0.0 for a, b in zip(memo.slope, memo.slope[1:]))
 
 
+@pytest.fixture(scope="module")
+def criterion_05_targets():
+    """The criterion-05 draws whose transform-domain span exceeds 1e-9 (the
+    others end at the analytic zero-rate point)."""
+    targets = []
+    for src, d, f, am, D in itertools.islice(_criterion_05_draws(), 100):
+        lo, hi = f_domain_bounds(am, src.z_marginal)
+        if hi - lo > 1e-9:
+            targets.append((src, d, f, am, D))
+    return targets
+
+
+class TestLoneLevel:
+    """A lone level target: a cold solve, the joint Newton iteration on
+    (q, s) from it, and one certifying kernel call at its slope."""
+
+    def test_certified_on_level_and_on_the_curve(self, criterion_05_targets):
+        cfg = SolverConfig()
+        for src, d, f, am, D in criterion_05_targets:
+            pt = solve_at_distortion(src, d, f, D, amended=am)
+            lo, hi = f_domain_bounds(am, src.z_marginal)
+            assert pt.converged and pt.gap <= cfg.gap_tol
+            assert abs(pt.f_distortion - f.apply(D)) <= cfg.bisection_tol * max(1.0, hi - lo)
+            e, pz = _reduced(am, src.z_marginal)
+            lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
+            assert pt.rate - lower <= pt.gap + 1e-12
+
+    def test_rate_matches_the_search(self, criterion_05_targets):
+        # at the default level tolerance the search's point may sit |s| *
+        # tol_f off in rate (4e-7 nats on one draw, where s = -930), while
+        # the joint point is on the level to roundoff; at characterize's
+        # tolerance the two agree
+        cfg = SolverConfig(bisection_tol=1e-12)
+        for src, d, f, am, D in criterion_05_targets:
+            pt = solve_at_distortion(src, d, f, D, cfg, amended=am)
+            alone = solver._solve_reduced_at(am, src.z_marginal, float(f.apply(D)), cfg,
+                                             solver._Memo())
+            assert alone.converged and abs(pt.rate - alone.rate) <= 1e-9
+
+    def test_kernel_calls_per_solve(self, monkeypatch, criterion_05_targets):
+        # the slope search alone took 7.0 one-lane calls per solve
+        slopes = _count_solves(monkeypatch)
+        calls = []
+        for src, d, f, am, D in criterion_05_targets:
+            before = len(slopes)
+            solve_at_distortion(src, d, f, D, amended=am)
+            calls.append(len(slopes) - before)  # one lane per call here
+        assert np.median(calls) <= 3 and min(calls) >= 2
+
+
 class TestTransformScale:
     @pytest.mark.parametrize("scale", [1.0, 1e12, 1e16])
     def test_scaled_loss_gives_unscaled_answers(self, scale):
@@ -463,11 +516,11 @@ class TestSweepDeterminism:
         np.testing.assert_array_equal(first.rates, second.rates)
 
 
-def _criterion_05_draw(index):
-    """Draw ``index`` (0-based) of the criterion-05 generator: source,
+def _criterion_05_draws():
+    """The draws of the criterion-05 generator, in order: source,
     distortion, transform, amended matrices and the raw target level."""
     rng = np.random.default_rng(20240817)
-    for _ in range(index + 1):
+    while True:
         nx, nz, nh = rng.integers(2, 5, size=3)
         joint = rng.random((nx, nz)) ** 2
         src = JointSource.from_joint(joint / joint.sum())
@@ -476,7 +529,12 @@ def _criterion_05_draw(index):
         am = build_amended(src, d, f)
         lo, hi = f_domain_bounds(am, src.z_marginal)
         target = lo + float(rng.uniform(0.15, 0.9)) * (hi - lo)
-    return src, d, f, am, float(f.invert(target))
+        yield src, d, f, am, float(f.invert(target))
+
+
+def _criterion_05_draw(index):
+    """Draw ``index`` (0-based) of the criterion-05 generator."""
+    return next(itertools.islice(_criterion_05_draws(), index, None))
 
 
 def _segment_draw(index):
@@ -490,6 +548,21 @@ def _segment_draw(index):
         d = DistortionMatrix(rng.random((nx, nh)))
         f = _random_transform(rng)
     return src, d, f, build_amended(src, d, f)
+
+
+def _check_segment_level(draw, frac):
+    """solve_at_distortion at ``frac`` of the span of segment draw ``draw``
+    is on its level, flagged as its gap says and within its gap of Blahut's
+    bound."""
+    src, d, f, am = _segment_draw(draw)
+    lo, hi = f_domain_bounds(am, src.z_marginal)
+    level = lo + frac * (hi - lo)
+    pt = solve_at_distortion(src, d, f, float(f.invert(level)), amended=am)
+    assert abs(pt.f_distortion - level) <= SolverConfig().bisection_tol * max(1.0, hi - lo)
+    assert pt.converged == (pt.gap <= SolverConfig().gap_tol)
+    e, pz = _reduced(am, src.z_marginal)
+    lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
+    assert pt.rate - lower <= pt.gap + 1e-12
 
 
 def _reduced(am, pz):
