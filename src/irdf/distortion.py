@@ -117,7 +117,7 @@ def f_separable_n(f: FTransform, d: DistortionMatrix, xs, xhats) -> float:
     xhats = np.asarray(xhats, dtype=int)
     if xs.shape != xhats.shape or xs.ndim != 1 or xs.size < 1:
         raise LengthMismatch(f"sequence shapes {xs.shape} and {xhats.shape}")
-    f.check_strictly_increasing(d.d_max)
+    f.check_domain(d.d_max)
     letters = d.values[xs, xhats]
     return float(f.invert(np.mean(f.apply(letters))))
 
@@ -161,7 +161,7 @@ def is_subadditive_sample(
         raise ValueError("trials must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    f.check_strictly_increasing(d.d_max)
+    f.check_domain(d.d_max)
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, d.n_source, size=(trials, n))
     xhats = rng.integers(0, d.n_reconstruction, size=(trials, n))
@@ -189,7 +189,7 @@ def build_amended(src: JointSource, d: DistortionMatrix, f: FTransform) -> Amend
         raise ValueError(
             f"distortion has {d.n_source} source rows, alphabet has {src.x_alphabet.size}"
         )
-    f.check_strictly_increasing(d.d_max)
+    f.check_domain(d.d_max)
     per_letter = f.apply(d.values)
     expected = np.einsum("xz,xh->zh", src.posterior, per_letter)
     used = src.used_z

@@ -132,7 +132,7 @@ def evaluate_code(
     ValueError if the code does not fit the source or the distortion.
     """
     _check_code(src, d, code)
-    f.check_strictly_increasing(d.d_max)
+    f.check_domain(d.d_max)
     cmp = _comparator_fn(comparator)
     _check_exact_size(src, d, code.n)
     pjoint = _product_pmf(src.joint, code.n)
@@ -173,7 +173,7 @@ def excess_event_equivalence(
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     _check_code(src, d, code)
-    f.check_strictly_increasing(d.d_max)
+    f.check_domain(d.d_max)
     delta = float(f.apply(D + gamma)) - float(f.apply(D))
     cmp = _comparator_fn(comparator)
     _check_exact_size(src, d, code.n)
@@ -211,7 +211,7 @@ def best_code_search(
     returns the same optimum and the same lexicographically-first tie-break
     as scanning every (encoder, decoder) pair.
     """
-    f.check_strictly_increasing(d.d_max)
+    f.check_domain(d.d_max)
     nz, nh = src.z_alphabet.size, d.n_reconstruction
     n_zseq, n_dseq = nz**n, nh**n
     conceptual = (M**n_zseq) * (nh ** (n * M))
@@ -253,7 +253,7 @@ def boundedness_check(d: DistortionMatrix, f: FTransform, n_max: int) -> BoundRe
     Idempotency of the transform-domain mean pins the supremum at d_max for
     every blocklength; small n are enumerated outright as a cross-check.
     """
-    f.check_strictly_increasing(d.d_max)
+    f.check_domain(d.d_max)
     delta = d.d_max
     sup_by_n: dict[int, float] = {}
     size = d.n_source * d.n_reconstruction

@@ -14,20 +14,28 @@ target alike.
 
 A search advances all of its targets (the levels of a sweep, or one level)
 in lockstep rounds over a flat memo: slope, distortion and rate columns
-sorted by slope, and the solved conditionals as rows of one array. Each
+sorted by slope, and the solved conditionals as rows of one array. A sweep's
+first kernel call is a ladder of slopes around s = -1/(hi - lo), the inverse
+of the transform-domain span, so that most levels start bracketed. Each
 round every unresolved target bisects the memo: a point on its level
 resolves it, the points around the level bracket it, or else doubling from
-the steepest of them (or from s = -1/(hi - lo), the inverse of the
-transform-domain span) does; inside a bracket, inverse quadratic
-interpolation (Brent 1973, "Algorithms for Minimization without
-Derivatives"), with Illinois (modified regula falsi) and bisection steps as
-fallbacks, closes in. Equal proposals merge, and the round's slopes go to
-one kernel call as lanes, each started from the output pmf of the nearest
-solved slope. A bracket that collapses onto one slope straddles a linear
-segment of the curve, whose level is reached by time-sharing the two ends.
-The bracket-width stop is relative to the slopes, so the search behaves
-alike at every transform-domain scale. Only the points a search returns
-become ``SlopePoint``s, with raw distortions from one vectorized f.invert.
+the steepest of them (or from -1/span) does. Inside a bracket the step is
+the root of a cubic model built from the two ends alone: in Blahut's
+parametric form (Blahut 1972, "Computation of channel capacity and
+rate-distortion functions") G(s) = s * D - R is convex with G'(s) = D, so
+two solved slopes give G and G' at both ends, and the cubic Hermite model
+of G through them has a quadratic G' whose root is the step. It is
+safeguarded as in Brent 1973 ("Algorithms for Minimization without
+Derivatives"): clamped to a monotone model, the secant where the bracket is
+too narrow for the rates' gaps and roundoff, and bisection when two steps
+have not halved the bracket. Equal proposals merge, and the round's slopes
+go to one kernel call as lanes, each started from the output pmf of the
+nearest solved slope. A bracket that collapses onto one slope straddles a
+linear segment of the curve, whose level is reached by time-sharing the two
+ends. The bracket-width stop is relative to the slopes, so the search
+behaves alike at every transform-domain scale. Only the points a search
+returns become ``SlopePoint``s, with raw distortions from one vectorized
+f.invert.
 
 A lone level target (``solve_at_distortion``, each ``characterize`` route)
 first takes the search's own first lane, a cold solve at s = -1/span, and
@@ -66,6 +74,11 @@ LN2 = float(np.log(2.0))
 _BRACKET_EPS = 1e-15  # bracket width, relative to its slopes, at which the search stops
 _MAX_SEARCH = 200
 _MAX_DOUBLINGS = 60
+_KAPPA_ERR = 0.5  # largest error in the cubic model's kappa that a search step uses it with
+_MAX_ROOT_STEPS = 60
+_EPS = float(np.finfo(float).eps)
+# the first kernel call of a multi-level search: slopes -LADDER / span
+_LADDER = tuple(2.0 ** (k / 2) for k in range(-6, 5))  # 1/8 to 4, ratio sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -179,36 +192,44 @@ _S, _F, _R, _GAP, _IT, _Q = range(6)
 class _Memo:
     """The fixed-slope solves (s < 0 only) on one problem: slope, f_distortion
     and rate columns in ascending slope order, and the index of each solve's
-    memo row in ``rows``, which also holds the other rows a search reads."""
+    memo row in ``rows``, which also holds the other rows a search reads.
+    ``rows`` grows by doubling, so that a round's rows are not copied again
+    with every later round; its first ``size`` rows are in use."""
 
     def __init__(self):
         self.rows: np.ndarray | None = None
+        self.size = 0
         self.slope, self.f, self.rate, self.row = [], [], [], []  # rate before its clamp at 0
 
+    def add(self, new: np.ndarray, u: int = 0) -> int:
+        """Append the memo rows ``new`` and insert the first u of them
+        (fixed-slope solves) in the columns; the index of the first new row."""
+        base, end = self.size, self.size + len(new)
+        if self.rows is None or end > len(self.rows):
+            grown = np.empty((2 * end, new.shape[1]))
+            if base:
+                grown[:base] = self.rows[:base]
+            self.rows = grown
+        self.rows[base:end] = new
+        self.size = end
+        for b, (s, f, r) in enumerate(new[:u, :_GAP].tolist(), base):
+            j = bisect.bisect_left(self.slope, s)
+            self.slope.insert(j, s)
+            self.f.insert(j, f)
+            self.rate.insert(j, r)
+            self.row.insert(j, b)
+        return base
 
-def _lanes(e: np.ndarray, w: np.ndarray, slopes: np.ndarray, q0, cfg: SolverConfig) -> np.ndarray:
+
+def _lanes(e: np.ndarray, w: np.ndarray, slopes, q0, cfg: SolverConfig) -> np.ndarray:
     """One kernel call on the reduced rows e, w with a lane per slope, started
     from the rows of q0 (uniform when None): a memo row per lane."""
+    slopes = np.asarray(slopes, dtype=float)
     q_cond, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
         e, w, slopes, cfg.max_iters, cfg.gap_tol, q0
     )
     return np.concatenate((np.array((slopes, f_dist, rate, gap, iters)).T, q_out,
                            q_cond.reshape(slopes.size, -1)), axis=1)
-
-
-def _join(memo: _Memo, new: np.ndarray, u: int) -> int:
-    """Append the memo rows ``new`` to ``memo.rows`` and insert the first u
-    of them (fixed-slope solves) in its columns; the index of the first new
-    row."""
-    base = 0 if memo.rows is None else len(memo.rows)
-    memo.rows = new if memo.rows is None else np.concatenate((memo.rows, new))
-    for b, (s, f, r) in enumerate(new[:u, :_GAP].tolist(), base):
-        j = bisect.bisect_left(memo.slope, s)
-        memo.slope.insert(j, s)
-        memo.f.insert(j, f)
-        memo.rate.insert(j, r)
-        memo.row.insert(j, b)
-    return base
 
 
 def _points(amended: AmendedDistortions, rows: np.ndarray, converged) -> list[SlopePoint]:
@@ -222,9 +243,10 @@ def _points(amended: AmendedDistortions, rows: np.ndarray, converged) -> list[Sl
         q_cond, q_used = np.repeat(q_out[:, None, :], used.size, axis=1), q_cond
         q_cond[:, used] = q_used
     raw = np.asarray(amended.f.invert(rows[:, _F]), dtype=float).tolist()
+    # positional arguments, in field order: keywords cost a frozen dataclass
+    # ~1.4 us more per point
     return [
-        SlopePoint(slope=s, q_cond=qc, q_out=qo, rate=max(0.0, r), f_distortion=fd,
-                   distortion=d, iterations=int(it), gap=g, converged=ok, clamped=r < 0.0)
+        SlopePoint(s, qc, qo, max(0.0, r), fd, d, int(it), g, ok, r < 0.0)
         for (s, fd, r, g, it), qc, qo, d, ok in zip(rows[:, :_Q].tolist(), q_cond, q_out, raw,
                                                     converged.tolist())
     ]
@@ -246,172 +268,210 @@ def ba_fixed_slope(
         return _Problem(amended, pz).zero
     if q0 is not None:
         q0 = np.asarray(q0, dtype=float)[None]
-    row = _lanes(*_reduced(amended, pz), np.array([float(s)]), q0, cfg)
+    row = _lanes(*_reduced(amended, pz), [float(s)], q0, cfg)
     return _points(amended, row, row[:, _GAP] <= cfg.gap_tol)[0]
 
 
-def _search(problem: _Problem, levels: list[float], key, done, cfg: SolverConfig,
-            memo: _Memo) -> tuple[np.ndarray, np.ndarray]:
-    """Slope searches for all ``levels`` at once, in lockstep rounds: the
+def _search(problem: _Problem, goals: list[float], done, cfg: SolverConfig, memo: _Memo,
+            by_rate: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Slope searches for all ``goals`` at once, in lockstep rounds: the
     memo row each one ends on and whether that point is converged.
 
-    ``key(f, rate)`` maps f_distortion and rate lists to the searched
-    quantity, increasing with the slope (the f_distortion, or minus the
-    rate); a level's residual g = key - level is positive at s = 0 and falls
-    as s decreases. ``done(g, s, f)`` accepts a point.
+    A goal is a transform-domain level, or with ``by_rate`` a rate in nats.
+    The searched key is the f_distortion, or minus the rate, which increases
+    with the slope, so a point's residual g, its key less the goal's, is
+    positive at s = 0 and falls as s decreases. ``done(g, s, f)`` accepts a
+    point.
 
     Each round every unresolved target bisects the key column for its root
     (the s = 0 point closes a bracket with no solve above it) and takes one
-    scalar step over the two solves on either side: the one ``done``
-    accepts with the smallest |g| is its result; with no solve below, its
-    lane doubles the steepest slope (or is -1/span); inside the bracket it
-    is the inverse quadratic interpolation through the last three (s, g) of
-    the target's history if that falls strictly inside, else the Illinois
-    secant (after the same end stays twice in a row its g is halved) if that
-    does, else the midpoint. The solves around the root start a history;
-    the bracket ends, nearest last, and the target's lanes join it, each
-    slope once. A bracket collapsed onto one slope straddles a linear
-    segment: its lane time-shares the two ends (``_mix``) and is the
+    step over the two solves on either side: the one ``done`` accepts with
+    the smaller |g| is its result; with no solve below, its lane doubles
+    the steepest slope (or is -1/span); inside the bracket it is ``_step``,
+    the root of a cubic model of the curve through the two ends, or the
+    midpoint once the target's last two steps have not halved its bracket.
+    A bracket collapsed onto one slope straddles a linear segment: its lane
+    time-shares the two ends at its lower slope (``_mix``) and is the
     result, flagged unconverged unless ``done`` accepts it, as is a solve
     settled on after ``_MAX_DOUBLINGS`` doublings or ``_MAX_SEARCH`` steps.
 
     Equal slopes merge into one kernel call, each regular lane started from
     the output pmf of the nearest solve (uniform while the memo is empty);
     lanes that end uncertified are solved again from the uniform start,
-    keeping the smaller gap (near a kink a warm start can stall where a cold
-    one certifies), and then join the memo.
+    keeping the smaller gap (near a kink a warm start can stall where a
+    cold one certifies), and then join the memo.
     """
     span = problem.hi - problem.lo
     nx = problem.e.shape[1]
-    zero = problem.zero_row
-    memo.rows = zero[None] if memo.rows is None else np.concatenate((memo.rows, zero[None]))
-    z_f, z_row = zero[_F], len(memo.rows) - 1
+    z_row = memo.add(problem.zero_row[None])
+    z_f = problem.hi
     bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
-    n = len(levels)
+    n = len(goals)
     found, ok = [z_row] * n, [True] * n
     rungs, steps = [0] * n, [0] * n  # doublings, and bracket steps
-    # the last step's bracket, its g as Illinois scaled them, and +1 when only
-    # s_hi moved, -1 when only s_lo moved
-    brk = [(math.nan, math.nan, math.nan, math.nan, 0)] * n
-    tried: list = [None] * n  # each target's history: g by slope, in the order joined
+    widths = [(math.inf, math.inf)] * n  # the target's brackets at its last two steps
     todo = list(range(n))
     while todo:
         m = len(memo.slope)
         # the memo's columns, the s = 0 point appended: it closes every bracket
-        S, F, R = memo.slope + [0.0], memo.f + [z_f], memo.row + [z_row]
-        K = key(F, memo.rate + [0.0])
+        S, F, R, row = memo.slope + [0.0], memo.f + [z_f], memo.rate + [0.0], memo.row + [z_row]
+        K = [-max(r, 0.0) for r in R] if by_rate else F
         lanes: dict[float, list[int]] = {}  # the targets proposing each slope
-        mixes = []
+        shares = []  # collapsed brackets: target, the ends' rows and residuals, slope
         for t in todo:
-            level = levels[t]
+            level = -goals[t] if by_rate else goals[t]
             i = bisect_right(K, level, 0, m)  # the solves below i are at or below the level
-            near = range(i - 2 if i > 2 else 0, i + 2 if i < m else m + 1)
-            best = None
-            for j in near:
-                g = K[j] - level
-                if done(g, S[j], F[j]) and (best is None or abs(g) < best[0]):
-                    best = (abs(g), j)
-            if best is not None:
-                found[t] = R[best[1]]
+            # of the solves around the root, the one done accepts with the smaller |g|
+            g_lo, g_hi = K[i - 1] - level if i else -math.inf, K[i] - level
+            hit = i - 1 if i and done(g_lo, S[i - 1], F[i - 1]) else None
+            if done(g_hi, S[i], F[i]) and (hit is None or g_hi < -g_lo):
+                hit = i
+            if hit is not None:
+                found[t] = row[hit]
                 continue
-            hist = tried[t]
-            if hist is None:  # the solves around the root start the history, nearest last
-                hist = tried[t] = dict(sorted(((S[j], K[j] - level) for j in near),
-                                              key=lambda p: -abs(p[1])))
             if i == 0:
                 if rungs[t] > _MAX_DOUBLINGS:  # never crossed: the left endpoint
-                    found[t], ok[t] = R[0], False
+                    found[t], ok[t] = row[0], False
                     continue
                 rungs[t] += 1
                 lanes.setdefault(2.0 * S[0] if m else -1.0 / span, []).append(t)
                 continue
-            s_lo, s_hi, g_lo, g_hi = S[i - 1], S[i], K[i - 1] - level, K[i] - level
+            s_lo, s_hi = S[i - 1], S[i]
             if s_hi - s_lo <= _BRACKET_EPS * abs(s_lo):
-                mixes.append((t, R[i - 1], R[i], g_lo, g_hi))
+                shares.append((t, row[i - 1], row[i], g_lo, g_hi, s_lo))
                 continue
             if steps[t] >= _MAX_SEARCH:
-                found[t], ok[t] = R[min((abs(K[j] - level), j) for j in near)[1]], False
+                found[t], ok[t] = row[i - 1 if -g_lo <= g_hi else i], False
                 continue
             steps[t] += 1
-            p_lo, p_hi, pg_lo, pg_hi, kept = brk[t]
-            gs_lo, gs_hi, k = g_lo, g_hi, 0
-            if s_lo == p_lo and s_hi != p_hi:
-                gs_lo, k = pg_lo * (0.5 if kept == 1 else 1.0), 1
-            elif s_hi == p_hi and s_lo != p_lo:
-                gs_hi, k = pg_hi * (0.5 if kept == -1 else 1.0), -1
-            brk[t] = s_lo, s_hi, gs_lo, gs_hi, k
-            # bracket ends solved for other targets join the history, nearest last
-            ends = (s_lo, g_lo), (s_hi, g_hi)
-            for s, g in ends[::-1] if abs(g_lo) < abs(g_hi) else ends:
-                hist.setdefault(s, g)
-            s_new = _iqi(list(hist.items())[-3:]) if len(hist) >= 3 else math.nan
-            if not s_lo < s_new < s_hi:
-                s_new = (s_lo * gs_hi - s_hi * gs_lo) / (gs_hi - gs_lo)
-                if not s_lo < s_new < s_hi:
-                    s_new = 0.5 * (s_lo + s_hi)
+            w1, w2 = widths[t]
+            widths[t] = s_hi - s_lo, w1
+            if s_hi - s_lo > 0.5 * w2:  # the last two steps did not halve the bracket
+                s_new = 0.5 * (s_lo + s_hi)
+            else:
+                s_new = _step(s_lo, s_hi, F[i - 1], F[i], R[i - 1], R[i], goals[t], by_rate,
+                              cfg.gap_tol)
             lanes.setdefault(s_new, []).append(t)
         todo = [t for ts in lanes.values() for t in ts]
-        if not (lanes or mixes):
+        if not (lanes or shares):
             continue
         uniq = sorted(lanes)
         u = len(uniq)
         starts = None  # cold while the memo is empty, which also rules out time-sharing
         if m:  # the nearer solve, the lower one on a tie
             at = [bisect_left(S, s, 0, m) for s in uniq]
-            starts = memo.rows[[R[j - 1] if j == m or (j and s - S[j - 1] <= S[j] - s) else R[j]
-                                for s, j in zip(uniq, at)], _Q: _Q + nx]
-        slopes = np.array(uniq)
-        if mixes:
-            mix_t, lo, hi, g_lo, g_hi = (list(c) for c in zip(*mixes))
-            chord, mix_q = _mix(memo.rows[lo], np.array(g_lo), memo.rows[hi], np.array(g_hi), nx)
-            slopes, starts = np.concatenate((slopes, chord)), np.concatenate((starts, mix_q))
+            starts = memo.rows[[row[j - 1] if j == m or (j and s - S[j - 1] <= S[j] - s)
+                                else row[j] for s, j in zip(uniq, at)], _Q: _Q + nx]
+        slopes = uniq
+        if shares:
+            share_t, lo, hi, g_lo, g_hi, at_s = (list(c) for c in zip(*shares))
+            slopes = uniq + at_s
+            starts = np.concatenate((starts, _mix(memo.rows[lo], np.array(g_lo), memo.rows[hi],
+                                                  np.array(g_hi), nx)))
         new = _lanes(problem.e, problem.w, slopes, starts, cfg)
         again = [b for b, g in enumerate(new[:u, _GAP].tolist()) if g > cfg.gap_tol] if m else []
         if again:
-            cold = _lanes(problem.e, problem.w, slopes[again], None, cfg)
+            cold = _lanes(problem.e, problem.w, [uniq[b] for b in again], None, cfg)
             better = cold[:, _GAP] < new[again, _GAP]
             new[np.array(again)[better]] = cold[better]
-        base = _join(memo, new, u)
-        s_col, f_col, r_col = new[:, :_GAP].T.tolist()
-        if mixes:
-            for b, (t, g) in enumerate(zip(mix_t, key(f_col[u:], r_col[u:])), u):
-                found[t], ok[t] = base + b, done(g - levels[t], s_col[b], f_col[b])
-        for s, k_new in zip(s_col, key(f_col[:u], r_col[:u])):
-            for t in lanes[s]:
-                tried[t][s] = k_new - levels[t]
+        base = memo.add(new, u)
+        if shares:
+            for b, (t, (s, f, r)) in enumerate(zip(share_t, new[u:, :_GAP].tolist()), base + u):
+                g = goals[t] - max(r, 0.0) if by_rate else f - goals[t]
+                found[t], ok[t] = b, done(g, s, f)
     rows = memo.rows[found]
     return rows, np.array(ok) & (rows[:, _GAP] <= cfg.gap_tol)
 
 
-def _iqi(pairs) -> float:
-    """Inverse quadratic interpolation: the root of the quadratic in g that
-    passes through the three (s, g) pairs; nan unless the g are distinct."""
-    (sa, ga), (sb, gb), (sc, gc) = pairs
-    if ga == gb or ga == gc or gb == gc:
-        return math.nan
-    return (sa * gb * gc / ((ga - gb) * (ga - gc))
-            + sb * ga * gc / ((gb - ga) * (gb - gc))
-            + sc * ga * gb / ((gc - ga) * (gc - gb)))
+def _step(s_lo: float, s_hi: float, f_lo: float, f_hi: float, r_lo: float, r_hi: float,
+          goal: float, by_rate: bool, gap_tol: float) -> float:
+    """The next slope inside the bracket (s_lo, s_hi) toward ``goal``.
+
+    In Blahut's parametric form G(s) = s * f - R is convex, with G'(s) = f
+    and R = s * G' - G. So the two ends give G and G' at both ends, and the
+    cubic Hermite model of G through them has a quadratic derivative, in
+    t = (s - s_lo) / (s_hi - s_lo):
+
+        f(t) = f_lo + (f_hi - f_lo) * (t + kappa * t * (1 - t)),
+
+    with kappa = 6 (mean f - f_lo) / (f_hi - f_lo) - 3 and the mean f over
+    the bracket (G(s_hi) - G(s_lo)) / (s_hi - s_lo). A level goal is the
+    model's root of f(t) = goal, a rate goal the root of the model's rate
+    R(t) = s(t) f(t) - G(t), a cubic with R' = s f' (``_rate_root``). Both
+    are exact when f is quadratic in s.
+
+    Safeguards: the model is monotone only for |kappa| <= 1; beyond that no
+    quadratic fits (as where f jumps across a linear segment of the curve)
+    and kappa is clamped to +-1, which keeps f(t) monotone between the two
+    ends (a rate goal takes the secant there, since the clamped model no
+    longer meets r_hi). When the bracket is too narrow for kappa to be known
+    (mean f - f_lo cancels to within the rates' gaps and roundoff), the step
+    is the secant; a step outside the bracket is the midpoint.
+    """
+    h, d = s_hi - s_lo, f_hi - f_lo
+    mid = 0.5 * (s_lo + s_hi)
+    if not d > 0.0:
+        return mid
+    # h * (mean f - f_lo), and a bound on its error: each rate is within its
+    # gap of the curve, and every term carries roundoff
+    lift = s_hi * d - (r_hi - r_lo)
+    err = 2.0 * gap_tol + 4.0 * _EPS * (abs(s_hi) * (abs(f_lo) + abs(f_hi))
+                                        + abs(r_lo) + abs(r_hi))
+    known = 6.0 * err <= _KAPPA_ERR * h * d
+    kappa = 6.0 * lift / (h * d) - 3.0 if known else 0.0
+    if by_rate:
+        x = (_rate_root(s_lo, h, d, kappa, r_lo - goal) if known and abs(kappa) <= 1.0
+             else (r_lo - goal) / (r_lo - r_hi))
+    else:
+        kappa = max(-1.0, min(1.0, kappa))
+        u = (goal - f_lo) / d
+        x = 2.0 * u / ((1.0 + kappa) + math.sqrt(max((1.0 + kappa) ** 2 - 4.0 * kappa * u, 0.0)))
+    s = s_lo + x * h
+    return s if s_lo < s < s_hi else mid
+
+
+def _rate_root(s_lo: float, h: float, d: float, kappa: float, r0: float) -> float:
+    """The root in [0, 1] of the model's rate residual
+
+        P(t) = r0 + d * (s_lo * ((1 + kappa) t - kappa t**2)
+                         + h * ((1 + kappa) t**2 / 2 - 2 kappa t**3 / 3)),
+
+    P(0) = r0 >= 0 > P(1), P'(t) = d (1 + kappa - 2 kappa t) (s_lo + h t) <= 0:
+    Newton's method kept in a shrinking bracket, bisecting a step that
+    leaves it."""
+    a, b = 0.0, 1.0
+    x = 0.5
+    for _ in range(_MAX_ROOT_STEPS):
+        p = r0 + d * (s_lo * ((1.0 + kappa) * x - kappa * x * x)
+                      + h * ((0.5 + 0.5 * kappa) * x * x - (2.0 / 3.0) * kappa * x ** 3))
+        if p > 0.0:
+            a = x
+        else:
+            b = x
+        slope = d * (1.0 + kappa - 2.0 * kappa * x) * (s_lo + h * x)
+        x_new = x - p / slope if slope < 0.0 else math.nan
+        if not a < x_new < b:
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) <= 1e-15:
+            return x_new
+        x = x_new
+    return x
 
 
 def _mix(lo: np.ndarray, g_lo: np.ndarray, hi: np.ndarray, g_hi: np.ndarray, nx: int):
-    """Time-sharing lanes between the two ends of collapsed brackets (memo
-    rows lo and hi, residuals g_lo and g_hi): the slopes of their chords and
-    the mixes of their output pmfs.
+    """The start pmfs of time-sharing lanes between memo rows lo and hi,
+    the ends of collapsed brackets with residuals g_lo <= 0 < g_hi: the mix
+    of their output pmfs with the weight that puts the residual on 0.
 
-    Both ends maximize Phi at (nearly) one slope s*. Phi is strictly concave
-    in den = A q, so every maximizer at s* has the same den, and the
-    distortion and the rate are linear along the segment between the two
-    output pmfs, whose slope is s*. The weight that puts the residual on 0
-    puts the point on its level. The chord's slope is taken from the ends'
-    rates and distortions rather than from the bracket: near s* the solves
-    are optimal only to the gap, so the bracket can collapse a little off
-    s*, where the mix is not optimal and the kernel cannot certify it.
+    Both ends maximize Phi, to their gaps, at one slope s (the bracket's
+    ends differ by at most its relative width). Phi is strictly concave in
+    den = A q, so every maximizer has the same den, the distortion and the
+    rate are linear along the segment between the two output pmfs, and the
+    mix is on the goal. It is certified at s too: each multiplier c(x) is
+    convex in q, so at the mix it is at most the same mix of the ends'.
     """
     w = (g_lo / (g_lo - g_hi))[:, None]
-    chord = ((np.maximum(hi[:, _R], 0.0) - np.maximum(lo[:, _R], 0.0))
-             / (hi[:, _F] - lo[:, _F]))
-    return chord, (1.0 - w) * lo[:, _Q: _Q + nx] + w * hi[:, _Q: _Q + nx]
+    return (1.0 - w) * lo[:, _Q: _Q + nx] + w * hi[:, _Q: _Q + nx]
 
 
 def _solve_levels(
@@ -425,7 +485,9 @@ def _solve_levels(
     level at the left curve endpoint itself gives the closest achievable
     point (rates there are within slope*tolerance of the limit). ``memo`` is
     the search's, shared by the levels of one problem; without one, a lone
-    level seeds a new memo by the joint Newton iteration (``_newton_seed``).
+    level seeds a new memo by the joint Newton iteration (``_newton_seed``),
+    and several levels by one kernel call on a ladder of slopes around
+    -1/span (``_LADDER``).
     """
     lo, hi, zero = problem.lo, problem.hi, problem.zero
     tol_f = cfg.bisection_tol * max(1.0, hi - lo)
@@ -451,8 +513,10 @@ def _solve_levels(
         memo = _Memo()
         if len(levels) == 1:
             _newton_seed(problem, todo[0], tol_f, cfg, memo)
-    rows, conv = _search(problem, todo, lambda f, rate: f, lambda g, s, f: abs(g) <= tol_f, cfg,
-                         memo)
+        elif len(todo) > 1:
+            memo.add(_lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER], None, cfg),
+                     len(_LADDER))
+    rows, conv = _search(problem, todo, lambda g, s, f: abs(g) <= tol_f, cfg, memo)
     found = iter(_points(problem.amended, rows, conv))
     return [p if p is not None else next(found) for p in pts]
 
@@ -467,15 +531,15 @@ def _newton_seed(problem: _Problem, level: float, tol_f: float, cfg: SolverConfi
     with no further solve."""
     e, w = problem.e, problem.w
     nx = e.shape[1]
-    cold = _lanes(e, w, np.array([-1.0 / (problem.hi - problem.lo)]), None, cfg)
+    cold = _lanes(e, w, [-1.0 / (problem.hi - problem.lo)], None, cfg)
     new = cold
     s, q, ok = kernels.level_newton(e, w, cold[0, _S], cold[0, _Q: _Q + nx], level, tol_f,
                                     cfg.max_iters, cfg.gap_tol)
     if ok and s != cold[0, _S]:  # else the cold solve is on the level itself
-        final = _lanes(e, w, np.array([s]), q[None], cfg)
+        final = _lanes(e, w, [s], q[None], cfg)
         if final[0, _GAP] <= cfg.gap_tol:
             new = np.concatenate((cold, final))
-    _join(memo, new, len(new))
+    memo.add(new, len(new))
 
 
 def _solve_reduced_at(
@@ -633,7 +697,8 @@ def distortion_at_rate(
         # short of rate_nats within the level tolerance of d_min
         return g > 0.0 and f <= lo + tol_f
 
-    rows, conv = _search(problem, [-rate_nats], lambda f, rate: [-max(r, 0.0) for r in rate],
-                         lambda g, s, f: abs(g) <= -s * tol_f or saturated(g, f), cfg, _Memo())
+    rows, conv = _search(problem, [rate_nats],
+                         lambda g, s, f: abs(g) <= -s * tol_f or saturated(g, f), cfg, _Memo(),
+                         by_rate=True)
     pt = _certified(_points(problem.amended, rows, conv)[0], cfg)
     return d_lo if saturated(rate_nats - pt.rate, pt.f_distortion) else pt.distortion

@@ -11,6 +11,7 @@ from irdf import (
     EmptyInput,
     FTransform,
     LengthMismatch,
+    OutOfRange,
     build_amended,
     f_separable_n,
     is_subadditive_sample,
@@ -217,3 +218,9 @@ class TestBuildAmended:
         am = build_amended(erasure_source(0.0), HAMMING, FTransform.identity())
         assert am.used_z.tolist() == [True, False, True]
         np.testing.assert_array_equal(am.expected_f[1], [0.0, 0.0])
+
+    def test_tabulated_table_short_of_d_max_raises(self):
+        # the table stops at 0.8 and the Hamming loss reaches 1
+        f = FTransform.tabulated([[0.0, 0.0], [0.8, 1.0]])
+        with pytest.raises(OutOfRange):
+            build_amended(bsc_source(0.15), HAMMING, f)

@@ -87,7 +87,20 @@ def test_shifted_cubic_inverts_negative_values():
 
 @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name())
 def test_strictly_increasing_check_passes(f):
-    f.check_strictly_increasing(1.0)
+    # every parametric kind is strictly increasing by its parameter check and
+    # defined on [0, d_max] for any d_max
+    f.check_domain(1.0)
+    f.check_domain(1e6)
+    assert np.all(np.diff(f.apply(np.linspace(0.0, 1.0, 101))) > 0.0)
+
+
+def test_tabulated_table_must_cover_the_distortions():
+    f = FTransform.tabulated([[0.0, 0.0], [0.5, 1.0], [1.0, 1.5]])
+    f.check_domain(1.0)
+    with pytest.raises(OutOfRange):
+        f.check_domain(1.5)
+    with pytest.raises(OutOfRange):
+        FTransform.tabulated([[0.2, 0.0], [1.0, 1.0]]).check_domain(1.0)
 
 
 def test_parameter_validation():

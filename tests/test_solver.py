@@ -193,6 +193,16 @@ class TestSweep:
                 worst = max(worst, rs[j] - 0.5 * (rs[j - step] + rs[j + step]))
         assert worst >= 1e-3
 
+    def test_steep_power_matches_closed_form(self):
+        # x**200 underflows to 0 near 0, which a sampled monotonicity scan
+        # took for a flat transform: the curve raised MonotonicityError
+        f = FTransform.power(200.0)
+        m, src, d = bsc_problem(0.1, f)
+        curve = sweep_curve(src, d, f, 40)
+        assert curve.all_converged
+        for pt in curve.points:
+            assert abs(pt.rate - bsc_irdf(m, pt.distortion)) <= 1e-8
+
     def test_transform_axis_still_convex_for_exponential(self):
         f = FTransform.exponential(9.2)
         m, src, d = bsc_problem(0.01, f)
@@ -306,9 +316,10 @@ class TestSlopeSearch:
     )
     def test_kernel_calls_per_sweep(self, monkeypatch, beta, f, n):
         # the targets advance in lockstep, one kernel call per round (plus a
-        # cold retry when a warm lane ends uncertified); one call per solve
-        # made ~125 calls for 40 points, and the 200-point headline curve
-        # takes 10 calls of 642 lanes
+        # cold retry when a warm lane ends uncertified): a ladder of slopes,
+        # then cubic model steps, 4, 5 and 6 calls here; one call per solve
+        # made ~125 calls for 40 points, and doubling from -1/span with
+        # inverse quadratic steps 9, 8 and 10
         m, src, d = bsc_problem(beta, f)
         calls = []
         real = kernels.ba_fixed_slope_loop
@@ -320,7 +331,7 @@ class TestSlopeSearch:
         monkeypatch.setattr(kernels, "ba_fixed_slope_loop", counted)
         curve = sweep_curve(src, d, f, n)
         assert curve.all_converged
-        assert len(calls) <= 15 and max(calls) > 1
+        assert len(calls) <= 6 and max(calls) > 1
 
     @pytest.mark.parametrize("draw, frac", [(165, 0.3), (165, 0.7), (363, 0.01)])
     def test_levels_on_linear_segments(self, draw, frac):
@@ -382,6 +393,50 @@ class TestSlopeSearch:
             assert pt.converged and abs(pt.f_distortion - level) <= tol_f
             assert abs(pt.rate - oracle(m, pt.distortion)) <= 1e-8
 
+
+    def test_conjugate_is_convex_between_memo_solves(self, monkeypatch):
+        # the identity the search step rests on: G(s) = s * f - rate is
+        # convex with G' = f, so between consecutive solves G rises by
+        # between f_1 * h and f_2 * h, up to the two gaps
+        memos = []
+
+        class Recorded(solver._Memo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(solver, "_Memo", Recorded)
+        pairs = 0
+        for draw in range(100):
+            src, d, f, am = _segment_draw(draw)
+            memos.clear()
+            sweep_curve(src, d, f, 10)
+            for memo in memos:
+                gaps = np.maximum(memo.rows[memo.row, solver._GAP], 0.0)
+                cols = zip(memo.slope, memo.f, memo.rate, gaps)
+                for (s1, f1, r1, g1), (s2, f2, r2, g2) in itertools.pairwise(cols):
+                    h, rise = s2 - s1, (s2 * f2 - r2) - (s1 * f1 - r1)
+                    slack = g1 + g2 + 1e-14 * (abs(s1 * f1) + abs(s2 * f2) + abs(r1) + abs(r2))
+                    assert f1 * h - slack <= rise <= f2 * h + slack
+                    pairs += 1
+        assert pairs > 1000
+
+    @pytest.mark.parametrize("by_rate", [False, True], ids=["level", "rate"])
+    def test_step_is_exact_for_quadratic_distortion(self, by_rate):
+        # f(s) = 0.4 + (s + 2) + 0.3 (s + 2)**2 rises on [-3, -1], so G is
+        # the cubic its Hermite model reproduces, and the step lands on the
+        # root of the goal in one go
+        def point(s):
+            x = s + 2.0
+            f = 0.4 + x + 0.3 * x * x
+            return f, s * f - (0.25 + 0.4 * x + 0.5 * x * x + 0.1 * x ** 3)
+
+        root = -1.7
+        f_root, r_root = point(root)
+        (f_lo, r_lo), (f_hi, r_hi) = point(-3.0), point(-1.0)
+        goal = r_root if by_rate else f_root
+        s = solver._step(-3.0, -1.0, f_lo, f_hi, r_lo, r_hi, goal, by_rate, 1e-12)
+        assert s == pytest.approx(root, abs=1e-12)
 
     def test_uncertified_warm_start_is_solved_again_cold(self, monkeypatch):
         # next to a kink of the curve a warm start can stall uncertified where
