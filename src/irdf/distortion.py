@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch
+from .errors import EmptyInput, LengthMismatch, OutOfRange
 from .ftransform import FTransform
 from .source import JointSource
 
@@ -190,7 +190,10 @@ def build_amended(src: JointSource, d: DistortionMatrix, f: FTransform) -> Amend
             f"distortion has {d.n_source} source rows, alphabet has {src.x_alphabet.size}"
         )
     f.check_domain(d.d_max)
-    per_letter = f.apply(d.values)
+    with np.errstate(over="ignore"):
+        per_letter = f.apply(d.values)
+    if not np.isfinite(per_letter).all():  # exponential at rho * d_max above ~709.78, say
+        raise OutOfRange(f"{f.name()} overflows on the distortions, up to {d.d_max:g}")
     expected = np.einsum("xz,xh->zh", src.posterior, per_letter)
     used = src.used_z
     expected[~used] = 0.0
@@ -199,7 +202,7 @@ def build_amended(src: JointSource, d: DistortionMatrix, f: FTransform) -> Amend
         equivalent[used] = f.invert(expected[used])
         drift = np.abs(f.apply(equivalent[used]) - expected[used])
         err = np.max(drift / np.maximum(1.0, np.abs(expected[used])))
-        if err > _AMEND_ATOL:
+        if not err <= _AMEND_ATOL:  # NaN fails too
             raise AssertionError(
                 f"relative transform inverse drift {err:g} exceeds {_AMEND_ATOL:g}"
             )

@@ -135,7 +135,7 @@ class FTransform:
             out = np.exp(self.rho * arr)
         else:
             xs, ys = self.points[:, 0], self.points[:, 1]
-            if np.any(arr < xs[0] - _RANGE_SLACK) or np.any(arr > xs[-1] + _RANGE_SLACK):
+            if (arr < xs[0] - _RANGE_SLACK).any() or (arr > xs[-1] + _RANGE_SLACK).any():
                 raise OutOfRange(
                     f"tabulated transform queried outside [{xs[0]:g}, {xs[-1]:g}]"
                 )
@@ -148,17 +148,17 @@ class FTransform:
         if self.kind == "identity":
             out = arr + 0.0
         elif self.kind == "power":
-            if np.any(arr < -_RANGE_SLACK):
+            if (arr < -_RANGE_SLACK).any():
                 raise OutOfRange("power transform values are nonnegative")
-            out = np.clip(arr, 0.0, None) ** (1.0 / self.p)
+            out = np.maximum(arr, 0.0) ** (1.0 / self.p)
         elif self.kind == "sqrt":
-            if np.any(arr < -_RANGE_SLACK):
+            if (arr < -_RANGE_SLACK).any():
                 raise OutOfRange("sqrt transform values are nonnegative")
-            out = np.clip(arr, 0.0, None) ** 2
+            out = np.maximum(arr, 0.0) ** 2
         elif self.kind == "shifted_cubic":
             out = np.cbrt(arr) + self.a
         elif self.kind == "exponential":
-            if np.any(arr <= 0.0):
+            if (arr <= 0.0).any():
                 raise OutOfRange("exponential transform values are positive")
             out = np.log(arr) / self.rho
         else:
@@ -167,7 +167,7 @@ class FTransform:
 
     def _invert_tabulated(self, arr: np.ndarray) -> np.ndarray:
         xs, ys = self.points[:, 0], self.points[:, 1]
-        if np.any(arr < ys[0] - _RANGE_SLACK) or np.any(arr > ys[-1] + _RANGE_SLACK):
+        if (arr < ys[0] - _RANGE_SLACK).any() or (arr > ys[-1] + _RANGE_SLACK).any():
             raise OutOfRange(f"value outside tabulated range [{ys[0]:g}, {ys[-1]:g}]")
         return np.interp(arr, ys, xs)
 

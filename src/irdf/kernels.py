@@ -29,9 +29,11 @@ A lone level target has a third kernel, ``level_newton``: Newton steps on
 the joint KKT system in the output pmf and the slope (Boyd & Vandenberghe
 2004, "Convex Optimization", sections 10.2-10.3, for the bordered Newton
 step), which move the slope and the fixed point together toward the point
-of the curve at a given distortion. It certifies nothing itself: its point
-is handed to the fixed-point kernel, which certifies it once, at the end,
-instead of at every slope a root search on s would try.
+of the curve at a given distortion. Its start is a fixed-point lane solved
+only loosely, to the gap _START_GAP, and its last point goes through the
+same end assembly as the fixed-point kernel's lanes (``_assemble``), so one
+piece of code certifies every point, once, where it lands, instead of at
+every slope a root search on s would try.
 """
 
 from __future__ import annotations
@@ -103,26 +105,39 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
                     iters[b], c_top[b], kept = _ascend(expected_f, pz, s[b], q[b], m[b], a[b],
                                                        den[b], t[b], c[b], max_iters, gap_tol)
                     full = full and kept
-        gap = np.log(c_top)
-        # on full supports no exponent is positive, so no tilt is capped
-        if (not full and a.max(initial=0.0) >= _A_CAP) or gap.max(initial=0.0) == math.inf:
-            # a capped tilt understates c off the support, and c there may
-            # overflow: there log c comes by log-sum-exp over z
-            sup = q > 0.0
-            terms = np.log(pz / den)[:, :, None] + s[:, None, None] * (expected_f - m[:, :, None])
-            top = terms.max(axis=1)
-            off = top + np.log(np.exp(terms - top[:, None, :]).sum(axis=1))
-            c = np.where(sup, c, 0.0)
-            gap = np.maximum(np.log(c.max(axis=1)), np.where(sup, -np.inf, off).max(axis=1))
-        q_cond = a * (q[:, None, :] / den[:, :, None])
-        above = (q_cond * (expected_f - m[:, :, None])).sum(axis=2)  # E[e | z] - m(z)
-        f_dist = (above + m) @ pz
-        # I(Z; Xhat) = sum p q_cond log(q_cond / q) - mix . log(mix / q), with
-        # mix = q * c = pz @ q_cond and mix / q = c on the support
-        mix = q * c
-        log_c = np.log(c) if mix.all() else np.log(c, out=np.zeros_like(c), where=mix > 0.0)
-        rate = (s[:, None] * above - np.log(den)) @ pz - (mix * log_c).sum(axis=1)
+        q_cond, f_dist, rate, gap = _assemble(expected_f, pz, s, q, m, a, den, c, c_top, full)
     return q_cond, q, f_dist, rate, np.array(iters), gap
+
+
+def _assemble(expected_f, pz, s, q, m, a, den, c, c_top, full):
+    """The results of lanes at their output pmfs q, stacked over lanes: the
+    tilted conditional, the distortion, the rate and Blahut's gap, from the
+    row minima m over each support, the tilt a over all letters (its exponent
+    capped at _EXP_CAP off the support), den = a q, c over all letters, its
+    maximum c_top per lane, and whether every support has every letter
+    (``full``). Every point a kernel returns is certified here: the lanes of
+    ``ba_fixed_slope_loop`` and the last point of ``level_newton``.
+    """
+    gap = np.log(c_top)
+    # on full supports no exponent is positive, so no tilt is capped
+    if (not full and a.max(initial=0.0) >= _A_CAP) or gap.max(initial=0.0) == math.inf:
+        # a capped tilt understates c off the support, and c there may
+        # overflow: there log c comes by log-sum-exp over z
+        sup = q > 0.0
+        terms = np.log(pz / den)[:, :, None] + s[:, None, None] * (expected_f - m[:, :, None])
+        top = terms.max(axis=1)
+        off = top + np.log(np.exp(terms - top[:, None, :]).sum(axis=1))
+        c = np.where(sup, c, 0.0)
+        gap = np.maximum(np.log(c.max(axis=1)), np.where(sup, -np.inf, off).max(axis=1))
+    q_cond = a * (q[:, None, :] / den[:, :, None])
+    above = (q_cond * (expected_f - m[:, :, None])).sum(axis=2)  # E[e | z] - m(z)
+    f_dist = (above + m) @ pz
+    # I(Z; Xhat) = sum p q_cond log(q_cond / q) - mix . log(mix / q), with
+    # mix = q * c = pz @ q_cond and mix / q = c on the support
+    mix = q * c
+    log_c = np.log(c) if mix.all() else np.log(c, out=np.zeros_like(c), where=mix > 0.0)
+    rate = (s[:, None] * above - np.log(den)) @ pz - (mix * log_c).sum(axis=1)
+    return q_cond, f_dist, rate, gap
 
 
 def _tilted(expected_f, pz, s, q, full):
@@ -275,8 +290,10 @@ def _ascend(expected_f, pz, s, q_row, m_row, a_row, den_row, t, c_row, max_iters
 def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     """Joint Newton iteration on (q, s) toward the curve's point at the
     transform-domain distortion ``level`` (below the zero-rate end hi), from
-    the output pmf q_row at slope s < 0, such as a certified lane of
-    ``ba_fixed_slope_loop``.
+    the output pmf q_row at slope s < 0, such as a lane of
+    ``ba_fixed_slope_loop`` solved to the gap _START_GAP: within a start's
+    residual of that size the iteration is in its quadratic regime, so a
+    tighter start buys nothing.
 
     On the support S of q it solves c_S = 1, sum q = 1 and f = level, with c
     the kernel's gradient and f = sum_z p(z) E[e | z] the distortion of the
@@ -299,12 +316,15 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     best letter alone was optimal (f = hi there, and the next slope is twice
     as steep, which brings a letter back).
 
-    Returns (s, q, ok): the last slope and output pmf (over all letters) and
-    whether that point met gap <= gap_tol over every letter and |f - level|
-    <= tol_f. It gives up, not ok, once it has evaluated max_iters or
-    _NEWTON_ITERS points, or when no step reduces the residual. The point is
-    not certified here: the caller solves it again with
-    ``ba_fixed_slope_loop`` at its slope.
+    It stops once a point meets gap <= gap_tol over every letter and |f -
+    level| <= tol_f, and gives up once it has evaluated max_iters or
+    _NEWTON_ITERS points, or when no step reduces the residual. Either way
+    its last point goes through the fixed-point kernel's end assembly
+    (``_assemble``), which certifies it as it certifies a lane. Returns
+    (s, q_cond, q_out, f_dist, rate, iters, gap): the last slope, then
+    ``ba_fixed_slope_loop``'s results at that slope for one lane, iters
+    being the points evaluated. Whether the point is certified and on the
+    level is the caller's to read from gap and f_dist.
     """
     nx = expected_f.shape[1]
     ql = np.asarray(q_row, dtype=float).tolist()
@@ -321,8 +341,8 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
             c_out = t.dot(a_out).tolist() if out else []
             back = max(c_out) if out else 0.0
             c_top = max(c.tolist())
-            ok = math.log(max(c_top, back)) <= gap_tol and abs(f - level) <= tol_f
-            if ok or iters >= cap:
+            if iters >= cap or (math.log(max(c_top, back)) <= gap_tol
+                                and abs(f - level) <= tol_f):
                 break
             iters += 1
             if back > c_top:
@@ -379,9 +399,9 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
                 if not keep.all():
                     sup_new, q_new = sup[keep], q_new[keep]
                     out_new = out + sup[~keep].tolist()
-                at = _level_point(expected_f, pz, s_new, sup_new, out_new, q_new)
-                res = q_new * (1.0 - at[5])  # at[5] is c, at[7] f
-                lag = r * (level - at[7])
+                trial = _level_point(expected_f, pz, s_new, sup_new, out_new, q_new)
+                res = q_new * (1.0 - trial[5])  # trial[5] is c, trial[7] f
+                lag = r * (level - trial[7])
                 if float(res.dot(res)) + lag * lag <= merit:
                     break
                 alpha *= 0.5
@@ -391,10 +411,16 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
                 iters += 1
             if alpha == 0.0:
                 break  # no step reduces the residual
-            q, s, sup, out = q_new, s_new, sup_new, out_new
-    q_full = np.zeros(nx)
-    q_full[sup] = q
-    return s, q_full, ok
+            q, s, sup, out, at = q_new, s_new, sup_new, out_new, trial
+        # the last point over all letters, as one lane of the fixed-point kernel
+        q_full, a_full, c_full = np.zeros(nx), np.empty((pz.size, nx)), np.empty(nx)
+        q_full[sup], a_full[:, sup], c_full[sup] = q, a, c
+        if out:
+            a_full[:, out], c_full[out] = a_out, c_out
+        q_cond, f_dist, rate, gap = _assemble(expected_f, pz, np.array([s]), q_full[None], m[None],
+                                              a_full[None], den[None], c_full[None],
+                                              np.array([max(c_top, back)]), not out)
+    return s, q_cond, q_full[None], f_dist, rate, np.array([iters]), gap
 
 
 def _level_point(expected_f, pz, s, sup, out, q):
@@ -410,6 +436,7 @@ def _level_point(expected_f, pz, s, sup, out, q):
 
 
 _NEWTON_ITERS = 40   # points a joint Newton iteration evaluates before it gives up
+_START_GAP = 1e-2    # nats: the gap to which a joint Newton iteration's start is solved
 _S_TOWARD_ZERO = 0.5  # of the way to the flattest slope known to be too flat
 _S_STEEPER = 2.0      # times |s|
 

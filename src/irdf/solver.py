@@ -38,14 +38,14 @@ returns become ``SlopePoint``s, with raw distortions from one vectorized
 f.invert.
 
 A lone level target (``solve_at_distortion``, each ``characterize`` route)
-first takes the search's own first lane, a cold solve at s = -1/span, and
-runs the joint Newton iteration on (q, s) from it (``kernels.level_newton``),
-which solves the slope and the fixed point together. Its point is solved
-again by the fixed-point kernel at its slope, from its pmf, in one call;
-certified, it joins the memo, where the search finds it on the level and
-returns it with no further solve. Otherwise the search goes on from the
-solves already made. Sweeps and the rate target of ``distortion_at_rate``
-run the search alone.
+makes one kernel call: a cold lane at s = -1/span, solved only to a loose
+start gap, from which the joint Newton iteration on (q, s)
+(``kernels.level_newton``) solves the slope and the fixed point together.
+Its last point comes back certified by the fixed-point kernel's own end
+assembly; certified and on the level, it joins the memo, where the search
+finds it and returns it with no solve. Otherwise the cold lane is solved on
+to gap_tol from its own pmf and the search goes on from it. Sweeps and the
+rate target of ``distortion_at_rate`` run the search alone.
 All rates are nats internally; unit conversion happens only at reporting
 boundaries.
 
@@ -225,11 +225,13 @@ def _lanes(e: np.ndarray, w: np.ndarray, slopes, q0, cfg: SolverConfig) -> np.nd
     """One kernel call on the reduced rows e, w with a lane per slope, started
     from the rows of q0 (uniform when None): a memo row per lane."""
     slopes = np.asarray(slopes, dtype=float)
-    q_cond, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
-        e, w, slopes, cfg.max_iters, cfg.gap_tol, q0
-    )
+    return _rows(slopes, *kernels.ba_fixed_slope_loop(e, w, slopes, cfg.max_iters, cfg.gap_tol, q0))
+
+
+def _rows(slopes, q_cond, q_out, f_dist, rate, iters, gap) -> np.ndarray:
+    """Memo rows of a kernel's results, one per lane."""
     return np.concatenate((np.array((slopes, f_dist, rate, gap, iters)).T, q_out,
-                           q_cond.reshape(slopes.size, -1)), axis=1)
+                           q_cond.reshape(len(q_out), -1)), axis=1)
 
 
 def _points(amended: AmendedDistortions, rows: np.ndarray, converged) -> list[SlopePoint]:
@@ -483,7 +485,8 @@ def _solve_levels(
     """The points whose achieved transform-domain distortions are within the
     level tolerance tol_f of ``levels``, found by one lockstep search. A
     level at the left curve endpoint itself gives the closest achievable
-    point (rates there are within slope*tolerance of the limit). ``memo`` is
+    point (rates there are within slope*tolerance of the limit), and so does
+    a level below it by no more than the roundoff of f(f^-1(lo)). ``memo`` is
     the search's, shared by the levels of one problem; without one, a lone
     level seeds a new memo by the joint Newton iteration (``_newton_seed``),
     and several levels by one kernel call on a ladder of slopes around
@@ -494,14 +497,20 @@ def _solve_levels(
     pts: list[SlopePoint | None] = []
     todo = []
     for level in levels:
+        if level < lo - tol_f:
+            # the round trip f(f^-1(lo)), from which a sweep builds its grid,
+            # can miss lo by more than tol_f when |lo| dwarfs the span: a level
+            # below lo by no more than that roundoff is solved as lo
+            f = problem.amended.f
+            d_lo = f.invert(lo)
+            if lo - level > abs(lo - f.apply(d_lo)):
+                raise DomainError(
+                    f"requested distortion {f.invert(level):g} below the feasible "
+                    f"minimum {d_lo:g}"
+                )
+            level = lo
         if level > hi + tol_f:
             pts.append(replace(zero, clamped=True))
-        elif level < lo - tol_f:
-            f = problem.amended.f
-            raise DomainError(
-                f"requested distortion {f.invert(level):g} below the feasible "
-                f"minimum {f.invert(lo):g}"
-            )
         elif level >= hi - tol_f:
             pts.append(zero)
         else:
@@ -523,23 +532,23 @@ def _solve_levels(
 
 def _newton_seed(problem: _Problem, level: float, tol_f: float, cfg: SolverConfig,
                  memo: _Memo) -> None:
-    """Seed an empty memo for a lone level: the search's own first lane, a
-    cold solve at s = -1/span, and, when the joint Newton iteration on (q, s)
-    started from it (``kernels.level_newton``) meets its tolerances, its
-    point solved again by the kernel at its slope from its pmf. That solve
-    joins the memo only if certified; on the level, it resolves the search
-    with no further solve."""
+    """Seed an empty memo for a lone level in one kernel call: a cold lane at
+    s = -1/span, solved only to the start gap ``kernels._START_GAP``, then
+    the joint Newton iteration on (q, s) from it (``kernels.level_newton``),
+    whose last point comes back certified by the kernel's own end assembly.
+    Certified and on the level, that point joins the memo, where the search
+    returns it with no solve. Otherwise the cold lane is solved on from its
+    own pmf to gap_tol and seeds the search."""
     e, w = problem.e, problem.w
-    nx = e.shape[1]
-    cold = _lanes(e, w, [-1.0 / (problem.hi - problem.lo)], None, cfg)
-    new = cold
-    s, q, ok = kernels.level_newton(e, w, cold[0, _S], cold[0, _Q: _Q + nx], level, tol_f,
-                                    cfg.max_iters, cfg.gap_tol)
-    if ok and s != cold[0, _S]:  # else the cold solve is on the level itself
-        final = _lanes(e, w, [s], q[None], cfg)
-        if final[0, _GAP] <= cfg.gap_tol:
-            new = np.concatenate((cold, final))
-    memo.add(new, len(new))
+    s0 = -1.0 / (problem.hi - problem.lo)
+    start = kernels.ba_fixed_slope_loop(e, w, np.array([s0]), cfg.max_iters, kernels._START_GAP)
+    s, *lane = kernels.level_newton(e, w, s0, start[1][0], level, tol_f, cfg.max_iters,
+                                    cfg.gap_tol)
+    new = _rows([s], *lane)
+    if not (new[0, _GAP] <= cfg.gap_tol and abs(new[0, _F] - level) <= tol_f):
+        new = _lanes(e, w, [s0], start[1], cfg)
+    new[0, _IT] += start[4][0]  # the cold lane's iterations count toward the point
+    memo.add(new, 1)
 
 
 def _solve_reduced_at(

@@ -65,6 +65,18 @@ class TestPoint:
         assert code == 2
         assert "'p'" in err
 
+    @pytest.mark.parametrize("command", [["point", "--D", "0.5"], ["curve", "--points", "3"]],
+                             ids=["point", "curve"])
+    def test_overflowing_transform_exit_code(self, capsys, command):
+        # exp(800 d) overflows at d = 1: `point` reported a feasible minimum
+        # of inf, and `curve` printed D = inf rows and exited 3
+        code, out, err = run(
+            capsys, *command[:1], "--model", "bsc", "--beta", "0.1",
+            "--f", "exponential", "--rho", "800", *command[1:],
+        )
+        assert code == 2 and out == ""
+        assert "overflows" in err
+
     def test_steep_exponential_pooling(self, capsys):
         code, out, _ = run(
             capsys, "point", "--model", "bsc", "--beta", "0.1",

@@ -224,3 +224,24 @@ class TestBuildAmended:
         f = FTransform.tabulated([[0.0, 0.0], [0.8, 1.0]])
         with pytest.raises(OutOfRange):
             build_amended(bsc_source(0.15), HAMMING, f)
+
+    @pytest.mark.parametrize(
+        "f, scale",
+        [(FTransform.exponential(800.0), 1.0), (FTransform.power(400.0), 10.0),
+         (FTransform.shifted_cubic(-1e103), 1.0)],
+        ids=["exponential", "power", "shifted_cubic"],
+    )
+    def test_overflowing_transform_raises(self, f, scale):
+        # f(d_max) is inf: the reduction gave inf and NaN entries after
+        # RuntimeWarnings, which this suite turns into errors
+        with pytest.raises(OutOfRange):
+            build_amended(bsc_source(0.1), DistortionMatrix(HAMMING.values * scale), f)
+
+    def test_nan_drift_fails_the_roundtrip_check(self):
+        # a NaN drift compares False with any bound; it must not pass
+        class NanInverse(FTransform):
+            def invert(self, y):
+                return np.full(np.shape(y), np.nan)
+
+        with pytest.raises(AssertionError):
+            build_amended(bsc_source(0.1), HAMMING, NanInverse("identity"))

@@ -40,6 +40,21 @@ def test_roundtrip_on_grid(f):
     np.testing.assert_allclose(f.invert(f.apply(xs)), xs, atol=1e-10)
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, 1.0 / 3.0, 200.0])
+def test_power_and_sqrt_invert_clamp_at_zero_bitwise(p):
+    # values below 0 by no more than the range slack invert as 0, and -0.0
+    # as +0.0, exactly as the clip they replaced (outputs, zero signs too)
+    grid = np.concatenate([[-1e-12, -5e-13, -1e-300, -0.0, 0.0, 5e-324, 1e-300],
+                           np.linspace(-1e-12, 2.0, 37)])
+    for f, power in ((FTransform.power(p), 1.0 / p), (FTransform.sqrt(), 2.0)):
+        want = np.clip(grid, 0.0, None) ** power
+        got = f.invert(grid)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        for y in grid.tolist():
+            g, w = f.invert(y), float(np.clip(np.asarray(y), 0.0, None) ** power)
+            assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+
+
 def test_tabulated_roundtrip():
     knots = np.linspace(0.0, 1.0, 65)
     f = FTransform.tabulated(np.column_stack([knots, knots**3 + knots]))

@@ -140,6 +140,22 @@ class TestSolveAtDistortion:
         with pytest.raises(DomainError):
             solve_at_distortion(src, d, FTransform.identity(), 0.05)
 
+    def test_roundoff_below_a_large_minimum_is_the_minimum(self):
+        # one z gives lo = hi; at |lo| ~ 1.7e7 the round trip f(f^-1(lo))
+        # misses lo by more than tol_f = 1e-9, which raised DomainError
+        src = JointSource.from_joint(np.array([[0.5], [0.5]]))
+        d = DistortionMatrix([[4115.1, 8230.0], [4115.3, 8230.0]])
+        f = FTransform.power(2.0)
+        lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
+        d_lo = f.invert(lo)
+        assert lo - f.apply(d_lo) > SolverConfig().bisection_tol
+        assert solve_at_distortion(src, d, f, d_lo).rate == 0.0
+        curve = sweep_curve(src, d, f, 10)
+        assert curve.all_converged and np.all(curve.rates == 0.0)
+        # below lo by more than that roundoff is still infeasible
+        with pytest.raises(DomainError):
+            solve_at_distortion(src, d, f, f.invert(lo - 4.0 * (lo - f.apply(d_lo))))
+
     def test_above_domain_clamps_to_zero(self):
         _, src, d = bsc_problem(0.15)
         pt = solve_at_distortion(src, d, FTransform.identity(), 0.75)
@@ -344,12 +360,26 @@ class TestSlopeSearch:
     @pytest.mark.parametrize("frac", [0.01, 0.3, 0.7])
     @pytest.mark.parametrize("draw", [165, 270, 363])
     def test_levels_on_linear_segments_through_the_search(self, monkeypatch, draw, frac):
-        # the joint Newton iteration gives up at once, so the lone level is
-        # left to the slope search, seeded with the cold solve
-        monkeypatch.setattr(kernels, "level_newton", lambda e, pz, s, q, *args: (s, q, False))
+        # the joint Newton iteration gives up at its start, so the lone level
+        # is left to the slope search, seeded with the finished cold lane
+        real = kernels.level_newton
+
+        def gives_up(e, pz, s, q, level, tol_f, max_iters, gap_tol):
+            return real(e, pz, s, q, level, tol_f, 1, gap_tol)
+
+        monkeypatch.setattr(kernels, "level_newton", gives_up)
         slopes = _count_solves(monkeypatch)
+        seeded = []  # lanes solved once the memo is seeded
+        real_seed = solver._newton_seed
+
+        def seed(*args):
+            real_seed(*args)
+            seeded.append(len(slopes))
+
+        monkeypatch.setattr(solver, "_newton_seed", seed)
         _check_segment_level(draw, frac)
-        assert len(slopes) > 1
+        # the search itself solved at least one lane
+        assert len(seeded) == 1 and len(slopes) > seeded[0]
 
     @pytest.mark.parametrize("n", [10, 40])
     @pytest.mark.parametrize("draw", [165, 270, 363])
@@ -484,8 +514,8 @@ def criterion_05_targets():
 
 
 class TestLoneLevel:
-    """A lone level target: a cold solve, the joint Newton iteration on
-    (q, s) from it, and one certifying kernel call at its slope."""
+    """A lone level target: a cold lane solved to a loose start gap, and the
+    joint Newton iteration on (q, s) from it, certified where it lands."""
 
     def test_certified_on_level_and_on_the_curve(self, criterion_05_targets):
         cfg = SolverConfig()
@@ -511,14 +541,29 @@ class TestLoneLevel:
             assert alone.converged and abs(pt.rate - alone.rate) <= 1e-9
 
     def test_kernel_calls_per_solve(self, monkeypatch, criterion_05_targets):
-        # the slope search alone took 7.0 one-lane calls per solve
+        # the slope search alone took 7.0 one-lane calls per solve, and a
+        # second call that certified the joint point 2
         slopes = _count_solves(monkeypatch)
         calls = []
         for src, d, f, am, D in criterion_05_targets:
             before = len(slopes)
             solve_at_distortion(src, d, f, D, amended=am)
             calls.append(len(slopes) - before)  # one lane per call here
-        assert np.median(calls) <= 3 and min(calls) >= 2
+        assert calls == [1] * len(criterion_05_targets)
+
+    def test_kernel_certifies_the_point_at_its_start(self, criterion_05_targets):
+        # the joint point's certificate is the kernel's own: solved again at
+        # its slope from its pmf, it is certified before any ascent step, at
+        # the same rate and distortion
+        cfg = SolverConfig()
+        for src, d, f, am, D in criterion_05_targets:
+            pt = solve_at_distortion(src, d, f, D, amended=am)
+            e, pz = _reduced(am, src.z_marginal)
+            _, _, f_dist, rate, iters, gap = _one_lane(e, pz, pt.slope, cfg.max_iters,
+                                                       cfg.gap_tol, pt.q_out)
+            assert iters == 1 and gap <= cfg.gap_tol
+            assert abs(rate - pt.rate) <= 1e-12
+            assert abs(f_dist - pt.f_distortion) <= 1e-12
 
 
 class TestTransformScale:
