@@ -111,6 +111,19 @@ class AmendedDistortions:
     used_z: np.ndarray        # (|Z|,) bool
 
 
+def _finite_f(f: FTransform, values: np.ndarray, pool=None) -> np.ndarray:
+    """f(values), or pool(f(values)) (a mean, say); OutOfRange, with no
+    RuntimeWarning on the way, when it is not finite: exponential at rho * d
+    above ~709.78, say, or a sum of values near the largest double."""
+    with np.errstate(over="ignore"):
+        out = f.apply(values)
+        if pool is not None:
+            out = pool(out)
+    if not np.isfinite(out).all():
+        raise OutOfRange(f"{f.name()} overflows on the distortions, up to {np.max(values):g}")
+    return out
+
+
 def f_separable_n(f: FTransform, d: DistortionMatrix, xs, xhats) -> float:
     """Pooled distortion of two equal-length symbol-index sequences."""
     xs = np.asarray(xs, dtype=int)
@@ -118,8 +131,7 @@ def f_separable_n(f: FTransform, d: DistortionMatrix, xs, xhats) -> float:
     if xs.shape != xhats.shape or xs.ndim != 1 or xs.size < 1:
         raise LengthMismatch(f"sequence shapes {xs.shape} and {xhats.shape}")
     f.check_domain(d.d_max)
-    letters = d.values[xs, xhats]
-    return float(f.invert(np.mean(f.apply(letters))))
+    return float(f.invert(_finite_f(f, d.values[xs, xhats], np.mean)))
 
 
 def quasi_arithmetic_mean(f: FTransform, xis) -> float:
@@ -131,7 +143,7 @@ def quasi_arithmetic_mean(f: FTransform, xis) -> float:
     arr = np.asarray(xis, dtype=float).ravel()
     if arr.size == 0:
         raise EmptyInput("quasi-arithmetic mean of an empty tuple")
-    return float(f.invert(np.mean(f.apply(arr))))
+    return float(f.invert(_finite_f(f, arr, np.mean)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +178,7 @@ def is_subadditive_sample(
     xs = rng.integers(0, d.n_source, size=(trials, n))
     xhats = rng.integers(0, d.n_reconstruction, size=(trials, n))
     letters = d.values[xs, xhats]
-    pooled = f.invert(f.apply(letters).mean(axis=1))
+    pooled = f.invert(_finite_f(f, letters, lambda v: v.mean(axis=1)))
     margins = letters.mean(axis=1) - pooled
     worst = int(np.argmin(margins))
     return SubadditivityReport(
@@ -190,10 +202,7 @@ def build_amended(src: JointSource, d: DistortionMatrix, f: FTransform) -> Amend
             f"distortion has {d.n_source} source rows, alphabet has {src.x_alphabet.size}"
         )
     f.check_domain(d.d_max)
-    with np.errstate(over="ignore"):
-        per_letter = f.apply(d.values)
-    if not np.isfinite(per_letter).all():  # exponential at rho * d_max above ~709.78, say
-        raise OutOfRange(f"{f.name()} overflows on the distortions, up to {d.d_max:g}")
+    per_letter = _finite_f(f, d.values)
     expected = np.einsum("xz,xh->zh", src.posterior, per_letter)
     used = src.used_z
     expected[~used] = 0.0

@@ -33,7 +33,9 @@ of the curve at a given distortion. Its start is a fixed-point lane solved
 only loosely, to the gap _START_GAP, and its last point goes through the
 same end assembly as the fixed-point kernel's lanes (``_assemble``), so one
 piece of code certifies every point, once, where it lands, instead of at
-every slope a root search on s would try.
+every slope a root search on s would try. A support's shifted rows are
+computed once for all the points evaluated on it, so a point costs its tilt
+and the few small products that follow from it.
 """
 
 from __future__ import annotations
@@ -316,6 +318,14 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     best letter alone was optimal (f = hi there, and the next slope is twice
     as steep, which brings a letter back).
 
+    A point's rows depend on S alone: the row minima m over S, the rows of
+    S less m and the rows of the dropped letters less m (``_shifted``) are
+    computed only when S changes, at the start, on a return or on a
+    boundary drop, and each point (``_joint_point``) costs only the tilt
+    exp(s (e - m)), den, c, E[e | z], the deviations, f and the residual
+    q (1 - c_S), which serves both the step's merit test and the next
+    system. The bordered system's arrays are kept while |S| holds.
+
     It stops once a point meets gap <= gap_tol over every letter and |f -
     level| <= tol_f, and gives up once it has evaluated max_iters or
     _NEWTON_ITERS points, or when no step reduces the residual. Either way
@@ -334,10 +344,12 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     q /= q.sum()
     cap = min(max_iters, _NEWTON_ITERS)
     iters, s_top = 1, 0.0
+    kkt = np.zeros((0, 0))  # the bordered system, kept while |S| holds
     with np.errstate(under="ignore"):
-        at = _level_point(expected_f, pz, s, sup, out, q)
+        rows = _shifted(expected_f, sup, out)
+        at = _joint_point(pz, s, rows, q)
         while True:
-            m, a, a_out, den, t, c, dev, f = at
+            a, a_out, den, t, c, dev, f, res, res_sq = at
             c_out = t.dot(a_out).tolist() if out else []
             back = max(c_out) if out else 0.0
             c_top = max(c.tolist())
@@ -347,8 +359,9 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
             iters += 1
             if back > c_top:
                 x = out.pop(c_out.index(back))
-                q, sup = _readmit(expected_f, pz, s, m, den, q, sup, x)
-                at = _level_point(expected_f, pz, s, sup, out, q)
+                q, sup = _readmit(expected_f, pz, s, rows[0], den, q, sup, x)
+                rows = _shifted(expected_f, sup, out)
+                at = _joint_point(pz, s, rows, q)
                 continue
             k = q.size
             if k == 1:
@@ -356,19 +369,20 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
                     break  # the best letter alone is below the level only by roundoff
                 s_top = s
                 s *= _S_STEEPER
-                at = _level_point(expected_f, pz, s, sup, out, q)
+                at = _joint_point(pz, s, rows, q)
                 continue
             r = -s
             ad = a * dev
             b = a * q
-            kkt = np.zeros((k + 2, k + 2))
+            if kkt.shape[0] != k + 2:  # every other entry is rewritten below
+                kkt, rhs = np.zeros((k + 2, k + 2)), np.zeros(k + 2)
+                diag = kkt.reshape(-1)[: k * (k + 3): k + 3]  # view on the H block's diagonal
             kkt[:k, :k] = -(b * (t / den)[:, None]).T.dot(b)
-            kkt.reshape(-1)[: k * (k + 3): k + 3] -= _LAM_MIN * c_top * q
+            diag -= _LAM_MIN * c_top * q
             kkt[:k, k] = kkt[k, :k] = r * q * t.dot(ad)
             kkt[k, k] = r * r * float(q.dot(t.dot(ad * dev)))
             kkt[:k, k + 1] = kkt[k + 1, :k] = q
-            rhs = np.zeros(k + 2)
-            rhs[:k] = res = q * (1.0 - c)
+            rhs[:k] = res
             rhs[k] = lag = r * (level - f)
             try:
                 sol = np.linalg.solve(kkt, rhs).tolist()
@@ -380,9 +394,9 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
                 # f and c stand still in s here (saturated tilts): the slope
                 # alone moves, toward the level
                 s = s + _S_TOWARD_ZERO * (s_top - s) if f < level else _S_STEEPER * s
-                at = _level_point(expected_f, pz, s, sup, out, q)
+                at = _joint_point(pz, s, rows, q)
                 continue
-            merit = float(res.dot(res)) + lag * lag
+            merit = res_sq + lag * lag
             reach = [-1.0 / v if v < 0.0 else math.inf for v in ul]
             alpha = min(1.0, min(reach))
             if ds > 0.0:
@@ -395,14 +409,14 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
                 q_new = np.array(q_new) / sum(q_new)
                 s_new = s + alpha * ds
                 keep = q_new > 0.0
-                sup_new, out_new = sup, out
+                sup_new, out_new, rows_new = sup, out, rows
                 if not keep.all():
                     sup_new, q_new = sup[keep], q_new[keep]
                     out_new = out + sup[~keep].tolist()
-                trial = _level_point(expected_f, pz, s_new, sup_new, out_new, q_new)
-                res = q_new * (1.0 - trial[5])  # trial[5] is c, trial[7] f
-                lag = r * (level - trial[7])
-                if float(res.dot(res)) + lag * lag <= merit:
+                    rows_new = _shifted(expected_f, sup_new, out_new)
+                trial = _joint_point(pz, s_new, rows_new, q_new)
+                lag = r * (level - trial[6])  # trial[6] is f, trial[8] |q (1 - c_S)|**2
+                if trial[8] + lag * lag <= merit:
                     break
                 alpha *= 0.5
                 if alpha * size < 1e-15 or iters >= cap:
@@ -411,28 +425,42 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
                 iters += 1
             if alpha == 0.0:
                 break  # no step reduces the residual
-            q, s, sup, out, at = q_new, s_new, sup_new, out_new, trial
+            q, s, sup, out, rows, at = q_new, s_new, sup_new, out_new, rows_new, trial
         # the last point over all letters, as one lane of the fixed-point kernel
         q_full, a_full, c_full = np.zeros(nx), np.empty((pz.size, nx)), np.empty(nx)
         q_full[sup], a_full[:, sup], c_full[sup] = q, a, c
         if out:
             a_full[:, out], c_full[out] = a_out, c_out
-        q_cond, f_dist, rate, gap = _assemble(expected_f, pz, np.array([s]), q_full[None], m[None],
-                                              a_full[None], den[None], c_full[None],
-                                              np.array([max(c_top, back)]), not out)
+        q_cond, f_dist, rate, gap = _assemble(expected_f, pz, np.array([s]), q_full[None],
+                                              rows[0][None], a_full[None], den[None],
+                                              c_full[None], np.array([max(c_top, back)]), not out)
     return s, q_cond, q_full[None], f_dist, rate, np.array([iters]), gap
 
 
-def _level_point(expected_f, pz, s, sup, out, q):
-    """The tilt of support sup at slope s (``_tilt``), and at the pmf q on
-    it den, t = pz / den, c, the deviations e - E[e | z] and the distortion
-    f."""
-    m, a, a_out = _tilt(expected_f, sup, out, s)
+def _shifted(expected_f, sup, out):
+    """The rows of a support sup and of its dropped letters out, shifted by
+    the row minima m over sup: (m, e_S - m, e_out - m), the last None when
+    no letter is out. They change only with the support."""
+    e = expected_f[:, sup]
+    m = e.min(axis=1)
+    return m, e - m[:, None], expected_f[:, out] - m[:, None] if out else None
+
+
+def _joint_point(pz, s, rows, q):
+    """At slope s and the pmf q on a support with shifted rows ``rows``
+    (``_shifted``): the tilt of the support, that of its dropped letters
+    (capped so that c stays finite), den, t = pz / den, c, the deviations
+    e - E[e | z], the distortion f, and the residual q (1 - c) of the
+    conditions c_S = 1 with its squared norm."""
+    m, e, e_out = rows
+    a = np.exp(s * e)
+    a_out = None if e_out is None else np.exp(np.minimum(s * e_out, _EXP_CAP))
     den = a.dot(q)
     t = pz / den
-    e = expected_f[:, sup] - m[:, None]
+    c = t.dot(a)
     mean = (a * e).dot(q) / den  # E[e | z] - m(z)
-    return m, a, a_out, den, t, t.dot(a), e - mean[:, None], float(pz.dot(mean + m))
+    res = q * (1.0 - c)
+    return a, a_out, den, t, c, e - mean[:, None], float(pz.dot(mean + m)), res, float(res.dot(res))
 
 
 _NEWTON_ITERS = 40   # points a joint Newton iteration evaluates before it gives up
@@ -453,12 +481,8 @@ _A_CAP = float(np.exp(_EXP_CAP))  # the capped tilt
 def _tilt(expected_f, sup, out, s):
     """Row minima m over the support, its tilt, and the tilt of the dropped
     letters, capped so that c stays finite."""
-    e = expected_f[:, sup]
-    m = e.min(axis=1)
-    a_out = None
-    if out:
-        a_out = np.exp(np.minimum(s * (expected_f[:, out] - m[:, None]), _EXP_CAP))
-    return m, np.exp(s * (e - m[:, None])), a_out
+    m, e, e_out = _shifted(expected_f, sup, out)
+    return m, np.exp(s * e), None if e_out is None else np.exp(np.minimum(s * e_out, _EXP_CAP))
 
 
 def _readmit(expected_f, pz, s, m, den, q, sup, x):

@@ -60,6 +60,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -159,9 +160,10 @@ def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float,
 
 class _Problem:
     """One amended problem, reduced to its used z once, with its
-    transform-domain bounds and its analytic zero-rate point (s = 0: mass
-    split over the best columns), built once for all the targets solved on
-    it."""
+    transform-domain bounds and the memo row of its analytic zero-rate point
+    (s = 0: mass split over the best columns), built once for all the targets
+    solved on it. The zero-rate ``SlopePoint`` itself, which costs an
+    f.invert, is built only when a level is at or above hi."""
 
     def __init__(self, amended: AmendedDistortions, pz: np.ndarray):
         self.amended = amended
@@ -169,19 +171,22 @@ class _Problem:
         col = w @ e
         self.lo, self.hi = float(w @ e.min(axis=1)), float(col.min())
         mask = col == self.hi
-        q_out = mask / mask.sum()
-        self.zero = SlopePoint(
+        self.q_zero = q_out = mask / mask.sum()
+        self.zero_row = np.concatenate([[0.0, self.hi, 0.0, 0.0, 0.0]] + [q_out] * (len(e) + 1))
+
+    @cached_property
+    def zero(self) -> SlopePoint:
+        return SlopePoint(
             slope=0.0,
-            q_cond=q_out[None].repeat(amended.used_z.size, axis=0),
-            q_out=q_out,
+            q_cond=self.q_zero[None].repeat(self.amended.used_z.size, axis=0),
+            q_out=self.q_zero,
             rate=0.0,
             f_distortion=self.hi,
-            distortion=float(amended.f.invert(self.hi)),
+            distortion=float(self.amended.f.invert(self.hi)),
             iterations=0,
             gap=0.0,
             converged=True,
         )
-        self.zero_row = np.concatenate([[0.0, self.hi, 0.0, 0.0, 0.0]] + [q_out] * (len(e) + 1))
 
 
 # columns of a memo row: slope, f_distortion, rate (before its clamp at 0),
@@ -492,7 +497,7 @@ def _solve_levels(
     and several levels by one kernel call on a ladder of slopes around
     -1/span (``_LADDER``).
     """
-    lo, hi, zero = problem.lo, problem.hi, problem.zero
+    lo, hi = problem.lo, problem.hi
     tol_f = cfg.bisection_tol * max(1.0, hi - lo)
     pts: list[SlopePoint | None] = []
     todo = []
@@ -510,9 +515,9 @@ def _solve_levels(
                 )
             level = lo
         if level > hi + tol_f:
-            pts.append(replace(zero, clamped=True))
+            pts.append(replace(problem.zero, clamped=True))
         elif level >= hi - tol_f:
-            pts.append(zero)
+            pts.append(problem.zero)
         else:
             pts.append(None)
             todo.append(level)

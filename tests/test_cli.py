@@ -262,6 +262,14 @@ class TestSubadd:
         assert out == ""
         assert "n must be >= 1" in err
 
+    def test_overflowing_transform_exit_code(self, capsys):
+        # exp(800 d) overflows at d = 1: printed "worst_margin": -Infinity,
+        # which is not JSON, after a RuntimeWarning, and exited 0
+        code, out, err = run(capsys, "subadd", "--f", "exponential", "--rho", "800",
+                             "--trials", "100", "--n", "3")
+        assert code == 2 and out == ""
+        assert "overflows" in err
+
 
 class TestSourceFile:
     def test_curve_from_json_source(self, capsys, tmp_path):

@@ -88,6 +88,11 @@ class TestPooledDistortion:
         with pytest.raises(LengthMismatch):
             f_separable_n(FTransform.identity(), HAMMING, [0, 1], [0])
 
+    def test_overflowing_transform_raises(self):
+        # exp(800) is inf: the pooled value was inf after a RuntimeWarning
+        with pytest.raises(OutOfRange, match="overflows"):
+            f_separable_n(FTransform.exponential(800.0), HAMMING, [0, 0], [0, 1])
+
     @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name())
     def test_threshold_events_match_across_domains(self, f):
         # pooled > D iff transform-domain mean > f(D), exhaustively for n <= 6
@@ -149,6 +154,15 @@ class TestQuasiArithmeticMean:
         with pytest.raises(EmptyInput):
             quasi_arithmetic_mean(FTransform.identity(), [])
 
+    @pytest.mark.parametrize("rho, xis", [(800.0, [0.5, 1.0]), (709.7, [1.0, 1.0])],
+                             ids=["value", "sum"])
+    def test_overflowing_transform_raises(self, rho, xis):
+        # exp(800) is inf, and exp(709.7) is finite but twice it is not: the
+        # mean was inf after a RuntimeWarning
+        with pytest.raises(OutOfRange, match="overflows"):
+            quasi_arithmetic_mean(FTransform.exponential(rho), xis)
+        assert quasi_arithmetic_mean(FTransform.exponential(709.7), [1.0]) == 1.0
+
 
 class TestSubadditivity:
     def test_sqrt_concave_always_passes(self):
@@ -174,6 +188,11 @@ class TestSubadditivity:
         # pooling an empty tuple is a mean of nothing: NaN margins
         with pytest.raises(ValueError, match="n must be"):
             is_subadditive_sample(FTransform.sqrt(), HAMMING, trials=5, n=n)
+
+    def test_overflowing_transform_raises(self):
+        # the worst margin was -inf after a RuntimeWarning
+        with pytest.raises(OutOfRange, match="overflows"):
+            is_subadditive_sample(FTransform.exponential(800.0), HAMMING, trials=100, n=3)
 
 
 class TestBuildAmended:

@@ -565,6 +565,52 @@ class TestLoneLevel:
             assert abs(rate - pt.rate) <= 1e-12
             assert abs(f_dist - pt.f_distortion) <= 1e-12
 
+    def test_joint_iteration_is_row_shift_invariant(self, criterion_05_targets):
+        # a constant c(z) added to row z adds p(z) c(z) to every distortion
+        # and leaves the tilt, and so the slope and the fixed point, alone:
+        # the iteration works on each row less its minimum over the support
+        cfg = SolverConfig()
+        rng = np.random.default_rng(5)
+        for src, d, f, am, D in criterion_05_targets:
+            e, pz = _reduced(am, src.z_marginal)
+            lo, hi = f_domain_bounds(am, src.z_marginal)
+            tol_f = cfg.bisection_tol * max(1.0, hi - lo)
+            level, s0 = float(f.apply(D)), -1.0 / (hi - lo)
+            q0 = _one_lane(e, pz, s0, cfg.max_iters, kernels._START_GAP)[1]
+            c = rng.uniform(-10.0, 10.0, len(e)) * max(1.0, hi - lo)
+            s, _, q_out, f_dist, *_ = kernels.level_newton(e, pz, s0, q0, level, tol_f,
+                                                           cfg.max_iters, cfg.gap_tol)
+            s_c, _, q_c, f_c, *_ = kernels.level_newton(e + c[:, None], pz, s0, q0,
+                                                        level + pz @ c, tol_f, cfg.max_iters,
+                                                        cfg.gap_tol)
+            assert s_c == pytest.approx(s, rel=1e-9, abs=0.0)
+            np.testing.assert_allclose(q_c, q_out, rtol=1e-9, atol=0.0)
+            assert f_c[0] == pytest.approx(f_dist[0] + pz @ c, rel=1e-12, abs=1e-12)
+
+    def test_zero_rate_point_is_built_only_when_a_level_needs_it(self, monkeypatch,
+                                                                 criterion_05_targets):
+        # the zero-rate SlopePoint costs an f.invert; an interior level
+        # inverts once, for its own point's raw distortion
+        src, d, f, am, D = criterion_05_targets[0]
+        pz, cfg = src.z_marginal, SolverConfig()
+        lo, hi = f_domain_bounds(am, pz)
+        inverted = []
+        invert = FTransform.invert
+
+        def counting(self, y):
+            inverted.append(y)
+            return invert(self, y)
+
+        monkeypatch.setattr(FTransform, "invert", counting)
+        pt = solver._solve_reduced_at(am, pz, float(f.apply(D)), cfg)
+        assert pt.converged and not pt.clamped and len(inverted) == 1
+        above = solver._solve_reduced_at(am, pz, hi + 1e-3 * (hi - lo), cfg)
+        assert above.clamped and above.converged
+        assert (above.slope, above.rate, above.f_distortion, above.gap) == (0.0, 0.0, hi, 0.0)
+        assert above.distortion == invert(f, hi)
+        at_hi = solver._solve_reduced_at(am, pz, hi, cfg)
+        assert not at_hi.clamped and at_hi.rate == 0.0 and at_hi.f_distortion == hi
+
 
 class TestTransformScale:
     @pytest.mark.parametrize("scale", [1.0, 1e12, 1e16])
