@@ -208,6 +208,8 @@ def _cmd_closed_form(args) -> int:
     _, _, f, model = _build_problem(args)
     if model is None:
         raise DomainError("closed-form needs --model bsc|bec")
+    if args.points < 1:
+        raise DomainError("closed-form needs --points >= 1")
     d_lo, d_hi = domain_bounds(model)
     if args.D is not None:
         levels = [args.D]

@@ -205,12 +205,17 @@ def build_amended(src: JointSource, d: DistortionMatrix, f: FTransform) -> Amend
     per_letter = _finite_f(f, d.values)
     expected = np.einsum("xz,xh->zh", src.posterior, per_letter)
     used = src.used_z
-    expected[~used] = 0.0
+    rows = used
+    if used.all():
+        rows = slice(None)  # a view, where a boolean mask would copy
+    else:
+        expected[~used] = 0.0
     equivalent = np.zeros_like(expected)
     if used.any():
-        equivalent[used] = f.invert(expected[used])
-        drift = np.abs(f.apply(equivalent[used]) - expected[used])
-        err = np.max(drift / np.maximum(1.0, np.abs(expected[used])))
+        e = expected[rows]
+        equivalent[rows] = f.invert(e)
+        drift = np.abs(f.apply(equivalent[rows]) - e)
+        err = np.max(drift / np.maximum(1.0, np.abs(e)))
         if not err <= _AMEND_ATOL:  # NaN fails too
             raise AssertionError(
                 f"relative transform inverse drift {err:g} exceeds {_AMEND_ATOL:g}"

@@ -29,13 +29,15 @@ A lone level target has a third kernel, ``level_newton``: Newton steps on
 the joint KKT system in the output pmf and the slope (Boyd & Vandenberghe
 2004, "Convex Optimization", sections 10.2-10.3, for the bordered Newton
 step), which move the slope and the fixed point together toward the point
-of the curve at a given distortion. Its start is a fixed-point lane solved
-only loosely, to the gap _START_GAP, and its last point goes through the
+of the curve at a given distortion. Its start is the pmf of a fixed-point
+lane solved only loosely, to the gap _START_GAP, at a slope the caller
+picks from that lane's own distortion, and its last point goes through the
 same end assembly as the fixed-point kernel's lanes (``_assemble``), so one
 piece of code certifies every point, once, where it lands, instead of at
 every slope a root search on s would try. A support's shifted rows are
 computed once for all the points evaluated on it, so a point costs its tilt
-and the few small products that follow from it.
+and the few small products that follow from it, and a step costs one
+bordered system built in place and one small solve.
 """
 
 from __future__ import annotations
@@ -292,39 +294,51 @@ def _ascend(expected_f, pz, s, q_row, m_row, a_row, den_row, t, c_row, max_iters
 def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     """Joint Newton iteration on (q, s) toward the curve's point at the
     transform-domain distortion ``level`` (below the zero-rate end hi), from
-    the output pmf q_row at slope s < 0, such as a lane of
-    ``ba_fixed_slope_loop`` solved to the gap _START_GAP: within a start's
-    residual of that size the iteration is in its quadratic regime, so a
-    tighter start buys nothing.
+    the output pmf q_row taken at slope s < 0. The pmf may be solved at
+    another slope near s, such as a lane of ``ba_fixed_slope_loop`` at
+    -1/span solved to the gap _START_GAP, with s where the caller expects
+    the level (``solver._newton_seed``): within a start's residual of that
+    size the iteration is in its quadratic regime, so a tighter start buys
+    nothing.
 
     On the support S of q it solves c_S = 1, sum q = 1 and f = level, with c
     the kernel's gradient and f = sum_z p(z) E[e | z] the distortion of the
-    tilted conditional, by Newton steps on the bordered KKT system
+    tilted conditional, by Newton steps on the symmetric bordered KKT system
 
-        [-H, g,   1] [dq ]   [1 - c_S  ]
-        [g', f_s, 0] [ds ] = [level - f]
-        [1', 0,   0] [dnu]   [0        ]
+        [H,  g,    1] [ dq  ]   [c_S - 1  ]
+        [g', -f_s, 0] [-ds  ] = [level - f]
+        [1', 0,    0] [-dnu ]   [0        ]
 
     H = A_S' diag(p / den**2) A_S is the ascent's Hessian, g = dc_S/ds =
     df/dq_S and f_s = df/ds = sum_z p(z) Var[e | z]: Phi is concave in q and
-    convex in s, and the system is that of its saddle point. It is solved
-    scaled, in u = dq / q and ds / |s|, with the ascent's smallest damping on
-    the diagonal. A step is kept when the scaled residual |q (1 - c_S)|**2 +
-    (s (level - f))**2 does not grow, and halved otherwise. It stops at the
-    simplex boundary and drops the letters it reaches, as the ascent does;
-    a dropped letter whose c exceeds every c on S returns (``_readmit``).
-    The slope moves at most to 3 s, and at most halfway to the flattest slope
-    known to lie above the level's: 0 at first, then any slope at which the
-    best letter alone was optimal (f = hi there, and the next slope is twice
-    as steep, which brings a letter back).
+    convex in s, and the system is that of its saddle point, written with
+    its first row and its last two unknowns negated, so that it is assembled
+    with no negation. It is solved scaled, in u = dq / q and ds / |s|, with
+    the ascent's smallest damping on the diagonal. A step is kept when the
+    scaled residual |q (c_S - 1)|**2 + (s (level - f))**2 does not grow, and
+    halved otherwise. A miss of the level below min(tol_f, 1e-14 |level|) is
+    roundoff of f and counts as none, in the step and in its merit: scaled
+    by |s| (~1e7 on losses flattened to a 1e-6 spread) it would outweigh the
+    residual of c_S = 1 and stall the iteration short of its certificate.
+    A step stops at the simplex boundary and drops the letters it reaches,
+    as the ascent does; a dropped letter whose c exceeds every c on S
+    returns (``_readmit``). The slope moves at most to 3 s, and at most
+    halfway to the flattest slope known to lie above the level's: 0 at
+    first, then any slope at which the best letter alone was optimal (f = hi
+    there, and the next slope is twice as steep, which brings a letter
+    back).
 
     A point's rows depend on S alone: the row minima m over S, the rows of
     S less m and the rows of the dropped letters less m (``_shifted``) are
     computed only when S changes, at the start, on a return or on a
     boundary drop, and each point (``_joint_point``) costs only the tilt
-    exp(s (e - m)), den, c, E[e | z], the deviations, f and the residual
-    q (1 - c_S), which serves both the step's merit test and the next
-    system. The bordered system's arrays are kept while |S| holds.
+    exp(s (e - m)), den, c, E[e | z], f and the residual q (c_S - 1), which
+    serves both the step's merit test and the next system. The deviations
+    e - E[e | z] are formed only for a point that gets a step, and scaled by
+    |s| before they are squared: unscaled, their squares overflow once the
+    transform-domain spread passes ~1e154. The bordered
+    system's arrays, and views on its blocks, are kept while |S| holds, and
+    a step's trial pmfs are built in Python lists.
 
     It stops once a point meets gap <= gap_tol over every letter and |f -
     level| <= tol_f, and gives up once it has evaluated max_iters or
@@ -344,12 +358,15 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     q /= q.sum()
     cap = min(max_iters, _NEWTON_ITERS)
     iters, s_top = 1, 0.0
+    # a miss of the level below this is roundoff of f, which the slope's
+    # scale |s| would otherwise blow up past the residual of c_S = 1
+    noise = min(tol_f, _FLAT * abs(level))
     kkt = np.zeros((0, 0))  # the bordered system, kept while |S| holds
     with np.errstate(under="ignore"):
         rows = _shifted(expected_f, sup, out)
         at = _joint_point(pz, s, rows, q)
         while True:
-            a, a_out, den, t, c, dev, f, res, res_sq = at
+            a, a_out, den, t, c, mean, f, res, res_sq = at
             c_out = t.dot(a_out).tolist() if out else []
             back = max(c_out) if out else 0.0
             c_top = max(c.tolist())
@@ -372,23 +389,27 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
                 at = _joint_point(pz, s, rows, q)
                 continue
             r = -s
-            ad = a * dev
             b = a * q
+            dev = (rows[1] - mean[:, None]) * r  # |s| (e - E[e | z])
+            bd = b * dev
             if kkt.shape[0] != k + 2:  # every other entry is rewritten below
                 kkt, rhs = np.zeros((k + 2, k + 2)), np.zeros(k + 2)
-                diag = kkt.reshape(-1)[: k * (k + 3): k + 3]  # view on the H block's diagonal
-            kkt[:k, :k] = -(b * (t / den)[:, None]).T.dot(b)
-            diag -= _LAM_MIN * c_top * q
-            kkt[:k, k] = kkt[k, :k] = r * q * t.dot(ad)
-            kkt[k, k] = r * r * float(q.dot(t.dot(ad * dev)))
-            kkt[:k, k + 1] = kkt[k + 1, :k] = q
+                # views on the H block, its diagonal, and the borders of ds and of sum q
+                h, diag = kkt[:k, :k], kkt.reshape(-1)[: k * (k + 3): k + 3]
+                g_col, g_row = kkt[:k, k], kkt[k, :k]
+                sum_col, sum_row = kkt[:k, k + 1], kkt[k + 1, :k]
+            h[...] = (b.T * (t / den)).dot(b)
+            diag += _LAM_MIN * c_top * q
+            g_col[:] = g_row[:] = t.dot(bd)
+            kkt[k, k] = -sum(t.dot(bd * dev).tolist())
+            sum_col[:] = sum_row[:] = q
             rhs[:k] = res
-            rhs[k] = lag = r * (level - f)
+            rhs[k] = lag = r * (level - f) if abs(level - f) > noise else 0.0
             try:
                 sol = np.linalg.solve(kkt, rhs).tolist()
             except np.linalg.LinAlgError:  # taken as an unbounded step
                 sol = [math.inf] * (k + 2)
-            ul, ds = sol[:k], r * sol[k]
+            ul, ds = sol[:k], -r * sol[k]
             size = max(max(map(abs, ul)), abs(ds) / r)
             if not size < math.inf:
                 # f and c stand still in s here (saturated tilts): the slope
@@ -403,19 +424,24 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
                 alpha = min(alpha, _S_TOWARD_ZERO * (s_top - s) / ds)
             elif ds < 0.0:
                 alpha = min(alpha, _S_STEEPER * r / -ds)
+            ql = q.tolist()
             while True:
                 q_new = [0.0 if w <= alpha else v * (1.0 + alpha * d)
-                         for v, d, w in zip(q.tolist(), ul, reach)]
-                q_new = np.array(q_new) / sum(q_new)
+                         for v, d, w in zip(ql, ul, reach)]
+                total = sum(q_new)
+                q_new = [v / total for v in q_new]
                 s_new = s + alpha * ds
-                keep = q_new > 0.0
                 sup_new, out_new, rows_new = sup, out, rows
-                if not keep.all():
-                    sup_new, q_new = sup[keep], q_new[keep]
-                    out_new = out + sup[~keep].tolist()
+                if 0.0 in q_new:  # the letters the step reaches leave
+                    sl = sup.tolist()
+                    out_new = out + [x for x, v in zip(sl, q_new) if v == 0.0]
+                    sup_new = np.array([x for x, v in zip(sl, q_new) if v > 0.0])
+                    q_new = [v for v in q_new if v > 0.0]
                     rows_new = _shifted(expected_f, sup_new, out_new)
+                q_new = np.array(q_new)
                 trial = _joint_point(pz, s_new, rows_new, q_new)
-                lag = r * (level - trial[6])  # trial[6] is f, trial[8] |q (1 - c_S)|**2
+                miss = level - trial[6]  # trial[6] is f, trial[8] |q (c_S - 1)|**2
+                lag = r * miss if abs(miss) > noise else 0.0
                 if trial[8] + lag * lag <= merit:
                     break
                 alpha *= 0.5
@@ -449,9 +475,9 @@ def _shifted(expected_f, sup, out):
 def _joint_point(pz, s, rows, q):
     """At slope s and the pmf q on a support with shifted rows ``rows``
     (``_shifted``): the tilt of the support, that of its dropped letters
-    (capped so that c stays finite), den, t = pz / den, c, the deviations
-    e - E[e | z], the distortion f, and the residual q (1 - c) of the
-    conditions c_S = 1 with its squared norm."""
+    (capped so that c stays finite), den, t = pz / den, c, E[e | z] - m(z),
+    the distortion f, and the residual q (c - 1) of the conditions c_S = 1
+    with its squared norm."""
     m, e, e_out = rows
     a = np.exp(s * e)
     a_out = None if e_out is None else np.exp(np.minimum(s * e_out, _EXP_CAP))
@@ -459,8 +485,8 @@ def _joint_point(pz, s, rows, q):
     t = pz / den
     c = t.dot(a)
     mean = (a * e).dot(q) / den  # E[e | z] - m(z)
-    res = q * (1.0 - c)
-    return a, a_out, den, t, c, e - mean[:, None], float(pz.dot(mean + m)), res, float(res.dot(res))
+    res = q * (c - 1.0)
+    return a, a_out, den, t, c, mean, float(pz.dot(mean + m)), res, float(res.dot(res))
 
 
 _NEWTON_ITERS = 40   # points a joint Newton iteration evaluates before it gives up

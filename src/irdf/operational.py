@@ -21,6 +21,12 @@ from .source import JointSource
 ENUM_CAP = 10**7
 
 
+def _check_block(n: int, M: int) -> None:
+    """ValueError unless the blocklength n and the index count M are >= 1."""
+    if n < 1 or M < 1:
+        raise ValueError(f"blocklength n and index count M must be >= 1, got n={n}, M={M}")
+
+
 @dataclass(frozen=True, eq=False)
 class BlockCode:
     """Encoder table over observation sequences, decoder table over indices."""
@@ -31,6 +37,7 @@ class BlockCode:
     decoder: np.ndarray  # (M, n) reconstruction symbol indices
 
     def __post_init__(self):
+        _check_block(self.n, self.M)
         enc = np.asarray(self.encoder, dtype=np.int64)
         dec = np.asarray(self.decoder, dtype=np.int64)
         if enc.ndim != 1:
@@ -209,8 +216,10 @@ def best_code_search(
     minimizes the exceedance probability at the given threshold. The scan is
     exhaustive over encoders with exact per-cell decoder minimization, which
     returns the same optimum and the same lexicographically-first tie-break
-    as scanning every (encoder, decoder) pair.
+    as scanning every (encoder, decoder) pair. Raises ValueError for n < 1
+    or M < 1.
     """
+    _check_block(n, M)
     f.check_domain(d.d_max)
     nz, nh = src.z_alphabet.size, d.n_reconstruction
     n_zseq, n_dseq = nz**n, nh**n

@@ -38,14 +38,17 @@ returns become ``SlopePoint``s, with raw distortions from one vectorized
 f.invert.
 
 A lone level target (``solve_at_distortion``, each ``characterize`` route)
-makes one kernel call: a cold lane at s = -1/span, solved only to a loose
-start gap, from which the joint Newton iteration on (q, s)
+makes one kernel call: a cold lane at s0 = -1/span, solved only to a loose
+start gap, from whose pmf the joint Newton iteration on (q, s)
 (``kernels.level_newton``) solves the slope and the fixed point together.
+It starts at the slope where the level meets the secant through the lane's
+own point (s0, f0) and the zero-rate end (0, hi), clamped to [0.5, 1.2] s0.
 Its last point comes back certified by the fixed-point kernel's own end
-assembly; certified and on the level, it joins the memo, where the search
-finds it and returns it with no solve. Otherwise the cold lane is solved on
-to gap_tol from its own pmf and the search goes on from it. Sweeps and the
-rate target of ``distortion_at_rate`` run the search alone.
+assembly; certified and on the level, it is the result, with no memo, no
+zero-rate row and no search round. Otherwise the cold lane is solved on to
+gap_tol from its own pmf and seeds the search. Sweeps and the rate target
+of ``distortion_at_rate`` run the search alone. A NaN level or rate raises
+DomainError before any solve.
 All rates are nats internally; unit conversion happens only at reporting
 boundaries.
 
@@ -80,6 +83,8 @@ _MAX_ROOT_STEPS = 60
 _EPS = float(np.finfo(float).eps)
 # the first kernel call of a multi-level search: slopes -LADDER / span
 _LADDER = tuple(2.0 ** (k / 2) for k in range(-6, 5))  # 1/8 to 4, ratio sqrt(2)
+# a lone level's joint iteration starts at its secant slope, kept within these times -1/span
+_SECANT_LO, _SECANT_HI = 0.5, 1.2
 
 
 @dataclass(frozen=True)
@@ -143,9 +148,11 @@ class RdCurve:
 
 def _reduced(amended: AmendedDistortions, pz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expected-f rows of the used z and their renormalized weights."""
-    used = amended.used_z
-    w = np.asarray(pz, dtype=float)[used]
-    return amended.expected_f[used], w / w.sum()
+    rows = amended.used_z
+    if rows.all():
+        rows = slice(None)  # views, where a boolean mask would copy
+    w = np.asarray(pz, dtype=float)[rows]
+    return amended.expected_f[rows], w / w.sum()
 
 
 def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float, float]:
@@ -160,19 +167,21 @@ def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float,
 
 class _Problem:
     """One amended problem, reduced to its used z once, with its
-    transform-domain bounds and the memo row of its analytic zero-rate point
-    (s = 0: mass split over the best columns), built once for all the targets
-    solved on it. The zero-rate ``SlopePoint`` itself, which costs an
-    f.invert, is built only when a level is at or above hi."""
+    transform-domain bounds, built once for all the targets solved on it.
+    Its analytic zero-rate point (s = 0: mass split over the best columns)
+    is built only when asked for: its output pmf by a slope search or the
+    ``SlopePoint``, which costs an f.invert, by a level at or above hi."""
 
     def __init__(self, amended: AmendedDistortions, pz: np.ndarray):
         self.amended = amended
         self.e, self.w = e, w = _reduced(amended, pz)
-        col = w @ e
-        self.lo, self.hi = float(w @ e.min(axis=1)), float(col.min())
-        mask = col == self.hi
-        self.q_zero = q_out = mask / mask.sum()
-        self.zero_row = np.concatenate([[0.0, self.hi, 0.0, 0.0, 0.0]] + [q_out] * (len(e) + 1))
+        self.col = w @ e  # the distortion of each single reconstruction letter
+        self.lo, self.hi = float(w @ e.min(axis=1)), float(self.col.min())
+
+    @cached_property
+    def q_zero(self) -> np.ndarray:
+        mask = self.col == self.hi
+        return mask / mask.sum()
 
     @cached_property
     def zero(self) -> SlopePoint:
@@ -310,7 +319,9 @@ def _search(problem: _Problem, goals: list[float], done, cfg: SolverConfig, memo
     """
     span = problem.hi - problem.lo
     nx = problem.e.shape[1]
-    z_row = memo.add(problem.zero_row[None])
+    q_zero = problem.q_zero  # the s = 0 point's memo row: its q_cond rows repeat q_out
+    z_row = memo.add(np.concatenate([[0.0, problem.hi, 0.0, 0.0, 0.0]]
+                                    + [q_zero] * (len(problem.e) + 1))[None])
     z_f = problem.hi
     bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
     n = len(goals)
@@ -492,10 +503,12 @@ def _solve_levels(
     level at the left curve endpoint itself gives the closest achievable
     point (rates there are within slope*tolerance of the limit), and so does
     a level below it by no more than the roundoff of f(f^-1(lo)). ``memo`` is
-    the search's, shared by the levels of one problem; without one, a lone
-    level seeds a new memo by the joint Newton iteration (``_newton_seed``),
-    and several levels by one kernel call on a ladder of slopes around
-    -1/span (``_LADDER``).
+    the search's, shared by the levels of one problem. Without one, a lone
+    level is solved by the joint Newton iteration (``_newton_seed``), whose
+    certified point on the level is returned as it is; only when it falls
+    short does its cold lane seed a new memo for the search. Several levels
+    seed theirs by one kernel call on a ladder of slopes around -1/span
+    (``_LADDER``).
     """
     lo, hi = problem.lo, problem.hi
     tol_f = cfg.bisection_tol * max(1.0, hi - lo)
@@ -523,11 +536,15 @@ def _solve_levels(
             todo.append(level)
     if not todo:
         return pts
-    if memo is None:
+    if memo is None and len(levels) == 1:
+        row, hit = _newton_seed(problem, todo[0], tol_f, cfg)
+        if hit:
+            return _points(problem.amended, row, np.array([True]))
         memo = _Memo()
-        if len(levels) == 1:
-            _newton_seed(problem, todo[0], tol_f, cfg, memo)
-        elif len(todo) > 1:
+        memo.add(row, 1)
+    elif memo is None:
+        memo = _Memo()
+        if len(todo) > 1:
             memo.add(_lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER], None, cfg),
                      len(_LADDER))
     rows, conv = _search(problem, todo, lambda g, s, f: abs(g) <= tol_f, cfg, memo)
@@ -535,25 +552,32 @@ def _solve_levels(
     return [p if p is not None else next(found) for p in pts]
 
 
-def _newton_seed(problem: _Problem, level: float, tol_f: float, cfg: SolverConfig,
-                 memo: _Memo) -> None:
-    """Seed an empty memo for a lone level in one kernel call: a cold lane at
-    s = -1/span, solved only to the start gap ``kernels._START_GAP``, then
-    the joint Newton iteration on (q, s) from it (``kernels.level_newton``),
-    whose last point comes back certified by the kernel's own end assembly.
-    Certified and on the level, that point joins the memo, where the search
-    returns it with no solve. Otherwise the cold lane is solved on from its
-    own pmf to gap_tol and seeds the search."""
-    e, w = problem.e, problem.w
-    s0 = -1.0 / (problem.hi - problem.lo)
+def _newton_seed(problem: _Problem, level: float, tol_f: float,
+                 cfg: SolverConfig) -> tuple[np.ndarray, bool]:
+    """A lone level in one kernel call: a cold lane at s0 = -1/span, solved
+    only to the start gap ``kernels._START_GAP``, then the joint Newton
+    iteration on (q, s) (``kernels.level_newton``) from its pmf, started at
+    the slope where the level meets the secant through the lane's own point
+    (s0, f0) and the zero-rate end (0, hi): s0 (hi - level) / (hi - f0),
+    clamped to [_SECANT_LO, _SECANT_HI] s0. The joint point comes back
+    certified by the kernel's own end assembly. Returns its memo row and True
+    when it is certified and on the level; otherwise the row of the cold lane
+    solved on from its own pmf to gap_tol, which seeds the search, and False.
+    """
+    e, w, hi = problem.e, problem.w, problem.hi
+    s0 = -1.0 / (hi - problem.lo)
     start = kernels.ba_fixed_slope_loop(e, w, np.array([s0]), cfg.max_iters, kernels._START_GAP)
-    s, *lane = kernels.level_newton(e, w, s0, start[1][0], level, tol_f, cfg.max_iters,
+    f0 = float(start[2][0])
+    ratio = (hi - level) / (hi - f0) if f0 < hi else _SECANT_HI
+    s1 = s0 * min(max(ratio, _SECANT_LO), _SECANT_HI)
+    s, *lane = kernels.level_newton(e, w, s1, start[1][0], level, tol_f, cfg.max_iters,
                                     cfg.gap_tol)
-    new = _rows([s], *lane)
-    if not (new[0, _GAP] <= cfg.gap_tol and abs(new[0, _F] - level) <= tol_f):
-        new = _lanes(e, w, [s0], start[1], cfg)
-    new[0, _IT] += start[4][0]  # the cold lane's iterations count toward the point
-    memo.add(new, 1)
+    row = _rows([s], *lane)
+    hit = bool(row[0, _GAP] <= cfg.gap_tol and abs(row[0, _F] - level) <= tol_f)
+    if not hit:
+        row = _lanes(e, w, [s0], start[1], cfg)
+    row[0, _IT] += start[4][0]  # the cold lane's iterations count toward the point
+    return row, hit
 
 
 def _solve_reduced_at(
@@ -578,6 +602,17 @@ def _certified(pt: SlopePoint, cfg: SolverConfig) -> SlopePoint:
     return pt
 
 
+def _target_level(f: FTransform, D: float) -> float:
+    """f(D), the transform-domain level of a raw level D. DomainError for a
+    NaN D, and for a negative one, which lies below every distortion (the
+    entries are >= 0) and where a transform may be undefined or decreasing."""
+    if math.isnan(D):
+        raise DomainError("requested distortion is NaN")
+    if D < 0.0:
+        raise DomainError(f"requested distortion {D:g} is negative, below the feasible minimum")
+    return float(f.apply(D))
+
+
 def solve_at_distortion(
     src: JointSource,
     d: DistortionMatrix,
@@ -589,12 +624,14 @@ def solve_at_distortion(
     """Rate at one raw distortion level D.
 
     Feasible levels run from the saturation point d_min (approached, slope
-    unbounded) to d_max (zero rate). Levels above d_max return the zero-rate
-    point flagged ``clamped``; levels below d_min raise DomainError.
+    unbounded) to d_max (zero rate). Levels above d_max, +inf among them,
+    return the zero-rate point flagged ``clamped``; levels below d_min, a
+    negative D among them, raise DomainError, as does a NaN D.
     """
     cfg = cfg or SolverConfig()
+    target = _target_level(f, D)
     amended = amended if amended is not None else build_amended(src, d, f)
-    return _solve_reduced_at(amended, src.z_marginal, float(f.apply(D)), cfg)
+    return _solve_reduced_at(amended, src.z_marginal, target, cfg)
 
 
 def sweep_curve(
@@ -653,9 +690,9 @@ def characterize(
     route's point is not certified.
     """
     cfg = cfg or SolverConfig(bisection_tol=1e-12)
+    target = _target_level(f, D)
     amended = build_amended(src, d, f)
     pz = src.z_marginal
-    target = float(f.apply(D))
 
     def rate(am: AmendedDistortions) -> float:
         return _certified(_solve_reduced_at(am, pz, target, cfg), cfg).rate
@@ -694,10 +731,13 @@ def distortion_at_rate(
     The slope search of ``solve_at_distortion`` runs on the rate instead of
     the distortion and stops once the rate is within |s| * tol_f of
     rate_nats: the level tolerance carried to the rate axis by the curve's
-    slope s. A rate at or above the curve's maximum gives d_min. Raises
+    slope s. A rate at or above the curve's maximum gives d_min, and one at
+    or below 0 gives d_max. Raises DomainError for a NaN rate, and
     NotConverged if the point it lands on is not certified.
     """
     cfg = cfg or SolverConfig()
+    if math.isnan(rate_nats):
+        raise DomainError("requested rate is NaN")
     problem = _Problem(build_amended(src, d, f), src.z_marginal)
     lo, hi = problem.lo, problem.hi
     tol_f = cfg.bisection_tol * max(1.0, hi - lo)

@@ -57,6 +57,12 @@ class TestPoint:
         assert code == 2
         assert "error" in err
 
+    def test_nan_level_exit_code(self, capsys):
+        # a NaN level gave the zero-rate point, printed as 0, and exit 3
+        code, out, err = run(capsys, "point", "--model", "bsc", "--beta", "0.1", "--D", "nan")
+        assert code == 2 and out == ""
+        assert "NaN" in err
+
     def test_missing_transform_parameter_exit_code(self, capsys):
         code, _, err = run(
             capsys, "point", "--model", "bsc", "--beta", "0.15",
@@ -171,6 +177,13 @@ class TestClosedForm:
         assert rows[-1]["rate_nats"] == pytest.approx(0.0, abs=1e-12)
         assert math.isnan(rows[0]["slope_s"])
 
+    def test_too_few_points_exit_code(self, capsys):
+        # --points 0 printed a bare header and exited 0
+        code, out, err = run(capsys, "closed-form", "--model", "bsc", "--beta", "0.1",
+                             "--points", "0")
+        assert code == 2 and out == ""
+        assert "--points" in err
+
     def test_single_level(self, capsys):
         code, out, _ = run(
             capsys, "closed-form", "--model", "bsc", "--beta", "0.15",
@@ -237,6 +250,15 @@ class TestBrute:
         assert payload["margin"] >= -1e-12
         assert len(payload["best_encoder"]) == 4
         assert len(payload["best_decoder"]) == 2
+
+
+    @pytest.mark.parametrize("n, M", [(0, 2), (1, 0)])
+    def test_empty_block_exit_code(self, capsys, n, M):
+        # n = 0 died of a ZeroDivisionError traceback, exit 1
+        code, out, err = run(capsys, "brute", "--model", "bsc", "--beta", "0.1",
+                             "--n", str(n), "--M", str(M))
+        assert code == 2 and out == ""
+        assert ">= 1" in err
 
 
 class TestSubadd:

@@ -167,6 +167,15 @@ class TestBestCodeSearch:
         assert code.encoder.tolist() == [0, 1]
         assert code.decoder.tolist() == [[0], [1]]
 
+    @pytest.mark.parametrize("n, M", [(0, 2), (1, 0), (0, 0)])
+    def test_empty_block_rejected(self, n, M):
+        # n = 0 returned avg_distortion nan after a RuntimeWarning
+        src, d = bsc_problem(0.15)
+        with pytest.raises(ValueError, match=">= 1"):
+            best_code_search(src, d, FTransform.identity(), n=n, M=M)
+        with pytest.raises(ValueError, match=">= 1"):
+            BlockCode(n=n, M=M, encoder=np.zeros(1, dtype=int), decoder=np.zeros((M, n)))
+
     def test_n1_m1_constant(self):
         src, d = bsc_problem(0.15)
         code, ev = best_code_search(src, d, FTransform.identity(), n=1, M=1)

@@ -156,6 +156,20 @@ class TestSolveAtDistortion:
         with pytest.raises(DomainError):
             solve_at_distortion(src, d, f, f.invert(lo - 4.0 * (lo - f.apply(d_lo))))
 
+    @pytest.mark.parametrize("f", [FTransform.identity(), FTransform.sqrt(),
+                                   FTransform.power(2.0)], ids=["identity", "sqrt", "power"])
+    def test_nan_and_negative_levels_raise(self, f):
+        # NaN gave the zero-rate point flagged unconverged; -inf gave it too
+        # under sqrt (a NaN level) and flagged clamped under power 2 (f = inf)
+        _, src, d = bsc_problem(0.1, f)
+        for D in (math.nan, -math.inf, -0.1):
+            with pytest.raises(DomainError):
+                solve_at_distortion(src, d, f, D)
+        with pytest.raises(DomainError):
+            characterize(src, d, f, math.nan)
+        pt = solve_at_distortion(src, d, f, math.inf)
+        assert pt.clamped and pt.converged and pt.rate == 0.0
+
     def test_above_domain_clamps_to_zero(self):
         _, src, d = bsc_problem(0.15)
         pt = solve_at_distortion(src, d, FTransform.identity(), 0.75)
@@ -283,6 +297,12 @@ class TestDistortionAtRate:
         D = distortion_at_rate(src, d, f, 0.5 * LN2)
         assert abs(bsc_irdf(m, D) - 0.5 * LN2) <= 1e-8
 
+    def test_nan_rate_raises(self):
+        # raised NotConverged "duality gap 0 nats after 0 iterations"
+        m, src, d = bsc_problem(0.1)
+        with pytest.raises(DomainError):
+            distortion_at_rate(src, d, m.f, math.nan)
+
     def test_zero_rate_gives_dmax(self):
         m, src, d = bsc_problem(0.15)
         assert distortion_at_rate(src, d, m.f, 0.0) == pytest.approx(0.5, abs=1e-12)
@@ -373,8 +393,9 @@ class TestSlopeSearch:
         real_seed = solver._newton_seed
 
         def seed(*args):
-            real_seed(*args)
+            seeded_row = real_seed(*args)
             seeded.append(len(slopes))
+            return seeded_row
 
         monkeypatch.setattr(solver, "_newton_seed", seed)
         _check_segment_level(draw, frac)
@@ -551,6 +572,69 @@ class TestLoneLevel:
             calls.append(len(slopes) - before)  # one lane per call here
         assert calls == [1] * len(criterion_05_targets)
 
+    def test_certified_point_is_returned_without_a_search(self, monkeypatch,
+                                                          criterion_05_targets):
+        # a certified joint point on its level goes straight to its
+        # SlopePoint: no memo, no zero-rate row, no search round
+        def no_search(*args, **kwargs):
+            raise AssertionError("the slope search ran")
+
+        monkeypatch.setattr(solver, "_search", no_search)
+        for src, d, f, am, D in criterion_05_targets:
+            assert solve_at_distortion(src, d, f, D, amended=am).converged
+
+    def test_joint_iteration_starts_at_the_secant_slope(self, monkeypatch,
+                                                        criterion_05_targets):
+        # s0 (hi - level) / (hi - f0), the slope where the level meets the
+        # secant through the start lane's point (s0, f0) and the zero-rate
+        # end (0, hi), clamped to [0.5, 1.2] s0
+        starts, joint = [], []
+        real_lane, real_newton = kernels.ba_fixed_slope_loop, kernels.level_newton
+
+        def lane(e, pz, s, *args):
+            out = real_lane(e, pz, s, *args)
+            starts.append((s[0], out[2][0]))
+            return out
+
+        def newton(e, pz, s, *args):
+            joint.append(s)
+            return real_newton(e, pz, s, *args)
+
+        monkeypatch.setattr(kernels, "ba_fixed_slope_loop", lane)
+        monkeypatch.setattr(kernels, "level_newton", newton)
+        ratios = []
+        for src, d, f, am, D in criterion_05_targets:
+            lo, hi = f_domain_bounds(am, src.z_marginal)
+            # the drawn level, and one near the left end, past the secant's upper clamp
+            for raw in (D, float(f.invert(lo + 0.01 * (hi - lo)))):
+                starts.clear()
+                joint.clear()
+                pt = solve_at_distortion(src, d, f, raw, amended=am)
+                assert pt.converged and len(starts) == len(joint) == 1
+                (s0, f0), s1 = starts[0], joint[0]
+                assert s0 == -1.0 / (hi - lo)
+                ratio = (hi - f.apply(raw)) / (hi - f0)
+                assert s1 == s0 * min(max(ratio, 0.5), 1.2)
+                ratios.append(ratio)
+        # the drawn levels meet the lower clamp and the open range, and the
+        # levels near the left end the upper clamp
+        assert min(ratios) < 0.5 < max(r for r in ratios if r < 1.2) and max(ratios) > 1.2
+
+    @pytest.mark.parametrize("frac", [1e-4, 0.1, 0.5])
+    def test_large_transform_values_do_not_overflow(self, frac):
+        # f reaches e**520 ~ 2e225 with a span of ~1e221: the slope's
+        # variance term squared the raw deviations, ~1e442, and overflowed
+        m, src, _ = bsc_problem(0.1)
+        d = DistortionMatrix(250.0 + 10.0 * DistortionMatrix.hamming(2).values)
+        f = FTransform.exponential(2.0)
+        am = build_amended(src, d, f)
+        lo, hi = f_domain_bounds(am, src.z_marginal)
+        D = float(f.invert(lo + frac * (hi - lo)))
+        with np.errstate(over="raise"):
+            pt = solve_at_distortion(src, d, f, D, amended=am)
+        assert pt.converged
+        assert abs(pt.f_distortion - f.apply(D)) <= SolverConfig().bisection_tol * (hi - lo)
+
     def test_kernel_certifies_the_point_at_its_start(self, criterion_05_targets):
         # the joint point's certificate is the kernel's own: solved again at
         # its slope from its pmf, it is certified before any ascent step, at
@@ -610,6 +694,41 @@ class TestLoneLevel:
         assert above.distortion == invert(f, hi)
         at_hi = solver._solve_reduced_at(am, pz, hi, cfg)
         assert not at_hi.clamped and at_hi.rate == 0.0 and at_hi.f_distortion == hi
+
+
+def _stress_targets():
+    """The lone-level stress recipe: 400 draws of the criterion-05
+    generator without its level draw, and levels at 0.01, 0.3, 0.7 and 0.99
+    of the span of each draw whose span exceeds 1e-9 (692 targets)."""
+    rng = np.random.default_rng(20240817)
+    for _ in range(400):
+        nx, nz, nh = rng.integers(2, 5, size=3)
+        joint = rng.random((nx, nz)) ** 2
+        src = JointSource.from_joint(joint / joint.sum())
+        d = DistortionMatrix(rng.random((nx, nh)))
+        f = _random_transform(rng)
+        am = build_amended(src, d, f)
+        lo, hi = f_domain_bounds(am, src.z_marginal)
+        if hi - lo > 1e-9:
+            for frac in (0.01, 0.3, 0.7, 0.99):
+                yield src, d, f, am, lo, hi, lo + frac * (hi - lo)
+
+
+def test_lone_levels_under_stress(monkeypatch):
+    # every lone level of the stress recipe is certified and on its level in
+    # one kernel call: the joint point, never the search's fallback
+    cfg = SolverConfig()
+    slopes = _count_solves(monkeypatch)
+    n = 0
+    for src, d, f, am, lo, hi, level in _stress_targets():
+        before = len(slopes)
+        D = float(f.invert(level))
+        pt = solve_at_distortion(src, d, f, D, amended=am)
+        assert pt.converged and pt.gap <= cfg.gap_tol
+        assert abs(pt.f_distortion - f.apply(D)) <= cfg.bisection_tol * max(1.0, hi - lo)
+        assert len(slopes) - before == 1
+        n += 1
+    assert n == 692
 
 
 class TestTransformScale:
