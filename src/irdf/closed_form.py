@@ -11,6 +11,7 @@ Rates are in nats; "one bit" appears as log 2 throughout.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -120,10 +121,17 @@ def domain_bounds(model) -> tuple[float, float]:
     return float(model.f.invert(lo)), float(model.f.invert(hi))
 
 
+def _level(model, D: float) -> float:
+    """f(D); DomainError for a NaN D, as the solver gives."""
+    if math.isnan(D):
+        raise DomainError("requested distortion is NaN")
+    return float(model.f.apply(D))
+
+
 def _check_level(model, D: float) -> tuple[float, float, float] | None:
     """Common domain handling; None means the zero-rate region past d_max."""
     lo, hi = _endpoints(model)
-    fd = float(model.f.apply(D))
+    fd = _level(model, D)
     slack = _EDGE_SLACK * max(1.0, hi - lo)
     if fd < lo - slack:
         raise DomainError(
@@ -168,7 +176,7 @@ def bec_optimal_conditional(model: BecModel, D: float) -> tuple[np.ndarray, np.n
     """Optimal q(xhat|z) (rows z = 0, e, 1) and output marginal for the
     erasure model at raw distortion D; DomainError outside the curve domain."""
     lo, hi = _endpoints(model)
-    fd = float(model.f.apply(D))
+    fd = _level(model, D)
     slack = _EDGE_SLACK * max(1.0, hi - lo)
     if fd < lo - slack or fd > hi + slack:
         raise DomainError(

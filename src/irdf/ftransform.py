@@ -9,13 +9,15 @@ interpolation of the swapped table.
 A transform may take negative values (the shifted cubic does at 0); nothing
 here clamps. Every kind is strictly increasing by construction: power needs
 p > 0, exponential needs rho > 0, and a tabulated table must increase
-strictly in both columns. What remains to check per problem is that a
-tabulated table covers the distortions it is applied to.
+strictly in both columns; every parameter and table entry must be finite.
+What remains to check per problem is that a tabulated table covers the
+distortions it is applied to.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ class FTransform:
 
     kind/parameter pairs: power needs p > 0, shifted_cubic needs a,
     exponential needs rho > 0, tabulated needs a strictly increasing
-    (xi, f(xi)) table. identity and sqrt take no parameters.
+    (xi, f(xi)) table, all finite. identity and sqrt take no parameters.
     """
 
     kind: str
@@ -47,18 +49,22 @@ class FTransform:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown transform kind {self.kind!r}")
+        # written so that NaN fails each test
         if self.kind == "power":
-            if self.p is None or self.p <= 0:
-                raise ValueError("power transform needs p > 0")
-        if self.kind == "shifted_cubic" and self.a is None:
-            raise ValueError("shifted_cubic transform needs a shift a")
+            if self.p is None or not 0.0 < self.p < math.inf:
+                raise ValueError(f"power transform needs a finite p > 0, got {self.p}")
+        if self.kind == "shifted_cubic":
+            if self.a is None or not math.isfinite(self.a):
+                raise ValueError(f"shifted_cubic transform needs a finite shift a, got {self.a}")
         if self.kind == "exponential":
-            if self.rho is None or self.rho <= 0:
-                raise ValueError("exponential transform needs rho > 0")
+            if self.rho is None or not 0.0 < self.rho < math.inf:
+                raise ValueError(f"exponential transform needs a finite rho > 0, got {self.rho}")
         if self.kind == "tabulated":
             pts = np.array(self.points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
                 raise ValueError("tabulated transform needs at least two (xi, y) rows")
+            if not np.isfinite(pts).all():
+                raise ValueError("tabulated transform needs finite (xi, y) rows")
             if np.any(np.diff(pts[:, 0]) <= 0) or np.any(np.diff(pts[:, 1]) <= 0):
                 raise MonotonicityError("tabulated transform must be strictly increasing")
             pts.setflags(write=False)

@@ -62,6 +62,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -99,8 +101,8 @@ class SolverConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         for name in ("gap_tol", "bisection_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,12 +228,13 @@ class _Memo:
             self.rows = grown
         self.rows[base:end] = new
         self.size = end
+        slope, fs, rate, row = self.slope, self.f, self.rate, self.row
         for b, (s, f, r) in enumerate(new[:u, :_GAP].tolist(), base):
-            j = bisect.bisect_left(self.slope, s)
-            self.slope.insert(j, s)
-            self.f.insert(j, f)
-            self.rate.insert(j, r)
-            self.row.insert(j, b)
+            j = bisect.bisect_left(slope, s)
+            slope.insert(j, s)
+            fs.insert(j, f)
+            rate.insert(j, r)
+            row.insert(j, b)
         return base
 
 
@@ -259,13 +262,19 @@ def _points(amended: AmendedDistortions, rows: np.ndarray, converged) -> list[Sl
         q_cond, q_used = np.repeat(q_out[:, None, :], used.size, axis=1), q_cond
         q_cond[:, used] = q_used
     raw = np.asarray(amended.f.invert(rows[:, _F]), dtype=float).tolist()
-    # positional arguments, in field order: keywords cost a frozen dataclass
-    # ~1.4 us more per point
-    return [
-        SlopePoint(s, qc, qo, max(0.0, r), fd, d, int(it), g, ok, r < 0.0)
-        for (s, fd, r, g, it), qc, qo, d, ok in zip(rows[:, :_Q].tolist(), q_cond, q_out, raw,
-                                                    converged.tolist())
-    ]
+    # a frozen dataclass's __init__ writes each field through object.__setattr__;
+    # one update of the new instance's __dict__ sets them all at ~40 % of the
+    # cost (SlopePoint has no __post_init__ to skip). It stays frozen
+    new = object.__new__
+    pts = []
+    for (s, fd, r, g, it), qc, qo, d, ok in zip(rows[:, :_Q].tolist(), q_cond, q_out, raw,
+                                                converged.tolist()):
+        pt = new(SlopePoint)
+        pt.__dict__.update(slope=s, q_cond=qc, q_out=qo, rate=r if r > 0.0 else 0.0,
+                           f_distortion=fd, distortion=d, iterations=int(it), gap=g,
+                           converged=ok, clamped=r < 0.0)
+        pts.append(pt)
+    return pts
 
 
 def ba_fixed_slope(
@@ -288,7 +297,7 @@ def ba_fixed_slope(
     return _points(amended, row, row[:, _GAP] <= cfg.gap_tol)[0]
 
 
-def _search(problem: _Problem, goals: list[float], done, cfg: SolverConfig, memo: _Memo,
+def _search(problem: _Problem, goals: list[float], tol: float, cfg: SolverConfig, memo: _Memo,
             by_rate: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Slope searches for all ``goals`` at once, in lockstep rounds: the
     memo row each one ends on and whether that point is converged.
@@ -296,19 +305,22 @@ def _search(problem: _Problem, goals: list[float], done, cfg: SolverConfig, memo
     A goal is a transform-domain level, or with ``by_rate`` a rate in nats.
     The searched key is the f_distortion, or minus the rate, which increases
     with the slope, so a point's residual g, its key less the goal's, is
-    positive at s = 0 and falls as s decreases. ``done(g, s, f)`` accepts a
-    point.
+    positive at s = 0 and falls as s decreases. A point on a level is one
+    within ``tol`` of it; a point on a rate is one within |s| * tol of it
+    (the level tolerance carried to the rate axis by the curve's slope), or
+    one short of it at f <= lo + tol, where the curve is within the level
+    tolerance of d_min.
 
     Each round every unresolved target bisects the key column for its root
     (the s = 0 point closes a bracket with no solve above it) and takes one
-    step over the two solves on either side: the one ``done`` accepts with
-    the smaller |g| is its result; with no solve below, its lane doubles
-    the steepest slope (or is -1/span); inside the bracket it is ``_step``,
-    the root of a cubic model of the curve through the two ends, or the
+    step over the two solves on either side: the one on the goal with the
+    smaller |g| is its result; with no solve below, its lane doubles the
+    steepest slope (or is -1/span); inside the bracket it is ``_step``, the
+    root of a cubic model of the curve through the two ends, or the
     midpoint once the target's last two steps have not halved its bracket.
     A bracket collapsed onto one slope straddles a linear segment: its lane
     time-shares the two ends at its lower slope (``_mix``) and is the
-    result, flagged unconverged unless ``done`` accepts it, as is a solve
+    result, flagged unconverged unless it is on the goal, as is a solve
     settled on after ``_MAX_DOUBLINGS`` doublings or ``_MAX_SEARCH`` steps.
 
     Equal slopes merge into one kernel call, each regular lane started from
@@ -318,6 +330,8 @@ def _search(problem: _Problem, goals: list[float], done, cfg: SolverConfig, memo
     cold one certifies), and then join the memo.
     """
     span = problem.hi - problem.lo
+    floor = problem.lo + tol  # a rate short of its goal at or below this f is at d_min
+    gap_tol = cfg.gap_tol
     nx = problem.e.shape[1]
     q_zero = problem.q_zero  # the s = 0 point's memo row: its q_cond rows repeat q_out
     z_row = memo.add(np.concatenate([[0.0, problem.hi, 0.0, 0.0, 0.0]]
@@ -327,49 +341,57 @@ def _search(problem: _Problem, goals: list[float], done, cfg: SolverConfig, memo
     n = len(goals)
     found, ok = [z_row] * n, [True] * n
     rungs, steps = [0] * n, [0] * n  # doublings, and bracket steps
-    widths = [(math.inf, math.inf)] * n  # the target's brackets at its last two steps
+    # each target's bracket widths at its last step and at the step before
+    width1, width2 = [math.inf] * n, [math.inf] * n
     todo = list(range(n))
     while todo:
         m = len(memo.slope)
         # the memo's columns, the s = 0 point appended: it closes every bracket
         S, F, R, row = memo.slope + [0.0], memo.f + [z_f], memo.rate + [0.0], memo.row + [z_row]
         K = [-max(r, 0.0) for r in R] if by_rate else F
-        lanes: dict[float, list[int]] = {}  # the targets proposing each slope
+        lanes = defaultdict(list)  # the targets proposing each slope
         shares = []  # collapsed brackets: target, the ends' rows and residuals, slope
         for t in todo:
-            level = -goals[t] if by_rate else goals[t]
+            goal = goals[t]
+            level = -goal if by_rate else goal
             i = bisect_right(K, level, 0, m)  # the solves below i are at or below the level
-            # of the solves around the root, the one done accepts with the smaller |g|
+            # so g_lo <= 0 < g_hi; the result is the solve on the goal with the smaller |g|
             g_lo, g_hi = K[i - 1] - level if i else -math.inf, K[i] - level
-            hit = i - 1 if i and done(g_lo, S[i - 1], F[i - 1]) else None
-            if done(g_hi, S[i], F[i]) and (hit is None or g_hi < -g_lo):
-                hit = i
-            if hit is not None:
-                found[t] = row[hit]
+            if by_rate:  # within |s| tol of the rate, or short of it at f <= floor
+                on_lo = i and g_lo >= S[i - 1] * tol
+                on_hi = g_hi <= -S[i] * tol or F[i] <= floor
+            else:  # within tol of the level
+                on_lo = i and g_lo >= -tol
+                on_hi = g_hi <= tol
+            if on_hi and (not on_lo or g_hi < -g_lo):
+                found[t] = row[i]
+                continue
+            if on_lo:
+                found[t] = row[i - 1]
                 continue
             if i == 0:
                 if rungs[t] > _MAX_DOUBLINGS:  # never crossed: the left endpoint
                     found[t], ok[t] = row[0], False
                     continue
                 rungs[t] += 1
-                lanes.setdefault(2.0 * S[0] if m else -1.0 / span, []).append(t)
+                lanes[2.0 * S[0] if m else -1.0 / span].append(t)
                 continue
             s_lo, s_hi = S[i - 1], S[i]
-            if s_hi - s_lo <= _BRACKET_EPS * abs(s_lo):
+            width = s_hi - s_lo
+            if width <= _BRACKET_EPS * -s_lo:  # s_lo < 0: a solve
                 shares.append((t, row[i - 1], row[i], g_lo, g_hi, s_lo))
                 continue
             if steps[t] >= _MAX_SEARCH:
                 found[t], ok[t] = row[i - 1 if -g_lo <= g_hi else i], False
                 continue
             steps[t] += 1
-            w1, w2 = widths[t]
-            widths[t] = s_hi - s_lo, w1
-            if s_hi - s_lo > 0.5 * w2:  # the last two steps did not halve the bracket
+            w2 = width2[t]
+            width2[t], width1[t] = width1[t], width
+            if width > 0.5 * w2:  # the last two steps did not halve the bracket
                 s_new = 0.5 * (s_lo + s_hi)
             else:
-                s_new = _step(s_lo, s_hi, F[i - 1], F[i], R[i - 1], R[i], goals[t], by_rate,
-                              cfg.gap_tol)
-            lanes.setdefault(s_new, []).append(t)
+                s_new = _step(s_lo, s_hi, F[i - 1], F[i], R[i - 1], R[i], goal, gap_tol, by_rate)
+            lanes[s_new].append(t)
         todo = [t for ts in lanes.values() for t in ts]
         if not (lanes or shares):
             continue
@@ -387,7 +409,7 @@ def _search(problem: _Problem, goals: list[float], done, cfg: SolverConfig, memo
             starts = np.concatenate((starts, _mix(memo.rows[lo], np.array(g_lo), memo.rows[hi],
                                                   np.array(g_hi), nx)))
         new = _lanes(problem.e, problem.w, slopes, starts, cfg)
-        again = [b for b, g in enumerate(new[:u, _GAP].tolist()) if g > cfg.gap_tol] if m else []
+        again = [b for b, g in enumerate(new[:u, _GAP].tolist()) if g > gap_tol] if m else []
         if again:
             cold = _lanes(problem.e, problem.w, [uniq[b] for b in again], None, cfg)
             better = cold[:, _GAP] < new[again, _GAP]
@@ -395,15 +417,19 @@ def _search(problem: _Problem, goals: list[float], done, cfg: SolverConfig, memo
         base = memo.add(new, u)
         if shares:
             for b, (t, (s, f, r)) in enumerate(zip(share_t, new[u:, :_GAP].tolist()), base + u):
-                g = goals[t] - max(r, 0.0) if by_rate else f - goals[t]
-                found[t], ok[t] = b, done(g, s, f)
+                if by_rate:
+                    g = goals[t] - max(r, 0.0)
+                    found[t], ok[t] = b, abs(g) <= -s * tol or (g > 0.0 and f <= floor)
+                else:
+                    found[t], ok[t] = b, abs(f - goals[t]) <= tol
     rows = memo.rows[found]
-    return rows, np.array(ok) & (rows[:, _GAP] <= cfg.gap_tol)
+    return rows, np.array(ok) & (rows[:, _GAP] <= gap_tol)
 
 
 def _step(s_lo: float, s_hi: float, f_lo: float, f_hi: float, r_lo: float, r_hi: float,
-          goal: float, by_rate: bool, gap_tol: float) -> float:
-    """The next slope inside the bracket (s_lo, s_hi) toward ``goal``.
+          goal: float, gap_tol: float, by_rate: bool = False) -> float:
+    """The next slope inside the bracket (s_lo, s_hi) toward ``goal``, a
+    level or with ``by_rate`` a rate.
 
     In Blahut's parametric form G(s) = s * f - R is convex, with G'(s) = f
     and R = s * G' - G. So the two ends give G and G' at both ends, and the
@@ -425,27 +451,32 @@ def _step(s_lo: float, s_hi: float, f_lo: float, f_hi: float, r_lo: float, r_hi:
     longer meets r_hi). When the bracket is too narrow for kappa to be known
     (mean f - f_lo cancels to within the rates' gaps and roundoff), the step
     is the secant; a step outside the bracket is the midpoint.
+
+    A search takes thousands of these steps a second, so the level path
+    clamps with comparisons, not the builtin ``min``/``max`` calls.
     """
     h, d = s_hi - s_lo, f_hi - f_lo
-    mid = 0.5 * (s_lo + s_hi)
     if not d > 0.0:
-        return mid
-    # h * (mean f - f_lo), and a bound on its error: each rate is within its
-    # gap of the curve, and every term carries roundoff
-    lift = s_hi * d - (r_hi - r_lo)
-    err = 2.0 * gap_tol + 4.0 * _EPS * (abs(s_hi) * (abs(f_lo) + abs(f_hi))
-                                        + abs(r_lo) + abs(r_hi))
-    known = 6.0 * err <= _KAPPA_ERR * h * d
-    kappa = 6.0 * lift / (h * d) - 3.0 if known else 0.0
+        return 0.5 * (s_lo + s_hi)
+    # h * (mean f - f_lo) is s_hi * d - (r_hi - r_lo), within a bound on its
+    # error: each rate is within its gap of the curve, and every term carries
+    # roundoff
+    known = 6.0 * (2.0 * gap_tol + 4.0 * _EPS * (abs(s_hi) * (abs(f_lo) + abs(f_hi))
+                                                 + abs(r_lo) + abs(r_hi))) <= _KAPPA_ERR * h * d
+    kappa = 6.0 * (s_hi * d - (r_hi - r_lo)) / (h * d) - 3.0 if known else 0.0
     if by_rate:
         x = (_rate_root(s_lo, h, d, kappa, r_lo - goal) if known and abs(kappa) <= 1.0
              else (r_lo - goal) / (r_lo - r_hi))
     else:
-        kappa = max(-1.0, min(1.0, kappa))
+        if not kappa < 1.0:
+            kappa = 1.0
+        elif not kappa > -1.0:
+            kappa = -1.0
         u = (goal - f_lo) / d
-        x = 2.0 * u / ((1.0 + kappa) + math.sqrt(max((1.0 + kappa) ** 2 - 4.0 * kappa * u, 0.0)))
+        disc = (1.0 + kappa) ** 2 - 4.0 * kappa * u
+        x = 2.0 * u / ((1.0 + kappa) + math.sqrt(0.0 if disc < 0.0 else disc))
     s = s_lo + x * h
-    return s if s_lo < s < s_hi else mid
+    return s if s_lo < s < s_hi else 0.5 * (s_lo + s_hi)
 
 
 def _rate_root(s_lo: float, h: float, d: float, kappa: float, r0: float) -> float:
@@ -547,7 +578,7 @@ def _solve_levels(
         if len(todo) > 1:
             memo.add(_lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER], None, cfg),
                      len(_LADDER))
-    rows, conv = _search(problem, todo, lambda g, s, f: abs(g) <= tol_f, cfg, memo)
+    rows, conv = _search(problem, todo, tol_f, cfg, memo)
     found = iter(_points(problem.amended, rows, conv))
     return [p if p is not None else next(found) for p in pts]
 
@@ -643,7 +674,7 @@ def sweep_curve(
 ) -> RdCurve:
     """Solve n_points levels evenly spaced in raw units over (d_min, d_max],
     sorted by distortion, in one lockstep search over a shared slope memo."""
-    if n_points < 2:
+    if operator.index(n_points) < 2:  # TypeError for a non-integer count
         raise ValueError("n_points must be >= 2")
     cfg = cfg or SolverConfig()
     problem = _Problem(build_amended(src, d, f), src.z_marginal)
@@ -746,13 +777,7 @@ def distortion_at_rate(
         return d_hi
     if hi - lo <= tol_f:  # the whole curve is within the level tolerance of d_min
         return d_lo
-
-    def saturated(g, f):
-        # short of rate_nats within the level tolerance of d_min
-        return g > 0.0 and f <= lo + tol_f
-
-    rows, conv = _search(problem, [rate_nats],
-                         lambda g, s, f: abs(g) <= -s * tol_f or saturated(g, f), cfg, _Memo(),
-                         by_rate=True)
+    rows, conv = _search(problem, [rate_nats], tol_f, cfg, _Memo(), by_rate=True)
     pt = _certified(_points(problem.amended, rows, conv)[0], cfg)
-    return d_lo if saturated(rate_nats - pt.rate, pt.f_distortion) else pt.distortion
+    # short of rate_nats within the level tolerance of d_min
+    return d_lo if rate_nats > pt.rate and pt.f_distortion <= lo + tol_f else pt.distortion

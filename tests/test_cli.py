@@ -184,6 +184,21 @@ class TestClosedForm:
         assert code == 2 and out == ""
         assert "--points" in err
 
+    @pytest.mark.parametrize("command", ["closed-form", "curve"])
+    def test_nan_parameter_exit_code(self, capsys, command):
+        # closed-form printed three NaN rows marked true and exited 0, and
+        # curve exited 2 blaming an overflow of power(p=nan)
+        code, out, err = run(capsys, command, "--model", "bsc", "--beta", "0.1",
+                             "--f", "power", "--p", "nan", "--points", "3")
+        assert code == 2 and out == ""
+        assert "finite p" in err
+
+    def test_nan_level_exit_code(self, capsys):
+        code, out, err = run(capsys, "closed-form", "--model", "bsc", "--beta", "0.1",
+                             "--D", "nan")
+        assert code == 2 and out == ""
+        assert "NaN" in err
+
     def test_single_level(self, capsys):
         code, out, _ = run(
             capsys, "closed-form", "--model", "bsc", "--beta", "0.15",

@@ -199,6 +199,18 @@ class TestBecOptimalConditional:
             bec_optimal_conditional(BecModel(0.4), 0.7)
 
 
+@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name())
+def test_nan_level_raises(f):
+    # NaN compares false with both ends of the domain: bsc_irdf gave 0.693,
+    # bec_irdf 0.485 and bec_optimal_conditional NaN rows
+    with pytest.raises(DomainError, match="NaN"):
+        bsc_irdf(BscModel(0.1, f), math.nan)
+    with pytest.raises(DomainError, match="NaN"):
+        bec_irdf(BecModel(0.3, f), math.nan)
+    with pytest.raises(DomainError, match="NaN"):
+        bec_optimal_conditional(BecModel(0.3, f), math.nan)
+
+
 class TestDomainBoundsExamples:
     def test_exponential(self):
         rho, beta = 9.2, 0.01

@@ -127,6 +127,23 @@ def test_parameter_validation():
         FTransform("nonsense")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["power", "shifted_cubic", "exponential"])
+def test_non_finite_parameters_rejected(kind, value):
+    # `p <= 0` and `rho <= 0` are false for NaN, which passed as a parameter
+    with pytest.raises(ValueError, match="finite"):
+        getattr(FTransform, kind)(value)
+
+
+@pytest.mark.parametrize("table", [[[0.0, 0.0], [math.nan, 1.0]], [[0.0, 0.0], [1.0, math.inf]],
+                                   [[-math.inf, 0.0], [1.0, 1.0]]], ids=["nan", "inf", "-inf"])
+def test_tabulated_non_finite_entries_rejected(table):
+    # a NaN difference is not <= 0, so [[0, 0], [nan, 1]] passed the
+    # monotonicity check
+    with pytest.raises(ValueError, match="finite"):
+        FTransform.tabulated(table)
+
+
 @pytest.mark.parametrize(
     "spec, kind",
     [

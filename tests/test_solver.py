@@ -1,6 +1,7 @@
 """Solver: slope fixed points, the slope search for a target level, sweeps,
 and the three-route equivalence."""
 
+import dataclasses
 import itertools
 import math
 
@@ -177,7 +178,43 @@ class TestSolveAtDistortion:
         assert pt.clamped
 
 
+class TestConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-9], ids=str)
+    @pytest.mark.parametrize("name", ["gap_tol", "bisection_tol"])
+    def test_tolerances_must_be_finite_and_positive(self, name, value):
+        # `<= 0` is false for NaN: SolverConfig(gap_tol=nan) gave unconverged
+        # points and raised nothing
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+
+class TestSlopePoint:
+    def test_points_stay_frozen(self):
+        # a search's points are built with one write of their __dict__
+        m, src, d = bsc_problem(0.15)
+        pt = sweep_curve(src, d, m.f, 4).points[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pt.rate = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del pt.slope
+        clamped = dataclasses.replace(pt, clamped=True)
+        assert clamped.clamped and not pt.clamped
+        for field in dataclasses.fields(solver.SlopePoint):
+            if field.name != "clamped":
+                assert getattr(clamped, field.name) is getattr(pt, field.name)
+        fields = {f.name: getattr(pt, f.name) for f in dataclasses.fields(solver.SlopePoint)}
+        assert repr(pt) == repr(solver.SlopePoint(**fields))
+        assert vars(pt).keys() == fields.keys()
+
+
 class TestSweep:
+    def test_non_integer_point_count_rejected(self):
+        # 3.5 gave 4 points at uneven levels, all flagged converged
+        m, src, d = bsc_problem(0.15)
+        with pytest.raises(TypeError):
+            sweep_curve(src, d, m.f, 3.5)
+        assert len(sweep_curve(src, d, m.f, np.int64(3)).points) == 3
+
     def test_identity_bsc_matches_closed_form(self):
         m, src, d = bsc_problem(0.15)
         curve = sweep_curve(src, d, m.f, 40)
@@ -486,7 +523,7 @@ class TestSlopeSearch:
         f_root, r_root = point(root)
         (f_lo, r_lo), (f_hi, r_hi) = point(-3.0), point(-1.0)
         goal = r_root if by_rate else f_root
-        s = solver._step(-3.0, -1.0, f_lo, f_hi, r_lo, r_hi, goal, by_rate, 1e-12)
+        s = solver._step(-3.0, -1.0, f_lo, f_hi, r_lo, r_hi, goal, 1e-12, by_rate)
         assert s == pytest.approx(root, abs=1e-12)
 
     def test_uncertified_warm_start_is_solved_again_cold(self, monkeypatch):
