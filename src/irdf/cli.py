@@ -97,22 +97,6 @@ def _rows_to_svg(rows: list[dict]) -> str:
 _FORMATTERS = {"csv": _rows_to_csv, "json": _rows_to_json, "svg": _rows_to_svg}
 
 
-def _curve_rows(curve: RdCurve) -> list[dict]:
-    rows = []
-    for p in curve.points:
-        rows.append(
-            {
-                "D": p.distortion,
-                "f_of_D": p.f_distortion,
-                "rate_nats": p.rate,
-                "rate_bits": p.rate / LN2,
-                "slope_s": p.slope,
-                "converged": p.converged,
-            }
-        )
-    return rows
-
-
 def _point_row(D: float, f_of_D: float, rate: float, slope: float, converged: bool) -> dict:
     return {
         "D": D,
@@ -122,6 +106,11 @@ def _point_row(D: float, f_of_D: float, rate: float, slope: float, converged: bo
         "slope_s": slope,
         "converged": converged,
     }
+
+
+def _curve_rows(curve: RdCurve) -> list[dict]:
+    return [_point_row(p.distortion, p.f_distortion, p.rate, p.slope, p.converged)
+            for p in curve.points]
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:

@@ -122,9 +122,13 @@ def domain_bounds(model) -> tuple[float, float]:
 
 
 def _level(model, D: float) -> float:
-    """f(D); DomainError for a NaN D, as the solver gives."""
+    """f(D); DomainError for a NaN or a negative D, as the solver gives: a
+    negative D lies below every distortion, where a transform may be
+    undefined (sqrt gives NaN) or decreasing."""
     if math.isnan(D):
         raise DomainError("requested distortion is NaN")
+    if D < 0.0:
+        raise DomainError(f"requested distortion {D:g} is negative, below the feasible minimum")
     return float(model.f.apply(D))
 
 

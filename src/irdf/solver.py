@@ -24,18 +24,25 @@ the root of a cubic model built from the two ends alone: in Blahut's
 parametric form (Blahut 1972, "Computation of channel capacity and
 rate-distortion functions") G(s) = s * D - R is convex with G'(s) = D, so
 two solved slopes give G and G' at both ends, and the cubic Hermite model
-of G through them has a quadratic G' whose root is the step. It is
-safeguarded as in Brent 1973 ("Algorithms for Minimization without
-Derivatives"): clamped to a monotone model, the secant where the bracket is
-too narrow for the rates' gaps and roundoff, and bisection when two steps
-have not halved the bracket. Equal proposals merge, and the round's slopes
+of G through them has a quadratic G' whose root at a level is the step.
+There is one step rule: a rate target steps toward the level where a
+quadratic model of R(f) meets its rate, the supporting line at the
+bracket's steeper end bent to pass through the far end; R(f) is convex, so
+that level lies between the line's and the chord's, which bound the
+target's level from both sides. The step is safeguarded as in
+Brent 1973 ("Algorithms for Minimization without Derivatives"): clamped to
+a monotone model, the secant where the bracket is too narrow for the rates'
+gaps and roundoff, and bisection when two steps have not halved the
+bracket. Equal proposals merge, and the round's slopes
 go to one kernel call as lanes, each started from the output pmf of the
 nearest solved slope. A bracket that collapses onto one slope straddles a
 linear segment of the curve, whose level is reached by time-sharing the two
 ends. The bracket-width stop is relative to the slopes, so the search
-behaves alike at every transform-domain scale. Only the points a search
-returns become ``SlopePoint``s, with raw distortions from one vectorized
-f.invert.
+behaves alike at every transform-domain scale. Every target on a problem is
+solved to one level tolerance, tol_f = bisection_tol * max(1, hi - lo),
+which ``_Problem`` computes once; a rate target to |s| * tol_f in rate.
+Only the points a search returns become ``SlopePoint``s, with raw
+distortions from one vectorized f.invert.
 
 A lone level target (``solve_at_distortion``, each ``characterize`` route)
 makes one kernel call: a cold lane at s0 = -1/span, solved only to a loose
@@ -81,7 +88,6 @@ _BRACKET_EPS = 1e-15  # bracket width, relative to its slopes, at which the sear
 _MAX_SEARCH = 200
 _MAX_DOUBLINGS = 60
 _KAPPA_ERR = 0.5  # largest error in the cubic model's kappa that a search step uses it with
-_MAX_ROOT_STEPS = 60
 _EPS = float(np.finfo(float).eps)
 # the first kernel call of a multi-level search: slopes -LADDER / span
 _LADDER = tuple(2.0 ** (k / 2) for k in range(-6, 5))  # 1/8 to 4, ratio sqrt(2)
@@ -169,16 +175,19 @@ def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float,
 
 class _Problem:
     """One amended problem, reduced to its used z once, with its
-    transform-domain bounds, built once for all the targets solved on it.
-    Its analytic zero-rate point (s = 0: mass split over the best columns)
-    is built only when asked for: its output pmf by a slope search or the
+    transform-domain bounds and the solver config, built once for all the
+    targets solved on it. Its level tolerance, tol_f = bisection_tol *
+    max(1, hi - lo), is the one every target on it is solved to. Its
+    analytic zero-rate point (s = 0: mass split over the best columns) is
+    built only when asked for: its output pmf by a slope search or the
     ``SlopePoint``, which costs an f.invert, by a level at or above hi."""
 
-    def __init__(self, amended: AmendedDistortions, pz: np.ndarray):
-        self.amended = amended
+    def __init__(self, amended: AmendedDistortions, pz: np.ndarray, cfg: SolverConfig):
+        self.amended, self.cfg = amended, cfg
         self.e, self.w = e, w = _reduced(amended, pz)
         self.col = w @ e  # the distortion of each single reconstruction letter
         self.lo, self.hi = float(w @ e.min(axis=1)), float(self.col.min())
+        self.tol_f = cfg.bisection_tol * max(1.0, self.hi - self.lo)
 
     @cached_property
     def q_zero(self) -> np.ndarray:
@@ -285,19 +294,24 @@ def ba_fixed_slope(
     q0: np.ndarray | None = None,
 ) -> SlopePoint:
     """Solve the fixed point at one slope s <= 0, starting the kernel from
-    the output pmf q0 (uniform when None)."""
+    the output pmf q0 (uniform when None).
+
+    This is the public one-slope API. No curve path calls it (a search
+    batches its slopes into one lane-batched kernel call), but it stays: the
+    benchmark hooks it, CI's benchmark smoke step fails when a hook target
+    is missing, and the tests use it as the one-slope reference."""
     cfg = cfg or SolverConfig()
     if s > 0:
         raise ValueError(f"slope must be <= 0, got {s}")
     if s == 0.0:
-        return _Problem(amended, pz).zero
+        return _Problem(amended, pz, cfg).zero
     if q0 is not None:
         q0 = np.asarray(q0, dtype=float)[None]
     row = _lanes(*_reduced(amended, pz), [float(s)], q0, cfg)
     return _points(amended, row, row[:, _GAP] <= cfg.gap_tol)[0]
 
 
-def _search(problem: _Problem, goals: list[float], tol: float, cfg: SolverConfig, memo: _Memo,
+def _search(problem: _Problem, goals: list[float], memo: _Memo,
             by_rate: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Slope searches for all ``goals`` at once, in lockstep rounds: the
     memo row each one ends on and whether that point is converged.
@@ -306,10 +320,10 @@ def _search(problem: _Problem, goals: list[float], tol: float, cfg: SolverConfig
     The searched key is the f_distortion, or minus the rate, which increases
     with the slope, so a point's residual g, its key less the goal's, is
     positive at s = 0 and falls as s decreases. A point on a level is one
-    within ``tol`` of it; a point on a rate is one within |s| * tol of it
-    (the level tolerance carried to the rate axis by the curve's slope), or
-    one short of it at f <= lo + tol, where the curve is within the level
-    tolerance of d_min.
+    within ``problem.tol_f`` of it; a point on a rate is one within |s| *
+    tol_f of it (the level tolerance carried to the rate axis by the
+    curve's slope), or one short of it at f <= lo + tol_f, where the curve
+    is within the level tolerance of d_min.
 
     Each round every unresolved target bisects the key column for its root
     (the s = 0 point closes a bracket with no solve above it) and takes one
@@ -318,6 +332,9 @@ def _search(problem: _Problem, goals: list[float], tol: float, cfg: SolverConfig
     steepest slope (or is -1/span); inside the bracket it is ``_step``, the
     root of a cubic model of the curve through the two ends, or the
     midpoint once the target's last two steps have not halved its bracket.
+    A rate goal takes the same step, toward the level where the bracket's
+    model of R(f) meets it (``_rate_level``): the supporting line at the
+    steeper end, bent to pass through the far end.
     A bracket collapsed onto one slope straddles a linear segment: its lane
     time-shares the two ends at its lower slope (``_mix``) and is the
     result, flagged unconverged unless it is on the goal, as is a solve
@@ -330,6 +347,7 @@ def _search(problem: _Problem, goals: list[float], tol: float, cfg: SolverConfig
     cold one certifies), and then join the memo.
     """
     span = problem.hi - problem.lo
+    tol, cfg = problem.tol_f, problem.cfg
     floor = problem.lo + tol  # a rate short of its goal at or below this f is at d_min
     gap_tol = cfg.gap_tol
     nx = problem.e.shape[1]
@@ -390,7 +408,10 @@ def _search(problem: _Problem, goals: list[float], tol: float, cfg: SolverConfig
             if width > 0.5 * w2:  # the last two steps did not halve the bracket
                 s_new = 0.5 * (s_lo + s_hi)
             else:
-                s_new = _step(s_lo, s_hi, F[i - 1], F[i], R[i - 1], R[i], goal, gap_tol, by_rate)
+                f_lo, f_hi, r_lo, r_hi = F[i - 1], F[i], R[i - 1], R[i]
+                if by_rate:
+                    goal = _rate_level(s_lo, f_lo, f_hi, r_lo, r_hi, goal)
+                s_new = _step(s_lo, s_hi, f_lo, f_hi, r_lo, r_hi, goal, gap_tol)
             lanes[s_new].append(t)
         todo = [t for ts in lanes.values() for t in ts]
         if not (lanes or shares):
@@ -427,9 +448,8 @@ def _search(problem: _Problem, goals: list[float], tol: float, cfg: SolverConfig
 
 
 def _step(s_lo: float, s_hi: float, f_lo: float, f_hi: float, r_lo: float, r_hi: float,
-          goal: float, gap_tol: float, by_rate: bool = False) -> float:
-    """The next slope inside the bracket (s_lo, s_hi) toward ``goal``, a
-    level or with ``by_rate`` a rate.
+          level: float, gap_tol: float) -> float:
+    """The next slope inside the bracket (s_lo, s_hi) toward ``level``.
 
     In Blahut's parametric form G(s) = s * f - R is convex, with G'(s) = f
     and R = s * G' - G. So the two ends give G and G' at both ends, and the
@@ -439,21 +459,18 @@ def _step(s_lo: float, s_hi: float, f_lo: float, f_hi: float, r_lo: float, r_hi:
         f(t) = f_lo + (f_hi - f_lo) * (t + kappa * t * (1 - t)),
 
     with kappa = 6 (mean f - f_lo) / (f_hi - f_lo) - 3 and the mean f over
-    the bracket (G(s_hi) - G(s_lo)) / (s_hi - s_lo). A level goal is the
-    model's root of f(t) = goal, a rate goal the root of the model's rate
-    R(t) = s(t) f(t) - G(t), a cubic with R' = s f' (``_rate_root``). Both
-    are exact when f is quadratic in s.
+    the bracket (G(s_hi) - G(s_lo)) / (s_hi - s_lo). The step is the
+    model's root of f(t) = level, exact when f is quadratic in s.
 
     Safeguards: the model is monotone only for |kappa| <= 1; beyond that no
     quadratic fits (as where f jumps across a linear segment of the curve)
     and kappa is clamped to +-1, which keeps f(t) monotone between the two
-    ends (a rate goal takes the secant there, since the clamped model no
-    longer meets r_hi). When the bracket is too narrow for kappa to be known
-    (mean f - f_lo cancels to within the rates' gaps and roundoff), the step
-    is the secant; a step outside the bracket is the midpoint.
+    ends. When the bracket is too narrow for kappa to be known (mean f -
+    f_lo cancels to within the rates' gaps and roundoff), the step is the
+    secant; a step outside the bracket is the midpoint.
 
-    A search takes thousands of these steps a second, so the level path
-    clamps with comparisons, not the builtin ``min``/``max`` calls.
+    A search takes thousands of these steps a second, so it clamps with
+    comparisons, not the builtin ``min``/``max`` calls.
     """
     h, d = s_hi - s_lo, f_hi - f_lo
     if not d > 0.0:
@@ -464,47 +481,31 @@ def _step(s_lo: float, s_hi: float, f_lo: float, f_hi: float, r_lo: float, r_hi:
     known = 6.0 * (2.0 * gap_tol + 4.0 * _EPS * (abs(s_hi) * (abs(f_lo) + abs(f_hi))
                                                  + abs(r_lo) + abs(r_hi))) <= _KAPPA_ERR * h * d
     kappa = 6.0 * (s_hi * d - (r_hi - r_lo)) / (h * d) - 3.0 if known else 0.0
-    if by_rate:
-        x = (_rate_root(s_lo, h, d, kappa, r_lo - goal) if known and abs(kappa) <= 1.0
-             else (r_lo - goal) / (r_lo - r_hi))
-    else:
-        if not kappa < 1.0:
-            kappa = 1.0
-        elif not kappa > -1.0:
-            kappa = -1.0
-        u = (goal - f_lo) / d
-        disc = (1.0 + kappa) ** 2 - 4.0 * kappa * u
-        x = 2.0 * u / ((1.0 + kappa) + math.sqrt(0.0 if disc < 0.0 else disc))
+    if not kappa < 1.0:
+        kappa = 1.0
+    elif not kappa > -1.0:
+        kappa = -1.0
+    u = (level - f_lo) / d
+    disc = (1.0 + kappa) ** 2 - 4.0 * kappa * u
+    x = 2.0 * u / ((1.0 + kappa) + math.sqrt(0.0 if disc < 0.0 else disc))
     s = s_lo + x * h
     return s if s_lo < s < s_hi else 0.5 * (s_lo + s_hi)
 
 
-def _rate_root(s_lo: float, h: float, d: float, kappa: float, r0: float) -> float:
-    """The root in [0, 1] of the model's rate residual
-
-        P(t) = r0 + d * (s_lo * ((1 + kappa) t - kappa t**2)
-                         + h * ((1 + kappa) t**2 / 2 - 2 kappa t**3 / 3)),
-
-    P(0) = r0 >= 0 > P(1), P'(t) = d (1 + kappa - 2 kappa t) (s_lo + h t) <= 0:
-    Newton's method kept in a shrinking bracket, bisecting a step that
-    leaves it."""
-    a, b = 0.0, 1.0
-    x = 0.5
-    for _ in range(_MAX_ROOT_STEPS):
-        p = r0 + d * (s_lo * ((1.0 + kappa) * x - kappa * x * x)
-                      + h * ((0.5 + 0.5 * kappa) * x * x - (2.0 / 3.0) * kappa * x ** 3))
-        if p > 0.0:
-            a = x
-        else:
-            b = x
-        slope = d * (1.0 + kappa - 2.0 * kappa * x) * (s_lo + h * x)
-        x_new = x - p / slope if slope < 0.0 else math.nan
-        if not a < x_new < b:
-            x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= 1e-15:
-            return x_new
-        x = x_new
-    return x
+def _rate_level(s_lo: float, f_lo: float, f_hi: float, r_lo: float, r_hi: float,
+                goal: float) -> float:
+    """The level at which a bracket's model of R(f) meets the rate ``goal``,
+    r_lo >= goal > r_hi: the quadratic in f with the supporting line at the
+    steeper end (R' = s_lo there, in Blahut's parametric form) that passes
+    through the far end. R(f) is convex, so its curvature is clamped at 0,
+    and the level lies between the supporting line's, a lower bound on the
+    goal's level, and the chord's, an upper bound. It is the supporting
+    line's at zero curvature and exact where R is quadratic in f (the
+    supporting line's alone took ~10 % more lanes per rate target)."""
+    d, excess = f_hi - f_lo, r_lo - goal
+    c = (r_hi - r_lo - s_lo * d) / d / d if d > 0.0 else 0.0  # d * d can underflow to 0
+    disc = s_lo * s_lo - 4.0 * c * excess if c > 0.0 else s_lo * s_lo
+    return f_lo + 2.0 * excess / (-s_lo + math.sqrt(disc if disc > 0.0 else 0.0))
 
 
 def _mix(lo: np.ndarray, g_lo: np.ndarray, hi: np.ndarray, g_hi: np.ndarray, nx: int):
@@ -523,26 +524,20 @@ def _mix(lo: np.ndarray, g_lo: np.ndarray, hi: np.ndarray, g_hi: np.ndarray, nx:
     return (1.0 - w) * lo[:, _Q: _Q + nx] + w * hi[:, _Q: _Q + nx]
 
 
-def _solve_levels(
-    problem: _Problem,
-    levels,
-    cfg: SolverConfig,
-    memo: _Memo | None = None,
-) -> list[SlopePoint]:
+def _solve_levels(problem: _Problem, levels, memo: _Memo | None = None) -> list[SlopePoint]:
     """The points whose achieved transform-domain distortions are within the
-    level tolerance tol_f of ``levels``, found by one lockstep search. A
-    level at the left curve endpoint itself gives the closest achievable
-    point (rates there are within slope*tolerance of the limit), and so does
-    a level below it by no more than the roundoff of f(f^-1(lo)). ``memo`` is
-    the search's, shared by the levels of one problem. Without one, a lone
-    level is solved by the joint Newton iteration (``_newton_seed``), whose
-    certified point on the level is returned as it is; only when it falls
-    short does its cold lane seed a new memo for the search. Several levels
-    seed theirs by one kernel call on a ladder of slopes around -1/span
-    (``_LADDER``).
+    level tolerance ``problem.tol_f`` of ``levels``, found by one lockstep
+    search. A level at the left curve endpoint itself gives the closest
+    achievable point (rates there are within slope*tolerance of the limit),
+    and so does a level below it by no more than the roundoff of
+    f(f^-1(lo)). ``memo`` is the search's, shared by the levels of one
+    problem. Without one, a lone level is solved by the joint Newton
+    iteration (``_newton_seed``), whose certified point on the level is
+    returned as it is; only when it falls short does its cold lane seed a
+    new memo for the search. Several levels seed theirs by one kernel call
+    on a ladder of slopes around -1/span (``_LADDER``).
     """
-    lo, hi = problem.lo, problem.hi
-    tol_f = cfg.bisection_tol * max(1.0, hi - lo)
+    lo, hi, tol_f = problem.lo, problem.hi, problem.tol_f
     pts: list[SlopePoint | None] = []
     todo = []
     for level in levels:
@@ -568,7 +563,7 @@ def _solve_levels(
     if not todo:
         return pts
     if memo is None and len(levels) == 1:
-        row, hit = _newton_seed(problem, todo[0], tol_f, cfg)
+        row, hit = _newton_seed(problem, todo[0])
         if hit:
             return _points(problem.amended, row, np.array([True]))
         memo = _Memo()
@@ -576,15 +571,14 @@ def _solve_levels(
     elif memo is None:
         memo = _Memo()
         if len(todo) > 1:
-            memo.add(_lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER], None, cfg),
-                     len(_LADDER))
-    rows, conv = _search(problem, todo, tol_f, cfg, memo)
+            memo.add(_lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER], None,
+                            problem.cfg), len(_LADDER))
+    rows, conv = _search(problem, todo, memo)
     found = iter(_points(problem.amended, rows, conv))
     return [p if p is not None else next(found) for p in pts]
 
 
-def _newton_seed(problem: _Problem, level: float, tol_f: float,
-                 cfg: SolverConfig) -> tuple[np.ndarray, bool]:
+def _newton_seed(problem: _Problem, level: float) -> tuple[np.ndarray, bool]:
     """A lone level in one kernel call: a cold lane at s0 = -1/span, solved
     only to the start gap ``kernels._START_GAP``, then the joint Newton
     iteration on (q, s) (``kernels.level_newton``) from its pmf, started at
@@ -592,10 +586,11 @@ def _newton_seed(problem: _Problem, level: float, tol_f: float,
     (s0, f0) and the zero-rate end (0, hi): s0 (hi - level) / (hi - f0),
     clamped to [_SECANT_LO, _SECANT_HI] s0. The joint point comes back
     certified by the kernel's own end assembly. Returns its memo row and True
-    when it is certified and on the level; otherwise the row of the cold lane
-    solved on from its own pmf to gap_tol, which seeds the search, and False.
+    when it is certified and within ``problem.tol_f`` of the level; otherwise
+    the row of the cold lane solved on from its own pmf to gap_tol, which
+    seeds the search, and False.
     """
-    e, w, hi = problem.e, problem.w, problem.hi
+    e, w, hi, tol_f, cfg = problem.e, problem.w, problem.hi, problem.tol_f, problem.cfg
     s0 = -1.0 / (hi - problem.lo)
     start = kernels.ba_fixed_slope_loop(e, w, np.array([s0]), cfg.max_iters, kernels._START_GAP)
     f0 = float(start[2][0])
@@ -609,18 +604,6 @@ def _newton_seed(problem: _Problem, level: float, tol_f: float,
         row = _lanes(e, w, [s0], start[1], cfg)
     row[0, _IT] += start[4][0]  # the cold lane's iterations count toward the point
     return row, hit
-
-
-def _solve_reduced_at(
-    amended: AmendedDistortions,
-    pz: np.ndarray,
-    target_f: float,
-    cfg: SolverConfig,
-    memo: _Memo | None = None,
-) -> SlopePoint:
-    """The point within the level tolerance tol_f of target_f
-    (``_solve_levels`` with one level)."""
-    return _solve_levels(_Problem(amended, pz), [target_f], cfg, memo)[0]
 
 
 def _certified(pt: SlopePoint, cfg: SolverConfig) -> SlopePoint:
@@ -662,7 +645,7 @@ def solve_at_distortion(
     cfg = cfg or SolverConfig()
     target = _target_level(f, D)
     amended = amended if amended is not None else build_amended(src, d, f)
-    return _solve_reduced_at(amended, src.z_marginal, target, cfg)
+    return _solve_levels(_Problem(amended, src.z_marginal, cfg), [target])[0]
 
 
 def sweep_curve(
@@ -677,14 +660,14 @@ def sweep_curve(
     if operator.index(n_points) < 2:  # TypeError for a non-integer count
         raise ValueError("n_points must be >= 2")
     cfg = cfg or SolverConfig()
-    problem = _Problem(build_amended(src, d, f), src.z_marginal)
+    problem = _Problem(build_amended(src, d, f), src.z_marginal, cfg)
     d_lo, d_hi = np.asarray(f.invert(np.array([problem.lo, problem.hi])), dtype=float).tolist()
 
     steps = np.arange(1, n_points + 1) / n_points
     d_grid = d_lo + (d_hi - d_lo) * steps  # even in raw units, left-open
     targets = np.asarray(f.apply(d_grid), dtype=float)
     targets[-1] = problem.hi
-    pts = _solve_levels(problem, targets.tolist(), cfg)
+    pts = _solve_levels(problem, targets.tolist())
     pts.sort(key=lambda p: p.distortion)
     return RdCurve(points=tuple(pts), d_min=d_lo, d_max=d_hi)
 
@@ -726,7 +709,7 @@ def characterize(
     pz = src.z_marginal
 
     def rate(am: AmendedDistortions) -> float:
-        return _certified(_solve_reduced_at(am, pz, target, cfg), cfg).rate
+        return _certified(_solve_levels(_Problem(am, pz, cfg), [target])[0], cfg).rate
 
     r1 = rate(amended)
 
@@ -759,25 +742,25 @@ def distortion_at_rate(
 ) -> float:
     """Invert the curve: smallest raw distortion whose rate is <= rate_nats.
 
-    The slope search of ``solve_at_distortion`` runs on the rate instead of
-    the distortion and stops once the rate is within |s| * tol_f of
-    rate_nats: the level tolerance carried to the rate axis by the curve's
-    slope s. A rate at or above the curve's maximum gives d_min, and one at
+    The slope search runs on the rate instead of the distortion, each step
+    the levels' step toward the level where the bracket's model of R(f)
+    meets rate_nats, and stops once the rate is within |s| * tol_f of
+    rate_nats: the problem's level tolerance carried to the rate axis by
+    the curve's slope s. A rate at or above the curve's maximum gives d_min, and one at
     or below 0 gives d_max. Raises DomainError for a NaN rate, and
     NotConverged if the point it lands on is not certified.
     """
     cfg = cfg or SolverConfig()
     if math.isnan(rate_nats):
         raise DomainError("requested rate is NaN")
-    problem = _Problem(build_amended(src, d, f), src.z_marginal)
-    lo, hi = problem.lo, problem.hi
-    tol_f = cfg.bisection_tol * max(1.0, hi - lo)
+    problem = _Problem(build_amended(src, d, f), src.z_marginal, cfg)
+    lo, hi, tol_f = problem.lo, problem.hi, problem.tol_f
     d_lo, d_hi = np.asarray(f.invert(np.array([lo, hi])), dtype=float).tolist()
     if rate_nats <= 0.0:
         return d_hi
     if hi - lo <= tol_f:  # the whole curve is within the level tolerance of d_min
         return d_lo
-    rows, conv = _search(problem, [rate_nats], tol_f, cfg, _Memo(), by_rate=True)
+    rows, conv = _search(problem, [rate_nats], _Memo(), by_rate=True)
     pt = _certified(_points(problem.amended, rows, conv)[0], cfg)
     # short of rate_nats within the level tolerance of d_min
     return d_lo if rate_nats > pt.rate and pt.f_distortion <= lo + tol_f else pt.distortion

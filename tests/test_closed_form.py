@@ -211,6 +211,18 @@ def test_nan_level_raises(f):
         bec_optimal_conditional(BecModel(0.3, f), math.nan)
 
 
+@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name())
+def test_negative_level_raises(f):
+    # sqrt maps a negative level to NaN: bsc_irdf gave 0.693 with a
+    # RuntimeWarning, and bec_optimal_conditional NaN rows
+    with pytest.raises(DomainError, match="negative"):
+        bsc_irdf(BscModel(0.1, f), -0.1)
+    with pytest.raises(DomainError, match="negative"):
+        bec_irdf(BecModel(0.3, f), -0.1)
+    with pytest.raises(DomainError, match="negative"):
+        bec_optimal_conditional(BecModel(0.3, f), -0.1)
+
+
 class TestDomainBoundsExamples:
     def test_exponential(self):
         rho, beta = 9.2, 0.01

@@ -357,6 +357,27 @@ class TestDistortionAtRate:
         assert len(slopes) <= 15
         assert abs(bsc_irdf(m, D) - 0.3) <= 1e-8
 
+    @pytest.mark.parametrize("rate", [0.05, 0.3])
+    def test_round_trip_on_random_sources(self, rate, criterion_05_targets):
+        # the lone level at the returned D is on the rate: the search's point
+        # is within |s| tol_f of it, the lone level lands within tol_f of that
+        # point's level (|s| tol_f more in rate), and both rates are within
+        # their gaps, at most gap_tol, of the curve. Or the rate is beyond the
+        # curve's reach, and D is d_min
+        cfg = SolverConfig()
+        reached = 0
+        for src, d, f, am, _ in criterion_05_targets:
+            lo, hi = f_domain_bounds(am, src.z_marginal)
+            D = distortion_at_rate(src, d, f, rate)
+            pt = solve_at_distortion(src, d, f, D, amended=am)
+            assert pt.converged
+            if D == f.invert(np.array([lo, hi]))[0] and pt.rate < rate:  # as the solver inverts lo
+                continue
+            tol_f = cfg.bisection_tol * max(1.0, hi - lo)
+            assert abs(pt.rate - rate) <= 2.0 * -pt.slope * tol_f + cfg.gap_tol
+            reached += 1
+        assert reached > len(criterion_05_targets) // 2
+
 
 class TestSlopeSearch:
     @pytest.mark.parametrize(
@@ -513,7 +534,10 @@ class TestSlopeSearch:
     def test_step_is_exact_for_quadratic_distortion(self, by_rate):
         # f(s) = 0.4 + (s + 2) + 0.3 (s + 2)**2 rises on [-3, -1], so G is
         # the cubic its Hermite model reproduces, and the step lands on the
-        # root of the goal in one go
+        # slope of its level in one go. A rate goal steps toward the level
+        # of the bracket's model of R(f), which lies between the levels where
+        # the supporting line at the steeper end and the chord meet the
+        # rate; R(f) is convex, so those two bound the root's level
         def point(s):
             x = s + 2.0
             f = 0.4 + x + 0.3 * x * x
@@ -522,9 +546,25 @@ class TestSlopeSearch:
         root = -1.7
         f_root, r_root = point(root)
         (f_lo, r_lo), (f_hi, r_hi) = point(-3.0), point(-1.0)
-        goal = r_root if by_rate else f_root
-        s = solver._step(-3.0, -1.0, f_lo, f_hi, r_lo, r_hi, goal, 1e-12, by_rate)
-        assert s == pytest.approx(root, abs=1e-12)
+        level = f_root
+        if by_rate:
+            level = solver._rate_level(-3.0, f_lo, f_hi, r_lo, r_hi, r_root)
+            line = f_lo + (r_lo - r_root) / 3.0
+            chord = f_lo + (r_lo - r_root) * (f_hi - f_lo) / (r_lo - r_hi)
+            assert line < f_root < chord and line < level < chord
+        s = solver._step(-3.0, -1.0, f_lo, f_hi, r_lo, r_hi, level, 1e-12)
+        on_level = (math.sqrt(1.0 + 1.2 * (level - 0.4)) - 1.0) / 0.6 - 2.0  # f(s) = level
+        assert s == pytest.approx(on_level, abs=1e-12)
+
+    def test_rate_level_is_exact_for_quadratic_rate(self):
+        # R(f) = 5 - 3 f + f**2 / 2 on f = s + 3, whose slope R'(f) = f - 3
+        # is s: the model of R(f) through the supporting line at s = -3 and
+        # the point at s = -1 is R itself, and meets rate 2 at 3 - sqrt(3)
+        def rate(f):
+            return 5.0 - 3.0 * f + 0.5 * f * f
+
+        level = solver._rate_level(-3.0, 0.0, 2.0, rate(0.0), rate(2.0), 2.0)
+        assert level == pytest.approx(3.0 - math.sqrt(3.0), abs=1e-15)
 
     def test_uncertified_warm_start_is_solved_again_cold(self, monkeypatch):
         # next to a kink of the curve a warm start can stall uncertified where
@@ -550,9 +590,10 @@ class TestSlopeSearch:
         am = build_amended(src, d, m.f)
         target = float(m.f.apply(0.3))
         memo = solver._Memo()
-        first = solver._solve_reduced_at(am, src.z_marginal, target, SolverConfig(), memo)
+        problem = solver._Problem(am, src.z_marginal, SolverConfig())
+        first = solver._solve_levels(problem, [target], memo)[0]
         slopes = _count_solves(monkeypatch)
-        again = solver._solve_reduced_at(am, src.z_marginal, target, SolverConfig(), memo)
+        again = solver._solve_levels(problem, [target], memo)[0]
         assert slopes == []
         for name in ("slope", "rate", "f_distortion", "gap"):
             assert getattr(again, name) == getattr(first, name)
@@ -594,8 +635,8 @@ class TestLoneLevel:
         cfg = SolverConfig(bisection_tol=1e-12)
         for src, d, f, am, D in criterion_05_targets:
             pt = solve_at_distortion(src, d, f, D, cfg, amended=am)
-            alone = solver._solve_reduced_at(am, src.z_marginal, float(f.apply(D)), cfg,
-                                             solver._Memo())
+            alone = solver._solve_levels(solver._Problem(am, src.z_marginal, cfg),
+                                         [float(f.apply(D))], solver._Memo())[0]
             assert alone.converged and abs(pt.rate - alone.rate) <= 1e-9
 
     def test_kernel_calls_per_solve(self, monkeypatch, criterion_05_targets):
@@ -723,13 +764,13 @@ class TestLoneLevel:
             return invert(self, y)
 
         monkeypatch.setattr(FTransform, "invert", counting)
-        pt = solver._solve_reduced_at(am, pz, float(f.apply(D)), cfg)
+        pt = solver._solve_levels(solver._Problem(am, pz, cfg), [float(f.apply(D))])[0]
         assert pt.converged and not pt.clamped and len(inverted) == 1
-        above = solver._solve_reduced_at(am, pz, hi + 1e-3 * (hi - lo), cfg)
+        above = solver._solve_levels(solver._Problem(am, pz, cfg), [hi + 1e-3 * (hi - lo)])[0]
         assert above.clamped and above.converged
         assert (above.slope, above.rate, above.f_distortion, above.gap) == (0.0, 0.0, hi, 0.0)
         assert above.distortion == invert(f, hi)
-        at_hi = solver._solve_reduced_at(am, pz, hi, cfg)
+        at_hi = solver._solve_levels(solver._Problem(am, pz, cfg), [hi])[0]
         assert not at_hi.clamped and at_hi.rate == 0.0 and at_hi.f_distortion == hi
 
 
