@@ -226,6 +226,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_brute(args) -> int:
+    if args.D is not None and not math.isfinite(args.D):
+        raise ValueError(f"--D must be finite, got {args.D}")  # JSON cannot carry it
     src, d, f, _ = _build_problem(args)
     threshold = args.D if args.criterion == "excess" else None
     code, evaluation = best_code_search(

@@ -31,6 +31,14 @@ _PARAMS = {"power": "p", "shifted_cubic": "a", "exponential": "rho", "tabulated"
 _RANGE_SLACK = 1e-12
 
 
+def _as_array(x) -> tuple[np.ndarray, bool]:
+    """x as a float array and whether it was a scalar. A scalar becomes one
+    element: numpy's scalar ``**`` can round an ulp away from its array loop,
+    and a value should get the same bits alone as inside an array."""
+    arr = np.asarray(x, dtype=float)
+    return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
+
+
 @dataclass(frozen=True, eq=False)
 class FTransform:
     """One member of the supported transform families.
@@ -128,7 +136,7 @@ class FTransform:
 
     def apply(self, xi):
         """f(xi) for scalars or arrays of nonnegative raw distortion values."""
-        arr = np.asarray(xi, dtype=float)
+        arr, scalar = _as_array(xi)
         if self.kind == "identity":
             out = arr + 0.0
         elif self.kind == "power":
@@ -146,11 +154,11 @@ class FTransform:
                     f"tabulated transform queried outside [{xs[0]:g}, {xs[-1]:g}]"
                 )
             out = np.interp(np.clip(arr, xs[0], xs[-1]), xs, ys)
-        return float(out) if arr.ndim == 0 else out
+        return float(out[0]) if scalar else out
 
     def invert(self, y):
         """f^{-1}(y); raises OutOfRange when y cannot be a transform value."""
-        arr = np.asarray(y, dtype=float)
+        arr, scalar = _as_array(y)
         if self.kind == "identity":
             out = arr + 0.0
         elif self.kind == "power":
@@ -169,7 +177,7 @@ class FTransform:
             out = np.log(arr) / self.rho
         else:
             out = self._invert_tabulated(arr)
-        return float(out) if arr.ndim == 0 else out
+        return float(out[0]) if scalar else out
 
     def _invert_tabulated(self, arr: np.ndarray) -> np.ndarray:
         xs, ys = self.points[:, 0], self.points[:, 1]

@@ -8,6 +8,7 @@ best-code search are free of sampling error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,8 @@ class CodeEvaluation:
     comparator: str
 
 
-def _seq_digits(count: int, n: int, base: int) -> np.ndarray:
-    """Digit table (count, n), most significant position first."""
-    idx = np.arange(count, dtype=np.int64)
+def _seq_digits(idx: np.ndarray, n: int, base: int) -> np.ndarray:
+    """Digits (len(idx), n) of sequence indices, most significant position first."""
     place = base ** (n - 1 - np.arange(n, dtype=np.int64))
     return (idx[:, None] // place[None, :]) % base
 
@@ -73,8 +73,8 @@ def _seq_index(digits: np.ndarray, base: int) -> np.ndarray:
 
 def _product_pmf(joint: np.ndarray, n: int) -> np.ndarray:
     """p(x_1..n, z_1..n) as a (|X|**n, |Z|**n) matrix."""
-    out = np.array([[1.0]])
-    for _ in range(n):
+    out = joint
+    for _ in range(n - 1):
         out = (out[:, None, :, None] * joint[None, :, None, :]).reshape(
             out.shape[0] * joint.shape[0], out.shape[1] * joint.shape[1]
         )
@@ -85,19 +85,29 @@ def _mean_f_table(d: DistortionMatrix, f: FTransform, n: int) -> np.ndarray:
     """(1/n) sum_i f(d(x_i, xhat_i)) for all sequence pairs, as a
     (|X|**n, |Xhat|**n) matrix."""
     fd = f.apply(d.values)
-    acc = np.array([[0.0]])
-    for _ in range(n):
+    acc = fd + 0.0  # a -0.0 entry (sqrt of a -0.0 loss) sums as 0.0
+    for _ in range(n - 1):
         acc = (acc[:, None, :, None] + fd[None, :, None, :]).reshape(
             acc.shape[0] * fd.shape[0], acc.shape[1] * fd.shape[1]
         )
     return acc / n
 
 
-def _check_exact_size(src: JointSource, d: DistortionMatrix, n: int) -> None:
+def _block_tables(
+    src: JointSource, d: DistortionMatrix, f: FTransform, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables every exact evaluation at blocklength n reads: the product
+    pmf (|X|**n, |Z|**n), the transform-domain means and the pooled
+    distortions (both (|X|**n, |Xhat|**n)). Raises OutOfRange unless f covers
+    [0, d_max] and TooLarge past the enumeration cap.
+    """
+    f.check_domain(d.d_max)
     nx, nz = src.x_alphabet.size, src.z_alphabet.size
     nh = d.n_reconstruction
     if (nx**n) * (nz**n) > ENUM_CAP or (nx**n) * (nh**n) > ENUM_CAP:
         raise TooLarge(f"exact enumeration at n={n} exceeds {ENUM_CAP} joint sequences")
+    means = _mean_f_table(d, f, n)
+    return _product_pmf(src.joint, n), means, f.invert(means)
 
 
 def _comparator_fn(comparator: str):
@@ -106,6 +116,13 @@ def _comparator_fn(comparator: str):
     if comparator == ">=":
         return np.greater_equal
     raise ValueError(f"comparator must be '>' or '>=', got {comparator!r}")
+
+
+def _check_threshold(threshold: float) -> None:
+    """ValueError for a NaN threshold, which every comparison would call
+    never exceeded."""
+    if math.isnan(threshold):
+        raise ValueError("threshold must be a number, got NaN")
 
 
 def _check_code(src: JointSource, d: DistortionMatrix, code: BlockCode) -> None:
@@ -126,6 +143,19 @@ def _decoded_columns(code: BlockCode, n_xhat: int) -> np.ndarray:
     return dec_idx[code.encoder]
 
 
+def _score(
+    pjoint: np.ndarray, vals: np.ndarray, threshold: float, comparator: str
+) -> CodeEvaluation:
+    """Evaluation of a code from its pooled distortions vals, aligned with pjoint."""
+    exceeds = _comparator_fn(comparator)(vals, threshold)
+    return CodeEvaluation(
+        avg_distortion=float((pjoint * vals).sum()),
+        excess_prob=float((pjoint * exceeds).sum()),
+        threshold=float(threshold),
+        comparator=comparator,
+    )
+
+
 def evaluate_code(
     src: JointSource,
     d: DistortionMatrix,
@@ -136,21 +166,15 @@ def evaluate_code(
 ) -> CodeEvaluation:
     """Average pooled distortion and exceedance probability of a code, by
     exact enumeration of the product law (TooLarge past the cap). Raises
-    ValueError if the code does not fit the source or the distortion.
+    ValueError if the code does not fit the source or the distortion, or for
+    a NaN threshold.
     """
     _check_code(src, d, code)
-    f.check_domain(d.d_max)
-    cmp = _comparator_fn(comparator)
-    _check_exact_size(src, d, code.n)
-    pjoint = _product_pmf(src.joint, code.n)
-    pooled = f.invert(_mean_f_table(d, f, code.n))
-    vals = pooled[:, _decoded_columns(code, d.n_reconstruction)]  # aligned with pjoint
-    return CodeEvaluation(
-        avg_distortion=float((pjoint * vals).sum()),
-        excess_prob=float((pjoint * cmp(vals, threshold)).sum()),
-        threshold=float(threshold),
-        comparator=comparator,
-    )
+    _check_threshold(threshold)
+    _comparator_fn(comparator)  # an unknown comparator fails before the tables are built
+    pjoint, _, pooled = _block_tables(src, d, f, code.n)
+    return _score(pjoint, pooled[:, _decoded_columns(code, d.n_reconstruction)],
+                  threshold, comparator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,21 +199,21 @@ def excess_event_equivalence(
     The pooled distortion exceeds D + gamma exactly when the transform-domain
     mean exceeds f(D) + delta with delta = f(D + gamma) - f(D); both
     probabilities are accumulated from the same exact enumeration. Raises
-    ValueError if the code does not fit the source or the distortion.
+    ValueError if the code does not fit the source or the distortion, or for
+    a NaN D or gamma.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if math.isnan(D):
+        raise ValueError("D must be a number, got NaN")
+    if not gamma > 0:  # written so that NaN fails
+        raise ValueError(f"gamma must be > 0, got {gamma}")
     _check_code(src, d, code)
-    f.check_domain(d.d_max)
-    delta = float(f.apply(D + gamma)) - float(f.apply(D))
     cmp = _comparator_fn(comparator)
-    _check_exact_size(src, d, code.n)
-    pjoint = _product_pmf(src.joint, code.n)
-    means = _mean_f_table(d, f, code.n)
-    pooled = f.invert(means)
+    pjoint, means, pooled = _block_tables(src, d, f, code.n)
+    f_D = float(f.apply(D))
+    delta = float(f.apply(D + gamma)) - f_D
     cols = _decoded_columns(code, d.n_reconstruction)
     ev_pooled = cmp(pooled[:, cols], D + gamma)
-    ev_mean = cmp(means[:, cols], float(f.apply(D)) + delta)
+    ev_mean = cmp(means[:, cols], f_D + delta)
     p1 = float((pjoint * ev_pooled).sum())
     p2 = float((pjoint * ev_mean).sum())
     return ExcessEquivalence(
@@ -216,37 +240,39 @@ def best_code_search(
     minimizes the exceedance probability at the given threshold. The scan is
     exhaustive over encoders with exact per-cell decoder minimization, which
     returns the same optimum and the same lexicographically-first tie-break
-    as scanning every (encoder, decoder) pair. Raises ValueError for n < 1
-    or M < 1.
+    as scanning every (encoder, decoder) pair. The returned evaluation, at
+    the threshold or at d_max + 1 without one, is scored from the tables the
+    search built and equals ``evaluate_code`` on the returned code bit for
+    bit. Raises ValueError for n < 1, M < 1 or a NaN threshold.
     """
     _check_block(n, M)
-    f.check_domain(d.d_max)
     nz, nh = src.z_alphabet.size, d.n_reconstruction
-    n_zseq, n_dseq = nz**n, nh**n
+    n_zseq = nz**n
     conceptual = (M**n_zseq) * (nh ** (n * M))
     if conceptual > ENUM_CAP:
         raise TooLarge(f"code space size {conceptual} exceeds {ENUM_CAP}")
-    _check_exact_size(src, d, n)
+    if criterion not in ("average", "excess"):
+        raise ValueError(f"criterion must be 'average' or 'excess', got {criterion!r}")
+    if threshold is None:
+        if criterion == "excess":
+            raise ValueError("excess criterion needs a threshold")
+    else:
+        _check_threshold(threshold)
 
-    pjoint = _product_pmf(src.joint, n)
-    means = _mean_f_table(d, f, n)
-    pooled = f.invert(means)
+    pjoint, _, pooled = _block_tables(src, d, f, n)
     if criterion == "average":
         weight = pooled
-    elif criterion == "excess":
-        if threshold is None:
-            raise ValueError("excess criterion needs a threshold")
-        weight = _comparator_fn(comparator)(pooled, threshold).astype(float)
     else:
-        raise ValueError(f"criterion must be 'average' or 'excess', got {criterion!r}")
+        weight = _comparator_fn(comparator)(pooled, threshold).astype(float)
     cost = pjoint.T @ weight  # (n_zseq, n_dseq)
 
-    best_val, best_enc, best_dec = kernels.best_code_fold_loop(cost, M, M**n_zseq)
-    decoder = _seq_digits(n_dseq, n, nh)[best_dec]
-    code = BlockCode(n=n, M=M, encoder=best_enc, decoder=decoder)
+    _, best_enc, best_dec = kernels.best_code_fold_loop(cost, M, M**n_zseq)
+    code = BlockCode(n=n, M=M, encoder=best_enc, decoder=_seq_digits(best_dec, n, nh))
+    # best_dec holds each index's reconstruction-sequence index, so these are
+    # the columns _decoded_columns gives for the code
+    vals = pooled[:, best_dec[best_enc]]
     thr = d.d_max + 1.0 if threshold is None else threshold
-    evaluation = evaluate_code(src, d, f, code, thr, comparator=comparator)
-    return code, evaluation
+    return code, _score(pjoint, vals, thr, comparator)
 
 
 @dataclass(frozen=True, eq=False)

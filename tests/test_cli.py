@@ -275,6 +275,14 @@ class TestBrute:
         assert code == 2 and out == ""
         assert ">= 1" in err
 
+    @pytest.mark.parametrize("D", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exit_code(self, capsys, D):
+        # --D nan printed "threshold": NaN, which is not JSON, with excess_prob 0.0
+        code, out, err = run(capsys, "brute", "--model", "bsc", "--beta", "0.1",
+                             "--n", "1", "--M", "2", "--criterion", "excess", f"--D={D}")
+        assert code == 2 and out == ""
+        assert "finite" in err
+
 
 class TestSubadd:
     def test_sqrt_passes(self, capsys):

@@ -19,6 +19,7 @@ from irdf import (
     evaluate_code,
     excess_event_equivalence,
 )
+from irdf.operational import ENUM_CAP
 
 LN2 = math.log(2.0)
 HAMMING = DistortionMatrix.hamming(2)
@@ -30,6 +31,11 @@ FAMILIES = [
     FTransform.shifted_cubic(0.4),
     FTransform.exponential(9.2),
 ]
+
+
+# the five parametric kinds and a tabulated transform covering [0, 1]
+_KNOTS = np.linspace(0.0, 1.0, 9)
+SEARCH_TRANSFORMS = FAMILIES + [FTransform.tabulated(np.column_stack([_KNOTS, _KNOTS**2 + _KNOTS]))]
 
 
 def bsc_problem(beta=0.15):
@@ -73,6 +79,12 @@ class TestEvaluateCode:
         loose = evaluate_code(src, d, FTransform.identity(), identity_code(), 1.0, ">=")
         assert strict.excess_prob == 0.0
         assert loose.excess_prob == pytest.approx(0.15, abs=1e-15)
+
+    def test_nan_threshold_rejected(self):
+        # NaN is never exceeded, so it read as excess_prob 0.0
+        src, d = bsc_problem(0.15)
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate_code(src, d, FTransform.identity(), identity_code(), threshold=math.nan)
 
     def test_too_large(self):
         src, d = bsc_problem(0.15)
@@ -151,6 +163,12 @@ class TestExcessEventEquivalence:
         with pytest.raises(ValueError):
             excess_event_equivalence(src, d, FTransform.identity(), identity_code(), 0.2, 0.0)
 
+    @pytest.mark.parametrize("D, gamma", [(math.nan, 0.1), (0.2, math.nan)])
+    def test_nan_level_rejected(self, D, gamma):
+        src, d = bsc_problem(0.15)
+        with pytest.raises(ValueError, match="NaN|gamma"):
+            excess_event_equivalence(src, d, FTransform.identity(), identity_code(), D, gamma)
+
 
 class TestBestCodeSearch:
     def test_n1_m2_matches_naive_enumeration(self):
@@ -226,6 +244,38 @@ class TestBestCodeSearch:
         src, d = bsc_problem(0.15)
         with pytest.raises(TooLarge):
             best_code_search(src, d, FTransform.identity(), n=4, M=3)
+
+    @pytest.mark.parametrize("criterion", ["average", "excess"])
+    def test_nan_threshold_rejected(self, criterion):
+        src, d = bsc_problem(0.15)
+        with pytest.raises(ValueError, match="NaN"):
+            best_code_search(src, d, FTransform.identity(), n=1, M=2,
+                             criterion=criterion, threshold=math.nan)
+
+    @pytest.mark.parametrize("comparator", [">", ">="])
+    @pytest.mark.parametrize("f", SEARCH_TRANSFORMS, ids=lambda f: f.name())
+    def test_evaluation_is_evaluate_code_bitwise(self, f, comparator):
+        # the search scores its code from its own tables; evaluate_code
+        # builds them again and must read the same bits
+        rng = np.random.default_rng([17, SEARCH_TRANSFORMS.index(f), len(comparator)])
+        searched = 0
+        while searched < 12:
+            nx, nz, nh = (int(v) for v in rng.integers(2, 4, size=3))
+            n, M = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+            if M ** (nz**n) * nh ** (n * M) > ENUM_CAP:
+                continue
+            src = JointSource.from_joint(rng.dirichlet(np.ones(nx * nz)).reshape(nx, nz))
+            d = DistortionMatrix(rng.random((nx, nh)))
+            criterion = ("average", "excess")[searched % 2]
+            # a threshold on a letter's distortion can tell '>' from '>=';
+            # every other average search has none and is scored at d_max + 1
+            threshold = None if searched % 4 == 0 else float(rng.choice(d.values.ravel()))
+            code, ev = best_code_search(src, d, f, n, M, criterion=criterion,
+                                        threshold=threshold, comparator=comparator)
+            ref = evaluate_code(src, d, f, code, ev.threshold, comparator=comparator)
+            assert (ev.avg_distortion, ev.excess_prob, ev.threshold, ev.comparator) == (
+                ref.avg_distortion, ref.excess_prob, ref.threshold, ref.comparator)
+            searched += 1
 
 
 class TestBoundedness:
