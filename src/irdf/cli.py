@@ -229,9 +229,8 @@ def _cmd_brute(args) -> int:
     if args.D is not None and not math.isfinite(args.D):
         raise ValueError(f"--D must be finite, got {args.D}")  # JSON cannot carry it
     src, d, f, _ = _build_problem(args)
-    threshold = args.D if args.criterion == "excess" else None
     code, evaluation = best_code_search(
-        src, d, f, args.n, args.M, criterion=args.criterion, threshold=threshold
+        src, d, f, args.n, args.M, criterion=args.criterion, threshold=args.D
     )
     rate = math.log(args.M) / args.n
     reference_d = distortion_at_rate(src, d, f, rate)
@@ -315,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--criterion", choices=("average", "excess"), default="average")
-    p.add_argument("--D", type=float, help="threshold for the excess criterion")
+    p.add_argument("--D", type=float,
+                   help="threshold of the reported excess probability (default d_max + 1); "
+                        "required by the excess criterion, which minimizes that probability")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_brute)
 

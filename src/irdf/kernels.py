@@ -23,7 +23,11 @@ the tilt, the gradient and the gap of every lane at its start, and the
 conditional, distortion, rate and gap at the end. A lane certified at its
 start costs no per-lane work; the others climb one at a time, because a
 lane-batched Newton step costs more than a one-lane step on these small
-systems, and each lane stops on its own certificate.
+systems, and each lane stops on its own certificate. A climbing lane hands
+back only its final pmf: once any lane has climbed, the final vectorized
+pass tilts every lane again from its pmf (``_tilted``) before it assembles
+the results (``_assemble``), so what a lane reports depends on its slope
+and its pmf alone, not on values carried out of the loop that found it.
 
 A lone level target has a third kernel, ``level_newton``: Newton steps on
 the joint KKT system in the output pmf and the slope (Boyd & Vandenberghe
@@ -31,10 +35,10 @@ the joint KKT system in the output pmf and the slope (Boyd & Vandenberghe
 step), which move the slope and the fixed point together toward the point
 of the curve at a given distortion. Its start is the pmf of a fixed-point
 lane solved only loosely, to the gap _START_GAP, at a slope the caller
-picks from that lane's own distortion, and its last point goes through the
-same end assembly as the fixed-point kernel's lanes (``_assemble``), so one
-piece of code certifies every point, once, where it lands, instead of at
-every slope a root search on s would try. A support's shifted rows are
+picks from that lane's own distortion, and its last pmf goes through the
+same tilt and end assembly as the fixed-point kernel's lanes, so one piece
+of code certifies every point, once, where it lands, instead of at every
+slope a root search on s would try. A support's shifted rows are
 computed once for all the points evaluated on it, so a point costs its tilt
 and the few small products that follow from it, and a step costs one
 bordered system built in place and one small solve.
@@ -68,63 +72,55 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
     certifies q once gap = max_x log c(x) <= gap_tol over every letter. One
     vectorized pass computes the tilt, c and the gap of every lane at its
     start, so a start that is already certified costs one iteration and no
-    per-lane work. Each other lane climbs on its own (``_ascend``) and retires
-    on its own certificate, and a second vectorized pass assembles every
-    lane's results at its final pmf.
+    per-lane work. Each other lane climbs on its own (``_ascend``), retires
+    on its own certificate and leaves its final pmf in its row of q. After
+    any climb the final vectorized pass tilts every lane again from its pmf,
+    and then assembles every lane's results there.
 
     Returns (q_cond, q_out, f_dist, rate, iters, gap) stacked over lanes, with
     shapes (B, nz, nx), (B, nx), (B,), (B,), (B,), (B,): q_out is the output
     pmf the gap certifies, q_cond its tilted conditional, rate their mutual
     information in nats, and iters the lane's iteration count.
     """
-    nz, nx = expected_f.shape
+    nx = expected_f.shape[1]
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
         raise ValueError("s must be a 1-D array of slopes, one per lane")
-    low = 1.0
     if q0 is None:
         q = np.full((s.size, nx), 1.0 / nx)
     else:
         q0 = np.asarray(q0, dtype=float)
-        low = q0.min(initial=1.0)
-        if q0.shape != (s.size, nx) or not low >= 0.0:
+        if q0.shape != (s.size, nx) or not q0.min(initial=1.0) >= 0.0:
             raise ValueError(f"q0 must be a nonnegative ({s.size}, {nx}) stack")
         mass = q0.sum(axis=1, keepdims=True)
         if not mass.min(initial=1.0) > 0.0:
             raise ValueError("q0 must have positive mass in every row")
         q = q0 / mass
     iters = [1] * s.size
-    full = low > 0.0  # every lane's support has every letter
     # exp of very negative exponents and products of tiny masses underflow to
     # 0 by design; overflow and invalid operations still follow the caller
     with np.errstate(under="ignore"):
-        m, a, den, t, c = _tilted(expected_f, pz, s, q, full)
-        c_top = c.max(axis=1)
+        tilt = _tilted(expected_f, pz, s, q)
         if max_iters > 1:
-            for b, v in enumerate(c_top.tolist()):
+            c = tilt[3]
+            for b, v in enumerate(c.max(axis=1).tolist()):
                 if math.log(v) > gap_tol:
-                    if len(m) < s.size:  # the one row of minima of full starts
-                        m = m.repeat(s.size, axis=0)
-                    # the lane's rows are views, which the ascent leaves at its final pmf
-                    iters[b], c_top[b], kept = _ascend(expected_f, pz, s[b], q[b], m[b], a[b],
-                                                       den[b], t[b], c[b], max_iters, gap_tol)
-                    full = full and kept
-        q_cond, f_dist, rate, gap = _assemble(expected_f, pz, s, q, m, a, den, c, c_top, full)
+                    iters[b] = _ascend(expected_f, pz, s[b], q[b], c[b], max_iters, gap_tol)
+            if max(iters) > 1:  # a lane climbed: its row of q is its final pmf
+                tilt = _tilted(expected_f, pz, s, q)
+        q_cond, f_dist, rate, gap = _assemble(expected_f, pz, s, q, *tilt)
     return q_cond, q, f_dist, rate, np.array(iters), gap
 
 
-def _assemble(expected_f, pz, s, q, m, a, den, c, c_top, full):
+def _assemble(expected_f, pz, s, q, m, a, den, c):
     """The results of lanes at their output pmfs q, stacked over lanes: the
-    tilted conditional, the distortion, the rate and Blahut's gap, from the
-    row minima m over each support, the tilt a over all letters (its exponent
-    capped at _EXP_CAP off the support), den = a q, c over all letters, its
-    maximum c_top per lane, and whether every support has every letter
-    (``full``). Every point a kernel returns is certified here: the lanes of
-    ``ba_fixed_slope_loop`` and the last point of ``level_newton``.
+    tilted conditional, the distortion, the rate and Blahut's gap, from
+    ``_tilted``'s row minima m, tilt a, den and c at q. Every point a kernel
+    returns is certified here, from its slope and its pmf alone: the lanes
+    of ``ba_fixed_slope_loop`` and the last point of ``level_newton``.
     """
-    gap = np.log(c_top)
-    # on full supports no exponent is positive, so no tilt is capped
-    if (not full and a.max(initial=0.0) >= _A_CAP) or gap.max(initial=0.0) == math.inf:
+    gap = np.log(c.max(axis=1))
+    if a.max(initial=0.0) >= _A_CAP or gap.max(initial=0.0) == math.inf:
         # a capped tilt understates c off the support, and c there may
         # overflow: there log c comes by log-sum-exp over z
         sup = q > 0.0
@@ -144,29 +140,20 @@ def _assemble(expected_f, pz, s, q, m, a, den, c, c_top, full):
     return q_cond, f_dist, rate, gap
 
 
-def _tilted(expected_f, pz, s, q, full):
-    """Row minima m over each lane's support, the tilt a over all letters
-    (its exponent capped at _EXP_CAP off the support), den = a q, t = pz / den
-    and c, stacked over lanes. ``full`` says that every lane's support has
-    every letter, so that no exponent is positive; m is then one row that
-    broadcasts over the lanes."""
-    if full:
-        m = expected_f.min(axis=1)[None]
-        a = np.exp(s[:, None, None] * (expected_f - m[:, :, None]))
-    else:
-        m = np.where(q[:, None, :] > 0.0, expected_f, np.inf).min(axis=2)
-        a = np.exp(np.minimum(s[:, None, None] * (expected_f - m[:, :, None]), _EXP_CAP))
+def _tilted(expected_f, pz, s, q):
+    """Row minima m over each lane's support (the letters of q with positive
+    mass), the tilt a over all letters (its exponent capped at _EXP_CAP off
+    the support), den = a q and c, stacked over lanes."""
+    m = np.where(q[:, None, :] > 0.0, expected_f, np.inf).min(axis=2)
+    a = np.exp(np.minimum(s[:, None, None] * (expected_f - m[:, :, None]), _EXP_CAP))
     den = np.matmul(a, q[:, :, None])[:, :, 0]
-    t = pz / den
-    return m, a, den, t, np.einsum("bz,bzx->bx", t, a)
+    return m, a, den, np.einsum("bz,bzx->bx", pz / den, a)
 
 
-def _ascend(expected_f, pz, s, q_row, m_row, a_row, den_row, t, c_row, max_iters, gap_tol):
-    """Damped active-set Newton ascent of one lane, from its start pmf and the
-    start's row minima, tilt, den, t = pz / den and c over all letters. It
-    leaves the same quantities at its final pmf in those rows and returns its
-    iteration count, max c over all letters there and whether its support
-    still has every letter.
+def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
+    """Damped active-set Newton ascent of one lane from its start pmf q_row,
+    with c over all letters there. It leaves its final pmf in q_row and
+    returns its iteration count.
 
     Each iteration after a move computes c at the new q and stops once the
     gap is at most gap_tol. Otherwise a dropped letter with c > 1 returns
@@ -188,30 +175,35 @@ def _ascend(expected_f, pz, s, q_row, m_row, a_row, den_row, t, c_row, max_iters
     dropped letter stays a candidate for return. The loop also ends,
     uncertified, at max_iters or when the damped step no longer changes q.
 
-    The tilt is rebuilt whenever S changes, so every entry on S stays in
-    [0, 1] and den(z) >= q(argmin) > 0 for arbitrarily negative slopes.
+    The tilt is rebuilt from the shifted rows (``_shifted``) whenever S
+    changes, so every entry on S stays in [0, 1] and den(z) >= q(argmin) > 0
+    for arbitrarily negative slopes. The start's c comes from the caller:
+    when the row minimum's letter has a tiny mass, c off the support
+    overflows, which the caller's vectorized pass tolerates.
     """
     # on a few letters Python lists beat numpy's masks; the letters at 0,
     # set there by the start or by a boundary step, may return
     ql = q_row.tolist()
     out = [x for x, v in enumerate(ql) if v == 0.0]
-    m, den = m_row, den_row
-    if out:
-        sup = np.array([x for x, v in enumerate(ql) if v > 0.0])
-        a, a_out, q = a_row[:, sup], a_row[:, out], q_row[sup]
-        c, c_out = c_row[sup], c_row[out].tolist()
-    else:
-        sup, a, a_out, c, c_out, q = np.arange(len(ql)), a_row, None, c_row, [], q_row.copy()
+    sup = np.array([x for x, v in enumerate(ql) if v > 0.0])
+    q = q_row[sup]
+    c, c_out = c_row[sup], c_row[out].tolist()
+    a = None  # the support's tilt, rebuilt whenever S changes
     lam = _LAM_START
     iters = 0
     fresh = True  # q changed since c was last computed
-    phi = None  # Phi at q, once known for the current tilt
     kkt = np.zeros((0, 0))  # the bordered Newton system, kept while |S| holds
     while True:
         iters += 1
+        if a is None:
+            m, e, e_out = _shifted(expected_f, sup, out)
+            a = np.exp(s * e)
+            a_out = None if e_out is None else np.exp(np.minimum(s * e_out, _EXP_CAP))
+            den = a.dot(q)
+            phi = None  # Phi at q, once known for the current tilt
         if fresh:
+            t = pz / den
             if iters > 1:
-                t = pz / den
                 c = t.dot(a)
                 if out:
                     c_out = t.dot(a_out).tolist()
@@ -223,9 +215,7 @@ def _ascend(expected_f, pz, s, q_row, m_row, a_row, den_row, t, c_row, max_iters
             if back > 1.0:
                 x = out.pop(c_out.index(back))
                 q, sup = _readmit(expected_f, pz, s, m, den, q, sup, x)
-                m, a, a_out = _tilt(expected_f, sup, out, s)
-                den = a.dot(q)
-                phi = None
+                a = None
                 continue
             if phi is None:
                 phi = float(pz.dot(np.log(den)))
@@ -273,22 +263,11 @@ def _ascend(expected_f, pz, s, q_row, m_row, a_row, den_row, t, c_row, max_iters
             keep = q > 0.0
             out.extend(sup[~keep].tolist())
             sup, q = sup[keep], q[keep] / q[keep].sum()
-            m, a, a_out = _tilt(expected_f, sup, out, s)
-            den = a.dot(q)
-            phi = None
+            a = None
 
     q_row[:] = 0.0
     q_row[sup] = q
-    den_row[:] = den
-    c_row[sup] = c
-    if out:
-        c_row[out] = c_out
-    if a is not a_row:  # the tilt was taken apart or rebuilt
-        m_row[:] = m
-        a_row[:, sup] = a
-        if out:
-            a_row[:, out] = a_out
-    return iters, max(c_top, back), not out
+    return iters
 
 
 def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
@@ -343,8 +322,9 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     It stops once a point meets gap <= gap_tol over every letter and |f -
     level| <= tol_f, and gives up once it has evaluated max_iters or
     _NEWTON_ITERS points, or when no step reduces the residual. Either way
-    its last point goes through the fixed-point kernel's end assembly
-    (``_assemble``), which certifies it as it certifies a lane. Returns
+    its last pmf, over all letters, goes through the fixed-point kernel's
+    tilt and end assembly (``_tilted``, ``_assemble``), which certify it as
+    they certify a lane. Returns
     (s, q_cond, q_out, f_dist, rate, iters, gap): the last slope, then
     ``ba_fixed_slope_loop``'s results at that slope for one lane, iters
     being the points evaluated. Whether the point is certified and on the
@@ -452,15 +432,12 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
             if alpha == 0.0:
                 break  # no step reduces the residual
             q, s, sup, out, rows, at = q_new, s_new, sup_new, out_new, rows_new, trial
-        # the last point over all letters, as one lane of the fixed-point kernel
-        q_full, a_full, c_full = np.zeros(nx), np.empty((pz.size, nx)), np.empty(nx)
-        q_full[sup], a_full[:, sup], c_full[sup] = q, a, c
-        if out:
-            a_full[:, out], c_full[out] = a_out, c_out
-        q_cond, f_dist, rate, gap = _assemble(expected_f, pz, np.array([s]), q_full[None],
-                                              rows[0][None], a_full[None], den[None],
-                                              c_full[None], np.array([max(c_top, back)]), not out)
-    return s, q_cond, q_full[None], f_dist, rate, np.array([iters]), gap
+        # the last pmf over all letters, certified as one lane of the fixed-point kernel
+        q_out, lane = np.zeros((1, nx)), np.array([s])
+        q_out[0, sup] = q
+        q_cond, f_dist, rate, gap = _assemble(expected_f, pz, lane, q_out,
+                                              *_tilted(expected_f, pz, lane, q_out))
+    return s, q_cond, q_out, f_dist, rate, np.array([iters]), gap
 
 
 def _shifted(expected_f, sup, out):
@@ -502,13 +479,6 @@ _LAM_GROW = 10.0
 _LAM_MIN = 1e-12     # times max c
 _EXP_CAP = 300.0
 _A_CAP = float(np.exp(_EXP_CAP))  # the capped tilt
-
-
-def _tilt(expected_f, sup, out, s):
-    """Row minima m over the support, its tilt, and the tilt of the dropped
-    letters, capped so that c stays finite."""
-    m, e, e_out = _shifted(expected_f, sup, out)
-    return m, np.exp(s * e), None if e_out is None else np.exp(np.minimum(s * e_out, _EXP_CAP))
 
 
 def _readmit(expected_f, pz, s, m, den, q, sup, x):

@@ -524,18 +524,17 @@ def _mix(lo: np.ndarray, g_lo: np.ndarray, hi: np.ndarray, g_hi: np.ndarray, nx:
     return (1.0 - w) * lo[:, _Q: _Q + nx] + w * hi[:, _Q: _Q + nx]
 
 
-def _solve_levels(problem: _Problem, levels, memo: _Memo | None = None) -> list[SlopePoint]:
+def _solve_levels(problem: _Problem, levels) -> list[SlopePoint]:
     """The points whose achieved transform-domain distortions are within the
     level tolerance ``problem.tol_f`` of ``levels``, found by one lockstep
     search. A level at the left curve endpoint itself gives the closest
     achievable point (rates there are within slope*tolerance of the limit),
     and so does a level below it by no more than the roundoff of
-    f(f^-1(lo)). ``memo`` is the search's, shared by the levels of one
-    problem. Without one, a lone level is solved by the joint Newton
-    iteration (``_newton_seed``), whose certified point on the level is
-    returned as it is; only when it falls short does its cold lane seed a
-    new memo for the search. Several levels seed theirs by one kernel call
-    on a ladder of slopes around -1/span (``_LADDER``).
+    f(f^-1(lo)). A lone level is solved by the joint Newton iteration
+    (``_newton_seed``), whose certified point on the level is returned as it
+    is; only when it falls short does its cold lane seed a memo for the
+    search. Several levels seed theirs by one kernel call on a ladder of
+    slopes around -1/span (``_LADDER``).
     """
     lo, hi, tol_f = problem.lo, problem.hi, problem.tol_f
     pts: list[SlopePoint | None] = []
@@ -562,13 +561,13 @@ def _solve_levels(problem: _Problem, levels, memo: _Memo | None = None) -> list[
             todo.append(level)
     if not todo:
         return pts
-    if memo is None and len(levels) == 1:
+    if len(levels) == 1:
         row, hit = _newton_seed(problem, todo[0])
         if hit:
             return _points(problem.amended, row, np.array([True]))
         memo = _Memo()
         memo.add(row, 1)
-    elif memo is None:
+    else:
         memo = _Memo()
         if len(todo) > 1:
             memo.add(_lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER], None,

@@ -266,6 +266,16 @@ class TestBrute:
         assert len(payload["best_encoder"]) == 4
         assert len(payload["best_decoder"]) == 2
 
+    def test_threshold_under_the_average_criterion(self, capsys):
+        # --D was read only by the excess criterion: this printed threshold
+        # 2.0 (d_max + 1) and excess_prob 0.0 for a code wrong 10 % of the time
+        code, out, _ = run(capsys, "brute", "--model", "bsc", "--beta", "0.1",
+                           "--n", "1", "--M", "2", "--D", "0.05")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["criterion"] == "average"
+        assert payload["threshold"] == 0.05
+        assert payload["excess_prob"] == pytest.approx(0.1, abs=1e-15)
 
     @pytest.mark.parametrize("n, M", [(0, 2), (1, 0)])
     def test_empty_block_exit_code(self, capsys, n, M):

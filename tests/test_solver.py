@@ -591,9 +591,9 @@ class TestSlopeSearch:
         target = float(m.f.apply(0.3))
         memo = solver._Memo()
         problem = solver._Problem(am, src.z_marginal, SolverConfig())
-        first = solver._solve_levels(problem, [target], memo)[0]
+        first = solver._points(am, *solver._search(problem, [target], memo))[0]
         slopes = _count_solves(monkeypatch)
-        again = solver._solve_levels(problem, [target], memo)[0]
+        again = solver._points(am, *solver._search(problem, [target], memo))[0]
         assert slopes == []
         for name in ("slope", "rate", "f_distortion", "gap"):
             assert getattr(again, name) == getattr(first, name)
@@ -635,8 +635,9 @@ class TestLoneLevel:
         cfg = SolverConfig(bisection_tol=1e-12)
         for src, d, f, am, D in criterion_05_targets:
             pt = solve_at_distortion(src, d, f, D, cfg, amended=am)
-            alone = solver._solve_levels(solver._Problem(am, src.z_marginal, cfg),
-                                         [float(f.apply(D))], solver._Memo())[0]
+            rows, conv = solver._search(solver._Problem(am, src.z_marginal, cfg),
+                                        [float(f.apply(D))], solver._Memo())
+            alone = solver._points(am, rows, conv)[0]
             assert alone.converged and abs(pt.rate - alone.rate) <= 1e-9
 
     def test_kernel_calls_per_solve(self, monkeypatch, criterion_05_targets):
@@ -1138,6 +1139,42 @@ class TestKernel:
         for b in range(3):
             *_, rate, it, _ = _one_lane(e, pz, slopes[b], 20000, 1e-12, starts[b])
             assert iters[b] == it and abs(rates[b] - rate) <= 1e-15
+
+    @pytest.mark.parametrize("problem", [_dropping_problem, _starving_problem],
+                             ids=["dropping", "starving"])
+    def test_lanes_are_certified_from_their_pmfs(self, problem):
+        # lanes that climb, drop letters and take them back: each result is
+        # the end assembly at the lane's slope and returned pmf, bit for bit
+        e, pz = problem()
+        slopes = -np.geomspace(0.5, 80.0, 9)
+        q_cond, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+            e, pz, slopes, 20000, 1e-12
+        )
+        assert np.all(iters > 1) and np.any(q_out == 0.0)
+        again = kernels._assemble(e, pz, slopes, q_out, *kernels._tilted(e, pz, slopes, q_out))
+        for got, want in zip((q_cond, f_dist, rate, gap), again):
+            np.testing.assert_array_equal(got, want)
+
+    def test_joint_points_are_certified_from_their_pmfs(self, monkeypatch,
+                                                        criterion_05_targets):
+        # level_newton's last point is the end assembly at its slope and pmf
+        real = kernels.level_newton
+        ends = []
+
+        def kept(e, pz, *args):
+            out = real(e, pz, *args)
+            ends.append((e, pz, out))
+            return out
+
+        monkeypatch.setattr(kernels, "level_newton", kept)
+        for src, d, f, am, D in criterion_05_targets:
+            solve_at_distortion(src, d, f, D, amended=am)
+        assert len(ends) == len(criterion_05_targets)
+        for e, pz, (s, q_cond, q_out, f_dist, rate, _, gap) in ends:
+            lane = np.array([s])
+            again = kernels._assemble(e, pz, lane, q_out, *kernels._tilted(e, pz, lane, q_out))
+            for got, want in zip((q_cond, f_dist, rate, gap), again):
+                np.testing.assert_array_equal(got, want)
 
     def test_overflowing_gradient_off_the_support(self):
         # the row minimum's letter has mass 1e-300, so t = p / den ~ 5e299 and
