@@ -60,7 +60,7 @@ def _rows_to_csv(rows: list[dict]) -> str:
                     _g17(r["f_of_D"]),
                     _g17(r["rate_nats"]),
                     _g17(r["rate_bits"]),
-                    _g17(r["slope_s"]),
+                    "nan" if r["slope_s"] is None else _g17(r["slope_s"]),
                     "true" if r["converged"] else "false",
                 ]
             )
@@ -68,8 +68,9 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
+def _to_json(payload) -> str:
+    # NaN and Infinity are not JSON: a payload holding one raises ValueError (exit 2)
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _rows_to_svg(rows: list[dict]) -> str:
@@ -94,10 +95,10 @@ def _rows_to_svg(rows: list[dict]) -> str:
     )
 
 
-_FORMATTERS = {"csv": _rows_to_csv, "json": _rows_to_json, "svg": _rows_to_svg}
+_FORMATTERS = {"csv": _rows_to_csv, "json": _to_json, "svg": _rows_to_svg}
 
 
-def _point_row(D: float, f_of_D: float, rate: float, slope: float, converged: bool) -> dict:
+def _point_row(D: float, f_of_D: float, rate: float, slope: float | None, converged: bool) -> dict:
     return {
         "D": D,
         "f_of_D": f_of_D,
@@ -208,7 +209,8 @@ def _cmd_closed_form(args) -> int:
     rows = []
     for D in levels:
         rate = _closed_rate(model, D)
-        rows.append(_point_row(float(D), float(f.apply(D)), rate, math.nan, True))
+        # a closed form has no slope: null in JSON, nan in CSV
+        rows.append(_point_row(float(D), float(f.apply(D)), rate, None, True))
     _emit(_FORMATTERS[args.format](rows), args.out)
     return EXIT_OK
 
@@ -247,7 +249,7 @@ def _cmd_brute(args) -> int:
         "single_letter_distortion_at_code_rate": reference_d,
         "margin": evaluation.avg_distortion - reference_d,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_to_json(payload), args.out)
     return EXIT_OK
 
 
@@ -267,7 +269,7 @@ def _cmd_subadd(args) -> int:
         "worst_xs": report.worst_xs.tolist(),
         "worst_xhats": report.worst_xhats.tolist(),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_to_json(payload), args.out)
     return EXIT_OK
 
 

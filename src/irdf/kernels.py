@@ -29,19 +29,21 @@ pass tilts every lane again from its pmf (``_tilted``) before it assembles
 the results (``_assemble``), so what a lane reports depends on its slope
 and its pmf alone, not on values carried out of the loop that found it.
 
-A lone level target has a third kernel, ``level_newton``: Newton steps on
-the joint KKT system in the output pmf and the slope (Boyd & Vandenberghe
-2004, "Convex Optimization", sections 10.2-10.3, for the bordered Newton
-step), which move the slope and the fixed point together toward the point
-of the curve at a given distortion. Its start is the pmf of a fixed-point
-lane solved only loosely, to the gap _START_GAP, at a slope the caller
-picks from that lane's own distortion, and its last pmf goes through the
-same tilt and end assembly as the fixed-point kernel's lanes, so one piece
-of code certifies every point, once, where it lands, instead of at every
-slope a root search on s would try. A support's shifted rows are
-computed once for all the points evaluated on it, so a point costs its tilt
-and the few small products that follow from it, and a step costs one
-bordered system built in place and one small solve.
+A lone level target has a kernel of its own, ``level_newton``: Newton
+steps on the joint KKT system in the output pmf and the slope (Boyd &
+Vandenberghe 2004, "Convex Optimization", sections 10.2-10.3, for the
+bordered Newton step), which move the slope and the fixed point together
+toward the point of the curve at a given distortion. Its start
+(``level_start``) is the ascent of one lane from the uniform pmf, solved
+only loosely, to the gap _START_GAP, with its distortion read off the
+ascent's last tilt and no end assembly. ``level_newton`` hands back only
+its last slope and pmf, which the caller certifies with a one-iteration
+lane of the fixed-point kernel, so one piece of code certifies every point,
+once, where it lands, instead of at every slope a root search on s would
+try. A support's shifted rows are computed once for all the points
+evaluated on it, so a point costs its tilt and the few small products that
+follow from it, and a step costs one bordered system built in place and one
+small solve.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
             c = tilt[3]
             for b, v in enumerate(c.max(axis=1).tolist()):
                 if math.log(v) > gap_tol:
-                    iters[b] = _ascend(expected_f, pz, s[b], q[b], c[b], max_iters, gap_tol)
+                    iters[b] = _ascend(expected_f, pz, s[b], q[b], c[b], max_iters, gap_tol)[0]
             if max(iters) > 1:  # a lane climbed: its row of q is its final pmf
                 tilt = _tilted(expected_f, pz, s, q)
         q_cond, f_dist, rate, gap = _assemble(expected_f, pz, s, q, *tilt)
@@ -115,9 +117,9 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
 def _assemble(expected_f, pz, s, q, m, a, den, c):
     """The results of lanes at their output pmfs q, stacked over lanes: the
     tilted conditional, the distortion, the rate and Blahut's gap, from
-    ``_tilted``'s row minima m, tilt a, den and c at q. Every point a kernel
-    returns is certified here, from its slope and its pmf alone: the lanes
-    of ``ba_fixed_slope_loop`` and the last point of ``level_newton``.
+    ``_tilted``'s row minima m, tilt a, den and c at q. Every point is
+    certified here, from its slope and its pmf alone, as a lane of
+    ``ba_fixed_slope_loop``: a lone level's joint point too.
     """
     gap = np.log(c.max(axis=1))
     if a.max(initial=0.0) >= _A_CAP or gap.max(initial=0.0) == math.inf:
@@ -153,7 +155,8 @@ def _tilted(expected_f, pz, s, q):
 def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
     """Damped active-set Newton ascent of one lane from its start pmf q_row,
     with c over all letters there. It leaves its final pmf in q_row and
-    returns its iteration count.
+    returns its iteration count and the distortion f at that pmf, from its
+    last tilt.
 
     Each iteration after a move computes c at the new q and stops once the
     gap is at most gap_tol. Otherwise a dropped letter with c > 1 returns
@@ -179,7 +182,9 @@ def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
     changes, so every entry on S stays in [0, 1] and den(z) >= q(argmin) > 0
     for arbitrarily negative slopes. The start's c comes from the caller:
     when the row minimum's letter has a tiny mass, c off the support
-    overflows, which the caller's vectorized pass tolerates.
+    overflows, which the caller's vectorized pass tolerates. With c_row
+    None, for a start on every letter (``level_start``), the ascent
+    computes it.
     """
     # on a few letters Python lists beat numpy's masks; the letters at 0,
     # set there by the start or by a boundary step, may return
@@ -187,7 +192,7 @@ def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
     out = [x for x, v in enumerate(ql) if v == 0.0]
     sup = np.array([x for x, v in enumerate(ql) if v > 0.0])
     q = q_row[sup]
-    c, c_out = c_row[sup], c_row[out].tolist()
+    c, c_out = (None, []) if c_row is None else (c_row[sup], c_row[out].tolist())
     a = None  # the support's tilt, rebuilt whenever S changes
     lam = _LAM_START
     iters = 0
@@ -203,7 +208,7 @@ def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
             phi = None  # Phi at q, once known for the current tilt
         if fresh:
             t = pz / den
-            if iters > 1:
+            if iters > 1 or c_row is None:
                 c = t.dot(a)
                 if out:
                     c_out = t.dot(a_out).tolist()
@@ -267,18 +272,28 @@ def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
 
     q_row[:] = 0.0
     q_row[sup] = q
-    return iters
+    return iters, float(pz.dot((a * e).dot(q) / den + m))
+
+
+def level_start(expected_f, pz, s, max_iters):
+    """The start of ``level_newton``: a ``ba_fixed_slope_loop`` lane at s
+    from the uniform pmf to the gap _START_GAP, climbed by ``_ascend`` alone
+    with no end assembly. Returns (q, f, iters): the pmf over all letters,
+    its distortion from the ascent's last tilt, and the iteration count."""
+    q = np.full(expected_f.shape[1], 1.0 / expected_f.shape[1])
+    with np.errstate(under="ignore"):
+        iters, f = _ascend(expected_f, pz, s, q, None, max_iters, _START_GAP)
+    return q, f, iters
 
 
 def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     """Joint Newton iteration on (q, s) toward the curve's point at the
     transform-domain distortion ``level`` (below the zero-rate end hi), from
     the output pmf q_row taken at slope s < 0. The pmf may be solved at
-    another slope near s, such as a lane of ``ba_fixed_slope_loop`` at
-    -1/span solved to the gap _START_GAP, with s where the caller expects
-    the level (``solver._newton_seed``): within a start's residual of that
-    size the iteration is in its quadratic regime, so a tighter start buys
-    nothing.
+    another slope near s, such as ``level_start``'s at -1/span, with s where
+    the caller expects the level (``solver._newton_seed``): within a start's
+    residual of the size _START_GAP the iteration is in its quadratic
+    regime, so a tighter start buys nothing.
 
     On the support S of q it solves c_S = 1, sum q = 1 and f = level, with c
     the kernel's gradient and f = sum_z p(z) E[e | z] the distortion of the
@@ -322,13 +337,10 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     It stops once a point meets gap <= gap_tol over every letter and |f -
     level| <= tol_f, and gives up once it has evaluated max_iters or
     _NEWTON_ITERS points, or when no step reduces the residual. Either way
-    its last pmf, over all letters, goes through the fixed-point kernel's
-    tilt and end assembly (``_tilted``, ``_assemble``), which certify it as
-    they certify a lane. Returns
-    (s, q_cond, q_out, f_dist, rate, iters, gap): the last slope, then
-    ``ba_fixed_slope_loop``'s results at that slope for one lane, iters
-    being the points evaluated. Whether the point is certified and on the
-    level is the caller's to read from gap and f_dist.
+    it returns (s, q, iters): the last slope, the last pmf over all letters
+    and the number of points evaluated. It assembles nothing: the caller
+    certifies (s, q) as a one-iteration lane of ``ba_fixed_slope_loop`` and
+    reads from its gap and f_dist whether the point is on the level.
     """
     nx = expected_f.shape[1]
     ql = np.asarray(q_row, dtype=float).tolist()
@@ -432,12 +444,9 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
             if alpha == 0.0:
                 break  # no step reduces the residual
             q, s, sup, out, rows, at = q_new, s_new, sup_new, out_new, rows_new, trial
-        # the last pmf over all letters, certified as one lane of the fixed-point kernel
-        q_out, lane = np.zeros((1, nx)), np.array([s])
-        q_out[0, sup] = q
-        q_cond, f_dist, rate, gap = _assemble(expected_f, pz, lane, q_out,
-                                              *_tilted(expected_f, pz, lane, q_out))
-    return s, q_cond, q_out, f_dist, rate, np.array([iters]), gap
+    q_out = np.zeros(nx)
+    q_out[sup] = q
+    return s, q_out, iters
 
 
 def _shifted(expected_f, sup, out):

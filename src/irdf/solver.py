@@ -45,17 +45,18 @@ Only the points a search returns become ``SlopePoint``s, with raw
 distortions from one vectorized f.invert.
 
 A lone level target (``solve_at_distortion``, each ``characterize`` route)
-makes one kernel call: a cold lane at s0 = -1/span, solved only to a loose
-start gap, from whose pmf the joint Newton iteration on (q, s)
-(``kernels.level_newton``) solves the slope and the fixed point together.
-It starts at the slope where the level meets the secant through the lane's
-own point (s0, f0) and the zero-rate end (0, hi), clamped to [0.5, 1.2] s0.
-Its last point comes back certified by the fixed-point kernel's own end
-assembly; certified and on the level, it is the result, with no memo, no
-zero-rate row and no search round. Otherwise the cold lane is solved on to
-gap_tol from its own pmf and seeds the search. Sweeps and the rate target
-of ``distortion_at_rate`` run the search alone. A NaN level or rate raises
-DomainError before any solve.
+makes one kernel call. Its start (``kernels.level_start``) climbs from the
+uniform pmf at s0 = -1/span only to a loose start gap, and from that pmf
+the joint Newton iteration on (q, s) (``kernels.level_newton``) solves the
+slope and the fixed point together. It starts at the slope where the level
+meets the secant through the start's own point (s0, f0) and the zero-rate
+end (0, hi), clamped to [0.5, 1.2] s0. The kernel call certifies its last
+point, a one-iteration lane at its slope and pmf; certified and on the
+level, it is the result, with no memo, no zero-rate row and no search
+round. Otherwise a lane at s0 is solved on to gap_tol from the start's pmf
+and seeds the search. Sweeps and the rate target of ``distortion_at_rate``
+run the search alone. A NaN level or rate raises DomainError before any
+solve.
 All rates are nats internally; unit conversion happens only at reporting
 boundaries.
 
@@ -532,8 +533,8 @@ def _solve_levels(problem: _Problem, levels) -> list[SlopePoint]:
     and so does a level below it by no more than the roundoff of
     f(f^-1(lo)). A lone level is solved by the joint Newton iteration
     (``_newton_seed``), whose certified point on the level is returned as it
-    is; only when it falls short does its cold lane seed a memo for the
-    search. Several levels seed theirs by one kernel call on a ladder of
+    is; only when it falls short does a lane at -1/span, solved from its
+    start, seed a memo for the search. Several levels seed theirs by one kernel call on a ladder of
     slopes around -1/span (``_LADDER``).
     """
     lo, hi, tol_f = problem.lo, problem.hi, problem.tol_f
@@ -578,30 +579,29 @@ def _solve_levels(problem: _Problem, levels) -> list[SlopePoint]:
 
 
 def _newton_seed(problem: _Problem, level: float) -> tuple[np.ndarray, bool]:
-    """A lone level in one kernel call: a cold lane at s0 = -1/span, solved
-    only to the start gap ``kernels._START_GAP``, then the joint Newton
-    iteration on (q, s) (``kernels.level_newton``) from its pmf, started at
-    the slope where the level meets the secant through the lane's own point
-    (s0, f0) and the zero-rate end (0, hi): s0 (hi - level) / (hi - f0),
-    clamped to [_SECANT_LO, _SECANT_HI] s0. The joint point comes back
-    certified by the kernel's own end assembly. Returns its memo row and True
-    when it is certified and within ``problem.tol_f`` of the level; otherwise
-    the row of the cold lane solved on from its own pmf to gap_tol, which
-    seeds the search, and False.
+    """A lone level in one kernel call: the start at s0 = -1/span
+    (``kernels.level_start``, to the gap ``kernels._START_GAP``), then the
+    joint Newton iteration on (q, s) (``kernels.level_newton``) from its
+    pmf, started at the slope where the level meets the secant through the
+    start's own point (s0, f0) and the zero-rate end (0, hi): s0 (hi -
+    level) / (hi - f0), clamped to [_SECANT_LO, _SECANT_HI] s0. The kernel
+    call certifies the joint point, a one-iteration lane at its slope and
+    pmf. Returns its memo row and True when it is certified and within
+    ``problem.tol_f`` of the level; otherwise the row of a lane at s0 solved
+    on from the start's pmf to gap_tol, which seeds the search, and False.
     """
     e, w, hi, tol_f, cfg = problem.e, problem.w, problem.hi, problem.tol_f, problem.cfg
     s0 = -1.0 / (hi - problem.lo)
-    start = kernels.ba_fixed_slope_loop(e, w, np.array([s0]), cfg.max_iters, kernels._START_GAP)
-    f0 = float(start[2][0])
+    q0, f0, climbed = kernels.level_start(e, w, s0, cfg.max_iters)
     ratio = (hi - level) / (hi - f0) if f0 < hi else _SECANT_HI
     s1 = s0 * min(max(ratio, _SECANT_LO), _SECANT_HI)
-    s, *lane = kernels.level_newton(e, w, s1, start[1][0], level, tol_f, cfg.max_iters,
-                                    cfg.gap_tol)
-    row = _rows([s], *lane)
+    s, q, points = kernels.level_newton(e, w, s1, q0, level, tol_f, cfg.max_iters, cfg.gap_tol)
+    row = _rows([s], *kernels.ba_fixed_slope_loop(e, w, np.array([s]), 1, cfg.gap_tol, q[None]))
+    row[0, _IT] = points
     hit = bool(row[0, _GAP] <= cfg.gap_tol and abs(row[0, _F] - level) <= tol_f)
     if not hit:
-        row = _lanes(e, w, [s0], start[1], cfg)
-    row[0, _IT] += start[4][0]  # the cold lane's iterations count toward the point
+        row = _lanes(e, w, [s0], q0[None], cfg)
+    row[0, _IT] += climbed  # the start's iterations count toward the point
     return row, hit
 
 

@@ -19,6 +19,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def parse_csv(text):
     lines = text.strip().splitlines()
     header = lines[0].split(",")
@@ -207,6 +215,44 @@ class TestClosedForm:
         assert code == 0
         rows = json.loads(out)
         assert rows[0]["rate_nats"] == pytest.approx(bsc_irdf(BscModel(0.15), 0.3), rel=1e-12)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", [
+        ("closed-form", "--model", "bsc", "--beta", "0.1", "--points", "2"),
+        ("curve", "--model", "bsc", "--beta", "0.1", "--points", "5"),
+        ("point", "--model", "bsc", "--beta", "0.1", "--D", "0.3"),
+    ], ids=["closed-form", "curve", "point"])
+    def test_json_output_parses_strictly(self, capsys, argv):
+        # closed-form printed "slope_s": NaN, which a strict parser rejects
+        code, out, _ = run(capsys, *argv, "--f", "identity", "--format", "json")
+        assert code == 0
+        rows = strict_json(out)
+        slopes = [r["slope_s"] for r in rows]
+        if argv[0] == "closed-form":
+            assert slopes == [None, None]
+        else:
+            assert all(s <= 0.0 for s in slopes)
+
+    def test_closed_form_csv_keeps_nan_slopes(self, capsys):
+        code, out, _ = run(capsys, "closed-form", "--model", "bsc", "--beta", "0.1",
+                           "--f", "identity", "--points", "2")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "0.30000000000000004,0.30000000000000004,0.13081203594113688,"
+            "0.18872187554086703,nan,true",
+            "0.5,0.5,0,0,nan,true",
+        ]
+
+    def test_non_finite_value_exit_code(self, capsys, monkeypatch):
+        # a non-finite value in a payload exits 2 and prints nothing
+        from irdf import cli
+
+        monkeypatch.setattr(cli, "bsc_irdf", lambda model, D: math.inf)
+        code, out, err = run(capsys, "closed-form", "--model", "bsc", "--beta", "0.1",
+                             "--points", "2", "--format", "json")
+        assert code == 2 and out == ""
+        assert "JSON" in err
 
 
 class TestVerify:

@@ -439,7 +439,8 @@ class TestSlopeSearch:
     @pytest.mark.parametrize("draw", [165, 270, 363])
     def test_levels_on_linear_segments_through_the_search(self, monkeypatch, draw, frac):
         # the joint Newton iteration gives up at its start, so the lone level
-        # is left to the slope search, seeded with the finished cold lane
+        # is left to the slope search, seeded with a lane at -1/span solved on
+        # from the start's pmf
         real = kernels.level_newton
 
         def gives_up(e, pz, s, q, level, tol_f, max_iters, gap_tol):
@@ -613,7 +614,7 @@ def criterion_05_targets():
 
 
 class TestLoneLevel:
-    """A lone level target: a cold lane solved to a loose start gap, and the
+    """A lone level target: a start climbed to a loose gap, and the
     joint Newton iteration on (q, s) from it, certified where it lands."""
 
     def test_certified_on_level_and_on_the_curve(self, criterion_05_targets):
@@ -642,13 +643,15 @@ class TestLoneLevel:
 
     def test_kernel_calls_per_solve(self, monkeypatch, criterion_05_targets):
         # the slope search alone took 7.0 one-lane calls per solve, and a
-        # second call that certified the joint point 2
+        # second call that certified the joint point 2; the start climbs
+        # outside the fixed-point kernel, whose one call per solve certifies
+        # the joint point
         slopes = _count_solves(monkeypatch)
         calls = []
         for src, d, f, am, D in criterion_05_targets:
             before = len(slopes)
             solve_at_distortion(src, d, f, D, amended=am)
-            calls.append(len(slopes) - before)  # one lane per call here
+            calls.append(len(slopes) - before)  # the certifying call's one lane
         assert calls == [1] * len(criterion_05_targets)
 
     def test_certified_point_is_returned_without_a_search(self, monkeypatch,
@@ -665,21 +668,21 @@ class TestLoneLevel:
     def test_joint_iteration_starts_at_the_secant_slope(self, monkeypatch,
                                                         criterion_05_targets):
         # s0 (hi - level) / (hi - f0), the slope where the level meets the
-        # secant through the start lane's point (s0, f0) and the zero-rate
+        # secant through the start's point (s0, f0) and the zero-rate
         # end (0, hi), clamped to [0.5, 1.2] s0
         starts, joint = [], []
-        real_lane, real_newton = kernels.ba_fixed_slope_loop, kernels.level_newton
+        real_start, real_newton = kernels.level_start, kernels.level_newton
 
-        def lane(e, pz, s, *args):
-            out = real_lane(e, pz, s, *args)
-            starts.append((s[0], out[2][0]))
+        def start(e, pz, s, *args):
+            out = real_start(e, pz, s, *args)
+            starts.append((s, out[1]))
             return out
 
         def newton(e, pz, s, *args):
             joint.append(s)
             return real_newton(e, pz, s, *args)
 
-        monkeypatch.setattr(kernels, "ba_fixed_slope_loop", lane)
+        monkeypatch.setattr(kernels, "level_start", start)
         monkeypatch.setattr(kernels, "level_newton", newton)
         ratios = []
         for src, d, f, am, D in criterion_05_targets:
@@ -739,16 +742,18 @@ class TestLoneLevel:
             lo, hi = f_domain_bounds(am, src.z_marginal)
             tol_f = cfg.bisection_tol * max(1.0, hi - lo)
             level, s0 = float(f.apply(D)), -1.0 / (hi - lo)
-            q0 = _one_lane(e, pz, s0, cfg.max_iters, kernels._START_GAP)[1]
+            q0 = kernels.level_start(e, pz, s0, cfg.max_iters)[0]
             c = rng.uniform(-10.0, 10.0, len(e)) * max(1.0, hi - lo)
-            s, _, q_out, f_dist, *_ = kernels.level_newton(e, pz, s0, q0, level, tol_f,
-                                                           cfg.max_iters, cfg.gap_tol)
-            s_c, _, q_c, f_c, *_ = kernels.level_newton(e + c[:, None], pz, s0, q0,
-                                                        level + pz @ c, tol_f, cfg.max_iters,
-                                                        cfg.gap_tol)
+            s, q_out, _ = kernels.level_newton(e, pz, s0, q0, level, tol_f, cfg.max_iters,
+                                               cfg.gap_tol)
+            s_c, q_c, _ = kernels.level_newton(e + c[:, None], pz, s0, q0, level + pz @ c,
+                                               tol_f, cfg.max_iters, cfg.gap_tol)
             assert s_c == pytest.approx(s, rel=1e-9, abs=0.0)
             np.testing.assert_allclose(q_c, q_out, rtol=1e-9, atol=0.0)
-            assert f_c[0] == pytest.approx(f_dist[0] + pz @ c, rel=1e-12, abs=1e-12)
+            # the distortions of the two points, as the lone level certifies them
+            f_dist = _one_lane(e, pz, s, 1, cfg.gap_tol, q_out)[2]
+            f_c = _one_lane(e + c[:, None], pz, s_c, 1, cfg.gap_tol, q_c)[2]
+            assert f_c == pytest.approx(f_dist + pz @ c, rel=1e-12, abs=1e-12)
 
     def test_zero_rate_point_is_built_only_when_a_level_needs_it(self, monkeypatch,
                                                                  criterion_05_targets):
@@ -1157,24 +1162,54 @@ class TestKernel:
 
     def test_joint_points_are_certified_from_their_pmfs(self, monkeypatch,
                                                         criterion_05_targets):
-        # level_newton's last point is the end assembly at its slope and pmf
-        real = kernels.level_newton
-        ends = []
+        # a lone level's point is the fixed-point kernel's one-iteration
+        # result at level_newton's last slope and pmf, bit for bit, from the
+        # one kernel call the level makes
+        cfg = SolverConfig()
+        real_newton, real_lane = kernels.level_newton, kernels.ba_fixed_slope_loop
+        ends, lanes = [], []
 
-        def kept(e, pz, *args):
-            out = real(e, pz, *args)
-            ends.append((e, pz, out))
+        def newton(e, pz, *args):
+            out = real_newton(e, pz, *args)
+            ends.append(out)
             return out
 
-        monkeypatch.setattr(kernels, "level_newton", kept)
+        def lane(e, pz, s, max_iters, *args):
+            lanes.append((s.tolist(), max_iters))
+            return real_lane(e, pz, s, max_iters, *args)
+
+        monkeypatch.setattr(kernels, "level_newton", newton)
+        monkeypatch.setattr(kernels, "ba_fixed_slope_loop", lane)
         for src, d, f, am, D in criterion_05_targets:
-            solve_at_distortion(src, d, f, D, amended=am)
-        assert len(ends) == len(criterion_05_targets)
-        for e, pz, (s, q_cond, q_out, f_dist, rate, _, gap) in ends:
-            lane = np.array([s])
-            again = kernels._assemble(e, pz, lane, q_out, *kernels._tilted(e, pz, lane, q_out))
-            for got, want in zip((q_cond, f_dist, rate, gap), again):
+            ends.clear()
+            lanes.clear()
+            pt = solve_at_distortion(src, d, f, D, amended=am)
+            (s, q, _), = ends
+            assert lanes == [([s], 1)]
+            e, pz = _reduced(am, src.z_marginal)
+            q_cond, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s, 1, cfg.gap_tol, q)
+            assert iters == 1 and pt.slope == s and pt.rate == max(rate, 0.0)
+            for got, want in ((pt.q_cond[am.used_z], q_cond), (pt.q_out, q_out),
+                              (pt.f_distortion, f_dist), (pt.gap, gap)):
                 np.testing.assert_array_equal(got, want)
+
+    def test_start_climb_is_the_lane_kernels_climb(self, criterion_05_targets):
+        # a lone level's start is the ascent of a fixed-point lane at s0 =
+        # -1/span from the uniform pmf to the start gap, with no end assembly
+        cfg = SolverConfig()
+        climbed = 0
+        for src, d, f, am, D in criterion_05_targets:
+            e, pz = _reduced(am, src.z_marginal)
+            lo, hi = f_domain_bounds(am, src.z_marginal)
+            s0 = -1.0 / (hi - lo)
+            q, f0, iters = kernels.level_start(e, pz, s0, cfg.max_iters)
+            _, q_lane, f_lane, _, it_lane, _ = _one_lane(e, pz, s0, cfg.max_iters,
+                                                         kernels._START_GAP)
+            assert iters == it_lane
+            assert np.abs(q - q_lane).max() <= 1e-12
+            assert abs(f0 - f_lane) <= 1e-12 * max(1.0, abs(f_lane))
+            climbed += iters > 1
+        assert climbed > len(criterion_05_targets) // 2
 
     def test_overflowing_gradient_off_the_support(self):
         # the row minimum's letter has mass 1e-300, so t = p / den ~ 5e299 and
