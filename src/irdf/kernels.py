@@ -2,7 +2,9 @@
 
 Two kernels dominate runtime: the slope fixed point of the reduced direct
 problem (called for every slope a curve search tries) and the exhaustive
-encoder scan of the brute-force code search. Each has one formulation.
+encoder scan of the brute-force code search, which grows each encoder's
+table of cell sums from its prefix's, in blocks of bounded size, rather
+than summing every cell afresh. Each has one formulation.
 
 At a fixed slope the output pmf maximizes a log-optimal portfolio
 objective (Cover 1984, "An algorithm for maximizing expected log investment
@@ -518,29 +520,51 @@ def best_code_fold_loop(cost, M, total):
 
     cost[j, k] is the criterion contribution of observation sequence j when
     its cell decodes to reconstruction sequence k. For a fixed encoder the
-    cells decouple, so each cell takes its first-minimum column; ties keep
-    the lexicographically smallest code overall. Encoders are enumerated in
-    chunks of ``_CHUNK`` to bound memory.
+    cells decouple, so each cell takes its first-minimum column, and the
+    encoder's value is the sum of its cells' minima. total must be M**n_zseq,
+    the number of encoders scanned.
+
+    An encoder's (M, n_dseq) table of cell sums is its prefix's table plus
+    one cost row, added to the cell of its last digit. The tables of the
+    leading digits are built once; a block then expands the trailing digits
+    of a run of leading prefixes, at most ``_BLOCK`` floats (and at least
+    one encoder), so an encoder costs about M * n_dseq adds, not the
+    n_zseq * M * n_dseq of summing its cells afresh. Every cell sum still
+    accumulates from 0.0 in observation-sequence order, and blocks run in
+    lexicographic order: the first minimum within a block, and a strict
+    ``<`` across blocks, keep the lexicographically smallest optimal code.
     """
     n_zseq, n_dseq = cost.shape
-    place = M ** (n_zseq - 1 - np.arange(n_zseq, dtype=np.int64))
+    if total != M**n_zseq:
+        raise ValueError(f"total must be M**{n_zseq} = {M**n_zseq}, got {total}")
+    # steps[j, v] adds cost row j to cell v: digit j of an encoder set to v
+    steps = np.eye(M)[None, :, :, None] * cost[:, None, None, :]
+    per_block = max(1, _BLOCK // (M * n_dseq))   # encoders
+    n_tail = n_zseq
+    while M**n_tail > per_block:
+        n_tail -= 1
+    width = M**n_tail                            # encoders per leading prefix
+    run = max(1, per_block // width)             # leading prefixes per block
+    tables = np.zeros((1, M, n_dseq))
+    for j in range(n_zseq - n_tail):
+        tables = (tables[:, None] + steps[j]).reshape(-1, M, n_dseq)
     best_val = np.inf
-    best_enc = np.zeros(n_zseq, np.int64)
+    best_idx = 0
     best_dec = np.zeros(M, np.int64)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        enc = (idx[:, None] // place[None, :]) % M          # (c, n_zseq)
-        onehot = (enc[:, :, None] == np.arange(M)[None, None, :]).astype(float)
-        group = np.einsum("cjw,jk->cwk", onehot, cost)       # (c, M, n_dseq)
-        vals = group.min(axis=2).sum(axis=1)
+    for start in range(0, len(tables), run):
+        block = tables[start:start + run]
+        for j in range(n_zseq - n_tail, n_zseq):
+            block = (block[:, None] + steps[j]).reshape(-1, M, n_dseq)
+        vals = block.min(axis=2).sum(axis=1)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = float(vals[i])
-            best_enc = enc[i].copy()
-            best_dec = group[i].argmin(axis=1).astype(np.int64)
+            best_idx = start * width + i
+            best_dec = block[i].argmin(axis=1).astype(np.int64)
+    best_enc = np.array(np.unravel_index(best_idx, (M,) * n_zseq), np.int64)
     return best_val, best_enc, best_dec
 
 
-_CHUNK = 4096  # encoders per scan step
+_BLOCK = 2**15  # floats of cell sums in one scan block
 
 BACKEND = "numpy"

@@ -243,14 +243,11 @@ def best_code_search(
     as scanning every (encoder, decoder) pair. The returned evaluation, at
     the threshold or at d_max + 1 without one, is scored from the tables the
     search built and equals ``evaluate_code`` on the returned code bit for
-    bit. Raises ValueError for n < 1, M < 1 or a NaN threshold.
+    bit. Raises ValueError for n < 1, M < 1, an unknown criterion or
+    comparator, or a missing or NaN threshold, before the size cap, the
+    tables and the scan.
     """
     _check_block(n, M)
-    nz, nh = src.z_alphabet.size, d.n_reconstruction
-    n_zseq = nz**n
-    conceptual = (M**n_zseq) * (nh ** (n * M))
-    if conceptual > ENUM_CAP:
-        raise TooLarge(f"code space size {conceptual} exceeds {ENUM_CAP}")
     if criterion not in ("average", "excess"):
         raise ValueError(f"criterion must be 'average' or 'excess', got {criterion!r}")
     if threshold is None:
@@ -258,12 +255,18 @@ def best_code_search(
             raise ValueError("excess criterion needs a threshold")
     else:
         _check_threshold(threshold)
+    exceeds = _comparator_fn(comparator)
+    nz, nh = src.z_alphabet.size, d.n_reconstruction
+    n_zseq = nz**n
+    conceptual = (M**n_zseq) * (nh ** (n * M))
+    if conceptual > ENUM_CAP:
+        raise TooLarge(f"code space size {conceptual} exceeds {ENUM_CAP}")
 
     pjoint, _, pooled = _block_tables(src, d, f, n)
     if criterion == "average":
         weight = pooled
     else:
-        weight = _comparator_fn(comparator)(pooled, threshold).astype(float)
+        weight = exceeds(pooled, threshold).astype(float)
     cost = pjoint.T @ weight  # (n_zseq, n_dseq)
 
     _, best_enc, best_dec = kernels.best_code_fold_loop(cost, M, M**n_zseq)

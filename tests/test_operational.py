@@ -19,6 +19,7 @@ from irdf import (
     evaluate_code,
     excess_event_equivalence,
 )
+from irdf import kernels
 from irdf.operational import ENUM_CAP
 
 LN2 = math.log(2.0)
@@ -252,6 +253,25 @@ class TestBestCodeSearch:
             best_code_search(src, d, FTransform.identity(), n=1, M=2,
                              criterion=criterion, threshold=math.nan)
 
+    @pytest.mark.parametrize("criterion", ["average", "excess"])
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"comparator": "<"}, "comparator"),
+        ({"criterion": "median"}, "criterion"),
+        ({"threshold": math.nan}, "NaN"),
+    ])
+    def test_arguments_checked_before_the_scan(self, monkeypatch, criterion, kwargs, match):
+        # n = 4, M = 3 is past the size cap: the arguments fail first, and
+        # never after a scan
+        def no_scan(*args):
+            raise AssertionError("scanned before checking the arguments")
+
+        monkeypatch.setattr(kernels, "best_code_fold_loop", no_scan)
+        src, d = bsc_problem(0.15)
+        kwargs = {"criterion": criterion, "threshold": 0.4, **kwargs}
+        for n, M in ((3, 3), (4, 3)):
+            with pytest.raises(ValueError, match=match):
+                best_code_search(src, d, FTransform.identity(), n=n, M=M, **kwargs)
+
     @pytest.mark.parametrize("comparator", [">", ">="])
     @pytest.mark.parametrize("f", SEARCH_TRANSFORMS, ids=lambda f: f.name())
     def test_evaluation_is_evaluate_code_bitwise(self, f, comparator):
@@ -276,6 +296,67 @@ class TestBestCodeSearch:
             assert (ev.avg_distortion, ev.excess_prob, ev.threshold, ev.comparator) == (
                 ref.avg_distortion, ref.excess_prob, ref.threshold, ref.comparator)
             searched += 1
+
+
+def naive_scan(cost, M):
+    """Every encoder in lexicographic order, its cells summed afresh."""
+    rows = cost.tolist()
+    n_dseq = cost.shape[1]
+    best = (math.inf, None, None)
+    for enc in itertools.product(range(M), repeat=len(rows)):
+        cells = [[0.0] * n_dseq for _ in range(M)]
+        for w, row in zip(enc, rows):
+            cell = cells[w]
+            for k in range(n_dseq):
+                cell[k] += row[k]
+        dec = [min(range(n_dseq), key=cell.__getitem__) for cell in cells]
+        val = 0.0
+        for cell, k in zip(cells, dec):
+            val += cell[k]
+        if val < best[0]:
+            best = (val, list(enc), dec)
+    return best
+
+
+def _scan_costs():
+    rng = np.random.default_rng(23)
+    for n_zseq, M, n_dseq in ((1, 1, 2), (2, 2, 2), (3, 3, 3), (4, 2, 4), (8, 3, 8), (9, 3, 4)):
+        yield pytest.param(rng.random((n_zseq, n_dseq)), M, id=f"random-{n_zseq}-{M}-{n_dseq}")
+    rows = rng.random((2, 4))
+    yield pytest.param(rows[[0, 1, 0, 0, 1, 1, 0]], 3, id="repeated_rows")
+    yield pytest.param(np.tile(rng.random(3), (6, 1)), 2, id="equal_rows")
+    yield pytest.param(rng.random((2, 3)), 4, id="empty_cells")
+    # cell labels and the two columns are both symmetric: a swap of either
+    # maps an optimum to another one
+    yield pytest.param(np.array([[0.1, 0.3], [0.3, 0.1]] * 3), 3, id="symmetric")
+    yield pytest.param(np.round(rng.random((6, 3)) * 3) / 10, 3, id="rounded")
+
+
+class TestCodeScanKernel:
+    @pytest.mark.parametrize("cost, M", _scan_costs())
+    def test_matches_naive_scan_bitwise(self, cost, M):
+        val, enc, dec = kernels.best_code_fold_loop(cost, M, M ** len(cost))
+        ref_val, ref_enc, ref_dec = naive_scan(cost, M)
+        assert (val, enc.tolist(), dec.tolist()) == (ref_val, ref_enc, ref_dec)
+        # relabelling the cells maps an optimum to another one, so the
+        # lexicographically first starts with label 0
+        assert enc[0] == 0
+
+    def test_many_blocks_match_one(self, monkeypatch):
+        # 2 prefixes of 3**5 encoders a block: 41 blocks, the last one partial
+        cost = np.random.default_rng(29).random((9, 4))
+        cost[5] = cost[2]
+        whole = kernels.best_code_fold_loop(cost, 3, 3**9)
+        monkeypatch.setattr(kernels, "_BLOCK", 2 * 3**5 * 3 * 4)
+        blocked = kernels.best_code_fold_loop(cost, 3, 3**9)
+        ref_val, ref_enc, ref_dec = naive_scan(cost, 3)
+        for val, enc, dec in (whole, blocked):
+            assert (val, enc.tolist(), dec.tolist()) == (ref_val, ref_enc, ref_dec)
+
+    def test_total_must_count_every_encoder(self):
+        cost = np.random.default_rng(31).random((4, 3))
+        with pytest.raises(ValueError, match="total"):
+            kernels.best_code_fold_loop(cost, 2, 5)
 
 
 class TestBoundedness:
