@@ -561,7 +561,7 @@ def best_code_fold_loop(cost, M, total):
             best_val = float(vals[i])
             best_idx = start * width + i
             best_dec = block[i].argmin(axis=1).astype(np.int64)
-    best_enc = np.array(np.unravel_index(best_idx, (M,) * n_zseq), np.int64)
+    best_enc = np.array([best_idx // M**(n_zseq - 1 - j) % M for j in range(n_zseq)], np.int64)
     return best_val, best_enc, best_dec
 
 

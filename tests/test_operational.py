@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from irdf import (
+    BecModel,
     BlockCode,
     BscModel,
     DistortionMatrix,
@@ -200,6 +201,18 @@ class TestBestCodeSearch:
         code, ev = best_code_search(src, d, FTransform.identity(), n=1, M=1)
         assert ev.avg_distortion == pytest.approx(0.5, abs=1e-15)
 
+    def test_one_cell_over_many_sequences(self):
+        # 3**4 = 81 observation sequences, more than an index array has
+        # dimensions: the single encoder maps them all to cell 0. Every
+        # reconstruction of a fair bit is worth 1/2, so rounding picks it.
+        m = BecModel(0.3)
+        src, d, f = m.source(), m.distortion(), FTransform.identity()
+        code, ev = best_code_search(src, d, f, n=4, M=1)
+        assert code.encoder.tolist() == [0] * 81
+        assert code.decoder.shape == (1, 4)
+        assert ev.avg_distortion == pytest.approx(0.5, abs=1e-15)
+        assert ev.avg_distortion == evaluate_code(src, d, f, code, ev.threshold).avg_distortion
+
     def test_n2_matches_naive_enumeration(self):
         src, d = bsc_problem(0.15)
         f = FTransform.power(2.0)
@@ -253,11 +266,12 @@ class TestBestCodeSearch:
             best_code_search(src, d, FTransform.identity(), n=1, M=2,
                              criterion=criterion, threshold=math.nan)
 
-    @pytest.mark.parametrize("criterion", ["average", "excess"])
-    @pytest.mark.parametrize("kwargs, match", [
-        ({"comparator": "<"}, "comparator"),
-        ({"criterion": "median"}, "criterion"),
-        ({"threshold": math.nan}, "NaN"),
+    @pytest.mark.parametrize("criterion, kwargs, match", [
+        ("average", {"comparator": "<"}, "comparator"),
+        ("excess", {"comparator": "<"}, "comparator"),
+        ("average", {"threshold": math.nan}, "NaN"),
+        ("excess", {"threshold": math.nan}, "NaN"),
+        ("median", {}, "criterion"),
     ])
     def test_arguments_checked_before_the_scan(self, monkeypatch, criterion, kwargs, match):
         # n = 4, M = 3 is past the size cap: the arguments fail first, and
@@ -320,7 +334,9 @@ def naive_scan(cost, M):
 
 def _scan_costs():
     rng = np.random.default_rng(23)
-    for n_zseq, M, n_dseq in ((1, 1, 2), (2, 2, 2), (3, 3, 3), (4, 2, 4), (8, 3, 8), (9, 3, 4)):
+    # a single cell over more rows than an index array has dimensions
+    shapes = ((1, 1, 2), (81, 1, 3), (2, 2, 2), (3, 3, 3), (4, 2, 4), (8, 3, 8), (9, 3, 4))
+    for n_zseq, M, n_dseq in shapes:
         yield pytest.param(rng.random((n_zseq, n_dseq)), M, id=f"random-{n_zseq}-{M}-{n_dseq}")
     rows = rng.random((2, 4))
     yield pytest.param(rows[[0, 1, 0, 0, 1, 1, 0]], 3, id="repeated_rows")
