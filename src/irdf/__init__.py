@@ -41,21 +41,17 @@ from .errors import (
 from .ftransform import FTransform
 from .operational import (
     BlockCode,
-    BoundReport,
     CodeEvaluation,
     ExcessEquivalence,
     best_code_search,
-    boundedness_check,
     evaluate_code,
     excess_event_equivalence,
 )
 from .solver import (
-    EquivalenceReport,
     RdCurve,
     SlopePoint,
     SolverConfig,
     ba_fixed_slope,
-    characterize,
     distortion_at_rate,
     f_domain_bounds,
     solve_at_distortion,
@@ -70,13 +66,11 @@ __all__ = [
     "AmendedDistortions",
     "BecModel",
     "BlockCode",
-    "BoundReport",
     "BscModel",
     "CodeEvaluation",
     "DistortionMatrix",
     "DomainError",
     "EmptyInput",
-    "EquivalenceReport",
     "ExcessEquivalence",
     "FTransform",
     "IrdfError",
@@ -98,10 +92,8 @@ __all__ = [
     "best_code_search",
     "binary_entropy",
     "binary_entropy_inverse",
-    "boundedness_check",
     "bsc_irdf",
     "build_amended",
-    "characterize",
     "distortion_at_rate",
     "domain_bounds",
     "evaluate_code",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .distortion import DistortionMatrix
+from .distortion import DistortionMatrix, _finite_f
 from .errors import TooLarge
 from .ftransform import FTransform
 from .source import JointSource
@@ -83,14 +83,18 @@ def _product_pmf(joint: np.ndarray, n: int) -> np.ndarray:
 
 def _mean_f_table(d: DistortionMatrix, f: FTransform, n: int) -> np.ndarray:
     """(1/n) sum_i f(d(x_i, xhat_i)) for all sequence pairs, as a
-    (|X|**n, |Xhat|**n) matrix."""
-    fd = f.apply(d.values)
-    acc = fd + 0.0  # a -0.0 entry (sqrt of a -0.0 loss) sums as 0.0
-    for _ in range(n - 1):
-        acc = (acc[:, None, :, None] + fd[None, :, None, :]).reshape(
-            acc.shape[0] * fd.shape[0], acc.shape[1] * fd.shape[1]
-        )
-    return acc / n
+    (|X|**n, |Xhat|**n) matrix. OutOfRange, with no RuntimeWarning, when f
+    or a sum of n of its values overflows on the losses."""
+
+    def block_mean(fd):
+        acc = fd + 0.0  # a -0.0 entry (sqrt of a -0.0 loss) sums as 0.0
+        for _ in range(n - 1):
+            acc = (acc[:, None, :, None] + fd[None, :, None, :]).reshape(
+                acc.shape[0] * fd.shape[0], acc.shape[1] * fd.shape[1]
+            )
+        return acc / n
+
+    return _finite_f(f, d.values, block_mean)
 
 
 def _block_tables(
@@ -99,7 +103,8 @@ def _block_tables(
     """The tables every exact evaluation at blocklength n reads: the product
     pmf (|X|**n, |Z|**n), the transform-domain means and the pooled
     distortions (both (|X|**n, |Xhat|**n)). Raises OutOfRange unless f covers
-    [0, d_max] and TooLarge past the enumeration cap.
+    [0, d_max] and the means are finite, and TooLarge past the enumeration
+    cap.
     """
     f.check_domain(d.d_max)
     nx, nz = src.x_alphabet.size, src.z_alphabet.size
@@ -276,28 +281,3 @@ def best_code_search(
     vals = pooled[:, best_dec[best_enc]]
     thr = d.d_max + 1.0 if threshold is None else threshold
     return code, _score(pjoint, vals, thr, comparator)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundReport:
-    delta: float                 # analytic supremum of the pooled distortion
-    sup_by_n: dict[int, float]   # enumerated suprema for small n
-    holds: bool                  # every enumerated supremum <= delta (+slack)
-
-
-def boundedness_check(d: DistortionMatrix, f: FTransform, n_max: int) -> BoundReport:
-    """Verify the pooled distortion stays below the per-letter maximum.
-
-    Idempotency of the transform-domain mean pins the supremum at d_max for
-    every blocklength; small n are enumerated outright as a cross-check.
-    """
-    f.check_domain(d.d_max)
-    delta = d.d_max
-    sup_by_n: dict[int, float] = {}
-    size = d.n_source * d.n_reconstruction
-    for n in range(1, n_max + 1):
-        if size**n > 10**6:
-            break
-        sup_by_n[n] = float(f.invert(_mean_f_table(d, f, n)).max())
-    holds = all(v <= delta + 1e-12 for v in sup_by_n.values())
-    return BoundReport(delta=delta, sup_by_n=sup_by_n, holds=holds)

@@ -44,19 +44,18 @@ which ``_Problem`` computes once; a rate target to |s| * tol_f in rate.
 Only the points a search returns become ``SlopePoint``s, with raw
 distortions from one vectorized f.invert.
 
-A lone level target (``solve_at_distortion``, each ``characterize`` route)
-makes one kernel call. Its start (``kernels.level_start``) climbs from the
-uniform pmf at s0 = -1/span only to a loose start gap, and from that pmf
-the joint Newton iteration on (q, s) (``kernels.level_newton``) solves the
-slope and the fixed point together. It starts at the slope where the level
-meets the secant through the start's own point (s0, f0) and the zero-rate
-end (0, hi), clamped to [0.5, 1.2] s0. The kernel call certifies its last
-point, a one-iteration lane at its slope and pmf; certified and on the
-level, it is the result, with no memo, no zero-rate row and no search
-round. Otherwise a lane at s0 is solved on to gap_tol from the start's pmf
-and seeds the search. Sweeps and the rate target of ``distortion_at_rate``
-run the search alone. A NaN level or rate raises DomainError before any
-solve.
+A lone level target (``solve_at_distortion``) makes one kernel call. Its
+start (``kernels.level_start``) climbs from the uniform pmf at s0 = -1/span
+only to a loose start gap, and from that pmf the joint Newton iteration on
+(q, s) (``kernels.level_newton``) solves the slope and the fixed point
+together. It starts at the slope where the level meets the secant through
+the start's own point (s0, f0) and the zero-rate end (0, hi), clamped to
+[0.5, 1.2] s0. The kernel call certifies its last point, a one-iteration
+lane at its slope and pmf; certified and on the level, it is the result,
+with no memo, no zero-rate row and no search round. Otherwise a lane at s0
+is solved on to gap_tol from the start's pmf and seeds the search. Sweeps
+and the rate target of ``distortion_at_rate`` run the search alone. A NaN
+level or rate raises DomainError before any solve.
 All rates are nats internally; unit conversion happens only at reporting
 boundaries.
 
@@ -669,67 +668,6 @@ def sweep_curve(
     pts = _solve_levels(problem, targets.tolist())
     pts.sort(key=lambda p: p.distortion)
     return RdCurve(points=tuple(pts), d_min=d_lo, d_max=d_hi)
-
-
-@dataclass(frozen=True, eq=False)
-class EquivalenceReport:
-    """The three computation routes that must produce one rate."""
-
-    remote_pooled: float          # expected-f reduction of the pooled remote problem
-    remote_transformed: float     # same reduction entered via the per-letter f(d) matrix
-    direct_equivalent: float      # transform of the certainty-equivalent matrix
-    max_spread: float
-
-    def rates(self) -> tuple[float, float, float]:
-        return (self.remote_pooled, self.remote_transformed, self.direct_equivalent)
-
-
-_EQUIV_ATOL = 1e-8
-
-
-def characterize(
-    src: JointSource,
-    d: DistortionMatrix,
-    f: FTransform,
-    D: float,
-    cfg: SolverConfig | None = None,
-) -> EquivalenceReport:
-    """Evaluate the rate at D along three algebraically equal routes.
-
-    The routes differ only in which amended matrix enters the solver, so any
-    spread beyond roundoff indicates a defect; a spread above 1e-8 nats
-    raises. Uses a tighter level tolerance than the default config so route
-    differences are not masked by target slack. Raises NotConverged if any
-    route's point is not certified.
-    """
-    cfg = cfg or SolverConfig(bisection_tol=1e-12)
-    target = _target_level(f, D)
-    amended = build_amended(src, d, f)
-    pz = src.z_marginal
-
-    def rate(am: AmendedDistortions) -> float:
-        return _certified(_solve_levels(_Problem(am, pz, cfg), [target])[0], cfg).rate
-
-    r1 = rate(amended)
-
-    expected2 = src.posterior.T @ amended.per_letter_f
-    expected2[~src.used_z] = 0.0
-    r2 = rate(replace(amended, expected_f=expected2))
-
-    expected3 = f.apply(np.where(amended.used_z[:, None], amended.equivalent, 0.0))
-    expected3[~amended.used_z] = 0.0
-    r3 = rate(replace(amended, expected_f=expected3))
-
-    rates = (r1, r2, r3)
-    spread = max(rates) - min(rates)
-    if spread > _EQUIV_ATOL:
-        raise AssertionError(f"equivalent routes disagree by {spread:g} nats at D={D:g}")
-    return EquivalenceReport(
-        remote_pooled=r1,
-        remote_transformed=r2,
-        direct_equivalent=r3,
-        max_spread=spread,
-    )
 
 
 def distortion_at_rate(

@@ -79,11 +79,13 @@ class TestPoint:
         assert code == 2
         assert "'p'" in err
 
-    @pytest.mark.parametrize("command", [["point", "--D", "0.5"], ["curve", "--points", "3"]],
-                             ids=["point", "curve"])
+    @pytest.mark.parametrize("command", [["point", "--D", "0.5"], ["curve", "--points", "3"],
+                                         ["brute", "--n", "2", "--M", "2"]],
+                             ids=["point", "curve", "brute"])
     def test_overflowing_transform_exit_code(self, capsys, command):
         # exp(800 d) overflows at d = 1: `point` reported a feasible minimum
-        # of inf, and `curve` printed D = inf rows and exited 3
+        # of inf, `curve` printed D = inf rows and exited 3, and `brute`
+        # scanned inf and NaN costs after RuntimeWarnings
         code, out, err = run(
             capsys, *command[:1], "--model", "bsc", "--beta", "0.1",
             "--f", "exponential", "--rho", "800", *command[1:],

@@ -13,10 +13,10 @@ from irdf import (
     DistortionMatrix,
     FTransform,
     JointSource,
+    OutOfRange,
     TooLarge,
     best_code_search,
     binary_entropy_inverse,
-    boundedness_check,
     evaluate_code,
     excess_event_equivalence,
 )
@@ -375,23 +375,19 @@ class TestCodeScanKernel:
             kernels.best_code_fold_loop(cost, 2, 5)
 
 
-class TestBoundedness:
-    @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name())
-    def test_hamming_bounded_by_one(self, f):
-        report = boundedness_check(HAMMING, f, n_max=3)
-        assert report.delta == 1.0
-        assert report.holds
-        assert all(abs(v - 1.0) < 1e-12 for v in report.sup_by_n.values())
+def constant_code(n):
+    return BlockCode(n=n, M=1, encoder=np.zeros(2**n, dtype=int), decoder=np.zeros((1, n)))
 
-    def test_scaled_hamming(self):
-        d = DistortionMatrix(3.0 * (np.ones((2, 2)) - np.eye(2)))
-        report = boundedness_check(d, FTransform.identity(), n_max=3)
-        assert report.delta == 3.0
-        assert report.holds
 
-    def test_tabulated_transform(self):
-        knots = np.linspace(0.0, 1.0, 17)
-        f = FTransform.tabulated(np.column_stack([knots, np.sqrt(knots + 0.1)]))
-        report = boundedness_check(HAMMING, f, n_max=2)
-        assert report.holds
-        assert max(report.sup_by_n.values()) <= 1.0 + 1e-9
+@pytest.mark.parametrize("rho, n", [(800.0, 2), (709.0, 3)], ids=["value", "sum"])
+@pytest.mark.parametrize("call", [
+    lambda src, d, f, n: best_code_search(src, d, f, n=n, M=2),
+    lambda src, d, f, n: evaluate_code(src, d, f, constant_code(n), 0.3),
+    lambda src, d, f, n: excess_event_equivalence(src, d, f, constant_code(n), 0.3, 0.1),
+], ids=["best_code_search", "evaluate_code", "excess_event_equivalence"])
+def test_overflowing_transform_raises(call, rho, n):
+    # exp(800 d) is inf at d = 1, and three exp(709) sum past the largest
+    # double: the tables held inf after a RuntimeWarning
+    m = BscModel(0.1, FTransform.exponential(rho))
+    with pytest.raises(OutOfRange, match="overflows"):
+        call(m.source(), m.distortion(), m.f, n)

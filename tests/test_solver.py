@@ -1,5 +1,5 @@
 """Solver: slope fixed points, the slope search for a target level, sweeps,
-and the three-route equivalence."""
+and points checked against the remote Blahut-Arimoto reference."""
 
 import dataclasses
 import itertools
@@ -22,7 +22,6 @@ from irdf import (
     binary_entropy,
     bsc_irdf,
     build_amended,
-    characterize,
     distortion_at_rate,
     domain_bounds,
     f_domain_bounds,
@@ -30,7 +29,7 @@ from irdf import (
     sweep_curve,
 )
 from irdf import kernels, solver
-from test_acceptance import _random_transform
+from test_acceptance import _criterion_05_draws, _random_transform, _reference_deviation
 
 LN2 = math.log(2.0)
 
@@ -166,8 +165,6 @@ class TestSolveAtDistortion:
         for D in (math.nan, -math.inf, -0.1):
             with pytest.raises(DomainError):
                 solve_at_distortion(src, d, f, D)
-        with pytest.raises(DomainError):
-            characterize(src, d, f, math.nan)
         pt = solve_at_distortion(src, d, f, math.inf)
         assert pt.clamped and pt.converged and pt.rate == 0.0
 
@@ -280,33 +277,33 @@ class TestSweep:
         assert np.all(rates[1:-1] <= chords + 1e-9)
 
 
-class TestCharacterize:
-    def test_routes_match_closed_form(self):
-        m, src, d = bsc_problem(0.15)
-        rep = characterize(src, d, m.f, 0.3)
-        oracle = bsc_irdf(m, 0.3)
-        for rate in rep.rates():
-            assert rate == pytest.approx(oracle, abs=1e-7)
-        assert rep.max_spread <= 1e-8
+def _bsc_problem():
+    _, src, d = bsc_problem(0.15)
+    return src, d, FTransform.identity(), 0.3
 
-    def test_noiseless_channel_all_routes(self):
-        src = JointSource.from_prior_and_channel((0.5, 0.5), np.eye(2))
-        d = DistortionMatrix.hamming(2)
-        f = FTransform.power(2.0)
-        rep = characterize(src, d, f, 0.4)
-        assert rep.max_spread <= 1e-8
 
-    def test_random_source(self):
-        rng = np.random.default_rng(17)
-        joint = rng.random((3, 4))
-        src = JointSource.from_joint(joint / joint.sum())
-        d = DistortionMatrix(rng.random((3, 3)))
-        f = FTransform.shifted_cubic(0.3)
-        am = build_amended(src, d, f)
-        lo, hi = f_domain_bounds(am, src.z_marginal)
-        D = float(f.invert(lo + 0.6 * (hi - lo)))
-        rep = characterize(src, d, f, D)
-        assert rep.max_spread <= 1e-8
+def _noiseless_problem():
+    src = JointSource.from_prior_and_channel((0.5, 0.5), np.eye(2))
+    return src, DistortionMatrix.hamming(2), FTransform.power(2.0), 0.4
+
+
+def _seed_17_problem():
+    rng = np.random.default_rng(17)
+    joint = rng.random((3, 4))
+    src = JointSource.from_joint(joint / joint.sum())
+    d = DistortionMatrix(rng.random((3, 3)))
+    f = FTransform.shifted_cubic(0.3)
+    lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
+    return src, d, f, float(f.invert(lo + 0.6 * (hi - lo)))
+
+
+@pytest.mark.parametrize("problem", [_bsc_problem, _noiseless_problem, _seed_17_problem],
+                         ids=["bsc", "noiseless_power", "seed_17_cubic"])
+def test_remote_reference(problem):
+    # criterion 05's check on three more problems
+    src, d, f, D = problem()
+    pt = solve_at_distortion(src, d, f, D, SolverConfig(bisection_tol=1e-12))
+    assert pt.converged and _reference_deviation(src, d, f, pt)[0] <= 1e-8
 
 
 def _count_solves(monkeypatch):
@@ -631,7 +628,7 @@ class TestLoneLevel:
     def test_rate_matches_the_search(self, criterion_05_targets):
         # at the default level tolerance the search's point may sit |s| *
         # tol_f off in rate (4e-7 nats on one draw, where s = -930), while
-        # the joint point is on the level to roundoff; at characterize's
+        # the joint point is on the level to roundoff; at criterion 05's
         # tolerance the two agree
         cfg = SolverConfig(bisection_tol=1e-12)
         for src, d, f, am, D in criterion_05_targets:
@@ -845,11 +842,6 @@ class TestTransformScale:
 
 
 class TestUncertifiedPointsRaise:
-    def test_characterize(self):
-        src, d, f, _, D = _criterion_05_draw(97)
-        with pytest.raises(NotConverged):
-            characterize(src, d, f, D, SolverConfig(max_iters=1))
-
     def test_distortion_at_rate(self):
         src, d, f, _, _ = _criterion_05_draw(97)
         with pytest.raises(NotConverged):
@@ -863,22 +855,6 @@ class TestSweepDeterminism:
         second = sweep_curve(src, d, m.f, 12)
         np.testing.assert_array_equal(first.distortions, second.distortions)
         np.testing.assert_array_equal(first.rates, second.rates)
-
-
-def _criterion_05_draws():
-    """The draws of the criterion-05 generator, in order: source,
-    distortion, transform, amended matrices and the raw target level."""
-    rng = np.random.default_rng(20240817)
-    while True:
-        nx, nz, nh = rng.integers(2, 5, size=3)
-        joint = rng.random((nx, nz)) ** 2
-        src = JointSource.from_joint(joint / joint.sum())
-        d = DistortionMatrix(rng.random((nx, nh)))
-        f = _random_transform(rng)
-        am = build_amended(src, d, f)
-        lo, hi = f_domain_bounds(am, src.z_marginal)
-        target = lo + float(rng.uniform(0.15, 0.9)) * (hi - lo)
-        yield src, d, f, am, float(f.invert(target))
 
 
 def _criterion_05_draw(index):
