@@ -50,7 +50,6 @@ from .operational import (
 from .solver import (
     RdCurve,
     SlopePoint,
-    SolverConfig,
     ba_fixed_slope,
     distortion_at_rate,
     f_domain_bounds,
@@ -83,7 +82,6 @@ __all__ = [
     "OutOfRange",
     "RdCurve",
     "SlopePoint",
-    "SolverConfig",
     "SubadditivityReport",
     "TooLarge",
     "ba_fixed_slope",

@@ -16,14 +16,13 @@ import sys
 import numpy as np
 
 from .closed_form import BecModel, BscModel, bec_irdf, bsc_irdf, domain_bounds
-from .distortion import DistortionMatrix, is_subadditive_sample
+from .distortion import DistortionMatrix, _level, is_subadditive_sample
 from .errors import DomainError, IrdfError, NotConverged
 from .ftransform import FTransform
 from .operational import best_code_search
 from .solver import (
     LN2,
     RdCurve,
-    SolverConfig,
     distortion_at_rate,
     solve_at_distortion,
     sweep_curve,
@@ -168,7 +167,7 @@ def _build_problem(args):
 
 def _cmd_curve(args) -> int:
     src, d, f, _ = _build_problem(args)
-    curve = sweep_curve(src, d, f, args.points, SolverConfig())
+    curve = sweep_curve(src, d, f, args.points)
     text = _FORMATTERS[args.format](_curve_rows(curve))
     _emit(text, args.out)
     if not curve.all_converged:
@@ -178,7 +177,7 @@ def _cmd_curve(args) -> int:
 
 def _cmd_point(args) -> int:
     src, d, f, _ = _build_problem(args)
-    pt = solve_at_distortion(src, d, f, args.D, SolverConfig())
+    pt = solve_at_distortion(src, d, f, args.D)
     if args.format == "plain":
         rate = pt.rate / LN2 if args.bits else pt.rate
         _emit(_g17(rate) + "\n", args.out)
@@ -210,7 +209,7 @@ def _cmd_closed_form(args) -> int:
     for D in levels:
         rate = _closed_rate(model, D)
         # a closed form has no slope: null in JSON, nan in CSV
-        rows.append(_point_row(float(D), float(f.apply(D)), rate, None, True))
+        rows.append(_point_row(float(D), _level(f, D), rate, None, True))
     _emit(_FORMATTERS[args.format](rows), args.out)
     return EXIT_OK
 
@@ -219,7 +218,7 @@ def _cmd_verify(args) -> int:
     src, d, f, model = _build_problem(args)
     if model is None:
         raise DomainError("verify needs --model bsc|bec")
-    curve = sweep_curve(src, d, f, args.points, SolverConfig())
+    curve = sweep_curve(src, d, f, args.points)
     if not curve.all_converged:
         raise NotConverged("one or more verification points did not converge")
     worst = max(abs(p.rate - _closed_rate(model, p.distortion)) for p in curve.points)

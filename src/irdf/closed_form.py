@@ -11,13 +11,12 @@ Rates are in nats; "one bit" appears as log 2 throughout.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distortion import DistortionMatrix
+from .distortion import DistortionMatrix, _level
 from .errors import DomainError
 from .ftransform import FTransform
 from .source import Alphabet, JointSource
@@ -121,21 +120,10 @@ def domain_bounds(model) -> tuple[float, float]:
     return float(model.f.invert(lo)), float(model.f.invert(hi))
 
 
-def _level(model, D: float) -> float:
-    """f(D); DomainError for a NaN or a negative D, as the solver gives: a
-    negative D lies below every distortion, where a transform may be
-    undefined (sqrt gives NaN) or decreasing."""
-    if math.isnan(D):
-        raise DomainError("requested distortion is NaN")
-    if D < 0.0:
-        raise DomainError(f"requested distortion {D:g} is negative, below the feasible minimum")
-    return float(model.f.apply(D))
-
-
 def _check_level(model, D: float) -> tuple[float, float, float] | None:
     """Common domain handling; None means the zero-rate region past d_max."""
     lo, hi = _endpoints(model)
-    fd = _level(model, D)
+    fd = _level(model.f, D)
     slack = _EDGE_SLACK * max(1.0, hi - lo)
     if fd < lo - slack:
         raise DomainError(
@@ -180,7 +168,7 @@ def bec_optimal_conditional(model: BecModel, D: float) -> tuple[np.ndarray, np.n
     """Optimal q(xhat|z) (rows z = 0, e, 1) and output marginal for the
     erasure model at raw distortion D; DomainError outside the curve domain."""
     lo, hi = _endpoints(model)
-    fd = _level(model, D)
+    fd = _level(model.f, D)
     slack = _EDGE_SLACK * max(1.0, hi - lo)
     if fd < lo - slack or fd > hi + slack:
         raise DomainError(

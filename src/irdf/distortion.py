@@ -8,32 +8,27 @@ of the per-letter values under a transform f:
 
 With the identity transform this is the ordinary arithmetic-mean distortion.
 Because the encoder sees only the observation z, the solver works with the
-conditional expectation of f(d) given z. ``build_amended`` produces the three
-single-letter matrices that carry the whole reduction:
+conditional expectation of f(d) given z. ``build_amended`` produces this one
+single-letter matrix, which carries the whole reduction:
 
-    per_letter_f[x, xhat]  = f(d(x, xhat))
     expected_f[z, xhat]    = E[ f(d(x, xhat)) | z ]
-    equivalent[z, xhat]    = f^{-1}( expected_f[z, xhat] )
 
-``equivalent`` is the certainty-equivalent per-letter distortion as seen from
-the observation; applying f to it must reproduce ``expected_f`` up to
-roundoff relative to the entry's size, which is checked at construction.
+A raw level D is solved at the transform-domain level f(D) (``_level``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, OutOfRange
+from .errors import DomainError, EmptyInput, LengthMismatch, OutOfRange
 from .ftransform import FTransform
 from .source import JointSource
 
-# slack for the f(equivalent) == expected_f identity, relative to entries above 1
-_AMEND_ATOL = 1e-10
 # margin below which a pooled-vs-mean comparison counts as an equality
 SUBADD_SLACK = 1e-12
 
@@ -102,12 +97,10 @@ class DistortionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class AmendedDistortions:
-    """Single-letter reduction matrices for one (source, d, f) triple."""
+    """The single-letter reduction of one (source, d, f) triple."""
 
     f: FTransform
-    per_letter_f: np.ndarray  # (|X|, |Xhat|)
     expected_f: np.ndarray    # (|Z|, |Xhat|); rows with p(z)=0 zero-filled
-    equivalent: np.ndarray    # (|Z|, |Xhat|); rows with p(z)=0 zero-filled
     used_z: np.ndarray        # (|Z|,) bool
 
 
@@ -122,6 +115,20 @@ def _finite_f(f: FTransform, values: np.ndarray, pool=None) -> np.ndarray:
     if not np.isfinite(out).all():
         raise OutOfRange(f"{f.name()} overflows on the distortions, up to {np.max(values):g}")
     return out
+
+
+def _level(f: FTransform, D: float) -> float:
+    """f(D), the transform-domain level of a raw level D: +inf, with no
+    RuntimeWarning, where f overflows (such a D lies above d_max).
+    DomainError for a NaN D, and for a negative one, which lies below every
+    distortion (the entries are >= 0) and where a transform may be undefined
+    (sqrt gives NaN) or decreasing."""
+    if math.isnan(D):
+        raise DomainError("requested distortion is NaN")
+    if D < 0.0:
+        raise DomainError(f"requested distortion {D:g} is negative, below the feasible minimum")
+    with np.errstate(over="ignore"):
+        return float(f.apply(D))
 
 
 def f_separable_n(f: FTransform, d: DistortionMatrix, xs, xhats) -> float:
@@ -192,41 +199,19 @@ def is_subadditive_sample(
 
 
 def build_amended(src: JointSource, d: DistortionMatrix, f: FTransform) -> AmendedDistortions:
-    """Reduce a remote problem to the three single-letter matrices.
+    """Reduce a remote problem to its single-letter matrix E[f(d) | z].
 
-    Rows of ``expected_f`` and ``equivalent`` for unused observation symbols
-    are zero-filled; consumers must weight by p(z), which is zero there.
+    Rows of ``expected_f`` for unused observation symbols are zero-filled;
+    consumers must weight by p(z), which is zero there.
     """
     if d.n_source != src.x_alphabet.size:
         raise ValueError(
             f"distortion has {d.n_source} source rows, alphabet has {src.x_alphabet.size}"
         )
     f.check_domain(d.d_max)
-    per_letter = _finite_f(f, d.values)
-    expected = np.einsum("xz,xh->zh", src.posterior, per_letter)
+    expected = np.einsum("xz,xh->zh", src.posterior, _finite_f(f, d.values))
     used = src.used_z
-    rows = used
-    if used.all():
-        rows = slice(None)  # a view, where a boolean mask would copy
-    else:
+    if not used.all():
         expected[~used] = 0.0
-    equivalent = np.zeros_like(expected)
-    if used.any():
-        e = expected[rows]
-        equivalent[rows] = f.invert(e)
-        drift = np.abs(f.apply(equivalent[rows]) - e)
-        err = np.max(drift / np.maximum(1.0, np.abs(e)))
-        if not err <= _AMEND_ATOL:  # NaN fails too
-            raise AssertionError(
-                f"relative transform inverse drift {err:g} exceeds {_AMEND_ATOL:g}"
-            )
-    per_letter.setflags(write=False)
     expected.setflags(write=False)
-    equivalent.setflags(write=False)
-    return AmendedDistortions(
-        f=f,
-        per_letter_f=per_letter,
-        expected_f=expected,
-        equivalent=equivalent,
-        used_z=used,
-    )
+    return AmendedDistortions(f=f, expected_f=expected, used_z=used)

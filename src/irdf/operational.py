@@ -214,8 +214,9 @@ def excess_event_equivalence(
     _check_code(src, d, code)
     cmp = _comparator_fn(comparator)
     pjoint, means, pooled = _block_tables(src, d, f, code.n)
-    f_D = float(f.apply(D))
-    delta = float(f.apply(D + gamma)) - f_D
+    with np.errstate(over="ignore"):  # inf where f overflows, above every finite mean
+        f_D, f_Dg = float(f.apply(D)), float(f.apply(D + gamma))
+    delta = f_Dg - f_D  # NaN when both are inf: no mean exceeds f_D + delta
     cols = _decoded_columns(code, d.n_reconstruction)
     ev_pooled = cmp(pooled[:, cols], D + gamma)
     ev_mean = cmp(means[:, cols], f_D + delta)

@@ -39,7 +39,7 @@ nearest solved slope. A bracket that collapses onto one slope straddles a
 linear segment of the curve, whose level is reached by time-sharing the two
 ends. The bracket-width stop is relative to the slopes, so the search
 behaves alike at every transform-domain scale. Every target on a problem is
-solved to one level tolerance, tol_f = bisection_tol * max(1, hi - lo),
+solved to one level tolerance, tol_f = _BISECTION_TOL * max(1, hi - lo),
 which ``_Problem`` computes once; a rate target to |s| * tol_f in rate.
 Only the points a search returns become ``SlopePoint``s, with raw
 distortions from one vectorized f.invert.
@@ -53,16 +53,18 @@ the start's own point (s0, f0) and the zero-rate end (0, hi), clamped to
 [0.5, 1.2] s0. The kernel call certifies its last point, a one-iteration
 lane at its slope and pmf; certified and on the level, it is the result,
 with no memo, no zero-rate row and no search round. Otherwise a lane at s0
-is solved on to gap_tol from the start's pmf and seeds the search. Sweeps
+is solved on to _GAP_TOL from the start's pmf and seeds the search. Sweeps
 and the rate target of ``distortion_at_rate`` run the search alone. A NaN
 level or rate raises DomainError before any solve.
 All rates are nats internally; unit conversion happens only at reporting
 boundaries.
 
 The rate of a point is the mutual information of its conditional. A point is
-converged when Blahut's duality gap at its output pmf is at most ``gap_tol``
+converged when Blahut's duality gap at its output pmf is at most ``_GAP_TOL``
 nats and, for a point a search returns, when it is on its target; the gap is
-recorded on every point and bounds the rate's distance from the curve.
+recorded on every point and bounds the rate's distance from the curve. The
+tolerances and the kernel's iteration cap (``_MAX_ITERS``) are module
+constants, the same for every problem.
 """
 
 from __future__ import annotations
@@ -77,13 +79,16 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .distortion import AmendedDistortions, DistortionMatrix, build_amended
+from .distortion import AmendedDistortions, DistortionMatrix, _level, build_amended
 from .errors import DomainError, NotConverged
 from .ftransform import FTransform
 from .source import JointSource
 
 LN2 = float(np.log(2.0))
 
+_MAX_ITERS = 20000  # kernel iterations per lane
+_GAP_TOL = 1e-12  # Blahut duality gap that certifies a fixed point, nats
+_BISECTION_TOL = 1e-9  # on achieved distortion; scaled by the transform-domain span
 _BRACKET_EPS = 1e-15  # bracket width, relative to its slopes, at which the search stops
 _MAX_SEARCH = 200
 _MAX_DOUBLINGS = 60
@@ -95,29 +100,13 @@ _LADDER = tuple(2.0 ** (k / 2) for k in range(-6, 5))  # 1/8 to 4, ratio sqrt(2)
 _SECANT_LO, _SECANT_HI = 0.5, 1.2
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Iteration and tolerance knobs; defaults suit desk-scale alphabets."""
-
-    max_iters: int = 20000
-    gap_tol: float = 1e-12           # Blahut duality gap that certifies a fixed point, nats
-    bisection_tol: float = 1e-9      # on achieved distortion; scaled by the transform-domain span
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        for name in ("gap_tol", "bisection_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and > 0")
-
-
 @dataclass(frozen=True, eq=False)
 class SlopePoint:
     """One solved point: slope, optimal conditional, rate and distortion.
 
     ``gap`` is Blahut's duality gap at ``q_out`` in nats: the rate exceeds
     the curve's lower bound at ``f_distortion`` by at most this much.
-    ``converged`` means ``gap <= gap_tol`` and, for a point returned by a
+    ``converged`` means ``gap <= _GAP_TOL`` and, for a point returned by a
     level or rate search, that the point is on its target.
     """
 
@@ -154,40 +143,27 @@ class RdCurve:
         return all(p.converged for p in self.points)
 
 
-def _reduced(amended: AmendedDistortions, pz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expected-f rows of the used z and their renormalized weights."""
-    rows = amended.used_z
-    if rows.all():
-        rows = slice(None)  # views, where a boolean mask would copy
-    w = np.asarray(pz, dtype=float)[rows]
-    return amended.expected_f[rows], w / w.sum()
-
-
-def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float, float]:
-    """Transform-domain distortion endpoints of the reduced problem.
-
-    Lower endpoint: expected row minimum (rate saturates there). Upper
-    endpoint: best single reconstruction letter (rate hits zero there).
-    """
-    e, w = _reduced(amended, pz)
-    return float(w @ e.min(axis=1)), float((w @ e).min())
-
-
 class _Problem:
-    """One amended problem, reduced to its used z once, with its
-    transform-domain bounds and the solver config, built once for all the
-    targets solved on it. Its level tolerance, tol_f = bisection_tol *
-    max(1, hi - lo), is the one every target on it is solved to. Its
-    analytic zero-rate point (s = 0: mass split over the best columns) is
-    built only when asked for: its output pmf by a slope search or the
-    ``SlopePoint``, which costs an f.invert, by a level at or above hi."""
+    """One amended problem, reduced once to the expected-f rows of its used
+    z and their renormalized weights, with its transform-domain bounds, for
+    all the targets solved on it: lo, the expected row minimum (the rate
+    saturates there), and hi, the best single reconstruction letter (zero
+    rate). Its level tolerance, tol_f = _BISECTION_TOL * max(1, hi - lo),
+    is the one every target on it is solved to. Its analytic zero-rate point
+    (s = 0: mass split over the best columns) is built only when asked for:
+    its output pmf by a slope search or the ``SlopePoint``, which costs an
+    f.invert, by a level at or above hi."""
 
-    def __init__(self, amended: AmendedDistortions, pz: np.ndarray, cfg: SolverConfig):
-        self.amended, self.cfg = amended, cfg
-        self.e, self.w = e, w = _reduced(amended, pz)
+    def __init__(self, amended: AmendedDistortions, pz: np.ndarray):
+        self.amended = amended
+        rows = amended.used_z
+        if rows.all():
+            rows = slice(None)  # views, where a boolean mask would copy
+        w = np.asarray(pz, dtype=float)[rows]
+        self.e, self.w = e, w = amended.expected_f[rows], w / w.sum()
         self.col = w @ e  # the distortion of each single reconstruction letter
         self.lo, self.hi = float(w @ e.min(axis=1)), float(self.col.min())
-        self.tol_f = cfg.bisection_tol * max(1.0, self.hi - self.lo)
+        self.tol_f = _BISECTION_TOL * max(1.0, self.hi - self.lo)
 
     @cached_property
     def q_zero(self) -> np.ndarray:
@@ -207,6 +183,14 @@ class _Problem:
             gap=0.0,
             converged=True,
         )
+
+
+def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float, float]:
+    """Transform-domain distortion endpoints lo and hi of the reduced
+    problem: the expected row minimum, where the rate saturates, and the
+    best single reconstruction letter, where it reaches zero."""
+    problem = _Problem(amended, pz)
+    return problem.lo, problem.hi
 
 
 # columns of a memo row: slope, f_distortion, rate (before its clamp at 0),
@@ -247,11 +231,11 @@ class _Memo:
         return base
 
 
-def _lanes(e: np.ndarray, w: np.ndarray, slopes, q0, cfg: SolverConfig) -> np.ndarray:
+def _lanes(e: np.ndarray, w: np.ndarray, slopes, q0) -> np.ndarray:
     """One kernel call on the reduced rows e, w with a lane per slope, started
     from the rows of q0 (uniform when None): a memo row per lane."""
     slopes = np.asarray(slopes, dtype=float)
-    return _rows(slopes, *kernels.ba_fixed_slope_loop(e, w, slopes, cfg.max_iters, cfg.gap_tol, q0))
+    return _rows(slopes, *kernels.ba_fixed_slope_loop(e, w, slopes, _MAX_ITERS, _GAP_TOL, q0))
 
 
 def _rows(slopes, q_cond, q_out, f_dist, rate, iters, gap) -> np.ndarray:
@@ -290,7 +274,6 @@ def ba_fixed_slope(
     amended: AmendedDistortions,
     pz: np.ndarray,
     s: float,
-    cfg: SolverConfig | None = None,
     q0: np.ndarray | None = None,
 ) -> SlopePoint:
     """Solve the fixed point at one slope s <= 0, starting the kernel from
@@ -300,15 +283,15 @@ def ba_fixed_slope(
     batches its slopes into one lane-batched kernel call), but it stays: the
     benchmark hooks it, CI's benchmark smoke step fails when a hook target
     is missing, and the tests use it as the one-slope reference."""
-    cfg = cfg or SolverConfig()
     if s > 0:
         raise ValueError(f"slope must be <= 0, got {s}")
+    problem = _Problem(amended, pz)
     if s == 0.0:
-        return _Problem(amended, pz, cfg).zero
+        return problem.zero
     if q0 is not None:
         q0 = np.asarray(q0, dtype=float)[None]
-    row = _lanes(*_reduced(amended, pz), [float(s)], q0, cfg)
-    return _points(amended, row, row[:, _GAP] <= cfg.gap_tol)[0]
+    row = _lanes(problem.e, problem.w, [float(s)], q0)
+    return _points(amended, row, row[:, _GAP] <= _GAP_TOL)[0]
 
 
 def _search(problem: _Problem, goals: list[float], memo: _Memo,
@@ -347,9 +330,8 @@ def _search(problem: _Problem, goals: list[float], memo: _Memo,
     cold one certifies), and then join the memo.
     """
     span = problem.hi - problem.lo
-    tol, cfg = problem.tol_f, problem.cfg
+    tol = problem.tol_f
     floor = problem.lo + tol  # a rate short of its goal at or below this f is at d_min
-    gap_tol = cfg.gap_tol
     nx = problem.e.shape[1]
     q_zero = problem.q_zero  # the s = 0 point's memo row: its q_cond rows repeat q_out
     z_row = memo.add(np.concatenate([[0.0, problem.hi, 0.0, 0.0, 0.0]]
@@ -411,7 +393,7 @@ def _search(problem: _Problem, goals: list[float], memo: _Memo,
                 f_lo, f_hi, r_lo, r_hi = F[i - 1], F[i], R[i - 1], R[i]
                 if by_rate:
                     goal = _rate_level(s_lo, f_lo, f_hi, r_lo, r_hi, goal)
-                s_new = _step(s_lo, s_hi, f_lo, f_hi, r_lo, r_hi, goal, gap_tol)
+                s_new = _step(s_lo, s_hi, f_lo, f_hi, r_lo, r_hi, goal, _GAP_TOL)
             lanes[s_new].append(t)
         todo = [t for ts in lanes.values() for t in ts]
         if not (lanes or shares):
@@ -429,10 +411,10 @@ def _search(problem: _Problem, goals: list[float], memo: _Memo,
             slopes = uniq + at_s
             starts = np.concatenate((starts, _mix(memo.rows[lo], np.array(g_lo), memo.rows[hi],
                                                   np.array(g_hi), nx)))
-        new = _lanes(problem.e, problem.w, slopes, starts, cfg)
-        again = [b for b, g in enumerate(new[:u, _GAP].tolist()) if g > gap_tol] if m else []
+        new = _lanes(problem.e, problem.w, slopes, starts)
+        again = [b for b, g in enumerate(new[:u, _GAP].tolist()) if g > _GAP_TOL] if m else []
         if again:
-            cold = _lanes(problem.e, problem.w, [uniq[b] for b in again], None, cfg)
+            cold = _lanes(problem.e, problem.w, [uniq[b] for b in again], None)
             better = cold[:, _GAP] < new[again, _GAP]
             new[np.array(again)[better]] = cold[better]
         base = memo.add(new, u)
@@ -444,7 +426,7 @@ def _search(problem: _Problem, goals: list[float], memo: _Memo,
                 else:
                     found[t], ok[t] = b, abs(f - goals[t]) <= tol
     rows = memo.rows[found]
-    return rows, np.array(ok) & (rows[:, _GAP] <= gap_tol)
+    return rows, np.array(ok) & (rows[:, _GAP] <= _GAP_TOL)
 
 
 def _step(s_lo: float, s_hi: float, f_lo: float, f_hi: float, r_lo: float, r_hi: float,
@@ -570,8 +552,8 @@ def _solve_levels(problem: _Problem, levels) -> list[SlopePoint]:
     else:
         memo = _Memo()
         if len(todo) > 1:
-            memo.add(_lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER], None,
-                            problem.cfg), len(_LADDER))
+            memo.add(_lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER], None),
+                 len(_LADDER))
     rows, conv = _search(problem, todo, memo)
     found = iter(_points(problem.amended, rows, conv))
     return [p if p is not None else next(found) for p in pts]
@@ -587,42 +569,31 @@ def _newton_seed(problem: _Problem, level: float) -> tuple[np.ndarray, bool]:
     call certifies the joint point, a one-iteration lane at its slope and
     pmf. Returns its memo row and True when it is certified and within
     ``problem.tol_f`` of the level; otherwise the row of a lane at s0 solved
-    on from the start's pmf to gap_tol, which seeds the search, and False.
+    on from the start's pmf to _GAP_TOL, which seeds the search, and False.
     """
-    e, w, hi, tol_f, cfg = problem.e, problem.w, problem.hi, problem.tol_f, problem.cfg
+    e, w, hi, tol_f = problem.e, problem.w, problem.hi, problem.tol_f
     s0 = -1.0 / (hi - problem.lo)
-    q0, f0, climbed = kernels.level_start(e, w, s0, cfg.max_iters)
+    q0, f0, climbed = kernels.level_start(e, w, s0, _MAX_ITERS)
     ratio = (hi - level) / (hi - f0) if f0 < hi else _SECANT_HI
     s1 = s0 * min(max(ratio, _SECANT_LO), _SECANT_HI)
-    s, q, points = kernels.level_newton(e, w, s1, q0, level, tol_f, cfg.max_iters, cfg.gap_tol)
-    row = _rows([s], *kernels.ba_fixed_slope_loop(e, w, np.array([s]), 1, cfg.gap_tol, q[None]))
+    s, q, points = kernels.level_newton(e, w, s1, q0, level, tol_f, _MAX_ITERS, _GAP_TOL)
+    row = _rows([s], *kernels.ba_fixed_slope_loop(e, w, np.array([s]), 1, _GAP_TOL, q[None]))
     row[0, _IT] = points
-    hit = bool(row[0, _GAP] <= cfg.gap_tol and abs(row[0, _F] - level) <= tol_f)
+    hit = bool(row[0, _GAP] <= _GAP_TOL and abs(row[0, _F] - level) <= tol_f)
     if not hit:
-        row = _lanes(e, w, [s0], q0[None], cfg)
+        row = _lanes(e, w, [s0], q0[None])
     row[0, _IT] += climbed  # the start's iterations count toward the point
     return row, hit
 
 
-def _certified(pt: SlopePoint, cfg: SolverConfig) -> SlopePoint:
-    """pt itself; NotConverged if its gap exceeds gap_tol."""
+def _certified(pt: SlopePoint) -> SlopePoint:
+    """pt itself; NotConverged if its gap exceeds the gap tolerance."""
     if not pt.converged:
         raise NotConverged(
             f"slope {pt.slope:g}: duality gap {pt.gap:g} nats after {pt.iterations} "
-            f"iterations exceeds gap_tol {cfg.gap_tol:g}"
+            f"iterations exceeds gap_tol {_GAP_TOL:g}"
         )
     return pt
-
-
-def _target_level(f: FTransform, D: float) -> float:
-    """f(D), the transform-domain level of a raw level D. DomainError for a
-    NaN D, and for a negative one, which lies below every distortion (the
-    entries are >= 0) and where a transform may be undefined or decreasing."""
-    if math.isnan(D):
-        raise DomainError("requested distortion is NaN")
-    if D < 0.0:
-        raise DomainError(f"requested distortion {D:g} is negative, below the feasible minimum")
-    return float(f.apply(D))
 
 
 def solve_at_distortion(
@@ -630,7 +601,6 @@ def solve_at_distortion(
     d: DistortionMatrix,
     f: FTransform,
     D: float,
-    cfg: SolverConfig | None = None,
     amended: AmendedDistortions | None = None,
 ) -> SlopePoint:
     """Rate at one raw distortion level D.
@@ -640,10 +610,9 @@ def solve_at_distortion(
     return the zero-rate point flagged ``clamped``; levels below d_min, a
     negative D among them, raise DomainError, as does a NaN D.
     """
-    cfg = cfg or SolverConfig()
-    target = _target_level(f, D)
+    target = _level(f, D)
     amended = amended if amended is not None else build_amended(src, d, f)
-    return _solve_levels(_Problem(amended, src.z_marginal, cfg), [target])[0]
+    return _solve_levels(_Problem(amended, src.z_marginal), [target])[0]
 
 
 def sweep_curve(
@@ -651,14 +620,12 @@ def sweep_curve(
     d: DistortionMatrix,
     f: FTransform,
     n_points: int,
-    cfg: SolverConfig | None = None,
 ) -> RdCurve:
     """Solve n_points levels evenly spaced in raw units over (d_min, d_max],
     sorted by distortion, in one lockstep search over a shared slope memo."""
     if operator.index(n_points) < 2:  # TypeError for a non-integer count
         raise ValueError("n_points must be >= 2")
-    cfg = cfg or SolverConfig()
-    problem = _Problem(build_amended(src, d, f), src.z_marginal, cfg)
+    problem = _Problem(build_amended(src, d, f), src.z_marginal)
     d_lo, d_hi = np.asarray(f.invert(np.array([problem.lo, problem.hi])), dtype=float).tolist()
 
     steps = np.arange(1, n_points + 1) / n_points
@@ -675,7 +642,6 @@ def distortion_at_rate(
     d: DistortionMatrix,
     f: FTransform,
     rate_nats: float,
-    cfg: SolverConfig | None = None,
 ) -> float:
     """Invert the curve: smallest raw distortion whose rate is <= rate_nats.
 
@@ -687,10 +653,9 @@ def distortion_at_rate(
     or below 0 gives d_max. Raises DomainError for a NaN rate, and
     NotConverged if the point it lands on is not certified.
     """
-    cfg = cfg or SolverConfig()
     if math.isnan(rate_nats):
         raise DomainError("requested rate is NaN")
-    problem = _Problem(build_amended(src, d, f), src.z_marginal, cfg)
+    problem = _Problem(build_amended(src, d, f), src.z_marginal)
     lo, hi, tol_f = problem.lo, problem.hi, problem.tol_f
     d_lo, d_hi = np.asarray(f.invert(np.array([lo, hi])), dtype=float).tolist()
     if rate_nats <= 0.0:
@@ -698,6 +663,6 @@ def distortion_at_rate(
     if hi - lo <= tol_f:  # the whole curve is within the level tolerance of d_min
         return d_lo
     rows, conv = _search(problem, [rate_nats], _Memo(), by_rate=True)
-    pt = _certified(_points(problem.amended, rows, conv)[0], cfg)
+    pt = _certified(_points(problem.amended, rows, conv)[0])
     # short of rate_nats within the level tolerance of d_min
     return d_lo if rate_nats > pt.rate and pt.f_distortion <= lo + tol_f else pt.distortion

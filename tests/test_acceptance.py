@@ -18,7 +18,6 @@ from irdf import (
     DistortionMatrix,
     FTransform,
     JointSource,
-    SolverConfig,
     binary_entropy,
     binary_entropy_inverse,
     best_code_search,
@@ -221,18 +220,18 @@ def _reference_deviation(src, d, f, pt):
 
 def test_criterion_05_equivalence_chain_random_sources():
     """On 100 randomized small sources with random transforms and a
-    transform-domain span, the point solve_at_distortion returns at
-    bisection_tol 1e-12 is certified, and its rate and level agree within
-    1e-8 with a Blahut-Arimoto reference on the remote problem and with the
-    rate and level of its own conditional: the average-criterion iRDF
-    equals the direct RDF under the amended distortion E[f(d) | z]."""
-    cfg = SolverConfig(bisection_tol=1e-12)
+    transform-domain span, the point solve_at_distortion returns is
+    certified, and its rate and level agree within 1e-8 with a
+    Blahut-Arimoto reference on the remote problem and with the rate and
+    level of its own conditional, each taken at the point's own slope and
+    level: the average-criterion iRDF equals the direct RDF under the
+    amended distortion E[f(d) | z]."""
     worst, most_iters, certified, checked = 0.0, 0, True, 0
     for src, d, f, am, D in _criterion_05_draws():
         lo, hi = f_domain_bounds(am, src.z_marginal)
         if hi - lo <= 1e-9:  # one letter is best for every z: all zero-rate points
             continue
-        pt = solve_at_distortion(src, d, f, D, cfg)
+        pt = solve_at_distortion(src, d, f, D)
         dev, iters = _reference_deviation(src, d, f, pt)
         certified = certified and pt.converged
         worst, most_iters = max(worst, dev), max(most_iters, iters)

@@ -102,6 +102,29 @@ class TestPoint:
         f = FTransform.exponential(40.0)
         assert float(out) == pytest.approx(bsc_irdf(BscModel(0.1, f), 0.96), abs=1e-8)
 
+    def test_level_whose_transform_overflows(self, capsys):
+        # exp(9.2 * 100) overflows: the zero-rate point came after a
+        # RuntimeWarning, which this suite turns into an error
+        code, out, _ = run(
+            capsys, "point", "--model", "bsc", "--beta", "0.1",
+            "--f", "exponential", "--rho", "9.2", "--D", "100",
+        )
+        assert code == 0 and out == "0\n"
+
+    def test_steep_tabulated_transform(self, capsys, tmp_path):
+        # f^-1(f(y)) drifts by ~1e-5 on the table's 1e-12-wide step, which the
+        # reduction rejected with an AssertionError (exit 1, a traceback)
+        source = tmp_path / "source.json"
+        source.write_text('{"joint": [[0.4, 0.1], [0.1, 0.4]]}')
+        code, out, _ = run(
+            capsys, "point", "--source", str(source),
+            "--d", "[[0, 0.5000000000005], [0.5000000000005, 0]]",
+            "--f", '{"kind": "tabulated", "points": [[0, 0], [0.5, 0.5], '
+                   '[0.500000000001, 1], [1, 1.5]]}',
+            "--D", "0.3",
+        )
+        assert code == 0 and float(out) > 0.0
+
     def test_non_convergence_exit_code(self, capsys, monkeypatch):
         import dataclasses
 

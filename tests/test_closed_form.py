@@ -82,6 +82,12 @@ class TestBscClosedForm:
         with pytest.warns(UserWarning):
             assert bsc_irdf(BscModel(0.15), 0.8) == 0.0
 
+    def test_level_whose_transform_overflows(self):
+        # exp(9.2 * 100) overflows: f(D) is inf, above the zero-rate level,
+        # with no RuntimeWarning on the way
+        with pytest.warns(UserWarning):
+            assert bsc_irdf(BscModel(0.1, FTransform.exponential(9.2)), 100.0) == 0.0
+
     def test_left_endpoint_is_full_bit(self):
         # closed on the left by choice: maximal rate there
         for f in FAMILIES:

@@ -160,6 +160,15 @@ class TestExcessEventEquivalence:
             r = excess_event_equivalence(src, d, f, code, 0.53, 0.0871)
             assert r.equal, (code.encoder, code.decoder)
 
+    @pytest.mark.parametrize("comparator", [">", ">="])
+    def test_level_whose_transform_overflows(self, comparator):
+        # exp(9.2 * 100) overflows: no pooled value or mean exceeds the level,
+        # with no RuntimeWarning on the way
+        src, d = bsc_problem(0.1)
+        r = excess_event_equivalence(src, d, FTransform.exponential(9.2), identity_code(),
+                                     100.0, 0.1, comparator)
+        assert (r.p_pooled, r.p_mean) == (0.0, 0.0) and r.equal and r.events_agree
+
     def test_gamma_must_be_positive(self):
         src, d = bsc_problem(0.15)
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from irdf import (
     FTransform,
     JointSource,
     NotConverged,
-    SolverConfig,
     ba_fixed_slope,
     bec_irdf,
     binary_entropy,
@@ -32,6 +31,7 @@ from irdf import kernels, solver
 from test_acceptance import _criterion_05_draws, _random_transform, _reference_deviation
 
 LN2 = math.log(2.0)
+MAX_ITERS, GAP_TOL, BISECTION_TOL = solver._MAX_ITERS, solver._GAP_TOL, solver._BISECTION_TOL
 
 
 def bsc_problem(beta, f=None):
@@ -148,7 +148,7 @@ class TestSolveAtDistortion:
         f = FTransform.power(2.0)
         lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
         d_lo = f.invert(lo)
-        assert lo - f.apply(d_lo) > SolverConfig().bisection_tol
+        assert lo - f.apply(d_lo) > BISECTION_TOL
         assert solve_at_distortion(src, d, f, d_lo).rate == 0.0
         curve = sweep_curve(src, d, f, 10)
         assert curve.all_converged and np.all(curve.rates == 0.0)
@@ -168,21 +168,18 @@ class TestSolveAtDistortion:
         pt = solve_at_distortion(src, d, f, math.inf)
         assert pt.clamped and pt.converged and pt.rate == 0.0
 
+    def test_level_whose_transform_overflows(self):
+        # exp(9.2 * 100) overflows: f(D) is inf, above the zero-rate level,
+        # with no RuntimeWarning on the way
+        m, src, d = bsc_problem(0.1, FTransform.exponential(9.2))
+        pt = solve_at_distortion(src, d, m.f, 100.0)
+        assert pt.clamped and pt.converged and pt.rate == 0.0
+
     def test_above_domain_clamps_to_zero(self):
         _, src, d = bsc_problem(0.15)
         pt = solve_at_distortion(src, d, FTransform.identity(), 0.75)
         assert pt.rate == 0.0
         assert pt.clamped
-
-
-class TestConfig:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-9], ids=str)
-    @pytest.mark.parametrize("name", ["gap_tol", "bisection_tol"])
-    def test_tolerances_must_be_finite_and_positive(self, name, value):
-        # `<= 0` is false for NaN: SolverConfig(gap_tol=nan) gave unconverged
-        # points and raised nothing
-        with pytest.raises(ValueError, match=name):
-            SolverConfig(**{name: value})
 
 
 class TestSlopePoint:
@@ -297,12 +294,26 @@ def _seed_17_problem():
     return src, d, f, float(f.invert(lo + 0.6 * (hi - lo)))
 
 
-@pytest.mark.parametrize("problem", [_bsc_problem, _noiseless_problem, _seed_17_problem],
-                         ids=["bsc", "noiseless_power", "seed_17_cubic"])
+def _steep_tabulated_problem(D):
+    # f steps by 0.5 over 1e-12 at the loss 0.5 + 5e-13, so f(f^-1(y)) misses
+    # y by ~1e-5 there: the reduction rejected the problem as drift
+    src = JointSource.from_joint(np.array([[0.4, 0.1], [0.1, 0.4]]))
+    d = DistortionMatrix([[0.0, 0.5000000000005], [0.5000000000005, 0.0]])
+    f = FTransform.tabulated([[0.0, 0.0], [0.5, 0.5], [0.500000000001, 1.0], [1.0, 1.5]])
+    return src, d, f, D
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [_bsc_problem, _noiseless_problem, _seed_17_problem,
+     lambda: _steep_tabulated_problem(0.16), lambda: _steep_tabulated_problem(0.3)],
+    ids=["bsc", "noiseless_power", "seed_17_cubic", "steep_tabulated_0.16",
+         "steep_tabulated_0.3"],
+)
 def test_remote_reference(problem):
-    # criterion 05's check on three more problems
+    # criterion 05's check on more problems
     src, d, f, D = problem()
-    pt = solve_at_distortion(src, d, f, D, SolverConfig(bisection_tol=1e-12))
+    pt = solve_at_distortion(src, d, f, D)
     assert pt.converged and _reference_deviation(src, d, f, pt)[0] <= 1e-8
 
 
@@ -361,7 +372,6 @@ class TestDistortionAtRate:
         # point's level (|s| tol_f more in rate), and both rates are within
         # their gaps, at most gap_tol, of the curve. Or the rate is beyond the
         # curve's reach, and D is d_min
-        cfg = SolverConfig()
         reached = 0
         for src, d, f, am, _ in criterion_05_targets:
             lo, hi = f_domain_bounds(am, src.z_marginal)
@@ -370,8 +380,8 @@ class TestDistortionAtRate:
             assert pt.converged
             if D == f.invert(np.array([lo, hi]))[0] and pt.rate < rate:  # as the solver inverts lo
                 continue
-            tol_f = cfg.bisection_tol * max(1.0, hi - lo)
-            assert abs(pt.rate - rate) <= 2.0 * -pt.slope * tol_f + cfg.gap_tol
+            tol_f = BISECTION_TOL * max(1.0, hi - lo)
+            assert abs(pt.rate - rate) <= 2.0 * -pt.slope * tol_f + GAP_TOL
             reached += 1
         assert reached > len(criterion_05_targets) // 2
 
@@ -394,7 +404,7 @@ class TestSlopeSearch:
         lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
         levels = f.apply(curve.d_min + (curve.d_max - curve.d_min) * np.arange(1, n + 1) / n)
         levels[-1] = hi
-        tol_f = SolverConfig().bisection_tol * max(1.0, hi - lo)
+        tol_f = BISECTION_TOL * max(1.0, hi - lo)
         for pt, level in zip(curve.points, levels):
             assert abs(pt.f_distortion - level) <= tol_f
 
@@ -467,14 +477,13 @@ class TestSlopeSearch:
         src, d, f, am = _segment_draw(draw)
         curve = sweep_curve(src, d, f, n)
         lo, hi = f_domain_bounds(am, src.z_marginal)
-        cfg = SolverConfig()
-        tol_f = cfg.bisection_tol * max(1.0, hi - lo)
+        tol_f = BISECTION_TOL * max(1.0, hi - lo)
         levels = f.apply(curve.d_min + (curve.d_max - curve.d_min) * np.arange(1, n + 1) / n)
         levels[-1] = hi
         e, pz = _reduced(am, src.z_marginal)
         for pt, level in zip(curve.points, levels):
             assert abs(pt.f_distortion - level) <= tol_f
-            assert pt.converged == (pt.gap <= cfg.gap_tol)
+            assert pt.converged == (pt.gap <= GAP_TOL)
             lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
             assert pt.rate - lower <= pt.gap + 1e-12
 
@@ -495,7 +504,7 @@ class TestSlopeSearch:
         lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
         levels = f.apply(curve.d_min + (curve.d_max - curve.d_min) * np.arange(1, n + 1) / n)
         levels[-1] = hi
-        tol_f = SolverConfig().bisection_tol * max(1.0, hi - lo)
+        tol_f = BISECTION_TOL * max(1.0, hi - lo)
         for pt, level in zip(curve.points, levels):
             assert pt.converged and abs(pt.f_distortion - level) <= tol_f
             assert abs(pt.rate - oracle(m, pt.distortion)) <= 1e-8
@@ -588,7 +597,7 @@ class TestSlopeSearch:
         am = build_amended(src, d, m.f)
         target = float(m.f.apply(0.3))
         memo = solver._Memo()
-        problem = solver._Problem(am, src.z_marginal, SolverConfig())
+        problem = solver._Problem(am, src.z_marginal)
         first = solver._points(am, *solver._search(problem, [target], memo))[0]
         slopes = _count_solves(monkeypatch)
         again = solver._points(am, *solver._search(problem, [target], memo))[0]
@@ -615,25 +624,24 @@ class TestLoneLevel:
     joint Newton iteration on (q, s) from it, certified where it lands."""
 
     def test_certified_on_level_and_on_the_curve(self, criterion_05_targets):
-        cfg = SolverConfig()
         for src, d, f, am, D in criterion_05_targets:
             pt = solve_at_distortion(src, d, f, D, amended=am)
             lo, hi = f_domain_bounds(am, src.z_marginal)
-            assert pt.converged and pt.gap <= cfg.gap_tol
-            assert abs(pt.f_distortion - f.apply(D)) <= cfg.bisection_tol * max(1.0, hi - lo)
+            assert pt.converged and pt.gap <= GAP_TOL
+            assert abs(pt.f_distortion - f.apply(D)) <= BISECTION_TOL * max(1.0, hi - lo)
             e, pz = _reduced(am, src.z_marginal)
             lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
             assert pt.rate - lower <= pt.gap + 1e-12
 
-    def test_rate_matches_the_search(self, criterion_05_targets):
+    def test_rate_matches_the_search(self, monkeypatch, criterion_05_targets):
         # at the default level tolerance the search's point may sit |s| *
         # tol_f off in rate (4e-7 nats on one draw, where s = -930), while
-        # the joint point is on the level to roundoff; at criterion 05's
-        # tolerance the two agree
-        cfg = SolverConfig(bisection_tol=1e-12)
+        # the joint point is on the level to roundoff; at a level tolerance
+        # of 1e-12 the two agree
+        monkeypatch.setattr(solver, "_BISECTION_TOL", 1e-12)
         for src, d, f, am, D in criterion_05_targets:
-            pt = solve_at_distortion(src, d, f, D, cfg, amended=am)
-            rows, conv = solver._search(solver._Problem(am, src.z_marginal, cfg),
+            pt = solve_at_distortion(src, d, f, D, amended=am)
+            rows, conv = solver._search(solver._Problem(am, src.z_marginal),
                                         [float(f.apply(D))], solver._Memo())
             alone = solver._points(am, rows, conv)[0]
             assert alone.converged and abs(pt.rate - alone.rate) <= 1e-9
@@ -712,19 +720,18 @@ class TestLoneLevel:
         with np.errstate(over="raise"):
             pt = solve_at_distortion(src, d, f, D, amended=am)
         assert pt.converged
-        assert abs(pt.f_distortion - f.apply(D)) <= SolverConfig().bisection_tol * (hi - lo)
+        assert abs(pt.f_distortion - f.apply(D)) <= BISECTION_TOL * (hi - lo)
 
     def test_kernel_certifies_the_point_at_its_start(self, criterion_05_targets):
         # the joint point's certificate is the kernel's own: solved again at
         # its slope from its pmf, it is certified before any ascent step, at
         # the same rate and distortion
-        cfg = SolverConfig()
         for src, d, f, am, D in criterion_05_targets:
             pt = solve_at_distortion(src, d, f, D, amended=am)
             e, pz = _reduced(am, src.z_marginal)
-            _, _, f_dist, rate, iters, gap = _one_lane(e, pz, pt.slope, cfg.max_iters,
-                                                       cfg.gap_tol, pt.q_out)
-            assert iters == 1 and gap <= cfg.gap_tol
+            _, _, f_dist, rate, iters, gap = _one_lane(e, pz, pt.slope, MAX_ITERS, GAP_TOL,
+                                                       pt.q_out)
+            assert iters == 1 and gap <= GAP_TOL
             assert abs(rate - pt.rate) <= 1e-12
             assert abs(f_dist - pt.f_distortion) <= 1e-12
 
@@ -732,24 +739,22 @@ class TestLoneLevel:
         # a constant c(z) added to row z adds p(z) c(z) to every distortion
         # and leaves the tilt, and so the slope and the fixed point, alone:
         # the iteration works on each row less its minimum over the support
-        cfg = SolverConfig()
         rng = np.random.default_rng(5)
         for src, d, f, am, D in criterion_05_targets:
             e, pz = _reduced(am, src.z_marginal)
             lo, hi = f_domain_bounds(am, src.z_marginal)
-            tol_f = cfg.bisection_tol * max(1.0, hi - lo)
+            tol_f = BISECTION_TOL * max(1.0, hi - lo)
             level, s0 = float(f.apply(D)), -1.0 / (hi - lo)
-            q0 = kernels.level_start(e, pz, s0, cfg.max_iters)[0]
+            q0 = kernels.level_start(e, pz, s0, MAX_ITERS)[0]
             c = rng.uniform(-10.0, 10.0, len(e)) * max(1.0, hi - lo)
-            s, q_out, _ = kernels.level_newton(e, pz, s0, q0, level, tol_f, cfg.max_iters,
-                                               cfg.gap_tol)
+            s, q_out, _ = kernels.level_newton(e, pz, s0, q0, level, tol_f, MAX_ITERS, GAP_TOL)
             s_c, q_c, _ = kernels.level_newton(e + c[:, None], pz, s0, q0, level + pz @ c,
-                                               tol_f, cfg.max_iters, cfg.gap_tol)
+                                               tol_f, MAX_ITERS, GAP_TOL)
             assert s_c == pytest.approx(s, rel=1e-9, abs=0.0)
             np.testing.assert_allclose(q_c, q_out, rtol=1e-9, atol=0.0)
             # the distortions of the two points, as the lone level certifies them
-            f_dist = _one_lane(e, pz, s, 1, cfg.gap_tol, q_out)[2]
-            f_c = _one_lane(e + c[:, None], pz, s_c, 1, cfg.gap_tol, q_c)[2]
+            f_dist = _one_lane(e, pz, s, 1, GAP_TOL, q_out)[2]
+            f_c = _one_lane(e + c[:, None], pz, s_c, 1, GAP_TOL, q_c)[2]
             assert f_c == pytest.approx(f_dist + pz @ c, rel=1e-12, abs=1e-12)
 
     def test_zero_rate_point_is_built_only_when_a_level_needs_it(self, monkeypatch,
@@ -757,7 +762,7 @@ class TestLoneLevel:
         # the zero-rate SlopePoint costs an f.invert; an interior level
         # inverts once, for its own point's raw distortion
         src, d, f, am, D = criterion_05_targets[0]
-        pz, cfg = src.z_marginal, SolverConfig()
+        pz = src.z_marginal
         lo, hi = f_domain_bounds(am, pz)
         inverted = []
         invert = FTransform.invert
@@ -767,13 +772,13 @@ class TestLoneLevel:
             return invert(self, y)
 
         monkeypatch.setattr(FTransform, "invert", counting)
-        pt = solver._solve_levels(solver._Problem(am, pz, cfg), [float(f.apply(D))])[0]
+        pt = solver._solve_levels(solver._Problem(am, pz), [float(f.apply(D))])[0]
         assert pt.converged and not pt.clamped and len(inverted) == 1
-        above = solver._solve_levels(solver._Problem(am, pz, cfg), [hi + 1e-3 * (hi - lo)])[0]
+        above = solver._solve_levels(solver._Problem(am, pz), [hi + 1e-3 * (hi - lo)])[0]
         assert above.clamped and above.converged
         assert (above.slope, above.rate, above.f_distortion, above.gap) == (0.0, 0.0, hi, 0.0)
         assert above.distortion == invert(f, hi)
-        at_hi = solver._solve_levels(solver._Problem(am, pz, cfg), [hi])[0]
+        at_hi = solver._solve_levels(solver._Problem(am, pz), [hi])[0]
         assert not at_hi.clamped and at_hi.rate == 0.0 and at_hi.f_distortion == hi
 
 
@@ -798,15 +803,14 @@ def _stress_targets():
 def test_lone_levels_under_stress(monkeypatch):
     # every lone level of the stress recipe is certified and on its level in
     # one kernel call: the joint point, never the search's fallback
-    cfg = SolverConfig()
     slopes = _count_solves(monkeypatch)
     n = 0
     for src, d, f, am, lo, hi, level in _stress_targets():
         before = len(slopes)
         D = float(f.invert(level))
         pt = solve_at_distortion(src, d, f, D, amended=am)
-        assert pt.converged and pt.gap <= cfg.gap_tol
-        assert abs(pt.f_distortion - f.apply(D)) <= cfg.bisection_tol * max(1.0, hi - lo)
+        assert pt.converged and pt.gap <= GAP_TOL
+        assert abs(pt.f_distortion - f.apply(D)) <= BISECTION_TOL * max(1.0, hi - lo)
         assert len(slopes) - before == 1
         n += 1
     assert n == 692
@@ -822,7 +826,7 @@ class TestTransformScale:
         f = FTransform.identity()
         pt = solve_at_distortion(src, d, f, 0.3 * scale)
         lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
-        assert abs(pt.f_distortion - 0.3 * scale) <= SolverConfig().bisection_tol * (hi - lo)
+        assert abs(pt.f_distortion - 0.3 * scale) <= BISECTION_TOL * (hi - lo)
         assert pt.converged and abs(pt.rate - bsc_irdf(m, 0.3)) <= 1e-8
         D = distortion_at_rate(src, d, f, 0.3)
         assert abs(bsc_irdf(m, D / scale) - 0.3) <= 1e-8
@@ -842,10 +846,18 @@ class TestTransformScale:
 
 
 class TestUncertifiedPointsRaise:
-    def test_distortion_at_rate(self):
+    def test_distortion_at_rate(self, monkeypatch):
+        # every kernel lane reports a gap above the gap tolerance
+        real = kernels.ba_fixed_slope_loop
+
+        def uncertified(*args):
+            *out, gap = real(*args)
+            return (*out, gap + 1e-6)
+
+        monkeypatch.setattr(kernels, "ba_fixed_slope_loop", uncertified)
         src, d, f, _, _ = _criterion_05_draw(97)
         with pytest.raises(NotConverged):
-            distortion_at_rate(src, d, f, 0.1, SolverConfig(max_iters=1))
+            distortion_at_rate(src, d, f, 0.1)
 
 
 class TestSweepDeterminism:
@@ -883,8 +895,8 @@ def _check_segment_level(draw, frac):
     lo, hi = f_domain_bounds(am, src.z_marginal)
     level = lo + frac * (hi - lo)
     pt = solve_at_distortion(src, d, f, float(f.invert(level)), amended=am)
-    assert abs(pt.f_distortion - level) <= SolverConfig().bisection_tol * max(1.0, hi - lo)
-    assert pt.converged == (pt.gap <= SolverConfig().gap_tol)
+    assert abs(pt.f_distortion - level) <= BISECTION_TOL * max(1.0, hi - lo)
+    assert pt.converged == (pt.gap <= GAP_TOL)
     e, pz = _reduced(am, src.z_marginal)
     lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
     assert pt.rate - lower <= pt.gap + 1e-12
@@ -1141,7 +1153,6 @@ class TestKernel:
         # a lone level's point is the fixed-point kernel's one-iteration
         # result at level_newton's last slope and pmf, bit for bit, from the
         # one kernel call the level makes
-        cfg = SolverConfig()
         real_newton, real_lane = kernels.level_newton, kernels.ba_fixed_slope_loop
         ends, lanes = [], []
 
@@ -1163,7 +1174,7 @@ class TestKernel:
             (s, q, _), = ends
             assert lanes == [([s], 1)]
             e, pz = _reduced(am, src.z_marginal)
-            q_cond, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s, 1, cfg.gap_tol, q)
+            q_cond, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s, 1, GAP_TOL, q)
             assert iters == 1 and pt.slope == s and pt.rate == max(rate, 0.0)
             for got, want in ((pt.q_cond[am.used_z], q_cond), (pt.q_out, q_out),
                               (pt.f_distortion, f_dist), (pt.gap, gap)):
@@ -1172,14 +1183,13 @@ class TestKernel:
     def test_start_climb_is_the_lane_kernels_climb(self, criterion_05_targets):
         # a lone level's start is the ascent of a fixed-point lane at s0 =
         # -1/span from the uniform pmf to the start gap, with no end assembly
-        cfg = SolverConfig()
         climbed = 0
         for src, d, f, am, D in criterion_05_targets:
             e, pz = _reduced(am, src.z_marginal)
             lo, hi = f_domain_bounds(am, src.z_marginal)
             s0 = -1.0 / (hi - lo)
-            q, f0, iters = kernels.level_start(e, pz, s0, cfg.max_iters)
-            _, q_lane, f_lane, _, it_lane, _ = _one_lane(e, pz, s0, cfg.max_iters,
+            q, f0, iters = kernels.level_start(e, pz, s0, MAX_ITERS)
+            _, q_lane, f_lane, _, it_lane, _ = _one_lane(e, pz, s0, MAX_ITERS,
                                                          kernels._START_GAP)
             assert iters == it_lane
             assert np.abs(q - q_lane).max() <= 1e-12
@@ -1212,10 +1222,6 @@ class TestKernel:
             *_, iters, gap = _one_lane(e, np.array([1.0]), -0.001, 20000, 1e-12)
         assert gap <= 1e-12 and iters <= 5
 
-    def test_zero_gap_tol_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(gap_tol=0)
-
 
 class TestDualityGap:
     def test_gap_bounds_distance_to_lower_bound(self):
@@ -1230,7 +1236,7 @@ class TestDualityGap:
             lo, hi = f_domain_bounds(am, src.z_marginal)
             D = lo + float(rng.uniform(0.15, 0.9)) * (hi - lo)
             pt = solve_at_distortion(src, d, f, D, amended=am)
-            assert pt.converged and pt.gap <= SolverConfig().gap_tol
+            assert pt.converged and pt.gap <= GAP_TOL
             e, pz = _reduced(am, src.z_marginal)
             lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
             assert pt.rate - lower <= pt.gap + 1e-12
