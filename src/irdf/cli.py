@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .closed_form import BecModel, BscModel, bec_irdf, bsc_irdf, domain_bounds
-from .distortion import DistortionMatrix, _level, is_subadditive_sample
+from .closed_form import BecModel, BscModel, _reported_level, bec_irdf, bsc_irdf, domain_bounds
+from .distortion import DistortionMatrix, is_subadditive_sample
 from .errors import DomainError, IrdfError, NotConverged
 from .ftransform import FTransform
 from .operational import best_code_search
@@ -208,8 +208,9 @@ def _cmd_closed_form(args) -> int:
     rows = []
     for D in levels:
         rate = _closed_rate(model, D)
+        # a level past d_max reports the zero-rate end, as `irdf point` does;
         # a closed form has no slope: null in JSON, nan in CSV
-        rows.append(_point_row(float(D), _level(f, D), rate, None, True))
+        rows.append(_point_row(*_reported_level(model, float(D)), rate, None, True))
     _emit(_FORMATTERS[args.format](rows), args.out)
     return EXIT_OK
 

@@ -120,6 +120,17 @@ def domain_bounds(model) -> tuple[float, float]:
     return float(model.f.invert(lo)), float(model.f.invert(hi))
 
 
+def _reported_level(model, D: float) -> tuple[float, float]:
+    """The raw and transform-domain levels a row at raw level D reports:
+    (D, f(D)), or the zero-rate end (d_max, hi) for a level past d_max, as
+    the solver clamps it. DomainError for a NaN or negative D."""
+    lo, hi = _endpoints(model)
+    fd = _level(model.f, D)
+    if fd > hi + _EDGE_SLACK * max(1.0, hi - lo):
+        return float(model.f.invert(hi)), hi
+    return D, fd
+
+
 def _check_level(model, D: float) -> tuple[float, float, float] | None:
     """Common domain handling; None means the zero-rate region past d_max."""
     lo, hi = _endpoints(model)

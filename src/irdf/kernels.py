@@ -46,6 +46,19 @@ try. A support's shifted rows are computed once for all the points
 evaluated on it, so a point costs its tilt and the few small products that
 follow from it, and a step costs one bordered system built in place and one
 small solve.
+
+The ascent and ``level_newton`` take one kind of step, a damped Newton step
+with backtracking (Boyd & Vandenberghe 2004, sections 9.5 and 10.2), from
+one set of helpers: ``_split`` splits a start pmf into its support S, its
+dropped letters and their shifted rows; ``_bordered`` keeps the bordered
+Newton system of each size, its H block damped by the fixed smallest
+damping _LAM_MIN max c; ``_trials`` yields the step's trial points, the
+step truncated at the simplex boundary and then halved, each trial with the
+letters it reaches dropped and its rows rebuilt; and a dropped letter
+returns (``_readmit``) once its c exceeds every c on S. The two differ only
+in their merits (Phi, or the KKT residual), in the joint system's slope row
+and clamps, and in the joint iteration's branches for one letter and for
+saturated tilts.
 """
 
 from __future__ import annotations
@@ -160,25 +173,19 @@ def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
     returns its iteration count and the distortion f at that pmf, from its
     last tilt.
 
-    Each iteration after a move computes c at the new q and stops once the
-    gap is at most gap_tol. Otherwise a dropped letter with c > 1 returns
-    (``_readmit``), or the iteration tries a damped Newton step on S:
+    Each iteration computes c at q and stops once the gap is at most
+    gap_tol. Otherwise the dropped letter that holds the gap, with c above
+    every c on S, returns (``_readmit``), or the iteration takes the shared
+    Newton step on S (``_bordered``, ``_trials``) toward the maximum of Phi:
 
         [H + lam * diag(1 / q_S), 1; 1', 0] [d; nu] = [c_S; 0],
-        H = A_S' diag(p / den**2) A_S.
+        H = A_S' diag(p / den**2) A_S,   lam = _LAM_MIN * max c,
 
-    lam -> 0 gives Newton's step, which converges quadratically; a large lam
-    gives a short step along Cover's multiplicative update q <- q * c. The
-    damping is needed because H is rank-deficient whenever |S| exceeds the
-    number of rows. The step is accepted when Phi rises or, with Phi flat to
-    roundoff, when max c falls; lam then shrinks. After a rejection lam
-    grows and the next iteration tries again from the same q. At each new q,
-    as in Levenberg-Marquardt, lam is capped by the gap, log max c: a lam
-    left large would stall the ascent along a direction of near-zero
-    curvature. A step that would leave the simplex stops at its boundary and
-    drops the letters it reaches, the only way a letter leaves S; every
-    dropped letter stays a candidate for return. The loop also ends,
-    uncertified, at max_iters or when the damped step no longer changes q.
+    halved until Phi rises or, with Phi flat to roundoff, max c falls; a
+    halving counts as an iteration. A step that drops letters moves the row
+    minima m, so Phi is compared across it as sum_z p(z) (log den(z) + s
+    m(z)). The loop also ends, uncertified, at max_iters or when no halved
+    step is accepted.
 
     The tilt is rebuilt from the shifted rows (``_shifted``) whenever S
     changes, so every entry on S stays in [0, 1] and den(z) >= q(argmin) > 0
@@ -188,89 +195,53 @@ def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
     None, for a start on every letter (``level_start``), the ascent
     computes it.
     """
-    # on a few letters Python lists beat numpy's masks; the letters at 0,
-    # set there by the start or by a boundary step, may return
-    ql = q_row.tolist()
-    out = [x for x, v in enumerate(ql) if v == 0.0]
-    sup = np.array([x for x, v in enumerate(ql) if v > 0.0])
-    q = q_row[sup]
+    sup, out, q, rows = _split(expected_f, q_row)
     c, c_out = (None, []) if c_row is None else (c_row[sup], c_row[out].tolist())
-    a = None  # the support's tilt, rebuilt whenever S changes
-    lam = _LAM_START
-    iters = 0
-    fresh = True  # q changed since c was last computed
-    kkt = np.zeros((0, 0))  # the bordered Newton system, kept while |S| holds
+    a, iters, systems = None, 1, {}
     while True:
-        iters += 1
-        if a is None:
-            m, e, e_out = _shifted(expected_f, sup, out)
+        if a is None:  # the support's tilt, rebuilt whenever S changes
+            m, e, e_out = rows
             a = np.exp(s * e)
             a_out = None if e_out is None else np.exp(np.minimum(s * e_out, _EXP_CAP))
             den = a.dot(q)
-            phi = None  # Phi at q, once known for the current tilt
-        if fresh:
-            t = pz / den
-            if iters > 1 or c_row is None:
-                c = t.dot(a)
-                if out:
-                    c_out = t.dot(a_out).tolist()
-            # up to ~64 letters Python's max over a list beats numpy's reduction
-            c_top = max(c.tolist())
-            back = max(c_out) if out else 0.0
-            if math.log(max(c_top, back)) <= gap_tol or iters >= max_iters:
-                break
-            if back > 1.0:
-                x = out.pop(c_out.index(back))
-                q, sup = _readmit(expected_f, pz, s, m, den, q, sup, x)
-                a = None
-                continue
-            if phi is None:
-                phi = float(pz.dot(np.log(den)))
-            # The system in u = d / q: [Q H Q + lam Q, q; q', 0] [u; nu] =
-            # [q c; 0]. No entry of Q H Q exceeds max c, so none overflows.
-            k = q.size
-            if kkt.shape[0] != k + 1:  # every other entry is rewritten below
-                kkt, rhs = np.zeros((k + 1, k + 1)), np.zeros(k + 1)
-                diag = kkt.reshape(-1)[: k * (k + 2) : k + 2]  # view on the H block's diagonal
-            b = a * q
-            kkt[:k, :k] = (b * (t / den)[:, None]).T.dot(b)
-            kkt[:k, k] = kkt[k, :k] = q
-            qhq_diag = diag.copy()
-            rhs[:k] = q * c
-            # damping tracks the gap; below roundoff of H it leaves the system singular
-            lam = max(min(lam, math.log(c_top)), _LAM_MIN * c_top)
-        elif iters >= max_iters:
+            phi = float(pz.dot(np.log(den)))  # Phi at q, less sum_z p(z) s m(z)
+        t = pz / den
+        if iters > 1 or c_row is None:
+            c = t.dot(a)
+            if out:
+                c_out = t.dot(a_out).tolist()
+        # up to ~64 letters Python's max over a list beats numpy's reduction
+        c_top = max(c.tolist())
+        back = max(c_out) if out else 0.0
+        if math.log(max(c_top, back)) <= gap_tol or iters >= max_iters:
             break
-        np.add(qhq_diag, lam * q, out=diag)
-        u = np.linalg.solve(kkt, rhs)[:k]
-        # go at most to the simplex boundary; the letters it reaches leave
-        ul = u.tolist()
-        reach = [-1.0 / v if v < 0.0 else math.inf for v in ul]
-        alpha = min(1.0, min(reach))
-        if alpha * max(map(abs, ul)) < 1e-15:
-            break  # no step moves q any more
-        q_new = [0.0 if r <= alpha else v * (1.0 + alpha * d)
-                 for v, d, r in zip(q.tolist(), ul, reach)]
-        q_new = np.array(q_new) / sum(q_new)
-        den_new = a.dot(q_new)
-        fresh = False
-        if min(den_new.tolist()) > 0.0:
+        iters += 1
+        if back > c_top:
+            x = out.pop(c_out.index(back))
+            q, sup, rows = _readmit(expected_f, pz, s, m, den, q, sup, out, x)
+            a = None
+            continue
+        # the system in u = d / q: [Q H Q + lam Q, q; q', 0] [u; nu] = [q c; 0];
+        # no entry of Q H Q exceeds max c, so none overflows
+        kkt, rhs = _bordered(systems, a * q, q, t, den, c_top, q.size + 1)
+        rhs[:-1] = q * c
+        u = np.linalg.solve(kkt, rhs)[:-1].tolist()
+        flat = _FLAT * (1.0 + abs(phi))
+        trials = _trials(expected_f, sup, out, rows, q, u, 1.0, max(map(abs, u)), iters, max_iters)
+        for iters, _, q_new, sup_new, out_new, rows_new in trials:
+            a_new = a if rows_new is rows else np.exp(s * rows_new[1])
+            den_new = a_new.dot(q_new)
             phi_new = float(pz.dot(np.log(den_new)))
             rise = phi_new - phi
-            flat = _FLAT * (1.0 + abs(phi))
-            fresh = rise > flat or (
-                rise >= -flat and max((pz / den_new).dot(a).tolist()) < c_top
-            )
-        if not fresh:
-            lam *= _LAM_GROW
-            continue
-        lam *= _LAM_SHRINK
+            if rows_new is not rows:
+                rise += s * float(pz.dot(rows_new[0] - m))
+            if rise > flat or (rise >= -flat and max((pz / den_new).dot(a_new).tolist()) < c_top):
+                break
+        else:
+            break  # no halved step raises Phi
         q, den, phi = q_new, den_new, phi_new
-        if min(q.tolist()) <= 0.0:  # reached, or just past by roundoff
-            keep = q > 0.0
-            out.extend(sup[~keep].tolist())
-            sup, q = sup[keep], q[keep] / q[keep].sum()
-            a = None
+        if rows_new is not rows:
+            sup, out, rows, a = sup_new, out_new, rows_new, None
 
     q_row[:] = 0.0
     q_row[sup] = q
@@ -309,32 +280,26 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     df/dq_S and f_s = df/ds = sum_z p(z) Var[e | z]: Phi is concave in q and
     convex in s, and the system is that of its saddle point, written with
     its first row and its last two unknowns negated, so that it is assembled
-    with no negation. It is solved scaled, in u = dq / q and ds / |s|, with
-    the ascent's smallest damping on the diagonal. A step is kept when the
-    scaled residual |q (c_S - 1)|**2 + (s (level - f))**2 does not grow, and
-    halved otherwise. A miss of the level below min(tol_f, 1e-14 |level|) is
-    roundoff of f and counts as none, in the step and in its merit: scaled
-    by |s| (~1e7 on losses flattened to a 1e-6 spread) it would outweigh the
-    residual of c_S = 1 and stall the iteration short of its certificate.
-    A step stops at the simplex boundary and drops the letters it reaches,
-    as the ascent does; a dropped letter whose c exceeds every c on S
-    returns (``_readmit``). The slope moves at most to 3 s, and at most
-    halfway to the flattest slope known to lie above the level's: 0 at
-    first, then any slope at which the best letter alone was optimal (f = hi
-    there, and the next slope is twice as steep, which brings a letter
-    back).
+    with no negation. It is the ascent's system (``_bordered``) with a slope
+    row, solved scaled, in u = dq / q and ds / |s|, and its step is the
+    ascent's (``_trials``), kept when the scaled residual |q (c_S - 1)|**2 +
+    (s (level - f))**2 does not grow. A miss of the level below min(tol_f,
+    1e-14 |level|) is roundoff of f and counts as none, in the step and in
+    its merit: scaled by |s| (~1e7 on losses flattened to a 1e-6 spread) it
+    would outweigh the residual of c_S = 1 and stall the iteration short of
+    its certificate. A dropped letter whose c exceeds every c on S returns
+    (``_readmit``). The slope moves at most to 3 s, and at most halfway to
+    the flattest slope known to lie above the level's: 0 at first, then any
+    slope at which the best letter alone was optimal (f = hi there, and the
+    next slope is twice as steep, which brings a letter back).
 
-    A point's rows depend on S alone: the row minima m over S, the rows of
-    S less m and the rows of the dropped letters less m (``_shifted``) are
-    computed only when S changes, at the start, on a return or on a
-    boundary drop, and each point (``_joint_point``) costs only the tilt
-    exp(s (e - m)), den, c, E[e | z], f and the residual q (c_S - 1), which
-    serves both the step's merit test and the next system. The deviations
-    e - E[e | z] are formed only for a point that gets a step, and scaled by
-    |s| before they are squared: unscaled, their squares overflow once the
-    transform-domain spread passes ~1e154. The bordered
-    system's arrays, and views on its blocks, are kept while |S| holds, and
-    a step's trial pmfs are built in Python lists.
+    A point's rows depend on S alone (``_shifted``), and each point
+    (``_joint_point``) costs only the tilt exp(s (e - m)), den, c, E[e | z],
+    f and the residual q (c_S - 1), which serves both the step's merit test
+    and the next system. The deviations e - E[e | z] are formed only for a
+    point that gets a step, and scaled by |s| before they are squared:
+    unscaled, their squares overflow once the transform-domain spread passes
+    ~1e154.
 
     It stops once a point meets gap <= gap_tol over every letter and |f -
     level| <= tol_f, and gives up once it has evaluated max_iters or
@@ -344,20 +309,13 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     certifies (s, q) as a one-iteration lane of ``ba_fixed_slope_loop`` and
     reads from its gap and f_dist whether the point is on the level.
     """
-    nx = expected_f.shape[1]
-    ql = np.asarray(q_row, dtype=float).tolist()
-    out = [x for x, v in enumerate(ql) if v == 0.0]
-    sup = np.array([x for x, v in enumerate(ql) if v > 0.0])
-    q = np.array([ql[x] for x in sup.tolist()])
-    q /= q.sum()
+    sup, out, q, rows = _split(expected_f, q_row)
     cap = min(max_iters, _NEWTON_ITERS)
-    iters, s_top = 1, 0.0
+    iters, s_top, systems = 1, 0.0, {}
     # a miss of the level below this is roundoff of f, which the slope's
     # scale |s| would otherwise blow up past the residual of c_S = 1
     noise = min(tol_f, _FLAT * abs(level))
-    kkt = np.zeros((0, 0))  # the bordered system, kept while |S| holds
     with np.errstate(under="ignore"):
-        rows = _shifted(expected_f, sup, out)
         at = _joint_point(pz, s, rows, q)
         while True:
             a, a_out, den, t, c, mean, f, res, res_sq = at
@@ -370,8 +328,7 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
             iters += 1
             if back > c_top:
                 x = out.pop(c_out.index(back))
-                q, sup = _readmit(expected_f, pz, s, rows[0], den, q, sup, x)
-                rows = _shifted(expected_f, sup, out)
+                q, sup, rows = _readmit(expected_f, pz, s, rows[0], den, q, sup, out, x)
                 at = _joint_point(pz, s, rows, q)
                 continue
             k = q.size
@@ -386,17 +343,9 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
             b = a * q
             dev = (rows[1] - mean[:, None]) * r  # |s| (e - E[e | z])
             bd = b * dev
-            if kkt.shape[0] != k + 2:  # every other entry is rewritten below
-                kkt, rhs = np.zeros((k + 2, k + 2)), np.zeros(k + 2)
-                # views on the H block, its diagonal, and the borders of ds and of sum q
-                h, diag = kkt[:k, :k], kkt.reshape(-1)[: k * (k + 3): k + 3]
-                g_col, g_row = kkt[:k, k], kkt[k, :k]
-                sum_col, sum_row = kkt[:k, k + 1], kkt[k + 1, :k]
-            h[...] = (b.T * (t / den)).dot(b)
-            diag += _LAM_MIN * c_top * q
-            g_col[:] = g_row[:] = t.dot(bd)
+            kkt, rhs = _bordered(systems, b, q, t, den, c_top, k + 2)
+            kkt[:k, k] = kkt[k, :k] = t.dot(bd)
             kkt[k, k] = -sum(t.dot(bd * dev).tolist())
-            sum_col[:] = sum_row[:] = q
             rhs[:k] = res
             rhs[k] = lag = r * (level - f) if abs(level - f) > noise else 0.0
             try:
@@ -412,43 +361,83 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
                 at = _joint_point(pz, s, rows, q)
                 continue
             merit = res_sq + lag * lag
-            reach = [-1.0 / v if v < 0.0 else math.inf for v in ul]
-            alpha = min(1.0, min(reach))
+            top = 1.0
             if ds > 0.0:
-                alpha = min(alpha, _S_TOWARD_ZERO * (s_top - s) / ds)
+                top = min(top, _S_TOWARD_ZERO * (s_top - s) / ds)
             elif ds < 0.0:
-                alpha = min(alpha, _S_STEEPER * r / -ds)
-            ql = q.tolist()
-            while True:
-                q_new = [0.0 if w <= alpha else v * (1.0 + alpha * d)
-                         for v, d, w in zip(ql, ul, reach)]
-                total = sum(q_new)
-                q_new = [v / total for v in q_new]
-                s_new = s + alpha * ds
-                sup_new, out_new, rows_new = sup, out, rows
-                if 0.0 in q_new:  # the letters the step reaches leave
-                    sl = sup.tolist()
-                    out_new = out + [x for x, v in zip(sl, q_new) if v == 0.0]
-                    sup_new = np.array([x for x, v in zip(sl, q_new) if v > 0.0])
-                    q_new = [v for v in q_new if v > 0.0]
-                    rows_new = _shifted(expected_f, sup_new, out_new)
-                q_new = np.array(q_new)
-                trial = _joint_point(pz, s_new, rows_new, q_new)
+                top = min(top, _S_STEEPER * r / -ds)
+            trials = _trials(expected_f, sup, out, rows, q, ul, top, size, iters, cap)
+            for iters, alpha, q_new, sup_new, out_new, rows_new in trials:
+                trial = _joint_point(pz, s + alpha * ds, rows_new, q_new)
                 miss = level - trial[6]  # trial[6] is f, trial[8] |q (c_S - 1)|**2
                 lag = r * miss if abs(miss) > noise else 0.0
                 if trial[8] + lag * lag <= merit:
                     break
-                alpha *= 0.5
-                if alpha * size < 1e-15 or iters >= cap:
-                    alpha = 0.0
-                    break
-                iters += 1
-            if alpha == 0.0:
+            else:
                 break  # no step reduces the residual
-            q, s, sup, out, rows, at = q_new, s_new, sup_new, out_new, rows_new, trial
-    q_out = np.zeros(nx)
+            q, s, sup, out, rows, at = q_new, s + alpha * ds, sup_new, out_new, rows_new, trial
+    q_out = np.zeros(expected_f.shape[1])
     q_out[sup] = q
     return s, q_out, iters
+
+
+def _split(expected_f, q_row):
+    """A start pmf over all letters split into its support (its positive
+    letters), its dropped letters (those at 0, which may return), its pmf on
+    the support, renormalized, and the support's shifted rows."""
+    ql = np.asarray(q_row, dtype=float).tolist()
+    out = [x for x, v in enumerate(ql) if v == 0.0]
+    sup = np.array([x for x, v in enumerate(ql) if v > 0.0])
+    q = np.array([v for v in ql if v > 0.0])
+    return sup, out, q / q.sum(), _shifted(expected_f, sup, out)
+
+
+def _bordered(systems, b, q, t, den, c_top, n):
+    """The (n, n) bordered Newton system on the support of the pmf q, and
+    its right-hand side, kept in ``systems`` for each n: its H block is
+    Q H Q, from b = A_S Q and t = p / den, plus the smallest damping
+    _LAM_MIN max c times Q, which keeps it regular where H is rank-deficient
+    (whenever |S| exceeds the number of rows), and its last row and column
+    border sum q = 1. The caller writes its other rows and columns."""
+    k = q.size
+    if n not in systems:
+        kkt = np.zeros((n, n))
+        systems[n] = (kkt, np.zeros(n), kkt[:k, :k], kkt.reshape(-1)[: k * (n + 1): n + 1],
+                      kkt[:k, -1], kkt[-1, :k])
+    kkt, rhs, h, diag, col, row = systems[n]
+    h[...] = (b.T * (t / den)).dot(b)
+    diag += _LAM_MIN * c_top * q
+    col[:] = row[:] = q
+    return kkt, rhs
+
+
+def _trials(expected_f, sup, out, rows, q, u, alpha, size, count, cap):
+    """The trial points of the step u = dq / q from the pmf q on the support
+    sup, with dropped letters out and shifted rows ``rows``: q (1 + alpha u),
+    renormalized, with alpha at most its given bound and the simplex
+    boundary, then halved while alpha * size is at least 1e-15. The letters
+    a trial reaches leave its support, and its rows are rebuilt. Yields
+    (count, alpha, q, sup, out, rows) of each trial, built in Python lists,
+    which beat numpy on a few letters; count is the caller's iteration count
+    at the trial, a halving one more, up to cap."""
+    reach = [-1.0 / v if v < 0.0 else math.inf for v in u]
+    alpha = min(alpha, min(reach))
+    ql = q.tolist()
+    for count in range(count, cap + 1):
+        q_new = [0.0 if w <= alpha else v * (1.0 + alpha * d) for v, d, w in zip(ql, u, reach)]
+        total = sum(q_new)
+        q_new = [v / total for v in q_new]
+        if 0.0 not in q_new:
+            yield count, alpha, np.array(q_new), sup, out, rows
+        else:  # the letters the step reaches leave
+            sl = sup.tolist()
+            out_new = out + [x for x, v in zip(sl, q_new) if v == 0.0]
+            sup_new = np.array([x for x, v in zip(sl, q_new) if v > 0.0])
+            q_sup = np.array([v for v in q_new if v > 0.0])
+            yield count, alpha, q_sup, sup_new, out_new, _shifted(expected_f, sup_new, out_new)
+        alpha *= 0.5
+        if alpha * size < 1e-15:
+            return
 
 
 def _shifted(expected_f, sup, out):
@@ -484,16 +473,15 @@ _S_STEEPER = 2.0      # times |s|
 
 
 _FLAT = 1e-14        # a change of Phi below this (relative) is roundoff
-_LAM_START = 0.01
-_LAM_SHRINK = 0.1
-_LAM_GROW = 10.0
-_LAM_MIN = 1e-12     # times max c
+_LAM_MIN = 1e-12     # times max c: the damping of every Newton system
 _EXP_CAP = 300.0
 _A_CAP = float(np.exp(_EXP_CAP))  # the capped tilt
 
 
-def _readmit(expected_f, pz, s, m, den, q, sup, x):
-    """Move mass w to dropped letter x: q <- (1 - w) q + w e_x.
+def _readmit(expected_f, pz, s, m, den, q, sup, out, x):
+    """Move mass w to dropped letter x: q <- (1 - w) q + w e_x. Returns the
+    grown pmf and support, and the support's rows shifted anew
+    (``_shifted``), with out the dropped letters left.
 
     Along the move Phi rises by psi(w) = sum_z p(z) log(1 + w r(z)), with
     r = A[:, x] / den - 1 >= -1 (capped so that r**2 stays finite). psi is
@@ -512,7 +500,8 @@ def _readmit(expected_f, pz, s, m, den, q, sup, x):
             lo = mid
         else:
             hi = mid
-    return np.append((1.0 - lo) * q, lo), np.append(sup, x)
+    sup = np.append(sup, x)
+    return np.append((1.0 - lo) * q, lo), sup, _shifted(expected_f, sup, out)
 
 
 def best_code_fold_loop(cost, M, total):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .distortion import DistortionMatrix, _finite_f
+from .distortion import DistortionMatrix, _finite_f, _level
 from .errors import TooLarge
 from .ftransform import FTransform
 from .source import JointSource
@@ -205,7 +205,8 @@ def excess_event_equivalence(
     mean exceeds f(D) + delta with delta = f(D + gamma) - f(D); both
     probabilities are accumulated from the same exact enumeration. Raises
     ValueError if the code does not fit the source or the distortion, or for
-    a NaN D or gamma.
+    a NaN D or gamma, and DomainError for a negative D, below every
+    distortion, where a transform may be undefined.
     """
     if math.isnan(D):
         raise ValueError("D must be a number, got NaN")
@@ -213,9 +214,9 @@ def excess_event_equivalence(
         raise ValueError(f"gamma must be > 0, got {gamma}")
     _check_code(src, d, code)
     cmp = _comparator_fn(comparator)
+    # inf where f overflows, above every finite mean
+    f_D, f_Dg = _level(f, D), _level(f, D + gamma)
     pjoint, means, pooled = _block_tables(src, d, f, code.n)
-    with np.errstate(over="ignore"):  # inf where f overflows, above every finite mean
-        f_D, f_Dg = float(f.apply(D)), float(f.apply(D + gamma))
     delta = f_Dg - f_D  # NaN when both are inf: no mean exceeds f_D + delta
     cols = _decoded_columns(code, d.n_reconstruction)
     ev_pooled = cmp(pooled[:, cols], D + gamma)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from irdf.cli import main
-from irdf.closed_form import BscModel, bsc_irdf
+from irdf.closed_form import BscModel, bsc_irdf, domain_bounds
 from irdf.ftransform import FTransform
 
 LN2 = math.log(2.0)
@@ -240,6 +240,22 @@ class TestClosedForm:
         assert code == 0
         rows = json.loads(out)
         assert rows[0]["rate_nats"] == pytest.approx(bsc_irdf(BscModel(0.15), 0.3), rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_level_past_dmax_reports_the_zero_rate_end(self, capsys, fmt):
+        # f(100) = exp(920) overflows: JSON exited 2 and CSV printed f_of_D
+        # inf; the row is now the zero-rate end (d_max, hi), as `point`
+        # reports it
+        argv = ("closed-form", "--model", "bsc", "--beta", "0.1",
+                "--f", "exponential", "--rho", "9.2", "--D", "100", "--format", fmt)
+        with pytest.warns(UserWarning, match="zero-rate"):
+            code, out, _ = run(capsys, *argv)
+        assert code == 0
+        (row,) = strict_json(out) if fmt == "json" else parse_csv(out)
+        f = FTransform.exponential(9.2)
+        hi = 0.5 * (float(f.apply(0.0)) + float(f.apply(1.0)))
+        assert row["D"] == domain_bounds(BscModel(0.1, f))[1] and row["f_of_D"] == hi
+        assert row["rate_nats"] == 0.0 and row["converged"]
 
 
 class TestStrictJson:

@@ -11,6 +11,7 @@ from irdf import (
     BlockCode,
     BscModel,
     DistortionMatrix,
+    DomainError,
     FTransform,
     JointSource,
     OutOfRange,
@@ -168,6 +169,14 @@ class TestExcessEventEquivalence:
         r = excess_event_equivalence(src, d, FTransform.exponential(9.2), identity_code(),
                                      100.0, 0.1, comparator)
         assert (r.p_pooled, r.p_mean) == (0.0, 0.0) and r.equal and r.events_agree
+
+    @pytest.mark.parametrize("D, gamma", [(-0.5, 0.1), (-0.05, 0.1)])
+    def test_negative_level_rejected(self, D, gamma):
+        # sqrt of a negative level warned "invalid value in sqrt" and
+        # returned a false equal=False
+        src, d = bsc_problem(0.1)
+        with pytest.raises(DomainError, match="negative"):
+            excess_event_equivalence(src, d, FTransform.sqrt(), identity_code(), D, gamma)
 
     def test_gamma_must_be_positive(self):
         src, d = bsc_problem(0.15)

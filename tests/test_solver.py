@@ -1066,10 +1066,30 @@ class TestKernel:
                 break
         assert gap <= 1e-12 and dropped > 0
 
+    @pytest.mark.parametrize("draw, r", [(49, 0.25), (49, 1.0)])
+    def test_row_minimum_letter_drops(self, draw, r):
+        # a sweep's ladder lane at -r/span on a stress-recipe draw: an
+        # accepted step drops the letter that holds a row's minimum, which
+        # moves that row's m, so Phi is compared across the drop as
+        # sum_z p(z) (log den(z) + s m(z)); the lane still certifies
+        src, _, _, am = _segment_draw(draw)
+        lo, hi = f_domain_bounds(am, src.z_marginal)
+        e, pz = _reduced(am, src.z_marginal)
+        moved, before = 0, None
+        for cap in range(1, 11):
+            _, q_out, _, _, iters, gap = _one_lane(e, pz, -r / (hi - lo), cap, 1e-12)
+            m = np.where(q_out > 0.0, e, np.inf).min(axis=1)
+            moved += before is not None and bool(np.any(m > before))
+            before = m
+            if gap <= 1e-12:
+                break
+        assert moved > 0 and gap <= 1e-12 and iters <= 10
+
     def test_damping_keeps_newton_system_regular(self):
-        # tied distortions make H singular on a large support; with damping
-        # allowed below roundoff of H the systems turned exactly singular
-        # and the ascent took 148 iterations
+        # tied distortions make H singular on a support of 12 letters over 7
+        # rows; the smallest damping, _LAM_MIN max c on the diagonal, keeps
+        # each Newton system regular (a damping below roundoff of H once
+        # left them exactly singular, and the ascent took 148 iterations)
         e = np.array([
             [2, 0, 1, 2, 1, 3, 0, 1, 2, 2, 2, 1],
             [1, 3, 3, 1, 2, 2, 1, 3, 3, 3, 1, 0],
@@ -1085,9 +1105,9 @@ class TestKernel:
         assert gap <= 1e-12 and iters <= 100
 
     def test_gap_tol_below_roundoff_ends_uncertified(self):
-        # the gap cannot fall below roundoff; once no damped step changes q
-        # the kernel stops, where growing the damping further would make the
-        # Newton system singular
+        # the gap cannot fall below roundoff; once no halved step raises Phi
+        # or, with Phi flat to roundoff, lowers max c, the kernel stops
+        # uncertified rather than halving on or stepping to max_iters
         rng = np.random.default_rng(22)
         e = rng.random((3, 3))
         pz = rng.random(3) + 0.1
@@ -1213,10 +1233,10 @@ class TestKernel:
         assert final[5] <= 1e-12
 
     def test_flat_direction_certifies(self):
-        # the whole gap lies along a direction of near-zero curvature: with
-        # the damping left where rejections from the uniform start had grown
-        # it, the step shrank until q stopped moving, 11 iterations in, at
-        # gap 2.5e-10
+        # the whole gap lies along a direction of near-zero curvature: the
+        # damped Newton step along it is long, stops at the simplex boundary
+        # and drops the worse letter; shortened there, it stalled at gap
+        # 2.5e-10
         e = np.array([[5.04e-7, 2.80e-10]])
         with np.errstate(all="raise"):
             *_, iters, gap = _one_lane(e, np.array([1.0]), -0.001, 20000, 1e-12)
