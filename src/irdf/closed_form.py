@@ -27,9 +27,10 @@ _EDGE_SLACK = 1e-12
 
 
 def binary_entropy(p):
-    """Binary entropy in nats, with h(0) = h(1) = 0; scalar or array."""
+    """Binary entropy in nats, with h(0) = h(1) = 0; scalar or array.
+    DomainError outside [0, 1], NaN included."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < -_EDGE_SLACK) or np.any(arr > 1.0 + _EDGE_SLACK):
+    if not (np.all(arr >= -_EDGE_SLACK) and np.all(arr <= 1.0 + _EDGE_SLACK)):
         raise DomainError(f"binary entropy argument outside [0, 1]: {arr!r}")
     arr = np.clip(arr, 0.0, 1.0)
     out = np.zeros_like(arr)
@@ -40,8 +41,9 @@ def binary_entropy(p):
 
 
 def binary_entropy_inverse(h: float) -> float:
-    """Inverse of binary_entropy restricted to [0, 1/2], by bisection."""
-    if h < -_EDGE_SLACK or h > LN2 + _EDGE_SLACK:
+    """Inverse of binary_entropy restricted to [0, 1/2], by bisection.
+    DomainError outside [0, ln 2], NaN included."""
+    if not -_EDGE_SLACK <= h <= LN2 + _EDGE_SLACK:
         raise DomainError(f"binary entropy value outside [0, ln 2]: {h!r}")
     h = min(max(h, 0.0), LN2)
     lo, hi = 0.0, 0.5

@@ -146,10 +146,16 @@ def quasi_arithmetic_mean(f: FTransform, xis) -> float:
 
     Symmetric, monotone in each coordinate, idempotent on constant tuples,
     and stable under replacing a subset of entries by their own mean.
+    Raises ValueError for a NaN value and DomainError for a negative one,
+    where a transform may be undefined (sqrt gives NaN) or decreasing.
     """
     arr = np.asarray(xis, dtype=float).ravel()
     if arr.size == 0:
         raise EmptyInput("quasi-arithmetic mean of an empty tuple")
+    if np.isnan(arr).any():
+        raise ValueError("quasi-arithmetic mean of a NaN value")
+    if arr.min() < 0.0:
+        raise DomainError(f"quasi-arithmetic mean of a negative value {arr.min():g}")
     return float(f.invert(_finite_f(f, arr, np.mean)))
 
 

@@ -74,10 +74,10 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
 
     expected_f: (nz, nx) transform-domain distortion rows for used z only.
     pz: (nz,) strictly positive, sums to 1. s: (B,) slopes, all < 0.
-    q0: (B, nx) nonnegative start pmfs, one row per lane, or None for the
-    uniform pmf in every lane. The positive letters of a row form its lane's
-    starting support, renormalized; its zero-mass letters start dropped and
-    may return like any other.
+    q0: (B, nx) finite nonnegative start pmfs, one row per lane, or None for
+    the uniform pmf in every lane. The positive letters of a row form its
+    lane's starting support, renormalized; its zero-mass letters start
+    dropped and may return like any other.
 
     In each lane the output pmf q maximizes Phi(q) = sum_z p(z) log (A q)(z)
     on the simplex, with the tilt A[z, x] = exp(s * (e[z, x] - m[z])) and
@@ -107,8 +107,8 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
         q = np.full((s.size, nx), 1.0 / nx)
     else:
         q0 = np.asarray(q0, dtype=float)
-        if q0.shape != (s.size, nx) or not q0.min(initial=1.0) >= 0.0:
-            raise ValueError(f"q0 must be a nonnegative ({s.size}, {nx}) stack")
+        if q0.shape != (s.size, nx) or not (np.isfinite(q0).all() and q0.min(initial=1.0) >= 0.0):
+            raise ValueError(f"q0 must be a finite nonnegative ({s.size}, {nx}) stack")
         mass = q0.sum(axis=1, keepdims=True)
         if not mass.min(initial=1.0) > 0.0:
             raise ValueError("q0 must have positive mass in every row")

@@ -13,11 +13,13 @@ monotone in s, so one search on s serves a distortion target and a rate
 target alike.
 
 A search advances all of its targets (the levels of a sweep, or one level)
-in lockstep rounds over a flat memo: slope, distortion and rate columns
-sorted by slope, and the solved conditionals as rows of one array. A sweep's
+in lockstep rounds over a memo: one list of solves, each one tuple of its
+slope, distortion, rate, gap, iterations and pmfs, in ascending slope and
+ending with the analytic s = 0 solve. A sweep's
 first kernel call is a ladder of slopes around s = -1/(hi - lo), the inverse
 of the transform-domain span, so that most levels start bracketed. Each
-round every unresolved target bisects the memo: a point on its level
+round every unresolved target bisects the memo on its distortion (or minus
+its rate): a point on its level
 resolves it, the points around the level bracket it, or else doubling from
 the steepest of them (or from -1/span) does. Inside a bracket the step is
 the root of a cubic model built from the two ends alone: in Blahut's
@@ -42,7 +44,7 @@ behaves alike at every transform-domain scale. Every target on a problem is
 solved to one level tolerance, tol_f = _BISECTION_TOL * max(1, hi - lo),
 which ``_Problem`` computes once; a rate target to |s| * tol_f in rate.
 Only the points a search returns become ``SlopePoint``s, with raw
-distortions from one vectorized f.invert.
+distortions from one vectorized f.invert (``_points``).
 
 A lone level target (``solve_at_distortion``) makes one kernel call. Its
 start (``kernels.level_start``) climbs from the uniform pmf at s0 = -1/span
@@ -52,7 +54,7 @@ together. It starts at the slope where the level meets the secant through
 the start's own point (s0, f0) and the zero-rate end (0, hi), clamped to
 [0.5, 1.2] s0. The kernel call certifies its last point, a one-iteration
 lane at its slope and pmf; certified and on the level, it is the result,
-with no memo, no zero-rate row and no search round. Otherwise a lane at s0
+with no memo, no zero-rate solve and no search round. Otherwise a lane at s0
 is solved on to _GAP_TOL from the start's pmf and seeds the search. Sweeps
 and the rate target of ``distortion_at_rate`` run the search alone. A NaN
 level or rate raises DomainError before any solve.
@@ -149,10 +151,10 @@ class _Problem:
     all the targets solved on it: lo, the expected row minimum (the rate
     saturates there), and hi, the best single reconstruction letter (zero
     rate). Its level tolerance, tol_f = _BISECTION_TOL * max(1, hi - lo),
-    is the one every target on it is solved to. Its analytic zero-rate point
-    (s = 0: mass split over the best columns) is built only when asked for:
-    its output pmf by a slope search or the ``SlopePoint``, which costs an
-    f.invert, by a level at or above hi."""
+    is the one every target on it is solved to. Its analytic zero-rate solve
+    ``zero`` (s = 0: mass split over the best columns) is built only when
+    asked for: by a slope search, which ends its memo with it, or by a level
+    at or above hi."""
 
     def __init__(self, amended: AmendedDistortions, pz: np.ndarray):
         self.amended = amended
@@ -166,23 +168,10 @@ class _Problem:
         self.tol_f = _BISECTION_TOL * max(1.0, self.hi - self.lo)
 
     @cached_property
-    def q_zero(self) -> np.ndarray:
+    def zero(self) -> tuple:
         mask = self.col == self.hi
-        return mask / mask.sum()
-
-    @cached_property
-    def zero(self) -> SlopePoint:
-        return SlopePoint(
-            slope=0.0,
-            q_cond=self.q_zero[None].repeat(self.amended.used_z.size, axis=0),
-            q_out=self.q_zero,
-            rate=0.0,
-            f_distortion=self.hi,
-            distortion=float(self.amended.f.invert(self.hi)),
-            iterations=0,
-            gap=0.0,
-            converged=True,
-        )
+        q = mask / mask.sum()
+        return 0.0, self.hi, 0.0, 0.0, 0, q, q[None].repeat(len(self.e), axis=0)
 
 
 def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float, float]:
@@ -193,78 +182,43 @@ def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float,
     return problem.lo, problem.hi
 
 
-# columns of a memo row: slope, f_distortion, rate (before its clamp at 0),
-# gap and iterations, then q_out from _Q on and the q_cond rows of the used z
-_S, _F, _R, _GAP, _IT, _Q = range(6)
+# A solve is one tuple (slope, f_distortion, rate before its clamp at 0, gap,
+# iterations, q_out, q_cond), q_cond holding the rows of the used z only. A
+# search's memo is a list of solves in ascending slope that ends with the
+# s = 0 solve (``_Problem.zero``)
+_SLOPE = operator.itemgetter(0)
 
 
-class _Memo:
-    """The fixed-slope solves (s < 0 only) on one problem: slope, f_distortion
-    and rate columns in ascending slope order, and the index of each solve's
-    memo row in ``rows``, which also holds the other rows a search reads.
-    ``rows`` grows by doubling, so that a round's rows are not copied again
-    with every later round; its first ``size`` rows are in use."""
-
-    def __init__(self):
-        self.rows: np.ndarray | None = None
-        self.size = 0
-        self.slope, self.f, self.rate, self.row = [], [], [], []  # rate before its clamp at 0
-
-    def add(self, new: np.ndarray, u: int = 0) -> int:
-        """Append the memo rows ``new`` and insert the first u of them
-        (fixed-slope solves) in the columns; the index of the first new row."""
-        base, end = self.size, self.size + len(new)
-        if self.rows is None or end > len(self.rows):
-            grown = np.empty((2 * end, new.shape[1]))
-            if base:
-                grown[:base] = self.rows[:base]
-            self.rows = grown
-        self.rows[base:end] = new
-        self.size = end
-        slope, fs, rate, row = self.slope, self.f, self.rate, self.row
-        for b, (s, f, r) in enumerate(new[:u, :_GAP].tolist(), base):
-            j = bisect.bisect_left(slope, s)
-            slope.insert(j, s)
-            fs.insert(j, f)
-            rate.insert(j, r)
-            row.insert(j, b)
-        return base
-
-
-def _lanes(e: np.ndarray, w: np.ndarray, slopes, q0) -> np.ndarray:
+def _lanes(e: np.ndarray, w: np.ndarray, slopes, q0, max_iters: int = _MAX_ITERS) -> list:
     """One kernel call on the reduced rows e, w with a lane per slope, started
-    from the rows of q0 (uniform when None): a memo row per lane."""
+    from the rows of q0 (uniform when None): a solve per lane."""
     slopes = np.asarray(slopes, dtype=float)
-    return _rows(slopes, *kernels.ba_fixed_slope_loop(e, w, slopes, _MAX_ITERS, _GAP_TOL, q0))
+    q_cond, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
+        e, w, slopes, max_iters, _GAP_TOL, q0)
+    return list(zip(slopes.tolist(), f_dist.tolist(), rate.tolist(), gap.tolist(),
+                    iters.tolist(), q_out, q_cond))
 
 
-def _rows(slopes, q_cond, q_out, f_dist, rate, iters, gap) -> np.ndarray:
-    """Memo rows of a kernel's results, one per lane."""
-    return np.concatenate((np.array((slopes, f_dist, rate, gap, iters)).T, q_out,
-                           q_cond.reshape(len(q_out), -1)), axis=1)
-
-
-def _points(amended: AmendedDistortions, rows: np.ndarray, converged) -> list[SlopePoint]:
-    """The SlopePoints of memo rows, with raw distortions from one vectorized
+def _points(amended: AmendedDistortions, solves, converged) -> list[SlopePoint]:
+    """The SlopePoints of solves, with raw distortions from one vectorized
     f.invert."""
     used = amended.used_z
-    nx = amended.expected_f.shape[1]
-    q_out = rows[:, _Q: _Q + nx]
-    q_cond = rows[:, _Q + nx:].reshape(len(rows), -1, nx)
+    slope, f_dist, rate, gap, iters, q_out, q_cond = zip(*solves)
+    q_out, q_cond = np.array(q_out), np.array(q_cond)
     if not used.all():  # rows for unused z repeat q_out
         q_cond, q_used = np.repeat(q_out[:, None, :], used.size, axis=1), q_cond
         q_cond[:, used] = q_used
-    raw = np.asarray(amended.f.invert(rows[:, _F]), dtype=float).tolist()
+    raw = np.asarray(amended.f.invert(np.array(f_dist)), dtype=float).tolist()
     # a frozen dataclass's __init__ writes each field through object.__setattr__;
     # one update of the new instance's __dict__ sets them all at ~40 % of the
     # cost (SlopePoint has no __post_init__ to skip). It stays frozen
     new = object.__new__
     pts = []
-    for (s, fd, r, g, it), qc, qo, d, ok in zip(rows[:, :_Q].tolist(), q_cond, q_out, raw,
-                                                converged.tolist()):
+    for s, fd, r, g, it, qc, qo, d, ok in zip(slope, f_dist, rate, gap, iters, q_cond, q_out,
+                                              raw, converged):
         pt = new(SlopePoint)
         pt.__dict__.update(slope=s, q_cond=qc, q_out=qo, rate=r if r > 0.0 else 0.0,
-                           f_distortion=fd, distortion=d, iterations=int(it), gap=g,
+                           f_distortion=fd, distortion=d, iterations=it, gap=g,
                            converged=ok, clamped=r < 0.0)
         pts.append(pt)
     return pts
@@ -277,112 +231,112 @@ def ba_fixed_slope(
     q0: np.ndarray | None = None,
 ) -> SlopePoint:
     """Solve the fixed point at one slope s <= 0, starting the kernel from
-    the output pmf q0 (uniform when None).
+    the output pmf q0 (uniform when None). Raises ValueError unless
+    -inf < s <= 0.
 
     This is the public one-slope API. No curve path calls it (a search
     batches its slopes into one lane-batched kernel call), but it stays: the
     benchmark hooks it, CI's benchmark smoke step fails when a hook target
     is missing, and the tests use it as the one-slope reference."""
-    if s > 0:
-        raise ValueError(f"slope must be <= 0, got {s}")
+    if not -math.inf < s <= 0.0:  # NaN fails too
+        raise ValueError(f"slope must be finite and <= 0, got {s}")
     problem = _Problem(amended, pz)
     if s == 0.0:
-        return problem.zero
-    if q0 is not None:
-        q0 = np.asarray(q0, dtype=float)[None]
-    row = _lanes(problem.e, problem.w, [float(s)], q0)
-    return _points(amended, row, row[:, _GAP] <= _GAP_TOL)[0]
+        solve = problem.zero
+    else:
+        if q0 is not None:
+            q0 = np.asarray(q0, dtype=float)[None]
+        (solve,) = _lanes(problem.e, problem.w, [s], q0)
+    return _points(amended, [solve], [solve[3] <= _GAP_TOL])[0]
 
 
-def _search(problem: _Problem, goals: list[float], memo: _Memo,
-            by_rate: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _search(problem: _Problem, goals: list[float], memo: list,
+            by_rate: bool = False) -> tuple[list, list[bool]]:
     """Slope searches for all ``goals`` at once, in lockstep rounds: the
-    memo row each one ends on and whether that point is converged.
+    solve each one ends on and whether that point is converged.
+
+    ``memo`` holds the solves so far in ascending slope, ending with the
+    s = 0 solve (``problem.zero``), which closes a bracket with no
+    solve above it; the search inserts its own solves into it.
 
     A goal is a transform-domain level, or with ``by_rate`` a rate in nats.
-    The searched key is the f_distortion, or minus the rate, which increases
-    with the slope, so a point's residual g, its key less the goal's, is
-    positive at s = 0 and falls as s decreases. A point on a level is one
-    within ``problem.tol_f`` of it; a point on a rate is one within |s| *
-    tol_f of it (the level tolerance carried to the rate axis by the
-    curve's slope), or one short of it at f <= lo + tol_f, where the curve
-    is within the level tolerance of d_min.
+    The searched key is the f_distortion, or minus the clamped rate, which
+    increases with the slope, so a point's residual g, its key less the
+    goal's, is positive at s = 0 and falls as s decreases. A point on a
+    level is one within ``problem.tol_f`` of it; a point on a rate is one
+    within |s| * tol_f of it (the level tolerance carried to the rate axis
+    by the curve's slope), or one short of it at f <= lo + tol_f, where the
+    curve is within the level tolerance of d_min.
 
-    Each round every unresolved target bisects the key column for its root
-    (the s = 0 point closes a bracket with no solve above it) and takes one
-    step over the two solves on either side: the one on the goal with the
-    smaller |g| is its result; with no solve below, its lane doubles the
-    steepest slope (or is -1/span); inside the bracket it is ``_step``, the
-    root of a cubic model of the curve through the two ends, or the
-    midpoint once the target's last two steps have not halved its bracket.
-    A rate goal takes the same step, toward the level where the bracket's
-    model of R(f) meets it (``_rate_level``): the supporting line at the
-    steeper end, bent to pass through the far end.
+    Each round every unresolved target bisects the memo on the key for its
+    root and takes one step over the two solves on either side: the one on
+    the goal with the smaller |g| is its result; with no solve below, its
+    lane doubles the steepest slope (or is -1/span); inside the bracket it
+    is ``_step``, the root of a cubic model of the curve through the two
+    ends, or the midpoint once the target's last two steps have not halved
+    its bracket. A rate goal takes the same step, toward the level where the
+    bracket's model of R(f) meets it (``_rate_level``): the supporting line
+    at the steeper end, bent to pass through the far end.
     A bracket collapsed onto one slope straddles a linear segment: its lane
     time-shares the two ends at its lower slope (``_mix``) and is the
     result, flagged unconverged unless it is on the goal, as is a solve
     settled on after ``_MAX_DOUBLINGS`` doublings or ``_MAX_SEARCH`` steps.
 
     Equal slopes merge into one kernel call, each regular lane started from
-    the output pmf of the nearest solve (uniform while the memo is empty);
-    lanes that end uncertified are solved again from the uniform start,
-    keeping the smaller gap (near a kink a warm start can stall where a
-    cold one certifies), and then join the memo.
+    the output pmf of the nearest solve (uniform while the memo holds only
+    the s = 0 solve); lanes that end uncertified are solved again from the
+    uniform start, keeping the smaller gap (near a kink a warm start can
+    stall where a cold one certifies), and then join the memo.
     """
     span = problem.hi - problem.lo
     tol = problem.tol_f
     floor = problem.lo + tol  # a rate short of its goal at or below this f is at d_min
-    nx = problem.e.shape[1]
-    q_zero = problem.q_zero  # the s = 0 point's memo row: its q_cond rows repeat q_out
-    z_row = memo.add(np.concatenate([[0.0, problem.hi, 0.0, 0.0, 0.0]]
-                                    + [q_zero] * (len(problem.e) + 1))[None])
-    z_f = problem.hi
+    key = (lambda x: -max(x[2], 0.0)) if by_rate else operator.itemgetter(1)
     bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
     n = len(goals)
-    found, ok = [z_row] * n, [True] * n
+    found, ok = [None] * n, [True] * n
     rungs, steps = [0] * n, [0] * n  # doublings, and bracket steps
     # each target's bracket widths at its last step and at the step before
     width1, width2 = [math.inf] * n, [math.inf] * n
     todo = list(range(n))
     while todo:
-        m = len(memo.slope)
-        # the memo's columns, the s = 0 point appended: it closes every bracket
-        S, F, R, row = memo.slope + [0.0], memo.f + [z_f], memo.rate + [0.0], memo.row + [z_row]
-        K = [-max(r, 0.0) for r in R] if by_rate else F
+        m = len(memo) - 1  # the solves at s < 0
         lanes = defaultdict(list)  # the targets proposing each slope
-        shares = []  # collapsed brackets: target, the ends' rows and residuals, slope
+        shares = []  # collapsed brackets: target, the two ends and their residuals
         for t in todo:
             goal = goals[t]
             level = -goal if by_rate else goal
-            i = bisect_right(K, level, 0, m)  # the solves below i are at or below the level
-            # so g_lo <= 0 < g_hi; the result is the solve on the goal with the smaller |g|
-            g_lo, g_hi = K[i - 1] - level if i else -math.inf, K[i] - level
+            # the solves below i are at or below the level, so g_lo <= 0 < g_hi; the
+            # result is the solve on the goal with the smaller |g|
+            i = bisect_right(memo, level, 0, m, key=key)
+            lo, hi = memo[i - 1] if i else None, memo[i]
+            g_lo, g_hi = key(lo) - level if i else -math.inf, key(hi) - level
             if by_rate:  # within |s| tol of the rate, or short of it at f <= floor
-                on_lo = i and g_lo >= S[i - 1] * tol
-                on_hi = g_hi <= -S[i] * tol or F[i] <= floor
+                on_lo = i and g_lo >= lo[0] * tol
+                on_hi = g_hi <= -hi[0] * tol or hi[1] <= floor
             else:  # within tol of the level
                 on_lo = i and g_lo >= -tol
                 on_hi = g_hi <= tol
             if on_hi and (not on_lo or g_hi < -g_lo):
-                found[t] = row[i]
+                found[t] = hi
                 continue
             if on_lo:
-                found[t] = row[i - 1]
+                found[t] = lo
                 continue
             if i == 0:
                 if rungs[t] > _MAX_DOUBLINGS:  # never crossed: the left endpoint
-                    found[t], ok[t] = row[0], False
+                    found[t], ok[t] = hi, False
                     continue
                 rungs[t] += 1
-                lanes[2.0 * S[0] if m else -1.0 / span].append(t)
+                lanes[2.0 * hi[0] if m else -1.0 / span].append(t)
                 continue
-            s_lo, s_hi = S[i - 1], S[i]
+            s_lo, s_hi = lo[0], hi[0]
             width = s_hi - s_lo
             if width <= _BRACKET_EPS * -s_lo:  # s_lo < 0: a solve
-                shares.append((t, row[i - 1], row[i], g_lo, g_hi, s_lo))
+                shares.append((t, lo, hi, g_lo, g_hi))
                 continue
             if steps[t] >= _MAX_SEARCH:
-                found[t], ok[t] = row[i - 1 if -g_lo <= g_hi else i], False
+                found[t], ok[t] = lo if -g_lo <= g_hi else hi, False
                 continue
             steps[t] += 1
             w2 = width2[t]
@@ -390,7 +344,7 @@ def _search(problem: _Problem, goals: list[float], memo: _Memo,
             if width > 0.5 * w2:  # the last two steps did not halve the bracket
                 s_new = 0.5 * (s_lo + s_hi)
             else:
-                f_lo, f_hi, r_lo, r_hi = F[i - 1], F[i], R[i - 1], R[i]
+                f_lo, f_hi, r_lo, r_hi = lo[1], hi[1], lo[2], hi[2]
                 if by_rate:
                     goal = _rate_level(s_lo, f_lo, f_hi, r_lo, r_hi, goal)
                 s_new = _step(s_lo, s_hi, f_lo, f_hi, r_lo, r_hi, goal, _GAP_TOL)
@@ -400,33 +354,34 @@ def _search(problem: _Problem, goals: list[float], memo: _Memo,
             continue
         uniq = sorted(lanes)
         u = len(uniq)
-        starts = None  # cold while the memo is empty, which also rules out time-sharing
+        starts = None  # cold while the memo holds only s = 0, which also rules out time-sharing
         if m:  # the nearer solve, the lower one on a tie
-            at = [bisect_left(S, s, 0, m) for s in uniq]
-            starts = memo.rows[[row[j - 1] if j == m or (j and s - S[j - 1] <= S[j] - s)
-                                else row[j] for s, j in zip(uniq, at)], _Q: _Q + nx]
+            starts = []
+            for s in uniq:
+                j = bisect_left(memo, s, 0, m, key=_SLOPE)
+                lower = j == m or (j and s - memo[j - 1][0] <= memo[j][0] - s)
+                starts.append(memo[j - 1 if lower else j][5])
         slopes = uniq
         if shares:
-            share_t, lo, hi, g_lo, g_hi, at_s = (list(c) for c in zip(*shares))
-            slopes = uniq + at_s
-            starts = np.concatenate((starts, _mix(memo.rows[lo], np.array(g_lo), memo.rows[hi],
-                                                  np.array(g_hi), nx)))
+            _, lo, hi, g_lo, g_hi = zip(*shares)
+            slopes = uniq + [x[0] for x in lo]
+            starts.extend(_mix(lo, g_lo, hi, g_hi))
         new = _lanes(problem.e, problem.w, slopes, starts)
-        again = [b for b, g in enumerate(new[:u, _GAP].tolist()) if g > _GAP_TOL] if m else []
+        again = [b for b in range(u) if new[b][3] > _GAP_TOL] if m else []
         if again:
-            cold = _lanes(problem.e, problem.w, [uniq[b] for b in again], None)
-            better = cold[:, _GAP] < new[again, _GAP]
-            new[np.array(again)[better]] = cold[better]
-        base = memo.add(new, u)
-        if shares:
-            for b, (t, (s, f, r)) in enumerate(zip(share_t, new[u:, :_GAP].tolist()), base + u):
-                if by_rate:
-                    g = goals[t] - max(r, 0.0)
-                    found[t], ok[t] = b, abs(g) <= -s * tol or (g > 0.0 and f <= floor)
-                else:
-                    found[t], ok[t] = b, abs(f - goals[t]) <= tol
-    rows = memo.rows[found]
-    return rows, np.array(ok) & (rows[:, _GAP] <= _GAP_TOL)
+            for b, cold in zip(again, _lanes(problem.e, problem.w, [uniq[b] for b in again], None)):
+                if cold[3] < new[b][3]:
+                    new[b] = cold
+        for solve in new[:u]:
+            bisect.insort_left(memo, solve, key=_SLOPE)
+        for (t, *_), solve in zip(shares, new[u:]):
+            s, f, r = solve[:3]
+            if by_rate:
+                g = goals[t] - max(r, 0.0)
+                found[t], ok[t] = solve, abs(g) <= -s * tol or (g > 0.0 and f <= floor)
+            else:
+                found[t], ok[t] = solve, abs(f - goals[t]) <= tol
+    return found, [o and x[3] <= _GAP_TOL for o, x in zip(ok, found)]
 
 
 def _step(s_lo: float, s_hi: float, f_lo: float, f_hi: float, r_lo: float, r_hi: float,
@@ -490,8 +445,8 @@ def _rate_level(s_lo: float, f_lo: float, f_hi: float, r_lo: float, r_hi: float,
     return f_lo + 2.0 * excess / (-s_lo + math.sqrt(disc if disc > 0.0 else 0.0))
 
 
-def _mix(lo: np.ndarray, g_lo: np.ndarray, hi: np.ndarray, g_hi: np.ndarray, nx: int):
-    """The start pmfs of time-sharing lanes between memo rows lo and hi,
+def _mix(lo, g_lo, hi, g_hi) -> np.ndarray:
+    """The start pmfs of time-sharing lanes between the solves lo and hi,
     the ends of collapsed brackets with residuals g_lo <= 0 < g_hi: the mix
     of their output pmfs with the weight that puts the residual on 0.
 
@@ -502,8 +457,9 @@ def _mix(lo: np.ndarray, g_lo: np.ndarray, hi: np.ndarray, g_hi: np.ndarray, nx:
     mix is on the goal. It is certified at s too: each multiplier c(x) is
     convex in q, so at the mix it is at most the same mix of the ends'.
     """
+    g_lo, g_hi = np.array(g_lo), np.array(g_hi)
     w = (g_lo / (g_lo - g_hi))[:, None]
-    return (1.0 - w) * lo[:, _Q: _Q + nx] + w * hi[:, _Q: _Q + nx]
+    return (1.0 - w) * np.array([x[5] for x in lo]) + w * np.array([x[5] for x in hi])
 
 
 def _solve_levels(problem: _Problem, levels) -> list[SlopePoint]:
@@ -515,12 +471,13 @@ def _solve_levels(problem: _Problem, levels) -> list[SlopePoint]:
     f(f^-1(lo)). A lone level is solved by the joint Newton iteration
     (``_newton_seed``), whose certified point on the level is returned as it
     is; only when it falls short does a lane at -1/span, solved from its
-    start, seed a memo for the search. Several levels seed theirs by one kernel call on a ladder of
-    slopes around -1/span (``_LADDER``).
+    start, seed a memo for the search. Several levels seed theirs by one
+    kernel call on a ladder of slopes around -1/span (``_LADDER``). A level
+    at or above hi is the s = 0 solve, flagged clamped above hi + tol_f. All
+    the solves become SlopePoints in one ``_points`` call.
     """
     lo, hi, tol_f = problem.lo, problem.hi, problem.tol_f
-    pts: list[SlopePoint | None] = []
-    todo = []
+    solves, todo = [], []  # a solve per level, None where the search finds it
     for level in levels:
         if level < lo - tol_f:
             # the round trip f(f^-1(lo)), from which a sweep builds its grid,
@@ -534,32 +491,28 @@ def _solve_levels(problem: _Problem, levels) -> list[SlopePoint]:
                     f"minimum {d_lo:g}"
                 )
             level = lo
-        if level > hi + tol_f:
-            pts.append(replace(problem.zero, clamped=True))
-        elif level >= hi - tol_f:
-            pts.append(problem.zero)
+        if level >= hi - tol_f:
+            solves.append(problem.zero)
         else:
-            pts.append(None)
+            solves.append(None)
             todo.append(level)
-    if not todo:
-        return pts
-    if len(levels) == 1:
-        row, hit = _newton_seed(problem, todo[0])
-        if hit:
-            return _points(problem.amended, row, np.array([True]))
-        memo = _Memo()
-        memo.add(row, 1)
-    else:
-        memo = _Memo()
-        if len(todo) > 1:
-            memo.add(_lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER], None),
-                 len(_LADDER))
-    rows, conv = _search(problem, todo, memo)
-    found = iter(_points(problem.amended, rows, conv))
-    return [p if p is not None else next(found) for p in pts]
+    converged = [True] * len(levels)
+    if todo:
+        if len(levels) == 1:
+            solve, hit = _newton_seed(problem, todo[0])
+            found = ([solve], [True]) if hit else _search(problem, todo, [solve, problem.zero])
+        else:
+            ladder = sorted(_lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER],
+                                   None), key=_SLOPE) if len(todo) > 1 else []
+            found = _search(problem, todo, ladder + [problem.zero])
+        at = [j for j, solve in enumerate(solves) if solve is None]
+        for j, solve, ok in zip(at, *found):
+            solves[j], converged[j] = solve, ok
+    pts = _points(problem.amended, solves, converged)
+    return [replace(p, clamped=True) if level > hi + tol_f else p for p, level in zip(pts, levels)]
 
 
-def _newton_seed(problem: _Problem, level: float) -> tuple[np.ndarray, bool]:
+def _newton_seed(problem: _Problem, level: float) -> tuple[tuple, bool]:
     """A lone level in one kernel call: the start at s0 = -1/span
     (``kernels.level_start``, to the gap ``kernels._START_GAP``), then the
     joint Newton iteration on (q, s) (``kernels.level_newton``) from its
@@ -567,9 +520,10 @@ def _newton_seed(problem: _Problem, level: float) -> tuple[np.ndarray, bool]:
     start's own point (s0, f0) and the zero-rate end (0, hi): s0 (hi -
     level) / (hi - f0), clamped to [_SECANT_LO, _SECANT_HI] s0. The kernel
     call certifies the joint point, a one-iteration lane at its slope and
-    pmf. Returns its memo row and True when it is certified and within
-    ``problem.tol_f`` of the level; otherwise the row of a lane at s0 solved
-    on from the start's pmf to _GAP_TOL, which seeds the search, and False.
+    pmf. Returns its solve and True when it is certified and within
+    ``problem.tol_f`` of the level; otherwise the solve of a lane at s0
+    solved on from the start's pmf to _GAP_TOL, which seeds the search, and
+    False. The start's iterations count toward the solve's.
     """
     e, w, hi, tol_f = problem.e, problem.w, problem.hi, problem.tol_f
     s0 = -1.0 / (hi - problem.lo)
@@ -577,13 +531,10 @@ def _newton_seed(problem: _Problem, level: float) -> tuple[np.ndarray, bool]:
     ratio = (hi - level) / (hi - f0) if f0 < hi else _SECANT_HI
     s1 = s0 * min(max(ratio, _SECANT_LO), _SECANT_HI)
     s, q, points = kernels.level_newton(e, w, s1, q0, level, tol_f, _MAX_ITERS, _GAP_TOL)
-    row = _rows([s], *kernels.ba_fixed_slope_loop(e, w, np.array([s]), 1, _GAP_TOL, q[None]))
-    row[0, _IT] = points
-    hit = bool(row[0, _GAP] <= _GAP_TOL and abs(row[0, _F] - level) <= tol_f)
-    if not hit:
-        row = _lanes(e, w, [s0], q0[None])
-    row[0, _IT] += climbed  # the start's iterations count toward the point
-    return row, hit
+    (joint,) = _lanes(e, w, [s], q[None], 1)
+    hit = joint[3] <= _GAP_TOL and abs(joint[1] - level) <= tol_f
+    s, f, r, g, iters, q_out, q_cond = joint if hit else _lanes(e, w, [s0], q0[None])[0]
+    return (s, f, r, g, (points if hit else iters) + climbed, q_out, q_cond), hit
 
 
 def _certified(pt: SlopePoint) -> SlopePoint:
@@ -662,7 +613,7 @@ def distortion_at_rate(
         return d_hi
     if hi - lo <= tol_f:  # the whole curve is within the level tolerance of d_min
         return d_lo
-    rows, conv = _search(problem, [rate_nats], _Memo(), by_rate=True)
-    pt = _certified(_points(problem.amended, rows, conv)[0])
+    found = _search(problem, [rate_nats], [problem.zero], by_rate=True)
+    pt = _certified(_points(problem.amended, *found)[0])
     # short of rate_nats within the level tolerance of d_min
     return d_lo if rate_nats > pt.rate and pt.f_distortion <= lo + tol_f else pt.distortion

@@ -52,7 +52,9 @@ class Alphabet:
 
 
 def _clean_probs(arr: np.ndarray, what: str) -> np.ndarray:
-    """Reject genuinely negative entries, zero out float dust."""
+    """Reject non-finite and genuinely negative entries, zero out float dust."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has a non-finite entry")
     if arr.min(initial=0.0) < -_NEG_ATOL:
         raise NegativeProbability(f"{what} has negative entry {arr.min():g}")
     return np.clip(arr, 0.0, None)

@@ -414,6 +414,17 @@ class TestSubadd:
 
 
 class TestSourceFile:
+    @pytest.mark.parametrize("command", [["point", "--D", "0.3"], ["curve", "--points", "3"]],
+                             ids=["point", "curve"])
+    def test_nan_joint_exit_code(self, capsys, tmp_path, command):
+        # a NaN entry passed the sign and sum checks: `point` printed 0 and
+        # `curve` rows of zeros marked converged, both with exit 0
+        path = tmp_path / "nan.json"
+        path.write_text('{"joint": [[NaN, 0.5], [0.25, 0.25]]}')
+        code, out, err = run(capsys, *command[:1], "--source", str(path), *command[1:])
+        assert code == 2 and out == ""
+        assert "non-finite" in err
+
     def test_curve_from_json_source(self, capsys, tmp_path):
         spec = {
             "x_alphabet": ["0", "1"],

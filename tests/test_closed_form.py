@@ -50,6 +50,16 @@ class TestBinaryEntropy:
         with pytest.raises(DomainError):
             binary_entropy(-0.1)
 
+    def test_nan_raises(self):
+        # NaN compares false with both ends of the range: binary_entropy gave
+        # 0.0 and its inverse 1.6e-61
+        with pytest.raises(DomainError):
+            binary_entropy(math.nan)
+        with pytest.raises(DomainError):
+            binary_entropy(np.array([0.2, math.nan]))
+        with pytest.raises(DomainError):
+            binary_entropy_inverse(math.nan)
+
     def test_slack_clamped(self):
         assert binary_entropy(1.0 + 5e-13) == 0.0
 

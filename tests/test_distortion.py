@@ -8,6 +8,7 @@ import pytest
 
 from irdf import (
     DistortionMatrix,
+    DomainError,
     EmptyInput,
     FTransform,
     LengthMismatch,
@@ -153,6 +154,16 @@ class TestQuasiArithmeticMean:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             quasi_arithmetic_mean(FTransform.identity(), [])
+
+    def test_nan_rejected(self):
+        # raised OutOfRange "identity overflows on the distortions, up to nan"
+        with pytest.raises(ValueError, match="NaN"):
+            quasi_arithmetic_mean(FTransform.identity(), [math.nan, 1.0])
+
+    def test_negative_rejected(self):
+        # sqrt of a negative value warned "invalid value encountered in sqrt"
+        with pytest.raises(DomainError, match="negative"):
+            quasi_arithmetic_mean(FTransform.sqrt(), [-1.0, 1.0])
 
     @pytest.mark.parametrize("rho, xis", [(800.0, [0.5, 1.0]), (709.7, [1.0, 1.0])],
                              ids=["value", "sum"])

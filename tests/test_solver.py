@@ -88,6 +88,21 @@ class TestFixedSlope:
         with pytest.raises(ValueError):
             ba_fixed_slope(am, src.z_marginal, 0.5)
 
+    @pytest.mark.parametrize("s", [math.nan, -math.inf], ids=["nan", "minus_inf"])
+    def test_non_finite_slope_rejected(self, s):
+        # NaN gave a point with slope NaN, and -inf a RuntimeWarning from the tilt
+        _, src, d = bsc_problem(0.15)
+        am = build_amended(src, d, FTransform.identity())
+        with pytest.raises(ValueError, match="slope"):
+            ba_fixed_slope(am, src.z_marginal, s)
+
+    def test_non_finite_start_rejected(self):
+        # an inf entry passed the sign and mass checks, then gave NaN rows
+        _, src, d = bsc_problem(0.15)
+        am = build_amended(src, d, FTransform.identity())
+        with pytest.raises(ValueError, match="q0"):
+            ba_fixed_slope(am, src.z_marginal, -0.5, q0=np.array([math.inf, 1.0]))
+
     def test_distortion_monotone_in_slope(self):
         rng = np.random.default_rng(3)
         joint = rng.random((3, 3))
@@ -514,23 +529,23 @@ class TestSlopeSearch:
         # the identity the search step rests on: G(s) = s * f - rate is
         # convex with G' = f, so between consecutive solves G rises by
         # between f_1 * h and f_2 * h, up to the two gaps
-        memos = []
+        memos = []  # each search's memo, which it fills in place
+        real = solver._search
 
-        class Recorded(solver._Memo):
-            def __init__(self):
-                super().__init__()
-                memos.append(self)
+        def recorded(problem, goals, memo, by_rate=False):
+            memos.append(memo)
+            return real(problem, goals, memo, by_rate)
 
-        monkeypatch.setattr(solver, "_Memo", Recorded)
+        monkeypatch.setattr(solver, "_search", recorded)
         pairs = 0
         for draw in range(100):
             src, d, f, am = _segment_draw(draw)
             memos.clear()
             sweep_curve(src, d, f, 10)
             for memo in memos:
-                gaps = np.maximum(memo.rows[memo.row, solver._GAP], 0.0)
-                cols = zip(memo.slope, memo.f, memo.rate, gaps)
-                for (s1, f1, r1, g1), (s2, f2, r2, g2) in itertools.pairwise(cols):
+                solves = memo[:-1]  # the s < 0 solves, without the analytic s = 0 one
+                for (s1, f1, r1, g1, *_), (s2, f2, r2, g2, *_) in itertools.pairwise(solves):
+                    g1, g2 = max(g1, 0.0), max(g2, 0.0)
                     h, rise = s2 - s1, (s2 * f2 - r2) - (s1 * f1 - r1)
                     slack = g1 + g2 + 1e-14 * (abs(s1 * f1) + abs(s2 * f2) + abs(r1) + abs(r2))
                     assert f1 * h - slack <= rise <= f2 * h + slack
@@ -596,15 +611,16 @@ class TestSlopeSearch:
         m, src, d = bsc_problem(0.15)
         am = build_amended(src, d, m.f)
         target = float(m.f.apply(0.3))
-        memo = solver._Memo()
         problem = solver._Problem(am, src.z_marginal)
+        memo = [problem.zero]
         first = solver._points(am, *solver._search(problem, [target], memo))[0]
         slopes = _count_solves(monkeypatch)
         again = solver._points(am, *solver._search(problem, [target], memo))[0]
         assert slopes == []
         for name in ("slope", "rate", "f_distortion", "gap"):
             assert getattr(again, name) == getattr(first, name)
-        assert all(a < b < 0.0 for a, b in zip(memo.slope, memo.slope[1:]))
+        kept = [solve[0] for solve in memo]  # slopes ascending, ending at the s = 0 solve
+        assert kept[-1] == 0.0 and all(a < b < 0.0 for a, b in zip(kept, kept[1:-1]))
 
 
 @pytest.fixture(scope="module")
@@ -641,9 +657,9 @@ class TestLoneLevel:
         monkeypatch.setattr(solver, "_BISECTION_TOL", 1e-12)
         for src, d, f, am, D in criterion_05_targets:
             pt = solve_at_distortion(src, d, f, D, amended=am)
-            rows, conv = solver._search(solver._Problem(am, src.z_marginal),
-                                        [float(f.apply(D))], solver._Memo())
-            alone = solver._points(am, rows, conv)[0]
+            problem = solver._Problem(am, src.z_marginal)
+            found = solver._search(problem, [float(f.apply(D))], [problem.zero])
+            alone = solver._points(am, *found)[0]
             assert alone.converged and abs(pt.rate - alone.rate) <= 1e-9
 
     def test_kernel_calls_per_solve(self, monkeypatch, criterion_05_targets):
@@ -662,7 +678,7 @@ class TestLoneLevel:
     def test_certified_point_is_returned_without_a_search(self, monkeypatch,
                                                           criterion_05_targets):
         # a certified joint point on its level goes straight to its
-        # SlopePoint: no memo, no zero-rate row, no search round
+        # SlopePoint: no memo, no zero-rate solve, no search round
         def no_search(*args, **kwargs):
             raise AssertionError("the slope search ran")
 
@@ -1033,8 +1049,9 @@ class TestKernel:
         assert abs(rate - rate_cold) <= 1e-10
         assert rate - _blahut_lower_bound(e, pz, -3.0, q_out, f_dist) <= gap + 1e-12
 
-    @pytest.mark.parametrize("q0", [[0.0, 0.0, 0.0, 0.0], [0.5, -0.1, 0.3, 0.3], [0.5, 0.5]],
-                             ids=["no_mass", "negative", "wrong_size"])
+    @pytest.mark.parametrize("q0", [[0.0, 0.0, 0.0, 0.0], [0.5, -0.1, 0.3, 0.3], [0.5, 0.5],
+                                    [0.5, math.inf, 0.3, 0.3], [0.5, math.nan, 0.3, 0.3]],
+                             ids=["no_mass", "negative", "wrong_size", "infinite", "nan"])
     def test_invalid_start_rejected(self, q0):
         e, pz = _dropping_problem()
         with pytest.raises(ValueError, match="q0"):

@@ -72,9 +72,28 @@ class TestFromPriorAndChannel:
         with pytest.raises(NegativeProbability):
             JointSource.from_prior_and_channel((1.1, -0.1), np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_prior_rejected(self, bad):
+        # NaN compares false with both the sign and the sum checks
+        with pytest.raises(ValueError, match="prior has a non-finite entry"):
+            JointSource.from_prior_and_channel((bad, 0.5), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_channel_rejected(self, bad):
+        with pytest.raises(ValueError, match="channel has a non-finite entry"):
+            JointSource.from_prior_and_channel((0.5, 0.5), [[bad, 0.5], [0.5, 0.5]])
+
     def test_small_slack_renormalized(self):
         src = JointSource.from_prior_and_channel((0.5 + 4e-10, 0.5), np.eye(2))
         assert abs(src.joint.sum() - 1.0) < 1e-12
+
+
+class TestFromJoint:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_rejected(self, bad):
+        # a NaN entry gave a source whose marginals and posterior were all NaN
+        with pytest.raises(ValueError, match="joint pmf has a non-finite entry"):
+            JointSource.from_joint([[bad, 0.5], [0.25, 0.25]])
 
 
 class TestPosterior:
