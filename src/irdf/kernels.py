@@ -88,11 +88,12 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
 
     certifies q once gap = max_x log c(x) <= gap_tol over every letter. One
     vectorized pass computes the tilt, c and the gap of every lane at its
-    start, so a start that is already certified costs one iteration and no
-    per-lane work. Each other lane climbs on its own (``_ascend``), retires
-    on its own certificate and leaves its final pmf in its row of q. After
-    any climb the final vectorized pass tilts every lane again from its pmf,
-    and then assembles every lane's results there.
+    start, and one comparison picks the lanes whose gap exceeds gap_tol: a
+    certified start costs one iteration and no per-lane work. Each other
+    lane climbs on its own (``_ascend``), retires on its own certificate
+    and leaves its final pmf in its row of q. After any climb the final
+    vectorized pass tilts every lane again from its pmf, and then assembles
+    every lane's results there.
 
     Returns (q_cond, q_out, f_dist, rate, iters, gap) stacked over lanes, with
     shapes (B, nz, nx), (B, nx), (B,), (B,), (B,), (B,): q_out is the output
@@ -119,24 +120,21 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
     with np.errstate(under="ignore"):
         tilt = _tilted(expected_f, pz, s, q)
         if max_iters > 1:
-            c = tilt[3]
-            for b, v in enumerate(c.max(axis=1).tolist()):
-                if math.log(v) > gap_tol:
-                    iters[b] = _ascend(expected_f, pz, s[b], q[b], c[b], max_iters, gap_tol)[0]
+            for b in np.flatnonzero(tilt[4] > gap_tol).tolist():
+                iters[b] = _ascend(expected_f, pz, s[b], q[b], tilt[3][b], max_iters, gap_tol)[0]
             if max(iters) > 1:  # a lane climbed: its row of q is its final pmf
                 tilt = _tilted(expected_f, pz, s, q)
         q_cond, f_dist, rate, gap = _assemble(expected_f, pz, s, q, *tilt)
     return q_cond, q, f_dist, rate, np.array(iters), gap
 
 
-def _assemble(expected_f, pz, s, q, m, a, den, c):
+def _assemble(expected_f, pz, s, q, m, a, den, c, gap):
     """The results of lanes at their output pmfs q, stacked over lanes: the
     tilted conditional, the distortion, the rate and Blahut's gap, from
-    ``_tilted``'s row minima m, tilt a, den and c at q. Every point is
+    ``_tilted``'s row minima m, tilt a, den, c and gap at q. Every point is
     certified here, from its slope and its pmf alone, as a lane of
     ``ba_fixed_slope_loop``: a lone level's joint point too.
     """
-    gap = np.log(c.max(axis=1))
     if a.max(initial=0.0) >= _A_CAP or gap.max(initial=0.0) == math.inf:
         # a capped tilt understates c off the support, and c there may
         # overflow: there log c comes by log-sum-exp over z
@@ -160,11 +158,12 @@ def _assemble(expected_f, pz, s, q, m, a, den, c):
 def _tilted(expected_f, pz, s, q):
     """Row minima m over each lane's support (the letters of q with positive
     mass), the tilt a over all letters (its exponent capped at _EXP_CAP off
-    the support), den = a q and c, stacked over lanes."""
+    the support), den = a q, c and the gap log max c, stacked over lanes."""
     m = np.where(q[:, None, :] > 0.0, expected_f, np.inf).min(axis=2)
     a = np.exp(np.minimum(s[:, None, None] * (expected_f - m[:, :, None]), _EXP_CAP))
     den = np.matmul(a, q[:, :, None])[:, :, 0]
-    return m, a, den, np.einsum("bz,bzx->bx", pz / den, a)
+    c = np.einsum("bz,bzx->bx", pz / den, a)
+    return m, a, den, c, np.log(c.max(axis=1))
 
 
 def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
@@ -184,8 +183,8 @@ def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
     halved until Phi rises or, with Phi flat to roundoff, max c falls; a
     halving counts as an iteration. A step that drops letters moves the row
     minima m, so Phi is compared across it as sum_z p(z) (log den(z) + s
-    m(z)). The loop also ends, uncertified, at max_iters or when no halved
-    step is accepted.
+    m(z)). The loop also ends, uncertified, at max_iters, when no halved
+    step is accepted, or once a trial leaves Phi and max c unchanged to the last bit.
 
     The tilt is rebuilt from the shifted rows (``_shifted``) whenever S
     changes, so every entry on S stays in [0, 1] and den(z) >= q(argmin) > 0
@@ -235,10 +234,15 @@ def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
             rise = phi_new - phi
             if rows_new is not rows:
                 rise += s * float(pz.dot(rows_new[0] - m))
-            if rise > flat or (rise >= -flat and max((pz / den_new).dot(a_new).tolist()) < c_top):
+            if rise > flat:
+                break
+            top = max((pz / den_new).dot(a_new).tolist()) if rise >= -flat else math.inf
+            if top < c_top or (rise == 0.0 and top == c_top):
                 break
         else:
             break  # no halved step raises Phi
+        if rise == 0.0 and top == c_top:
+            break  # Phi and max c unchanged to the last bit: no halving ranks the step
         q, den, phi = q_new, den_new, phi_new
         if rows_new is not rows:
             sup, out, rows, a = sup_new, out_new, rows_new, None

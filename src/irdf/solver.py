@@ -15,13 +15,13 @@ target alike.
 A search advances all of its targets (the levels of a sweep, or one level)
 in lockstep rounds over a memo: one list of solves, each one tuple of its
 slope, distortion, rate, gap, iterations and pmfs, in ascending slope and
-ending with the analytic s = 0 solve. A sweep's
-first kernel call is a ladder of slopes around s = -1/(hi - lo), the inverse
-of the transform-domain span, so that most levels start bracketed. Each
-round every unresolved target bisects the memo on its distortion (or minus
-its rate): a point on its level
-resolves it, the points around the level bracket it, or else doubling from
-the steepest of them (or from -1/span) does. Inside a bracket the step is
+ending with the analytic s = 0 solve. It starts with a solve below s = 0:
+a sweep's ladder of slopes around s = -1/(hi - lo), the inverse of the
+transform-domain span, so that most levels start bracketed, a lone level's
+seed lane, or a rate target's cold lane at -1/span. Each round every
+unresolved target bisects the memo on its distortion (or minus its rate):
+a point on its level resolves it, the points around the level bracket it,
+or else doubling from the steepest of them does. Inside a bracket the step is
 the root of a cubic model built from the two ends alone: in Blahut's
 parametric form (Blahut 1972, "Computation of channel capacity and
 rate-distortion functions") G(s) = s * D - R is convex with G'(s) = D, so
@@ -35,11 +35,11 @@ target's level from both sides. The step is safeguarded as in
 Brent 1973 ("Algorithms for Minimization without Derivatives"): clamped to
 a monotone model, the secant where the bracket is too narrow for the rates'
 gaps and roundoff, and bisection when two steps have not halved the
-bracket. Equal proposals merge, and the round's slopes
-go to one kernel call as lanes, each started from the output pmf of the
-nearest solved slope. A bracket that collapses onto one slope straddles a
-linear segment of the curve, whose level is reached by time-sharing the two
-ends. The bracket-width stop is relative to the slopes, so the search
+bracket. Equal proposals merge, and the round's slopes go to one kernel
+call as lanes, each started from the output pmf of the nearer end of the
+bracket that proposed it. A bracket that collapses onto one slope straddles
+a linear segment of the curve, whose level is reached by time-sharing the
+two ends. The bracket-width stop is relative to the slopes, so the search
 behaves alike at every transform-domain scale. Every target on a problem is
 solved to one level tolerance, tol_f = _BISECTION_TOL * max(1, hi - lo),
 which ``_Problem`` computes once; a rate target to |s| * tol_f in rate.
@@ -55,8 +55,9 @@ the start's own point (s0, f0) and the zero-rate end (0, hi), clamped to
 [0.5, 1.2] s0. The kernel call certifies its last point, a one-iteration
 lane at its slope and pmf; certified and on the level, it is the result,
 with no memo, no zero-rate solve and no search round. Otherwise a lane at s0
-is solved on to _GAP_TOL from the start's pmf and seeds the search. Sweeps
-and the rate target of ``distortion_at_rate`` run the search alone. A NaN
+is solved on to _GAP_TOL from the start's pmf and seeds the search. A
+sweep with a single level below hi is that lone level; other sweeps and the
+rate target of ``distortion_at_rate`` run the search alone. A NaN
 level or rate raises DomainError before any solve.
 All rates are nats internally; unit conversion happens only at reporting
 boundaries.
@@ -74,7 +75,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -255,9 +255,10 @@ def _search(problem: _Problem, goals: list[float], memo: list,
     """Slope searches for all ``goals`` at once, in lockstep rounds: the
     solve each one ends on and whether that point is converged.
 
-    ``memo`` holds the solves so far in ascending slope, ending with the
-    s = 0 solve (``problem.zero``), which closes a bracket with no
-    solve above it; the search inserts its own solves into it.
+    ``memo`` holds the solves so far in ascending slope: at least one below
+    s = 0, then the s = 0 solve (``problem.zero``), which closes a bracket
+    with no solve above it. The search adds its own solves to it, in one
+    sort by slope per round; no new slope equals a memo slope.
 
     A goal is a transform-domain level, or with ``by_rate`` a rate in nats.
     The searched key is the f_distortion, or minus the clamped rate, which
@@ -271,28 +272,27 @@ def _search(problem: _Problem, goals: list[float], memo: list,
     Each round every unresolved target bisects the memo on the key for its
     root and takes one step over the two solves on either side: the one on
     the goal with the smaller |g| is its result; with no solve below, its
-    lane doubles the steepest slope (or is -1/span); inside the bracket it
-    is ``_step``, the root of a cubic model of the curve through the two
-    ends, or the midpoint once the target's last two steps have not halved
-    its bracket. A rate goal takes the same step, toward the level where the
-    bracket's model of R(f) meets it (``_rate_level``): the supporting line
-    at the steeper end, bent to pass through the far end.
+    lane doubles the steepest slope; inside the bracket it is ``_step``,
+    the root of a cubic model of the curve through the two ends, or the
+    midpoint once the target's last two steps have not halved its bracket.
+    A rate goal takes the same step, toward the level where the bracket's
+    model of R(f) meets it (``_rate_level``): the supporting line at the
+    steeper end, bent to pass through the far end.
     A bracket collapsed onto one slope straddles a linear segment: its lane
     time-shares the two ends at its lower slope (``_mix``) and is the
     result, flagged unconverged unless it is on the goal, as is a solve
     settled on after ``_MAX_DOUBLINGS`` doublings or ``_MAX_SEARCH`` steps.
 
     Equal slopes merge into one kernel call, each regular lane started from
-    the output pmf of the nearest solve (uniform while the memo holds only
-    the s = 0 solve); lanes that end uncertified are solved again from the
+    the output pmf of the nearer end of the bracket that proposed it, the
+    lower one on a tie and never the s = 0 solve (a doubling lane from the
+    steepest solve); lanes that end uncertified are solved again from the
     uniform start, keeping the smaller gap (near a kink a warm start can
     stall where a cold one certifies), and then join the memo.
     """
-    span = problem.hi - problem.lo
     tol = problem.tol_f
     floor = problem.lo + tol  # a rate short of its goal at or below this f is at d_min
     key = (lambda x: -max(x[2], 0.0)) if by_rate else operator.itemgetter(1)
-    bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
     n = len(goals)
     found, ok = [None] * n, [True] * n
     rungs, steps = [0] * n, [0] * n  # doublings, and bracket steps
@@ -301,14 +301,14 @@ def _search(problem: _Problem, goals: list[float], memo: list,
     todo = list(range(n))
     while todo:
         m = len(memo) - 1  # the solves at s < 0
-        lanes = defaultdict(list)  # the targets proposing each slope
+        lanes = {}  # each proposed slope: its start pmf and the targets proposing it
         shares = []  # collapsed brackets: target, the two ends and their residuals
         for t in todo:
             goal = goals[t]
             level = -goal if by_rate else goal
             # the solves below i are at or below the level, so g_lo <= 0 < g_hi; the
             # result is the solve on the goal with the smaller |g|
-            i = bisect_right(memo, level, 0, m, key=key)
+            i = bisect.bisect_right(memo, level, 0, m, key=key)
             lo, hi = memo[i - 1] if i else None, memo[i]
             g_lo, g_hi = key(lo) - level if i else -math.inf, key(hi) - level
             if by_rate:  # within |s| tol of the rate, or short of it at f <= floor
@@ -328,7 +328,7 @@ def _search(problem: _Problem, goals: list[float], memo: list,
                     found[t], ok[t] = hi, False
                     continue
                 rungs[t] += 1
-                lanes[2.0 * hi[0] if m else -1.0 / span].append(t)
+                lanes.setdefault(2.0 * hi[0], (hi[5], []))[1].append(t)
                 continue
             s_lo, s_hi = lo[0], hi[0]
             width = s_hi - s_lo
@@ -348,32 +348,28 @@ def _search(problem: _Problem, goals: list[float], memo: list,
                 if by_rate:
                     goal = _rate_level(s_lo, f_lo, f_hi, r_lo, r_hi, goal)
                 s_new = _step(s_lo, s_hi, f_lo, f_hi, r_lo, r_hi, goal, _GAP_TOL)
-            lanes[s_new].append(t)
-        todo = [t for ts in lanes.values() for t in ts]
+            # started from the nearer end, the lower one on a tie, never the s = 0 solve
+            end = lo if i == m or s_new - s_lo <= s_hi - s_new else hi
+            lanes.setdefault(s_new, (end[5], []))[1].append(t)
+        todo = [t for _, ts in lanes.values() for t in ts]
         if not (lanes or shares):
             continue
-        uniq = sorted(lanes)
-        u = len(uniq)
-        starts = None  # cold while the memo holds only s = 0, which also rules out time-sharing
-        if m:  # the nearer solve, the lower one on a tie
-            starts = []
-            for s in uniq:
-                j = bisect_left(memo, s, 0, m, key=_SLOPE)
-                lower = j == m or (j and s - memo[j - 1][0] <= memo[j][0] - s)
-                starts.append(memo[j - 1 if lower else j][5])
-        slopes = uniq
+        slopes = sorted(lanes)
+        starts = [lanes[s][0] for s in slopes]
+        u = len(slopes)
         if shares:
             _, lo, hi, g_lo, g_hi = zip(*shares)
-            slopes = uniq + [x[0] for x in lo]
+            slopes += [x[0] for x in lo]
             starts.extend(_mix(lo, g_lo, hi, g_hi))
         new = _lanes(problem.e, problem.w, slopes, starts)
-        again = [b for b in range(u) if new[b][3] > _GAP_TOL] if m else []
+        again = [b for b in range(u) if new[b][3] > _GAP_TOL]
         if again:
-            for b, cold in zip(again, _lanes(problem.e, problem.w, [uniq[b] for b in again], None)):
-                if cold[3] < new[b][3]:
-                    new[b] = cold
-        for solve in new[:u]:
-            bisect.insort_left(memo, solve, key=_SLOPE)
+            cold = _lanes(problem.e, problem.w, [slopes[b] for b in again], None)
+            for b, solve in zip(again, cold):
+                if solve[3] < new[b][3]:
+                    new[b] = solve
+        memo.extend(new[:u])  # no new slope equals a memo slope
+        memo.sort(key=_SLOPE)
         for (t, *_), solve in zip(shares, new[u:]):
             s, f, r = solve[:3]
             if by_rate:
@@ -468,13 +464,14 @@ def _solve_levels(problem: _Problem, levels) -> list[SlopePoint]:
     search. A level at the left curve endpoint itself gives the closest
     achievable point (rates there are within slope*tolerance of the limit),
     and so does a level below it by no more than the roundoff of
-    f(f^-1(lo)). A lone level is solved by the joint Newton iteration
-    (``_newton_seed``), whose certified point on the level is returned as it
-    is; only when it falls short does a lane at -1/span, solved from its
-    start, seed a memo for the search. Several levels seed theirs by one
-    kernel call on a ladder of slopes around -1/span (``_LADDER``). A level
-    at or above hi is the s = 0 solve, flagged clamped above hi + tol_f. All
-    the solves become SlopePoints in one ``_points`` call.
+    f(f^-1(lo)). A level at or above hi is the s = 0 solve, flagged clamped
+    above hi + tol_f. A single level below hi, whether or not other levels
+    sit at hi, is solved by the joint Newton iteration (``_newton_seed``),
+    whose certified point on the level is returned as it is; only when it
+    falls short does a lane at -1/span, solved from its start, seed a memo
+    for the search. Several levels below hi seed theirs by one kernel call
+    on a ladder of slopes around -1/span (``_LADDER``). All the solves
+    become SlopePoints in one ``_points`` call.
     """
     lo, hi, tol_f = problem.lo, problem.hi, problem.tol_f
     solves, todo = [], []  # a solve per level, None where the search finds it
@@ -498,13 +495,12 @@ def _solve_levels(problem: _Problem, levels) -> list[SlopePoint]:
             todo.append(level)
     converged = [True] * len(levels)
     if todo:
-        if len(levels) == 1:
+        if len(todo) == 1:
             solve, hit = _newton_seed(problem, todo[0])
             found = ([solve], [True]) if hit else _search(problem, todo, [solve, problem.zero])
         else:
-            ladder = sorted(_lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER],
-                                   None), key=_SLOPE) if len(todo) > 1 else []
-            found = _search(problem, todo, ladder + [problem.zero])
+            ladder = _lanes(problem.e, problem.w, [-r / (hi - lo) for r in _LADDER], None)
+            found = _search(problem, todo, sorted(ladder, key=_SLOPE) + [problem.zero])
         at = [j for j, solve in enumerate(solves) if solve is None]
         for j, solve, ok in zip(at, *found):
             solves[j], converged[j] = solve, ok
@@ -552,7 +548,6 @@ def solve_at_distortion(
     d: DistortionMatrix,
     f: FTransform,
     D: float,
-    amended: AmendedDistortions | None = None,
 ) -> SlopePoint:
     """Rate at one raw distortion level D.
 
@@ -562,8 +557,7 @@ def solve_at_distortion(
     negative D among them, raise DomainError, as does a NaN D.
     """
     target = _level(f, D)
-    amended = amended if amended is not None else build_amended(src, d, f)
-    return _solve_levels(_Problem(amended, src.z_marginal), [target])[0]
+    return _solve_levels(_Problem(build_amended(src, d, f), src.z_marginal), [target])[0]
 
 
 def sweep_curve(
@@ -596,8 +590,8 @@ def distortion_at_rate(
 ) -> float:
     """Invert the curve: smallest raw distortion whose rate is <= rate_nats.
 
-    The slope search runs on the rate instead of the distortion, each step
-    the levels' step toward the level where the bracket's model of R(f)
+    The slope search runs on the rate, from one cold lane at -1/span, each
+    step the levels' step toward the level where the bracket's model of R(f)
     meets rate_nats, and stops once the rate is within |s| * tol_f of
     rate_nats: the problem's level tolerance carried to the rate axis by
     the curve's slope s. A rate at or above the curve's maximum gives d_min, and one at
@@ -613,7 +607,8 @@ def distortion_at_rate(
         return d_hi
     if hi - lo <= tol_f:  # the whole curve is within the level tolerance of d_min
         return d_lo
-    found = _search(problem, [rate_nats], [problem.zero], by_rate=True)
+    memo = _lanes(problem.e, problem.w, [-1.0 / (hi - lo)], None) + [problem.zero]
+    found = _search(problem, [rate_nats], memo, by_rate=True)
     pt = _certified(_points(problem.amended, *found)[0])
     # short of rate_nats within the level tolerance of d_min
     return d_lo if rate_nats > pt.rate and pt.f_distortion <= lo + tol_f else pt.distortion

@@ -116,7 +116,7 @@ def test_criterion_03_general_transform_agreement():
         worst = 0.0
         for u in np.arange(1, 41) / 40:
             D = d_lo + (d_hi - d_lo) * float(u)
-            got = solve_at_distortion(src, d, f, D, amended=am).rate
+            got = solve_at_distortion(src, d, f, D).rate
             worst = max(worst, abs(got - bsc_irdf(m, D)))
         worst_overall = max(worst_overall, worst)
     report(3, worst_overall <= 1e-5, f"max deviation {worst_overall:.3g} nats")

@@ -1,6 +1,7 @@
 """Solver: slope fixed points, the slope search for a target level, sweeps,
 and points checked against the remote Blahut-Arimoto reference."""
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -332,6 +333,13 @@ def test_remote_reference(problem):
     assert pt.converged and _reference_deviation(src, d, f, pt)[0] <= 1e-8
 
 
+def _cold_memo(problem):
+    """A search's smallest memo: one lane at -1/span from the uniform pmf,
+    and the s = 0 solve."""
+    cold = solver._lanes(problem.e, problem.w, [-1.0 / (problem.hi - problem.lo)], None)
+    return cold + [problem.zero]
+
+
 def _count_solves(monkeypatch):
     """Slopes of every kernel lane, in call order."""
     slopes = []
@@ -380,6 +388,23 @@ class TestDistortionAtRate:
         assert len(slopes) <= 15
         assert abs(bsc_irdf(m, D) - 0.3) <= 1e-8
 
+    def test_first_lane_is_cold_at_the_inverse_span(self, monkeypatch):
+        # the search's memo starts with one lane from the uniform pmf at
+        # -1/span, solved before the search's first round
+        m, src, d = bsc_problem(0.15, FTransform.sqrt())
+        lo, hi = f_domain_bounds(build_amended(src, d, m.f), src.z_marginal)
+        calls = []
+        real = kernels.ba_fixed_slope_loop
+
+        def recorded(expected_f, pz, s, max_iters, gap_tol, q0=None):
+            calls.append((np.asarray(s).tolist(), q0))
+            return real(expected_f, pz, s, max_iters, gap_tol, q0)
+
+        monkeypatch.setattr(kernels, "ba_fixed_slope_loop", recorded)
+        D = distortion_at_rate(src, d, m.f, 0.3)
+        assert calls[0] == ([-1.0 / (hi - lo)], None) and len(calls) > 1
+        assert abs(bsc_irdf(m, D) - 0.3) <= 1e-8
+
     @pytest.mark.parametrize("rate", [0.05, 0.3])
     def test_round_trip_on_random_sources(self, rate, criterion_05_targets):
         # the lone level at the returned D is on the rate: the search's point
@@ -391,7 +416,7 @@ class TestDistortionAtRate:
         for src, d, f, am, _ in criterion_05_targets:
             lo, hi = f_domain_bounds(am, src.z_marginal)
             D = distortion_at_rate(src, d, f, rate)
-            pt = solve_at_distortion(src, d, f, D, amended=am)
+            pt = solve_at_distortion(src, d, f, D)
             assert pt.converged
             if D == f.invert(np.array([lo, hi]))[0] and pt.rate < rate:  # as the solver inverts lo
                 continue
@@ -525,6 +550,51 @@ class TestSlopeSearch:
             assert abs(pt.rate - oracle(m, pt.distortion)) <= 1e-8
 
 
+    def test_lanes_start_from_the_bracket_that_proposed_them(self, monkeypatch):
+        # every lane of a search round starts from the output pmf of the
+        # nearer end of the memo bracket around its slope, the lower one on a
+        # tie and never the s = 0 solve; a lane below every solve, from the
+        # steepest. A cold lane is only a retry of the round's uncertified
+        # lanes (the search once opened a rate target with a cold round), and
+        # a lane at a memo slope time-shares its bracket's ends
+        memo_now, checked = [], [0]  # the memo of the search running; the warm lanes checked
+        calls = []  # each kernel call's slopes, for the retries
+        real_search, real_kernel = solver._search, kernels.ba_fixed_slope_loop
+
+        def search(problem, goals, memo, by_rate=False):
+            memo_now.append(memo)
+            try:
+                return real_search(problem, goals, memo, by_rate)
+            finally:
+                memo_now.pop()
+
+        def kernel(expected_f, pz, s, max_iters, gap_tol, q0=None):
+            lanes = np.asarray(s).tolist()
+            if memo_now:
+                memo = memo_now[-1]
+                slopes = [x[0] for x in memo]
+                assert slopes[-1] == 0.0 and all(a < b for a, b in zip(slopes, slopes[1:]))
+                assert q0 is not None or set(lanes) <= set(calls[-1])
+                for s_b, q_b in zip(lanes, [] if q0 is None else q0):
+                    if s_b in slopes:
+                        continue
+                    j = bisect.bisect_left(slopes, s_b)
+                    lower = j == len(slopes) - 1 or (j and s_b - slopes[j - 1] <= slopes[j] - s_b)
+                    np.testing.assert_array_equal(q_b, memo[j - 1 if lower else j][5])
+                    checked[0] += 1
+            calls.append(lanes)
+            return real_kernel(expected_f, pz, s, max_iters, gap_tol, q0)
+
+        monkeypatch.setattr(solver, "_search", search)
+        monkeypatch.setattr(kernels, "ba_fixed_slope_loop", kernel)
+        for draw in range(100):
+            src, d, f, am = _segment_draw(draw)
+            lo, hi = f_domain_bounds(am, src.z_marginal)
+            if hi - lo > 1e-9:
+                sweep_curve(src, d, f, 10)
+                distortion_at_rate(src, d, f, 0.2)
+        assert checked[0] > 1000
+
     def test_conjugate_is_convex_between_memo_solves(self, monkeypatch):
         # the identity the search step rests on: G(s) = s * f - rate is
         # convex with G' = f, so between consecutive solves G rises by
@@ -612,7 +682,7 @@ class TestSlopeSearch:
         am = build_amended(src, d, m.f)
         target = float(m.f.apply(0.3))
         problem = solver._Problem(am, src.z_marginal)
-        memo = [problem.zero]
+        memo = _cold_memo(problem)
         first = solver._points(am, *solver._search(problem, [target], memo))[0]
         slopes = _count_solves(monkeypatch)
         again = solver._points(am, *solver._search(problem, [target], memo))[0]
@@ -641,7 +711,7 @@ class TestLoneLevel:
 
     def test_certified_on_level_and_on_the_curve(self, criterion_05_targets):
         for src, d, f, am, D in criterion_05_targets:
-            pt = solve_at_distortion(src, d, f, D, amended=am)
+            pt = solve_at_distortion(src, d, f, D)
             lo, hi = f_domain_bounds(am, src.z_marginal)
             assert pt.converged and pt.gap <= GAP_TOL
             assert abs(pt.f_distortion - f.apply(D)) <= BISECTION_TOL * max(1.0, hi - lo)
@@ -656,9 +726,9 @@ class TestLoneLevel:
         # of 1e-12 the two agree
         monkeypatch.setattr(solver, "_BISECTION_TOL", 1e-12)
         for src, d, f, am, D in criterion_05_targets:
-            pt = solve_at_distortion(src, d, f, D, amended=am)
+            pt = solve_at_distortion(src, d, f, D)
             problem = solver._Problem(am, src.z_marginal)
-            found = solver._search(problem, [float(f.apply(D))], [problem.zero])
+            found = solver._search(problem, [float(f.apply(D))], _cold_memo(problem))
             alone = solver._points(am, *found)[0]
             assert alone.converged and abs(pt.rate - alone.rate) <= 1e-9
 
@@ -669,11 +739,33 @@ class TestLoneLevel:
         # the joint point
         slopes = _count_solves(monkeypatch)
         calls = []
-        for src, d, f, am, D in criterion_05_targets:
+        for src, d, f, _, D in criterion_05_targets:
             before = len(slopes)
-            solve_at_distortion(src, d, f, D, amended=am)
+            solve_at_distortion(src, d, f, D)
             calls.append(len(slopes) - before)  # the certifying call's one lane
         assert calls == [1] * len(criterion_05_targets)
+
+    @pytest.mark.parametrize(
+        "f", [FTransform.identity(), FTransform.sqrt(), FTransform.exponential(9.2)],
+        ids=["identity", "sqrt", "exponential"])
+    @pytest.mark.parametrize("beta", [0.05, 0.15, 0.3])
+    def test_sweep_with_one_unsolved_level(self, monkeypatch, beta, f):
+        # a 2-point sweep's second level is the zero-rate end, so its first
+        # is a lone level: one kernel call and no search (a cold lane at
+        # -1/span and doubling took 6 to 8 calls)
+        def no_search(*args, **kwargs):
+            raise AssertionError("the slope search ran")
+
+        monkeypatch.setattr(solver, "_search", no_search)
+        slopes = _count_solves(monkeypatch)
+        m, src, d = bsc_problem(beta, f)
+        curve = sweep_curve(src, d, f, 2)
+        assert len(slopes) == 1 and curve.all_converged
+        lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
+        level = f.apply(0.5 * (curve.d_min + curve.d_max))
+        assert abs(curve.points[0].f_distortion - level) <= BISECTION_TOL * max(1.0, hi - lo)
+        for pt in curve.points:
+            assert abs(pt.rate - bsc_irdf(m, pt.distortion)) <= 1e-12
 
     def test_certified_point_is_returned_without_a_search(self, monkeypatch,
                                                           criterion_05_targets):
@@ -683,8 +775,8 @@ class TestLoneLevel:
             raise AssertionError("the slope search ran")
 
         monkeypatch.setattr(solver, "_search", no_search)
-        for src, d, f, am, D in criterion_05_targets:
-            assert solve_at_distortion(src, d, f, D, amended=am).converged
+        for src, d, f, _, D in criterion_05_targets:
+            assert solve_at_distortion(src, d, f, D).converged
 
     def test_joint_iteration_starts_at_the_secant_slope(self, monkeypatch,
                                                         criterion_05_targets):
@@ -712,7 +804,7 @@ class TestLoneLevel:
             for raw in (D, float(f.invert(lo + 0.01 * (hi - lo)))):
                 starts.clear()
                 joint.clear()
-                pt = solve_at_distortion(src, d, f, raw, amended=am)
+                pt = solve_at_distortion(src, d, f, raw)
                 assert pt.converged and len(starts) == len(joint) == 1
                 (s0, f0), s1 = starts[0], joint[0]
                 assert s0 == -1.0 / (hi - lo)
@@ -734,7 +826,7 @@ class TestLoneLevel:
         lo, hi = f_domain_bounds(am, src.z_marginal)
         D = float(f.invert(lo + frac * (hi - lo)))
         with np.errstate(over="raise"):
-            pt = solve_at_distortion(src, d, f, D, amended=am)
+            pt = solve_at_distortion(src, d, f, D)
         assert pt.converged
         assert abs(pt.f_distortion - f.apply(D)) <= BISECTION_TOL * (hi - lo)
 
@@ -743,7 +835,7 @@ class TestLoneLevel:
         # its slope from its pmf, it is certified before any ascent step, at
         # the same rate and distortion
         for src, d, f, am, D in criterion_05_targets:
-            pt = solve_at_distortion(src, d, f, D, amended=am)
+            pt = solve_at_distortion(src, d, f, D)
             e, pz = _reduced(am, src.z_marginal)
             _, _, f_dist, rate, iters, gap = _one_lane(e, pz, pt.slope, MAX_ITERS, GAP_TOL,
                                                        pt.q_out)
@@ -824,7 +916,7 @@ def test_lone_levels_under_stress(monkeypatch):
     for src, d, f, am, lo, hi, level in _stress_targets():
         before = len(slopes)
         D = float(f.invert(level))
-        pt = solve_at_distortion(src, d, f, D, amended=am)
+        pt = solve_at_distortion(src, d, f, D)
         assert pt.converged and pt.gap <= GAP_TOL
         assert abs(pt.f_distortion - f.apply(D)) <= BISECTION_TOL * max(1.0, hi - lo)
         assert len(slopes) - before == 1
@@ -890,12 +982,13 @@ def _criterion_05_draw(index):
     return next(itertools.islice(_criterion_05_draws(), index, None))
 
 
-def _segment_draw(index):
+def _segment_draw(index, seed=20240817, sizes=5):
     """Draw ``index`` (0-based) of the criterion-05 generator without its
-    level draw: source, distortion, transform and amended matrices."""
-    rng = np.random.default_rng(20240817)
+    level draw: source, distortion, transform and amended matrices. Another
+    seed, and alphabet sizes below another bound, give a variant."""
+    rng = np.random.default_rng(seed)
     for _ in range(index + 1):
-        nx, nz, nh = rng.integers(2, 5, size=3)
+        nx, nz, nh = rng.integers(2, sizes, size=3)
         joint = rng.random((nx, nz)) ** 2
         src = JointSource.from_joint(joint / joint.sum())
         d = DistortionMatrix(rng.random((nx, nh)))
@@ -910,7 +1003,7 @@ def _check_segment_level(draw, frac):
     src, d, f, am = _segment_draw(draw)
     lo, hi = f_domain_bounds(am, src.z_marginal)
     level = lo + frac * (hi - lo)
-    pt = solve_at_distortion(src, d, f, float(f.invert(level)), amended=am)
+    pt = solve_at_distortion(src, d, f, float(f.invert(level)))
     assert abs(pt.f_distortion - level) <= BISECTION_TOL * max(1.0, hi - lo)
     assert pt.converged == (pt.gap <= GAP_TOL)
     e, pz = _reduced(am, src.z_marginal)
@@ -1135,6 +1228,26 @@ class TestKernel:
         assert 1e-20 < gap <= 1e-15
         assert q_out.sum() == pytest.approx(1.0, abs=1e-14)
 
+    def test_flat_trials_end_the_ascent(self, monkeypatch):
+        # draw 46 of the seed-99 variant (2x2 joint, 2x5 loss, identity):
+        # next to a kink of the curve, warm lanes start with a letter at a
+        # tiny mass, where Phi is flat to roundoff and max c does not fall.
+        # A halved trial that leaves both unchanged to the last bit ends the
+        # ascent, as a trial Phi ranks below the start does; halving on to
+        # the 1e-15 floor took the worst lane to 68 iterations (41 now)
+        iters = []
+        real = kernels.ba_fixed_slope_loop
+
+        def recorded(*args):
+            out = real(*args)
+            iters.extend(out[4].tolist())
+            return out
+
+        monkeypatch.setattr(kernels, "ba_fixed_slope_loop", recorded)
+        src, d, f, _ = _segment_draw(46, seed=99, sizes=6)
+        assert sweep_curve(src, d, f, 10).all_converged
+        assert max(iters) <= 50
+
     @pytest.mark.parametrize("draw", [0, 19, 49, 72, 97])
     def test_lanes_match_one_lane_calls(self, draw):
         # lanes are independent: a call with several slopes gives each lane
@@ -1207,7 +1320,7 @@ class TestKernel:
         for src, d, f, am, D in criterion_05_targets:
             ends.clear()
             lanes.clear()
-            pt = solve_at_distortion(src, d, f, D, amended=am)
+            pt = solve_at_distortion(src, d, f, D)
             (s, q, _), = ends
             assert lanes == [([s], 1)]
             e, pz = _reduced(am, src.z_marginal)
@@ -1272,7 +1385,7 @@ class TestDualityGap:
             am = build_amended(src, d, f)
             lo, hi = f_domain_bounds(am, src.z_marginal)
             D = lo + float(rng.uniform(0.15, 0.9)) * (hi - lo)
-            pt = solve_at_distortion(src, d, f, D, amended=am)
+            pt = solve_at_distortion(src, d, f, D)
             assert pt.converged and pt.gap <= GAP_TOL
             e, pz = _reduced(am, src.z_marginal)
             lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
