@@ -712,9 +712,8 @@ class TestLoneLevel:
     def test_certified_on_level_and_on_the_curve(self, criterion_05_targets):
         for src, d, f, am, D in criterion_05_targets:
             pt = solve_at_distortion(src, d, f, D)
-            lo, hi = f_domain_bounds(am, src.z_marginal)
             assert pt.converged and pt.gap <= GAP_TOL
-            assert abs(pt.f_distortion - f.apply(D)) <= BISECTION_TOL * max(1.0, hi - lo)
+            assert abs(pt.f_distortion - f.apply(D)) <= solver._Problem(am, src.z_marginal).tol_f
             e, pz = _reduced(am, src.z_marginal)
             lower = _blahut_lower_bound(e, pz, pt.slope, pt.q_out, pt.f_distortion)
             assert pt.rate - lower <= pt.gap + 1e-12
@@ -761,9 +760,9 @@ class TestLoneLevel:
         m, src, d = bsc_problem(beta, f)
         curve = sweep_curve(src, d, f, 2)
         assert len(slopes) == 1 and curve.all_converged
-        lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
+        tol_f = solver._Problem(build_amended(src, d, f), src.z_marginal).tol_f
         level = f.apply(0.5 * (curve.d_min + curve.d_max))
-        assert abs(curve.points[0].f_distortion - level) <= BISECTION_TOL * max(1.0, hi - lo)
+        assert abs(curve.points[0].f_distortion - level) <= tol_f
         for pt in curve.points:
             assert abs(pt.rate - bsc_irdf(m, pt.distortion)) <= 1e-12
 
@@ -828,7 +827,7 @@ class TestLoneLevel:
         with np.errstate(over="raise"):
             pt = solve_at_distortion(src, d, f, D)
         assert pt.converged
-        assert abs(pt.f_distortion - f.apply(D)) <= BISECTION_TOL * (hi - lo)
+        assert abs(pt.f_distortion - f.apply(D)) <= solver._Problem(am, src.z_marginal).tol_f
 
     def test_kernel_certifies_the_point_at_its_start(self, criterion_05_targets):
         # the joint point's certificate is the kernel's own: solved again at
@@ -918,7 +917,7 @@ def test_lone_levels_under_stress(monkeypatch):
         D = float(f.invert(level))
         pt = solve_at_distortion(src, d, f, D)
         assert pt.converged and pt.gap <= GAP_TOL
-        assert abs(pt.f_distortion - f.apply(D)) <= BISECTION_TOL * max(1.0, hi - lo)
+        assert abs(pt.f_distortion - f.apply(D)) <= solver._Problem(am, src.z_marginal).tol_f
         assert len(slopes) - before == 1
         n += 1
     assert n == 692
@@ -933,8 +932,8 @@ class TestTransformScale:
         d = DistortionMatrix(DistortionMatrix.hamming(2).values * scale)
         f = FTransform.identity()
         pt = solve_at_distortion(src, d, f, 0.3 * scale)
-        lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
-        assert abs(pt.f_distortion - 0.3 * scale) <= BISECTION_TOL * (hi - lo)
+        tol_f = solver._Problem(build_amended(src, d, f), src.z_marginal).tol_f
+        assert abs(pt.f_distortion - 0.3 * scale) <= tol_f
         assert pt.converged and abs(pt.rate - bsc_irdf(m, 0.3)) <= 1e-8
         D = distortion_at_rate(src, d, f, 0.3)
         assert abs(bsc_irdf(m, D / scale) - 0.3) <= 1e-8
