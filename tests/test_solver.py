@@ -29,7 +29,8 @@ from irdf import (
     sweep_curve,
 )
 from irdf import kernels, solver
-from test_acceptance import _criterion_05_draws, _random_transform, _reference_deviation
+from test_acceptance import (_criterion_05_draws, _random_transform, _reference_deviation,
+                             _remote_ba_lower_bound)
 
 LN2 = math.log(2.0)
 MAX_ITERS, GAP_TOL, BISECTION_TOL = solver._MAX_ITERS, solver._GAP_TOL, solver._BISECTION_TOL
@@ -731,6 +732,14 @@ class TestLoneLevel:
             alone = solver._points(am, *found)[0]
             assert alone.converged and abs(pt.rate - alone.rate) <= 1e-9
 
+    def test_work_budget(self, criterion_05_targets):
+        # start iterations plus joint points, summed over the targets: a
+        # cheaper step must not be bought with more steps (357 when the
+        # budget was set)
+        work = sum(solve_at_distortion(src, d, f, D).iterations
+                   for src, d, f, _, D in criterion_05_targets)
+        assert work <= 357
+
     def test_kernel_calls_per_solve(self, monkeypatch, criterion_05_targets):
         # the slope search alone took 7.0 one-lane calls per solve, and a
         # second call that certified the joint point 2; the start climbs
@@ -909,9 +918,11 @@ def _stress_targets():
 
 def test_lone_levels_under_stress(monkeypatch):
     # every lone level of the stress recipe is certified and on its level in
-    # one kernel call: the joint point, never the search's fallback
+    # one kernel call: the joint point, never the search's fallback; its
+    # start iterations and joint points stay within the budget (7,878 when
+    # it was set)
     slopes = _count_solves(monkeypatch)
-    n = 0
+    n = work = 0
     for src, d, f, am, lo, hi, level in _stress_targets():
         before = len(slopes)
         D = float(f.invert(level))
@@ -920,7 +931,38 @@ def test_lone_levels_under_stress(monkeypatch):
         assert abs(pt.f_distortion - f.apply(D)) <= solver._Problem(am, src.z_marginal).tol_f
         assert len(slopes) - before == 1
         n += 1
-    assert n == 692
+        work += pt.iterations
+    assert n == 692 and work <= 7878
+
+
+def _awgn_source(k):
+    """A discretized Gaussian seen through an AWGN channel at SNR 4: x on k
+    points of [-2.5, 2.5] with weights exp(-x**2 / 2), z on k points of
+    [-3, 3] with p(z | x) proportional to exp(-(z - x)**2 / 0.5), and
+    squared error to the x grid."""
+    x, z = np.linspace(-2.5, 2.5, k), np.linspace(-3.0, 3.0, k)
+    channel = np.exp(-(z[None, :] - x[:, None]) ** 2 / 0.5)
+    joint = np.exp(-x**2 / 2.0)[:, None] * channel / channel.sum(axis=1, keepdims=True)
+    return (JointSource.from_joint(joint / joint.sum()),
+            DistortionMatrix((x[:, None] - x[None, :]) ** 2))
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("f", [FTransform.identity(), FTransform.exponential(1.0)],
+                         ids=["identity", "exponential"])
+def test_mid_size_lone_levels(f, frac):
+    # 16 letters each for x, z and xhat, where every tier-1 source above has
+    # at most 5: the point is certified, on its level and on the remote
+    # Blahut-Arimoto reference
+    src, d = _awgn_source(16)
+    am = build_amended(src, d, f)
+    problem = solver._Problem(am, src.z_marginal)
+    level = problem.lo + frac * (problem.hi - problem.lo)
+    D = float(f.invert(level))
+    pt = solve_at_distortion(src, d, f, D)
+    assert pt.converged and abs(pt.f_distortion - f.apply(D)) <= problem.tol_f
+    lower, _ = _remote_ba_lower_bound(src.joint, d, f, pt.slope, pt.f_distortion)
+    assert abs(pt.rate - lower) <= 1e-8
 
 
 class TestTransformScale:
