@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ class DistortionMatrix:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
+    @cached_property
     def d_max(self) -> float:
         return float(self.values.max())
 
@@ -215,7 +216,7 @@ def build_amended(src: JointSource, d: DistortionMatrix, f: FTransform) -> Amend
             f"distortion has {d.n_source} source rows, alphabet has {src.x_alphabet.size}"
         )
     f.check_domain(d.d_max)
-    expected = np.einsum("xz,xh->zh", src.posterior, _finite_f(f, d.values))
+    expected = src.posterior.T.dot(_finite_f(f, d.values))
     used = src.used_z
     if not used.all():
         expected[~used] = 0.0

@@ -38,27 +38,42 @@ bordered Newton step), which move the slope and the fixed point together
 toward the point of the curve at a given distortion. Its start
 (``level_start``) is the ascent of one lane from the uniform pmf, solved
 only loosely, to the gap _START_GAP, with its distortion read off the
-ascent's last tilt and no end assembly. ``level_newton`` hands back only
-its last slope and pmf, which the caller certifies with a one-iteration
-lane of the fixed-point kernel, so one piece of code certifies every point,
-once, where it lands, instead of at every slope a root search on s would
-try. A support's shifted rows are computed once for all the points
-evaluated on it, so a point costs its tilt and the few small products that
-follow from it, and a step costs one bordered system built in place and one
-small solve.
+ascent's last tilt and no end assembly; ``level_newton`` takes over the
+start's support, pmf and shifted rows as they are. ``level_newton`` hands
+back only its last slope and pmf, which the caller certifies with a
+one-iteration lane of the fixed-point kernel, so one piece of code
+certifies every point, once, where it lands, instead of at every slope a
+root search on s would try.
+
+On these small systems the time goes to numpy's per-call overhead, not to
+arithmetic, so each point and each step is written in as few calls as the
+algebra allows. A support's shifted rows, on the support and then off it,
+are computed once for all the points evaluated on it; a point is one
+evaluation (one tilt over all letters, den, one product for c on and off
+the support, E[e | z], f and the residual) that serves the stop test, the
+merit and the next step; and a step is one bordered system written in
+place, its slope row and column from one product, and one
+``np.linalg.solve``. A joint iteration (a step and its point) makes 42
+numpy calls, the solve among them, or 44 with letters off the support.
+Measured on a 2-CPU host (Python 3.11, numpy 2.4, best of repeated
+in-process runs), a joint point costs ~27 us at 2-4 letters (the 37
+criterion-05 targets), ~28 us at 16 letters and ~40 us at 64 (a
+discretized Gaussian seen through AWGN), ~7 us of it in the solve; an
+iteration of the start's ascent costs ~25 us at 2-4 letters, ~40 us at
+16 and ~94 us at 64.
 
 The ascent and ``level_newton`` take one kind of step, a damped Newton step
 with backtracking (Boyd & Vandenberghe 2004, sections 9.5 and 10.2), from
 one set of helpers: ``_split`` splits a start pmf into its support S, its
-dropped letters and their shifted rows; ``_bordered`` keeps the bordered
-Newton system of each size, its H block damped by the fixed smallest
-damping _LAM_MIN max c; ``_trials`` yields the step's trial points, the
-step truncated at the simplex boundary and then halved, each trial with the
-letters it reaches dropped and its rows rebuilt; and a dropped letter
-returns (``_readmit``) once its c exceeds every c on S. The two differ only
-in their merits (Phi, or the KKT residual), in the joint system's slope row
-and clamps, and in the joint iteration's branches for one letter and for
-saturated tilts.
+dropped letters and their shifted rows (``_shifted``), and ``_tilt`` tilts
+them; ``_bordered`` keeps the bordered Newton system of each size, its H
+block damped by the fixed smallest damping _LAM_MIN max c; ``_trials``
+yields the step's trial points, the step truncated at the simplex boundary
+and then halved, each trial with the letters it reaches dropped and its
+rows rebuilt; and a dropped letter returns (``_readmit``) once its c
+exceeds every c on S. The two differ only in their merits (Phi, or the KKT
+residual), in the joint system's slope row and clamps, and in the joint
+iteration's branches for one letter and for saturated tilts.
 """
 
 from __future__ import annotations
@@ -108,11 +123,15 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
         q = np.full((s.size, nx), 1.0 / nx)
     else:
         q0 = np.asarray(q0, dtype=float)
-        if q0.shape != (s.size, nx) or not (np.isfinite(q0).all() and q0.min(initial=1.0) >= 0.0):
-            raise ValueError(f"q0 must be a finite nonnegative ({s.size}, {nx}) stack")
+        if q0.shape != (s.size, nx):
+            raise ValueError(f"q0 must be a ({s.size}, {nx}) stack")
+        # a NaN or negative entry fails the sign test, and an infinite one
+        # makes its row's mass infinite
         mass = q0.sum(axis=1, keepdims=True)
-        if not mass.min(initial=1.0) > 0.0:
-            raise ValueError("q0 must have positive mass in every row")
+        total = mass.ravel().tolist()
+        if not (q0.min(initial=1.0) >= 0.0 and min(total, default=1.0) > 0.0
+                and max(total, default=0.0) < math.inf):
+            raise ValueError("q0 must be finite and nonnegative, with positive mass in every row")
         q = q0 / mass
     iters = [1] * s.size
     # exp of very negative exponents and products of tiny masses underflow to
@@ -120,57 +139,62 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
     with np.errstate(under="ignore"):
         tilt = _tilted(expected_f, pz, s, q)
         if max_iters > 1:
-            for b in np.flatnonzero(tilt[4] > gap_tol).tolist():
-                iters[b] = _ascend(expected_f, pz, s[b], q[b], tilt[3][b], max_iters, gap_tol)[0]
+            for b in np.flatnonzero(tilt[5] > gap_tol).tolist():
+                iters[b], (sup, _, q_sup, _), _ = _ascend(
+                    expected_f, pz, s[b], _split(expected_f, q[b]), tilt[4][b], max_iters, gap_tol)
+                q[b] = 0.0
+                q[b, sup] = q_sup
             if max(iters) > 1:  # a lane climbed: its row of q is its final pmf
                 tilt = _tilted(expected_f, pz, s, q)
         q_cond, f_dist, rate, gap = _assemble(expected_f, pz, s, q, *tilt)
     return q_cond, q, f_dist, rate, np.array(iters), gap
 
 
-def _assemble(expected_f, pz, s, q, m, a, den, c, gap):
+def _assemble(expected_f, pz, s, q, m, x, a, den, c, gap):
     """The results of lanes at their output pmfs q, stacked over lanes: the
     tilted conditional, the distortion, the rate and Blahut's gap, from
-    ``_tilted``'s row minima m, tilt a, den, c and gap at q. Every point is
-    certified here, from its slope and its pmf alone, as a lane of
-    ``ba_fixed_slope_loop``: a lone level's joint point too.
+    ``_tilted``'s row minima m, shifted rows x, tilt a, den, c and gap at q.
+    Every point is certified here, from its slope and its pmf alone, as a
+    lane of ``ba_fixed_slope_loop``: a lone level's joint point too.
     """
-    if a.max(initial=0.0) >= _A_CAP or gap.max(initial=0.0) == math.inf:
+    if a.max(initial=0.0) >= _A_CAP or math.inf in gap.tolist():
         # a capped tilt understates c off the support, and c there may
         # overflow: there log c comes by log-sum-exp over z
         sup = q > 0.0
-        terms = np.log(pz / den)[:, :, None] + s[:, None, None] * (expected_f - m[:, :, None])
+        terms = np.log(pz / den)[:, :, None] + s[:, None, None] * x
         top = terms.max(axis=1)
         off = top + np.log(np.exp(terms - top[:, None, :]).sum(axis=1))
         c = np.where(sup, c, 0.0)
         gap = np.maximum(np.log(c.max(axis=1)), np.where(sup, -np.inf, off).max(axis=1))
     q_cond = a * (q[:, None, :] / den[:, :, None])
-    above = (q_cond * (expected_f - m[:, :, None])).sum(axis=2)  # E[e | z] - m(z)
-    f_dist = (above + m) @ pz
+    above = (q_cond * x).sum(axis=2)  # E[e | z] - m(z)
+    f_dist = (above + m).dot(pz)
     # I(Z; Xhat) = sum p q_cond log(q_cond / q) - mix . log(mix / q), with
     # mix = q * c = pz @ q_cond and mix / q = c on the support
     mix = q * c
     log_c = np.log(c) if mix.all() else np.log(c, out=np.zeros_like(c), where=mix > 0.0)
-    rate = (s[:, None] * above - np.log(den)) @ pz - (mix * log_c).sum(axis=1)
+    rate = (s[:, None] * above - np.log(den)).dot(pz) - (mix * log_c).sum(axis=1)
     return q_cond, f_dist, rate, gap
 
 
 def _tilted(expected_f, pz, s, q):
     """Row minima m over each lane's support (the letters of q with positive
-    mass), the tilt a over all letters (its exponent capped at _EXP_CAP off
-    the support), den = a q, c and the gap log max c, stacked over lanes."""
+    mass), the rows shifted by them x = e - m, the tilt a over all letters
+    (its exponent capped at _EXP_CAP off the support), den = a q, c and the
+    gap log max c, stacked over lanes."""
     m = np.where(q[:, None, :] > 0.0, expected_f, np.inf).min(axis=2)
-    a = np.exp(np.minimum(s[:, None, None] * (expected_f - m[:, :, None]), _EXP_CAP))
+    x = expected_f - m[:, :, None]
+    a = np.exp(np.minimum(s[:, None, None] * x, _EXP_CAP))
     den = np.matmul(a, q[:, :, None])[:, :, 0]
     c = np.einsum("bz,bzx->bx", pz / den, a)
-    return m, a, den, c, np.log(c.max(axis=1))
+    return m, x, a, den, c, np.log(c.max(axis=1))
 
 
-def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
-    """Damped active-set Newton ascent of one lane from its start pmf q_row,
-    with c over all letters there. It leaves its final pmf in q_row and
-    returns its iteration count and the distortion f at that pmf, from its
-    last tilt.
+def _ascend(expected_f, pz, s, start, c_row, max_iters, gap_tol):
+    """Damped active-set Newton ascent of one lane from ``start``, its pmf
+    split on its support (``_split``), with c over all letters there.
+    Returns its iteration count, its final pmf split the same way, and the
+    distortion f at that pmf, from its last tilt.
 
     Each iteration computes c at q and stops once the gap is at most
     gap_tol. Otherwise the dropped letter that holds the gap, with c above
@@ -186,31 +210,32 @@ def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
     m(z)). The loop also ends, uncertified, at max_iters, when no halved
     step is accepted, or once a trial leaves Phi and max c unchanged to the last bit.
 
-    The tilt is rebuilt from the shifted rows (``_shifted``) whenever S
-    changes, so every entry on S stays in [0, 1] and den(z) >= q(argmin) > 0
-    for arbitrarily negative slopes. The start's c comes from the caller:
-    when the row minimum's letter has a tiny mass, c off the support
-    overflows, which the caller's vectorized pass tolerates. With c_row
-    None, for a start on every letter (``level_start``), the ascent
-    computes it.
+    The tilt (``_tilt``) is rebuilt from the shifted rows (``_shifted``)
+    whenever S changes, so every entry on S stays in [0, 1] and den(z) >=
+    q(argmin) > 0 for arbitrarily negative slopes; an accepted trial on a
+    new support hands over the tilt it was ranked with. One product gives c
+    on S and off it. The start's c comes from the caller: when the row
+    minimum's letter has a tiny mass, c off the support overflows, which
+    the caller's vectorized pass tolerates. With c_row None, for a start on
+    every letter (``level_start``), the ascent computes it.
     """
-    sup, out, q, rows = _split(expected_f, q_row)
-    c, c_out = (None, []) if c_row is None else (c_row[sup], c_row[out].tolist())
-    a, iters, systems = None, 1, {}
+    sup, out, q, rows = start
+    if c_row is not None:
+        c, c_out = c_row[sup], c_row[out].tolist()
+    k, m = q.size, rows[0]
+    a_all, a = _tilt(s, rows)
+    den = a.dot(q)
+    phi = float(pz.dot(np.log(den)))  # Phi at q, less sum_z p(z) s m(z)
+    iters, systems = 1, {}
     while True:
-        if a is None:  # the support's tilt, rebuilt whenever S changes
-            m, e, e_out = rows
-            a = np.exp(s * e)
-            a_out = None if e_out is None else np.exp(np.minimum(s * e_out, _EXP_CAP))
-            den = a.dot(q)
-            phi = float(pz.dot(np.log(den)))  # Phi at q, less sum_z p(z) s m(z)
         t = pz / den
-        if iters > 1 or c_row is None:
-            c = t.dot(a)
-            if out:
-                c_out = t.dot(a_out).tolist()
         # up to ~64 letters Python's max over a list beats numpy's reduction
-        c_top = max(c.tolist())
+        if iters > 1 or c_row is None:
+            c_all = t.dot(a_all)  # c on S, then off it
+            cl = c_all.tolist()
+            c, c_out, c_top = c_all[:k], cl[k:], max(cl[:k])
+        else:
+            c_top = max(c.tolist())
         back = max(c_out) if out else 0.0
         if math.log(max(c_top, back)) <= gap_tol or iters >= max_iters:
             break
@@ -218,17 +243,20 @@ def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
         if back > c_top:
             x = out.pop(c_out.index(back))
             q, sup, rows = _readmit(expected_f, pz, s, m, den, q, sup, out, x)
-            a = None
+            k, m = q.size, rows[0]
+            a_all, a = _tilt(s, rows)
+            den = a.dot(q)
+            phi = float(pz.dot(np.log(den)))
             continue
         # the system in u = d / q: [Q H Q + lam Q, q; q', 0] [u; nu] = [q c; 0];
         # no entry of Q H Q exceeds max c, so none overflows
-        kkt, rhs = _bordered(systems, a * q, q, t, den, c_top, q.size + 1)
+        kkt, rhs = _bordered(systems, a * q, q, t, den, c_top, None)
         rhs[:-1] = q * c
         u = np.linalg.solve(kkt, rhs)[:-1].tolist()
         flat = _FLAT * (1.0 + abs(phi))
         trials = _trials(expected_f, sup, out, rows, q, u, 1.0, max(map(abs, u)), iters, max_iters)
         for iters, _, q_new, sup_new, out_new, rows_new in trials:
-            a_new = a if rows_new is rows else np.exp(s * rows_new[1])
+            a_all_new, a_new = (a_all, a) if rows_new is rows else _tilt(s, rows_new)
             den_new = a_new.dot(q_new)
             phi_new = float(pz.dot(np.log(den_new)))
             rise = phi_new - phi
@@ -243,30 +271,35 @@ def _ascend(expected_f, pz, s, q_row, c_row, max_iters, gap_tol):
             break  # no halved step raises Phi
         if rise == 0.0 and top == c_top:
             break  # Phi and max c unchanged to the last bit: no halving ranks the step
-        q, den, phi = q_new, den_new, phi_new
+        q, a_all, a, den, phi = q_new, a_all_new, a_new, den_new, phi_new
         if rows_new is not rows:
-            sup, out, rows, a = sup_new, out_new, rows_new, None
-
-    q_row[:] = 0.0
-    q_row[sup] = q
-    return iters, float(pz.dot((a * e).dot(q) / den + m))
+            sup, out, rows = sup_new, out_new, rows_new
+            k, m = q.size, rows[0]
+    return iters, (sup, out, q, rows), float(pz.dot((a * rows[1]).dot(q) / den + m))
 
 
 def level_start(expected_f, pz, s, max_iters):
     """The start of ``level_newton``: a ``ba_fixed_slope_loop`` lane at s
     from the uniform pmf to the gap _START_GAP, climbed by ``_ascend`` alone
-    with no end assembly. Returns (q, f, iters): the pmf over all letters,
-    its distortion from the ascent's last tilt, and the iteration count."""
-    q = np.full(expected_f.shape[1], 1.0 / expected_f.shape[1])
+    with no end assembly. Returns (q, f, iters, start): the pmf over all
+    letters, its distortion from the ascent's last tilt, the iteration
+    count, and the pmf split on its support with its shifted rows, which
+    ``level_newton`` takes over as it is."""
+    n = expected_f.shape[1]
+    sup = list(range(n))
+    start = sup, [], np.full(n, 1.0 / n), _shifted(expected_f, sup, [])
     with np.errstate(under="ignore"):
-        iters, f = _ascend(expected_f, pz, s, q, None, max_iters, _START_GAP)
-    return q, f, iters
+        iters, start, f = _ascend(expected_f, pz, s, start, None, max_iters, _START_GAP)
+    q = np.zeros(n)
+    q[start[0]] = start[2]
+    return q, f, iters, start
 
 
-def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
+def level_newton(expected_f, pz, s, start, level, tol_f, max_iters, gap_tol):
     """Joint Newton iteration on (q, s) toward the curve's point at the
     transform-domain distortion ``level`` (below the zero-rate end hi), from
-    the output pmf q_row taken at slope s < 0. The pmf may be solved at
+    the pmf of ``start`` (``level_start``'s split pmf, taken over with its
+    support and shifted rows) at slope s < 0. The pmf may be solved at
     another slope near s, such as ``level_start``'s at -1/span, with s where
     the caller expects the level (``solver._newton_seed``): within a start's
     residual of the size _START_GAP the iteration is in its quadratic
@@ -298,12 +331,12 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     next slope is twice as steep, which brings a letter back).
 
     A point's rows depend on S alone (``_shifted``), and each point
-    (``_joint_point``) costs only the tilt exp(s (e - m)), den, c, E[e | z],
-    f and the residual q (c_S - 1), which serves both the step's merit test
-    and the next system. The deviations e - E[e | z] are formed only for a
-    point that gets a step, and scaled by |s| before they are squared:
-    unscaled, their squares overflow once the transform-domain spread passes
-    ~1e154.
+    (``_joint_point``) is evaluated once: the tilt exp(s (e - m)), den, c on
+    S and off it, E[e | z], f and the residual q (c_S - 1), which serve the
+    stop test, the step's merit test and the next system. The deviations e
+    - E[e | z] are formed only for a point that gets a step, and scaled by
+    |s| before they are squared: unscaled, their squares overflow once the
+    transform-domain spread passes ~1e154.
 
     It stops once a point meets gap <= gap_tol over every letter and |f -
     level| <= tol_f, and gives up once it has evaluated max_iters or
@@ -313,7 +346,8 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     certifies (s, q) as a one-iteration lane of ``ba_fixed_slope_loop`` and
     reads from its gap and f_dist whether the point is on the level.
     """
-    sup, out, q, rows = _split(expected_f, q_row)
+    sup, out, q, rows = start
+    out = list(out)
     cap = min(max_iters, _NEWTON_ITERS)
     iters, s_top, systems = 1, 0.0, {}
     # a miss of the level below this is roundoff of f, which the slope's
@@ -322,20 +356,19 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
     with np.errstate(under="ignore"):
         at = _joint_point(pz, s, rows, q)
         while True:
-            a, a_out, den, t, c, mean, f, res, res_sq = at
-            c_out = t.dot(a_out).tolist() if out else []
-            back = max(c_out) if out else 0.0
-            c_top = max(c.tolist())
+            a, den, t, c, cl, mean, f, res, res_sq = at
+            k = q.size
+            c_top = max(cl[:k])
+            back = max(cl[k:]) if out else 0.0
             if iters >= cap or (math.log(max(c_top, back)) <= gap_tol
                                 and abs(f - level) <= tol_f):
                 break
             iters += 1
             if back > c_top:
-                x = out.pop(c_out.index(back))
+                x = out.pop(cl.index(back, k) - k)
                 q, sup, rows = _readmit(expected_f, pz, s, rows[0], den, q, sup, out, x)
                 at = _joint_point(pz, s, rows, q)
                 continue
-            k = q.size
             if k == 1:
                 if f < level:
                     break  # the best letter alone is below the level only by roundoff
@@ -347,8 +380,7 @@ def level_newton(expected_f, pz, s, q_row, level, tol_f, max_iters, gap_tol):
             b = a * q
             dev = (rows[1] - mean[:, None]) * r  # |s| (e - E[e | z])
             bd = b * dev
-            kkt, rhs = _bordered(systems, b, q, t, den, c_top, k + 2)
-            kkt[:k, k] = kkt[k, :k] = t.dot(bd)
+            kkt, rhs = _bordered(systems, b, q, t, den, c_top, bd)
             kkt[k, k] = -sum(t.dot(bd * dev).tolist())
             rhs[:k] = res
             rhs[k] = lag = r * (level - f) if abs(level - f) > noise else 0.0
@@ -391,27 +423,33 @@ def _split(expected_f, q_row):
     the support, renormalized, and the support's shifted rows."""
     ql = np.asarray(q_row, dtype=float).tolist()
     out = [x for x, v in enumerate(ql) if v == 0.0]
-    sup = np.array([x for x, v in enumerate(ql) if v > 0.0])
+    sup = [x for x, v in enumerate(ql) if v > 0.0]
     q = np.array([v for v in ql if v > 0.0])
     return sup, out, q / q.sum(), _shifted(expected_f, sup, out)
 
 
-def _bordered(systems, b, q, t, den, c_top, n):
-    """The (n, n) bordered Newton system on the support of the pmf q, and
-    its right-hand side, kept in ``systems`` for each n: its H block is
-    Q H Q, from b = A_S Q and t = p / den, plus the smallest damping
-    _LAM_MIN max c times Q, which keeps it regular where H is rank-deficient
-    (whenever |S| exceeds the number of rows), and its last row and column
-    border sum q = 1. The caller writes its other rows and columns."""
+def _bordered(systems, b, q, t, den, c_top, bd):
+    """The bordered Newton system on the support of the pmf q, and its
+    right-hand side, kept in ``systems`` for each size: its H block is Q H
+    Q, from b = A_S Q and t = p / den, plus the smallest damping _LAM_MIN
+    max c times Q, which keeps it regular where H is rank-deficient
+    (whenever |S| exceeds the number of rows); its last row and column
+    border sum q = 1, and with bd (the joint iteration's b times the scaled
+    deviations) the row and column before them hold g = t bd, the scaled
+    dc_S/ds. The caller writes the rest."""
     k = q.size
+    n = k + 1 if bd is None else k + 2
     if n not in systems:
         kkt = np.zeros((n, n))
         systems[n] = (kkt, np.zeros(n), kkt[:k, :k], kkt.reshape(-1)[: k * (n + 1): n + 1],
-                      kkt[:k, -1], kkt[-1, :k])
-    kkt, rhs, h, diag, col, row = systems[n]
+                      kkt[k:, :k], kkt[:k, k:])
+    kkt, rhs, h, diag, rows, cols = systems[n]
     h[...] = (b.T * (t / den)).dot(b)
     diag += _LAM_MIN * c_top * q
-    col[:] = row[:] = q
+    rows[-1] = q
+    if bd is not None:
+        np.dot(t, bd, out=rows[0])
+    cols[...] = rows.T
     return kkt, rhs
 
 
@@ -434,9 +472,8 @@ def _trials(expected_f, sup, out, rows, q, u, alpha, size, count, cap):
         if 0.0 not in q_new:
             yield count, alpha, np.array(q_new), sup, out, rows
         else:  # the letters the step reaches leave
-            sl = sup.tolist()
-            out_new = out + [x for x, v in zip(sl, q_new) if v == 0.0]
-            sup_new = np.array([x for x, v in zip(sl, q_new) if v > 0.0])
+            out_new = out + [x for x, v in zip(sup, q_new) if v == 0.0]
+            sup_new = [x for x, v in zip(sup, q_new) if v > 0.0]
             q_sup = np.array([v for v in q_new if v > 0.0])
             yield count, alpha, q_sup, sup_new, out_new, _shifted(expected_f, sup_new, out_new)
         alpha *= 0.5
@@ -446,28 +483,43 @@ def _trials(expected_f, sup, out, rows, q, u, alpha, size, count, cap):
 
 def _shifted(expected_f, sup, out):
     """The rows of a support sup and of its dropped letters out, shifted by
-    the row minima m over sup: (m, e_S - m, e_out - m), the last None when
-    no letter is out. They change only with the support."""
-    e = expected_f[:, sup]
+    the row minima m over sup: (m, e_S - m, x), with x the shifted rows of
+    sup and then out, and e_S - m its first |S| columns (x itself when no
+    letter is out). They change only with the support."""
+    x = expected_f[:, sup + out]
+    e = x[:, :len(sup)] if out else x
     m = e.min(axis=1)
-    return m, e - m[:, None], expected_f[:, out] - m[:, None] if out else None
+    x -= m[:, None]
+    return m, e, x
+
+
+def _tilt(s, rows):
+    """The tilt exp(s x) of a support's shifted rows over all letters, its
+    exponent capped at _EXP_CAP off the support (so that c there stays
+    finite), and its block on the support."""
+    _, e, x = rows
+    if e is x:
+        a = np.exp(s * x)
+        return a, a
+    a = np.exp(np.minimum(s * x, _EXP_CAP))
+    return a, a[:, :e.shape[1]]
 
 
 def _joint_point(pz, s, rows, q):
     """At slope s and the pmf q on a support with shifted rows ``rows``
-    (``_shifted``): the tilt of the support, that of its dropped letters
-    (capped so that c stays finite), den, t = pz / den, c, E[e | z] - m(z),
-    the distortion f, and the residual q (c - 1) of the conditions c_S = 1
-    with its squared norm."""
-    m, e, e_out = rows
-    a = np.exp(s * e)
-    a_out = None if e_out is None else np.exp(np.minimum(s * e_out, _EXP_CAP))
+    (``_shifted``): the tilt of the support, den, t = pz / den, c on the
+    support, c on it and then off it as a list, E[e | z] - m(z), the
+    distortion f, and the residual q (c - 1) of the conditions c_S = 1 with
+    its squared norm."""
+    m, e, _ = rows
+    a_all, a = _tilt(s, rows)
     den = a.dot(q)
     t = pz / den
-    c = t.dot(a)
+    c_all = t.dot(a_all)
+    c = c_all[:q.size]
     mean = (a * e).dot(q) / den  # E[e | z] - m(z)
     res = q * (c - 1.0)
-    return a, a_out, den, t, c, mean, float(pz.dot(mean + m)), res, float(res.dot(res))
+    return a, den, t, c, c_all.tolist(), mean, float(pz.dot(mean + m)), res, float(res.dot(res))
 
 
 _NEWTON_ITERS = 40   # points a joint Newton iteration evaluates before it gives up
@@ -504,7 +556,7 @@ def _readmit(expected_f, pz, s, m, den, q, sup, out, x):
             lo = mid
         else:
             hi = mid
-    sup = np.append(sup, x)
+    sup = sup + [x]
     return np.append((1.0 - lo) * q, lo), sup, _shifted(expected_f, sup, out)
 
 

@@ -163,8 +163,8 @@ class _Problem:
             rows = slice(None)  # views, where a boolean mask would copy
         w = np.asarray(pz, dtype=float)[rows]
         self.e, self.w = e, w = amended.expected_f[rows], w / w.sum()
-        self.col = w @ e  # the distortion of each single reconstruction letter
-        self.lo, self.hi = float(w @ e.min(axis=1)), float(self.col.min())
+        self.col = w.dot(e)  # the distortion of each single reconstruction letter
+        self.lo, self.hi = float(w.dot(e.min(axis=1))), min(self.col.tolist())
         self.tol_f = _BISECTION_TOL * max(1.0, self.hi - self.lo)
 
     @cached_property
@@ -523,10 +523,10 @@ def _newton_seed(problem: _Problem, level: float) -> tuple[tuple, bool]:
     """
     e, w, hi, tol_f = problem.e, problem.w, problem.hi, problem.tol_f
     s0 = -1.0 / (hi - problem.lo)
-    q0, f0, climbed = kernels.level_start(e, w, s0, _MAX_ITERS)
+    q0, f0, climbed, start = kernels.level_start(e, w, s0, _MAX_ITERS)
     ratio = (hi - level) / (hi - f0) if f0 < hi else _SECANT_HI
     s1 = s0 * min(max(ratio, _SECANT_LO), _SECANT_HI)
-    s, q, points = kernels.level_newton(e, w, s1, q0, level, tol_f, _MAX_ITERS, _GAP_TOL)
+    s, q, points = kernels.level_newton(e, w, s1, start, level, tol_f, _MAX_ITERS, _GAP_TOL)
     (joint,) = _lanes(e, w, [s], q[None], 1)
     hit = joint[3] <= _GAP_TOL and abs(joint[1] - level) <= tol_f
     s, f, r, g, iters, q_out, q_cond = joint if hit else _lanes(e, w, [s0], q0[None])[0]

@@ -861,10 +861,11 @@ class TestLoneLevel:
             lo, hi = f_domain_bounds(am, src.z_marginal)
             tol_f = BISECTION_TOL * max(1.0, hi - lo)
             level, s0 = float(f.apply(D)), -1.0 / (hi - lo)
-            q0 = kernels.level_start(e, pz, s0, MAX_ITERS)[0]
             c = rng.uniform(-10.0, 10.0, len(e)) * max(1.0, hi - lo)
-            s, q_out, _ = kernels.level_newton(e, pz, s0, q0, level, tol_f, MAX_ITERS, GAP_TOL)
-            s_c, q_c, _ = kernels.level_newton(e + c[:, None], pz, s0, q0, level + pz @ c,
+            start = kernels.level_start(e, pz, s0, MAX_ITERS)[3]
+            start_c = kernels.level_start(e + c[:, None], pz, s0, MAX_ITERS)[3]
+            s, q_out, _ = kernels.level_newton(e, pz, s0, start, level, tol_f, MAX_ITERS, GAP_TOL)
+            s_c, q_c, _ = kernels.level_newton(e + c[:, None], pz, s0, start_c, level + pz @ c,
                                                tol_f, MAX_ITERS, GAP_TOL)
             assert s_c == pytest.approx(s, rel=1e-9, abs=0.0)
             np.testing.assert_allclose(q_c, q_out, rtol=1e-9, atol=0.0)
@@ -1379,7 +1380,7 @@ class TestKernel:
             e, pz = _reduced(am, src.z_marginal)
             lo, hi = f_domain_bounds(am, src.z_marginal)
             s0 = -1.0 / (hi - lo)
-            q, f0, iters = kernels.level_start(e, pz, s0, MAX_ITERS)
+            q, f0, iters, _ = kernels.level_start(e, pz, s0, MAX_ITERS)
             _, q_lane, f_lane, _, it_lane, _ = _one_lane(e, pz, s0, MAX_ITERS,
                                                          kernels._START_GAP)
             assert iters == it_lane
