@@ -127,10 +127,10 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
             raise ValueError(f"q0 must be a ({s.size}, {nx}) stack")
         # a NaN or negative entry fails the sign test, and an infinite one
         # makes its row's mass infinite
-        mass = q0.sum(axis=1, keepdims=True)
+        mass = np.add.reduce(q0, axis=1, keepdims=True)
         total = mass.ravel().tolist()
-        if not (q0.min(initial=1.0) >= 0.0 and min(total, default=1.0) > 0.0
-                and max(total, default=0.0) < math.inf):
+        if not (np.minimum.reduce(q0, axis=None, initial=1.0) >= 0.0
+                and min(total, default=1.0) > 0.0 and max(total, default=0.0) < math.inf):
             raise ValueError("q0 must be finite and nonnegative, with positive mass in every row")
         q = q0 / mass
     iters = [1] * s.size
@@ -157,7 +157,7 @@ def _assemble(expected_f, pz, s, q, m, x, a, den, c, gap):
     Every point is certified here, from its slope and its pmf alone, as a
     lane of ``ba_fixed_slope_loop``: a lone level's joint point too.
     """
-    if a.max(initial=0.0) >= _A_CAP or math.inf in gap.tolist():
+    if np.maximum.reduce(a, axis=None, initial=0.0) >= _A_CAP or math.inf in gap.tolist():
         # a capped tilt understates c off the support, and c there may
         # overflow: there log c comes by log-sum-exp over z
         sup = q > 0.0
@@ -167,13 +167,14 @@ def _assemble(expected_f, pz, s, q, m, x, a, den, c, gap):
         c = np.where(sup, c, 0.0)
         gap = np.maximum(np.log(c.max(axis=1)), np.where(sup, -np.inf, off).max(axis=1))
     q_cond = a * (q[:, None, :] / den[:, :, None])
-    above = (q_cond * x).sum(axis=2)  # E[e | z] - m(z)
+    ones = np.ones(q.shape[1])  # sums over letters as products, which beat reductions
+    above = (q_cond * x).dot(ones)  # E[e | z] - m(z)
     f_dist = (above + m).dot(pz)
     # I(Z; Xhat) = sum p q_cond log(q_cond / q) - mix . log(mix / q), with
     # mix = q * c = pz @ q_cond and mix / q = c on the support
     mix = q * c
     log_c = np.log(c) if mix.all() else np.log(c, out=np.zeros_like(c), where=mix > 0.0)
-    rate = (s[:, None] * above - np.log(den)).dot(pz) - (mix * log_c).sum(axis=1)
+    rate = (s[:, None] * above - np.log(den)).dot(pz) - (mix * log_c).dot(ones)
     return q_cond, f_dist, rate, gap
 
 
@@ -182,12 +183,12 @@ def _tilted(expected_f, pz, s, q):
     mass), the rows shifted by them x = e - m, the tilt a over all letters
     (its exponent capped at _EXP_CAP off the support), den = a q, c and the
     gap log max c, stacked over lanes."""
-    m = np.where(q[:, None, :] > 0.0, expected_f, np.inf).min(axis=2)
+    m = np.minimum.reduce(np.where(q[:, None, :] > 0.0, expected_f, np.inf), axis=2)
     x = expected_f - m[:, :, None]
     a = np.exp(np.minimum(s[:, None, None] * x, _EXP_CAP))
     den = np.matmul(a, q[:, :, None])[:, :, 0]
     c = np.einsum("bz,bzx->bx", pz / den, a)
-    return m, x, a, den, c, np.log(c.max(axis=1))
+    return m, x, a, den, c, np.log(np.maximum.reduce(c, axis=1))
 
 
 def _ascend(expected_f, pz, s, start, c_row, max_iters, gap_tol):
@@ -233,7 +234,7 @@ def _ascend(expected_f, pz, s, start, c_row, max_iters, gap_tol):
         if iters > 1 or c_row is None:
             c_all = t.dot(a_all)  # c on S, then off it
             cl = c_all.tolist()
-            c, c_out, c_top = c_all[:k], cl[k:], max(cl[:k])
+            c, c_out, c_top = (c_all[:k], cl[k:], max(cl[:k])) if out else (c_all, (), max(cl))
         else:
             c_top = max(c.tolist())
         back = max(c_out) if out else 0.0
@@ -252,7 +253,7 @@ def _ascend(expected_f, pz, s, start, c_row, max_iters, gap_tol):
         # no entry of Q H Q exceeds max c, so none overflows
         kkt, rhs = _bordered(systems, a * q, q, t, den, c_top, None)
         rhs[:-1] = q * c
-        u = np.linalg.solve(kkt, rhs)[:-1].tolist()
+        u = np.linalg.solve(kkt, rhs).tolist()[:-1]
         flat = _FLAT * (1.0 + abs(phi))
         trials = _trials(expected_f, sup, out, rows, q, u, 1.0, max(map(abs, u)), iters, max_iters)
         for iters, _, q_new, sup_new, out_new, rows_new in trials:
@@ -356,10 +357,9 @@ def level_newton(expected_f, pz, s, start, level, tol_f, max_iters, gap_tol):
     with np.errstate(under="ignore"):
         at = _joint_point(pz, s, rows, q)
         while True:
-            a, den, t, c, cl, mean, f, res, res_sq = at
+            a, den, t, cl, mean, f, res, res_sq = at
             k = q.size
-            c_top = max(cl[:k])
-            back = max(cl[k:]) if out else 0.0
+            c_top, back = (max(cl[:k]), max(cl[k:])) if out else (max(cl), 0.0)
             if iters >= cap or (math.log(max(c_top, back)) <= gap_tol
                                 and abs(f - level) <= tol_f):
                 break
@@ -378,10 +378,12 @@ def level_newton(expected_f, pz, s, start, level, tol_f, max_iters, gap_tol):
                 continue
             r = -s
             b = a * q
-            dev = (rows[1] - mean[:, None]) * r  # |s| (e - E[e | z])
+            dev = rows[1] - mean[:, None]
+            dev *= r  # |s| (e - E[e | z])
             bd = b * dev
             kkt, rhs = _bordered(systems, b, q, t, den, c_top, bd)
-            kkt[k, k] = -sum(t.dot(bd * dev).tolist())
+            bd *= dev
+            kkt[k, k] = -sum(t.dot(bd).tolist())
             rhs[:k] = res
             rhs[k] = lag = r * (level - f) if abs(level - f) > noise else 0.0
             try:
@@ -405,9 +407,9 @@ def level_newton(expected_f, pz, s, start, level, tol_f, max_iters, gap_tol):
             trials = _trials(expected_f, sup, out, rows, q, ul, top, size, iters, cap)
             for iters, alpha, q_new, sup_new, out_new, rows_new in trials:
                 trial = _joint_point(pz, s + alpha * ds, rows_new, q_new)
-                miss = level - trial[6]  # trial[6] is f, trial[8] |q (c_S - 1)|**2
+                miss = level - trial[5]  # trial[5] is f, trial[7] |q (c_S - 1)|**2
                 lag = r * miss if abs(miss) > noise else 0.0
-                if trial[8] + lag * lag <= merit:
+                if trial[7] + lag * lag <= merit:
                     break
             else:
                 break  # no step reduces the residual
@@ -462,11 +464,14 @@ def _trials(expected_f, sup, out, rows, q, u, alpha, size, count, cap):
     (count, alpha, q, sup, out, rows) of each trial, built in Python lists,
     which beat numpy on a few letters; count is the caller's iteration count
     at the trial, a halving one more, up to cap."""
-    reach = [-1.0 / v if v < 0.0 else math.inf for v in u]
-    alpha = min(alpha, min(reach))
+    lo = min(u)
+    edge = -1.0 / lo if lo < 0.0 else math.inf  # where the first letter reaches 0
+    alpha = min(alpha, edge)
     ql = q.tolist()
     for count in range(count, cap + 1):
-        q_new = [0.0 if w <= alpha else v * (1.0 + alpha * d) for v, d, w in zip(ql, u, reach)]
+        q_new = [v * (1.0 + alpha * d) for v, d in zip(ql, u)]
+        if alpha == edge:  # the letters that reach the boundary there are 0
+            q_new = [0.0 if d < 0.0 and -1.0 / d <= edge else v for v, d in zip(q_new, u)]
         total = sum(q_new)
         q_new = [v / total for v in q_new]
         if 0.0 not in q_new:
@@ -488,7 +493,7 @@ def _shifted(expected_f, sup, out):
     letter is out). They change only with the support."""
     x = expected_f[:, sup + out]
     e = x[:, :len(sup)] if out else x
-    m = e.min(axis=1)
+    m = np.minimum.reduce(e, axis=1)
     x -= m[:, None]
     return m, e, x
 
@@ -508,7 +513,7 @@ def _tilt(s, rows):
 def _joint_point(pz, s, rows, q):
     """At slope s and the pmf q on a support with shifted rows ``rows``
     (``_shifted``): the tilt of the support, den, t = pz / den, c on the
-    support, c on it and then off it as a list, E[e | z] - m(z), the
+    support and then off it as a list, E[e | z] - m(z), the
     distortion f, and the residual q (c - 1) of the conditions c_S = 1 with
     its squared norm."""
     m, e, _ = rows
@@ -516,10 +521,10 @@ def _joint_point(pz, s, rows, q):
     den = a.dot(q)
     t = pz / den
     c_all = t.dot(a_all)
-    c = c_all[:q.size]
     mean = (a * e).dot(q) / den  # E[e | z] - m(z)
-    res = q * (c - 1.0)
-    return a, den, t, c, c_all.tolist(), mean, float(pz.dot(mean + m)), res, float(res.dot(res))
+    res = (c_all if a is a_all else c_all[:q.size]) - 1.0
+    res *= q
+    return a, den, t, c_all.tolist(), mean, float(pz.dot(mean + m)), res, float(res.dot(res))
 
 
 _NEWTON_ITERS = 40   # points a joint Newton iteration evaluates before it gives up
