@@ -53,14 +53,14 @@ evaluation (one tilt over all letters, den, one product for c on and off
 the support, E[e | z], f and the residual) that serves the stop test, the
 merit and the next step; and a step is one bordered system written in
 place, its slope row and column from one product, and one
-``np.linalg.solve``. A joint iteration (a step and its point) makes 42
+``np.linalg.solve``. A joint iteration (a step and its point) makes 41
 numpy calls, the solve among them, or 44 with letters off the support.
 Measured on a 2-CPU host (Python 3.11, numpy 2.4, best of repeated
 in-process runs), a joint point costs ~27 us at 2-4 letters (the 37
 criterion-05 targets), ~28 us at 16 letters and ~40 us at 64 (a
-discretized Gaussian seen through AWGN), ~7 us of it in the solve; an
-iteration of the start's ascent costs ~25 us at 2-4 letters, ~40 us at
-16 and ~94 us at 64.
+discretized Gaussian seen through AWGN), and a step with its point ~32,
+~30 and ~41 us, ~7 us of it in the solve; an iteration of the start's
+ascent costs ~25 us at 2-4 letters, ~40 us at 16 and ~94 us at 64.
 
 The ascent and ``level_newton`` take one kind of step, a damped Newton step
 with backtracking (Boyd & Vandenberghe 2004, sections 9.5 and 10.2), from
