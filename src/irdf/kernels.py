@@ -464,14 +464,11 @@ def _trials(expected_f, sup, out, rows, q, u, alpha, size, count, cap):
     (count, alpha, q, sup, out, rows) of each trial, built in Python lists,
     which beat numpy on a few letters; count is the caller's iteration count
     at the trial, a halving one more, up to cap."""
-    lo = min(u)
-    edge = -1.0 / lo if lo < 0.0 else math.inf  # where the first letter reaches 0
-    alpha = min(alpha, edge)
+    reach = [-1.0 / v if v < 0.0 else math.inf for v in u]
+    alpha = min(alpha, min(reach))
     ql = q.tolist()
     for count in range(count, cap + 1):
-        q_new = [v * (1.0 + alpha * d) for v, d in zip(ql, u)]
-        if alpha == edge:  # the letters that reach the boundary there are 0
-            q_new = [0.0 if d < 0.0 and -1.0 / d <= edge else v for v, d in zip(q_new, u)]
+        q_new = [0.0 if w <= alpha else v * (1.0 + alpha * d) for v, d, w in zip(ql, u, reach)]
         total = sum(q_new)
         q_new = [v / total for v in q_new]
         if 0.0 not in q_new:
