@@ -126,22 +126,13 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_f(args) -> FTransform:
+    """--f as a JSON fragment, or a kind name whose parameter comes from --p,
+    --a or --rho; from_spec raises ValueError when it is missing."""
     name = args.f.strip()
     if name.startswith("{"):
         return FTransform.from_spec(name)
-    if name == "power":
-        if args.p is None:
-            raise DomainError("--f power needs --p")
-        return FTransform.power(args.p)
-    if name == "shifted_cubic":
-        if args.a is None:
-            raise DomainError("--f shifted_cubic needs --a")
-        return FTransform.shifted_cubic(args.a)
-    if name == "exponential":
-        if args.rho is None:
-            raise DomainError("--f exponential needs --rho")
-        return FTransform.exponential(args.rho)
-    return FTransform.from_spec(name)
+    spec = {"kind": name, "p": args.p, "a": args.a, "rho": args.rho}
+    return FTransform.from_spec({k: v for k, v in spec.items() if v is not None})
 
 
 def _build_problem(args):

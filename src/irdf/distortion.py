@@ -208,8 +208,9 @@ def is_subadditive_sample(
 def build_amended(src: JointSource, d: DistortionMatrix, f: FTransform) -> AmendedDistortions:
     """Reduce a remote problem to its single-letter matrix E[f(d) | z].
 
-    Rows of ``expected_f`` for unused observation symbols are zero-filled;
-    consumers must weight by p(z), which is zero there.
+    Rows of ``expected_f`` for unused observation symbols are zero, from the
+    posterior's zero-filled columns; consumers must weight by p(z), which is
+    zero there.
     """
     if d.n_source != src.x_alphabet.size:
         raise ValueError(
@@ -217,8 +218,5 @@ def build_amended(src: JointSource, d: DistortionMatrix, f: FTransform) -> Amend
         )
     f.check_domain(d.d_max)
     expected = src.posterior.T.dot(_finite_f(f, d.values))
-    used = src.used_z
-    if not used.all():
-        expected[~used] = 0.0
     expected.setflags(write=False)
-    return AmendedDistortions(f=f, expected_f=expected, used_z=used)
+    return AmendedDistortions(f=f, expected_f=expected, used_z=src.used_z)

@@ -19,6 +19,11 @@ later; the gap covers every letter, and the one rate returned is the mutual
 information at the certified output pmf. The ascent may start from any
 output pmf, such as the certified one of a nearby slope (a warm start).
 
+The problem has a row per observation z, weighted by p(z) >= 0. A z with
+p(z) = 0 stays in as a zero-weight row: it adds nothing to c, the
+distortion, the rate or the gap, and its conditional is its tilt of the
+output pmf, the output pmf itself for the amended problem's zero rows.
+
 The fixed-point kernel solves a batch of slopes at once, one lane each, on
 one problem. Its start and its result assembly are vectorized over lanes:
 the tilt, the gradient and the gap of every lane at its start, and the
@@ -48,19 +53,19 @@ root search on s would try.
 On these small systems the time goes to numpy's per-call overhead, not to
 arithmetic, so each point and each step is written in as few calls as the
 algebra allows. A support's shifted rows, on the support and then off it,
-are computed once for all the points evaluated on it; a point is one
-evaluation (one tilt over all letters, den, one product for c on and off
-the support, E[e | z], f and the residual) that serves the stop test, the
-merit and the next step; and a step is one bordered system written in
-place, its slope row and column from one product, and one
-``np.linalg.solve``. A joint iteration (a step and its point) makes 41
-numpy calls, the solve among them, or 44 with letters off the support.
-Measured on a 2-CPU host (Python 3.11, numpy 2.4, best of repeated
-in-process runs), a joint point costs ~27 us at 2-4 letters (the 37
-criterion-05 targets), ~28 us at 16 letters and ~40 us at 64 (a
-discretized Gaussian seen through AWGN), and a step with its point ~32,
-~30 and ~41 us, ~7 us of it in the solve; an iteration of the start's
-ascent costs ~25 us at 2-4 letters, ~40 us at 16 and ~94 us at 64.
+are computed once for all the points evaluated on it, in one layout
+whether or not a letter is off it; a point is one evaluation (one capped
+tilt over all letters, den, one product for c on and off the support,
+E[e | z], f and the residual) that serves the stop test, the merit and the
+next step; and a step is one bordered system written in place, its slope
+row and column from one product, and one ``np.linalg.solve``. A joint
+iteration (a step and its point) makes 44 numpy calls, the solve among
+them, on every support. Measured on a 2-CPU host (Python 3.11, numpy 2.4,
+best of repeated in-process runs), a joint iteration costs ~28 us at 2-4
+letters (the 37 criterion-05 targets), ~31 us at 16 letters and ~40 us at
+64 (a discretized Gaussian seen through AWGN), ~5-8 us of it in the solve
+and ~7, ~8 and ~14 us in the point's evaluation; an iteration of the
+start's ascent costs ~25 us at 2-4 letters, ~40 us at 16 and ~95 us at 64.
 
 The ascent and ``level_newton`` take one kind of step, a damped Newton step
 with backtracking (Boyd & Vandenberghe 2004, sections 9.5 and 10.2), from
@@ -87,8 +92,10 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
     """Fixed points q(xhat|z) ∝ q(xhat) exp(s[b] * expected_f[z, xhat]), one
     lane b per slope.
 
-    expected_f: (nz, nx) transform-domain distortion rows for used z only.
-    pz: (nz,) strictly positive, sums to 1. s: (B,) slopes, all < 0.
+    expected_f: (nz, nx) transform-domain distortion rows, one per z.
+    pz: (nz,) nonnegative, sums to 1; a row with p(z) = 0 has no weight in
+    c, the distortion, the rate or the gap, and its conditional is its tilt
+    of q (q itself for a zero row). s: (B,) slopes, all < 0.
     q0: (B, nx) finite nonnegative start pmfs, one row per lane, or None for
     the uniform pmf in every lane. The positive letters of a row form its
     lane's starting support, renormalized; its zero-mass letters start
@@ -161,7 +168,9 @@ def _assemble(expected_f, pz, s, q, m, x, a, den, c, gap):
         # a capped tilt understates c off the support, and c there may
         # overflow: there log c comes by log-sum-exp over z
         sup = q > 0.0
-        terms = np.log(pz / den)[:, :, None] + s[:, None, None] * x
+        # log(p / den) is -inf on a zero-weight row, whose terms drop out
+        log_w = np.log(pz / den, out=np.full_like(den, -np.inf), where=pz > 0.0)
+        terms = log_w[:, :, None] + s[:, None, None] * x
         top = terms.max(axis=1)
         off = top + np.log(np.exp(terms - top[:, None, :]).sum(axis=1))
         c = np.where(sup, c, 0.0)
@@ -173,7 +182,7 @@ def _assemble(expected_f, pz, s, q, m, x, a, den, c, gap):
     # I(Z; Xhat) = sum p q_cond log(q_cond / q) - mix . log(mix / q), with
     # mix = q * c = pz @ q_cond and mix / q = c on the support
     mix = q * c
-    log_c = np.log(c) if mix.all() else np.log(c, out=np.zeros_like(c), where=mix > 0.0)
+    log_c = np.log(np.where(mix > 0.0, c, 1.0))
     rate = (s[:, None] * above - np.log(den)).dot(pz) - (mix * log_c).dot(ones)
     return q_cond, f_dist, rate, gap
 
@@ -234,10 +243,10 @@ def _ascend(expected_f, pz, s, start, c_row, max_iters, gap_tol):
         if iters > 1 or c_row is None:
             c_all = t.dot(a_all)  # c on S, then off it
             cl = c_all.tolist()
-            c, c_out, c_top = (c_all[:k], cl[k:], max(cl[:k])) if out else (c_all, (), max(cl))
+            c, c_out, c_top = c_all[:k], cl[k:], max(cl[:k])
         else:
             c_top = max(c.tolist())
-        back = max(c_out) if out else 0.0
+        back = max(c_out, default=0.0)
         if math.log(max(c_top, back)) <= gap_tol or iters >= max_iters:
             break
         iters += 1
@@ -296,7 +305,7 @@ def level_start(expected_f, pz, s, max_iters):
     return q, f, iters, start
 
 
-def level_newton(expected_f, pz, s, start, level, tol_f, max_iters, gap_tol):
+def level_newton(expected_f, pz, s, start, level, tol_f, gap_tol):
     """Joint Newton iteration on (q, s) toward the curve's point at the
     transform-domain distortion ``level`` (below the zero-rate end hi), from
     the pmf of ``start`` (``level_start``'s split pmf, taken over with its
@@ -340,8 +349,8 @@ def level_newton(expected_f, pz, s, start, level, tol_f, max_iters, gap_tol):
     transform-domain spread passes ~1e154.
 
     It stops once a point meets gap <= gap_tol over every letter and |f -
-    level| <= tol_f, and gives up once it has evaluated max_iters or
-    _NEWTON_ITERS points, or when no step reduces the residual. Either way
+    level| <= tol_f, and gives up once it has evaluated _NEWTON_ITERS
+    points, or when no step reduces the residual. Either way
     it returns (s, q, iters): the last slope, the last pmf over all letters
     and the number of points evaluated. It assembles nothing: the caller
     certifies (s, q) as a one-iteration lane of ``ba_fixed_slope_loop`` and
@@ -349,7 +358,6 @@ def level_newton(expected_f, pz, s, start, level, tol_f, max_iters, gap_tol):
     """
     sup, out, q, rows = start
     out = list(out)
-    cap = min(max_iters, _NEWTON_ITERS)
     iters, s_top, systems = 1, 0.0, {}
     # a miss of the level below this is roundoff of f, which the slope's
     # scale |s| would otherwise blow up past the residual of c_S = 1
@@ -359,8 +367,8 @@ def level_newton(expected_f, pz, s, start, level, tol_f, max_iters, gap_tol):
         while True:
             a, den, t, cl, mean, f, res, res_sq = at
             k = q.size
-            c_top, back = (max(cl[:k]), max(cl[k:])) if out else (max(cl), 0.0)
-            if iters >= cap or (math.log(max(c_top, back)) <= gap_tol
+            c_top, back = max(cl[:k]), max(cl[k:], default=0.0)
+            if iters >= _NEWTON_ITERS or (math.log(max(c_top, back)) <= gap_tol
                                 and abs(f - level) <= tol_f):
                 break
             iters += 1
@@ -404,7 +412,7 @@ def level_newton(expected_f, pz, s, start, level, tol_f, max_iters, gap_tol):
                 top = min(top, _S_TOWARD_ZERO * (s_top - s) / ds)
             elif ds < 0.0:
                 top = min(top, _S_STEEPER * r / -ds)
-            trials = _trials(expected_f, sup, out, rows, q, ul, top, size, iters, cap)
+            trials = _trials(expected_f, sup, out, rows, q, ul, top, size, iters, _NEWTON_ITERS)
             for iters, alpha, q_new, sup_new, out_new, rows_new in trials:
                 trial = _joint_point(pz, s + alpha * ds, rows_new, q_new)
                 miss = level - trial[5]  # trial[5] is f, trial[7] |q (c_S - 1)|**2
@@ -486,10 +494,10 @@ def _trials(expected_f, sup, out, rows, q, u, alpha, size, count, cap):
 def _shifted(expected_f, sup, out):
     """The rows of a support sup and of its dropped letters out, shifted by
     the row minima m over sup: (m, e_S - m, x), with x the shifted rows of
-    sup and then out, and e_S - m its first |S| columns (x itself when no
-    letter is out). They change only with the support."""
+    sup and then out, and e_S - m the view of its first |S| columns, also
+    when no letter is out. They change only with the support."""
     x = expected_f[:, sup + out]
-    e = x[:, :len(sup)] if out else x
+    e = x[:, :len(sup)]
     m = np.minimum.reduce(e, axis=1)
     x -= m[:, None]
     return m, e, x
@@ -497,12 +505,10 @@ def _shifted(expected_f, sup, out):
 
 def _tilt(s, rows):
     """The tilt exp(s x) of a support's shifted rows over all letters, its
-    exponent capped at _EXP_CAP off the support (so that c there stays
-    finite), and its block on the support."""
+    exponent capped at _EXP_CAP (so that c off the support stays finite; on
+    the support s x <= 0, so the cap never binds there), and the view of its
+    block on the support."""
     _, e, x = rows
-    if e is x:
-        a = np.exp(s * x)
-        return a, a
     a = np.exp(np.minimum(s * x, _EXP_CAP))
     return a, a[:, :e.shape[1]]
 
@@ -519,7 +525,7 @@ def _joint_point(pz, s, rows, q):
     t = pz / den
     c_all = t.dot(a_all)
     mean = (a * e).dot(q) / den  # E[e | z] - m(z)
-    res = (c_all if a is a_all else c_all[:q.size]) - 1.0
+    res = c_all[:q.size] - 1.0
     res *= q
     return a, den, t, c_all.tolist(), mean, float(pz.dot(mean + m)), res, float(res.dot(res))
 

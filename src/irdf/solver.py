@@ -113,7 +113,7 @@ class SlopePoint:
     """
 
     slope: float
-    q_cond: np.ndarray        # (|Z|, |Xhat|); rows for unused z repeat q_out
+    q_cond: np.ndarray        # (|Z|, |Xhat|); rows for unused z are q_out, to roundoff
     q_out: np.ndarray
     rate: float               # nats, mutual information, clamped at 0
     f_distortion: float       # transform-domain expected distortion
@@ -146,23 +146,22 @@ class RdCurve:
 
 
 class _Problem:
-    """One amended problem, reduced once to the expected-f rows of its used
-    z and their renormalized weights, with its transform-domain bounds, for
-    all the targets solved on it: lo, the expected row minimum (the rate
-    saturates there), and hi, the best single reconstruction letter (zero
-    rate). Its level tolerance, tol_f = _BISECTION_TOL * max(1, hi - lo),
-    is the one every target on it is solved to. Its analytic zero-rate solve
-    ``zero`` (s = 0: mass split over the best columns) is built only when
-    asked for: by a slope search, which ends its memo with it, or by a level
-    at or above hi."""
+    """One amended problem, its expected-f rows and the normalized weights
+    p(z) of every z, with its transform-domain bounds, for all the targets
+    solved on it. An unused z is a zero-weight row: its amended row is zero,
+    so it tilts to 1, and its conditional comes out as the output pmf. The
+    bounds are lo, the expected row minimum (the rate saturates there), and
+    hi, the best single reconstruction letter (zero rate). Its level
+    tolerance, tol_f = _BISECTION_TOL * max(1, hi - lo), is the one every
+    target on it is solved to. Its analytic zero-rate solve ``zero`` (s = 0:
+    mass split over the best columns) is built only when asked for: by a
+    slope search, which ends its memo with it, or by a level at or above
+    hi."""
 
     def __init__(self, amended: AmendedDistortions, pz: np.ndarray):
         self.amended = amended
-        rows = amended.used_z
-        if rows.all():
-            rows = slice(None)  # views, where a boolean mask would copy
-        w = np.asarray(pz, dtype=float)[rows]
-        self.e, self.w = e, w = amended.expected_f[rows], w / w.sum()
+        w = np.asarray(pz, dtype=float)
+        self.e, self.w = e, w = amended.expected_f, w / w.sum()
         self.col = w.dot(e)  # the distortion of each single reconstruction letter
         self.lo, self.hi = float(w.dot(e.min(axis=1))), min(self.col.tolist())
         self.tol_f = _BISECTION_TOL * max(1.0, self.hi - self.lo)
@@ -183,7 +182,7 @@ def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float,
 
 
 # A solve is one tuple (slope, f_distortion, rate before its clamp at 0, gap,
-# iterations, q_out, q_cond), q_cond holding the rows of the used z only. A
+# iterations, q_out, q_cond), q_cond holding a row for every z. A
 # search's memo is a list of solves in ascending slope that ends with the
 # s = 0 solve (``_Problem.zero``)
 _SLOPE = operator.itemgetter(0)
@@ -202,12 +201,8 @@ def _lanes(e: np.ndarray, w: np.ndarray, slopes, q0, max_iters: int = _MAX_ITERS
 def _points(amended: AmendedDistortions, solves, converged) -> list[SlopePoint]:
     """The SlopePoints of solves, with raw distortions from one vectorized
     f.invert."""
-    used = amended.used_z
     slope, f_dist, rate, gap, iters, q_out, q_cond = zip(*solves)
     q_out, q_cond = np.array(q_out), np.array(q_cond)
-    if not used.all():  # rows for unused z repeat q_out
-        q_cond, q_used = np.repeat(q_out[:, None, :], used.size, axis=1), q_cond
-        q_cond[:, used] = q_used
     raw = np.asarray(amended.f.invert(np.array(f_dist)), dtype=float).tolist()
     # a frozen dataclass's __init__ writes each field through object.__setattr__;
     # one update of the new instance's __dict__ sets them all at ~40 % of the
@@ -526,7 +521,7 @@ def _newton_seed(problem: _Problem, level: float) -> tuple[tuple, bool]:
     q0, f0, climbed, start = kernels.level_start(e, w, s0, _MAX_ITERS)
     ratio = (hi - level) / (hi - f0) if f0 < hi else _SECANT_HI
     s1 = s0 * min(max(ratio, _SECANT_LO), _SECANT_HI)
-    s, q, points = kernels.level_newton(e, w, s1, start, level, tol_f, _MAX_ITERS, _GAP_TOL)
+    s, q, points = kernels.level_newton(e, w, s1, start, level, tol_f, _GAP_TOL)
     (joint,) = _lanes(e, w, [s], q[None], 1)
     hit = joint[3] <= _GAP_TOL and abs(joint[1] - level) <= tol_f
     s, f, r, g, iters, q_out, q_cond = joint if hit else _lanes(e, w, [s0], q0[None])[0]

@@ -79,6 +79,16 @@ class TestPoint:
         assert code == 2
         assert "'p'" in err
 
+    @pytest.mark.parametrize("kind, flag", [("power", "p"), ("exponential", "rho")])
+    def test_missing_parameter_flag_exit_code(self, capsys, kind, flag):
+        # a transform by name takes its parameter from its flag, and the spec
+        # parser names the one missing
+        code, out, err = run(
+            capsys, "point", "--model", "bsc", "--beta", "0.15", "--f", kind, "--D", "0.3",
+        )
+        assert code == 2 and out == ""
+        assert f"'{flag}'" in err
+
     @pytest.mark.parametrize("command", [["point", "--D", "0.5"], ["curve", "--points", "3"],
                                          ["brute", "--n", "2", "--M", "2"]],
                              ids=["point", "curve", "brute"])

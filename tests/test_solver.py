@@ -426,6 +426,49 @@ class TestDistortionAtRate:
             reached += 1
         assert reached > len(criterion_05_targets) // 2
 
+    @pytest.mark.parametrize("rate", [0.09, 0.5 * LN2, 0.62])
+    def test_rate_on_a_linear_segment_is_time_shared(self, monkeypatch, rate):
+        # these rates lie on a linear segment of the kinked curve: the
+        # bracket collapses onto the segment's slope, and the lane that
+        # time-shares its two ends is the result; the lone level at the
+        # returned D is back on the rate
+        src, d, f = _kinked_problem()
+        mixed = []
+        real = solver._mix
+
+        def mix(*args):
+            mixed.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_mix", mix)
+        D = distortion_at_rate(src, d, f, rate)
+        assert len(mixed) == 1
+        pt = solve_at_distortion(src, d, f, D)
+        lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
+        tol_f = BISECTION_TOL * max(1.0, hi - lo)
+        assert pt.converged and abs(pt.rate - rate) <= 2.0 * -pt.slope * tol_f + GAP_TOL
+
+    def test_zero_span_gives_dmin(self):
+        # every z is the erasure: the curve is the one point d_min = d_max
+        m, src, d = bec_problem(1.0)
+        d_min, d_max = domain_bounds(m)
+        assert d_min == d_max == distortion_at_rate(src, d, m.f, 0.1)
+
+
+def _kinked_problem():
+    """A 4x2 source with 4x3 losses under exponential pooling, whose curve
+    has linear segments (the kinked source of the console checks)."""
+    src = JointSource.from_joint([
+        [0.2331494647579371, 0.14728546849749266], [0.2053086275211706, 0.05383213354273386],
+        [1.62423383456434e-06, 0.00010253992707729563],
+        [0.00024366684657437887, 0.36007647467317955]])
+    d = DistortionMatrix([
+        [0.6848418091518311, 0.21471789679093856, 0.5033359418663285],
+        [0.02741985315283524, 0.5581334769504069, 0.9909609128202017],
+        [0.5830409210511738, 0.0031704499934673835, 0.602219469521076],
+        [0.7842093546847086, 0.872471454758737, 0.626111437893649]])
+    return src, d, FTransform.exponential(7.560506089321535)
+
 
 class TestSlopeSearch:
     @pytest.mark.parametrize(
@@ -489,12 +532,7 @@ class TestSlopeSearch:
         # the joint Newton iteration gives up at its start, so the lone level
         # is left to the slope search, seeded with a lane at -1/span solved on
         # from the start's pmf
-        real = kernels.level_newton
-
-        def gives_up(e, pz, s, q, level, tol_f, max_iters, gap_tol):
-            return real(e, pz, s, q, level, tol_f, 1, gap_tol)
-
-        monkeypatch.setattr(kernels, "level_newton", gives_up)
+        monkeypatch.setattr(kernels, "_NEWTON_ITERS", 1)
         slopes = _count_solves(monkeypatch)
         seeded = []  # lanes solved once the memo is seeded
         real_seed = solver._newton_seed
@@ -786,6 +824,37 @@ class TestLoneLevel:
         for src, d, f, _, D in criterion_05_targets:
             assert solve_at_distortion(src, d, f, D).converged
 
+    @pytest.mark.parametrize("D", [0.15, 0.3, 0.45])
+    def test_singular_joint_system(self, monkeypatch, D):
+        # the first joint system fails to solve: the step is taken as
+        # unbounded, the slope alone moves toward the level, and the
+        # iteration goes on from there to a certified point on it
+        armed, raised = [False], [0]
+        real_solve, real_newton = np.linalg.solve, kernels.level_newton
+
+        def solve(a, b):
+            if armed[0]:
+                armed[0] = False
+                raised[0] += 1
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        def newton(*args):
+            armed[0] = True
+            try:
+                return real_newton(*args)
+            finally:
+                armed[0] = False
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(kernels, "level_newton", newton)
+        slopes = _count_solves(monkeypatch)
+        m, src, d = bsc_problem(0.1)
+        pt = solve_at_distortion(src, d, m.f, D)
+        assert raised == [1] and len(slopes) == 1  # no fallback lane
+        assert pt.converged and abs(pt.f_distortion - D) <= BISECTION_TOL
+        assert abs(pt.rate - bsc_irdf(m, D)) <= 1e-9
+
     def test_joint_iteration_starts_at_the_secant_slope(self, monkeypatch,
                                                         criterion_05_targets):
         # s0 (hi - level) / (hi - f0), the slope where the level meets the
@@ -864,9 +933,9 @@ class TestLoneLevel:
             c = rng.uniform(-10.0, 10.0, len(e)) * max(1.0, hi - lo)
             start = kernels.level_start(e, pz, s0, MAX_ITERS)[3]
             start_c = kernels.level_start(e + c[:, None], pz, s0, MAX_ITERS)[3]
-            s, q_out, _ = kernels.level_newton(e, pz, s0, start, level, tol_f, MAX_ITERS, GAP_TOL)
+            s, q_out, _ = kernels.level_newton(e, pz, s0, start, level, tol_f, GAP_TOL)
             s_c, q_c, _ = kernels.level_newton(e + c[:, None], pz, s0, start_c, level + pz @ c,
-                                               tol_f, MAX_ITERS, GAP_TOL)
+                                               tol_f, GAP_TOL)
             assert s_c == pytest.approx(s, rel=1e-9, abs=0.0)
             np.testing.assert_allclose(q_c, q_out, rtol=1e-9, atol=0.0)
             # the distortions of the two points, as the lone level certifies them
@@ -1008,6 +1077,99 @@ class TestUncertifiedPointsRaise:
         src, d, f, _, _ = _criterion_05_draw(97)
         with pytest.raises(NotConverged):
             distortion_at_rate(src, d, f, 0.1)
+
+
+class TestSearchExits:
+    """A target the search gives up on comes back flagged unconverged: with
+    no solve below its level after _MAX_DOUBLINGS doublings, or off its
+    level after _MAX_SEARCH bracket steps."""
+
+    @pytest.fixture(params=["doublings", "steps"])
+    def capped(self, request, monkeypatch):
+        if request.param == "doublings":
+            # a ladder of one rung, -1 / (8 span), and one doubling from it
+            monkeypatch.setattr(solver, "_LADDER", solver._LADDER[:1])
+            monkeypatch.setattr(solver, "_MAX_DOUBLINGS", 0)
+        else:
+            monkeypatch.setattr(solver, "_MAX_SEARCH", 0)
+
+    def test_sweep_points_are_flagged(self, capped):
+        m, src, d = bsc_problem(0.1)
+        curve = sweep_curve(src, d, m.f, 10)
+        flagged = [p for p in curve.points if not p.converged]
+        assert flagged and not curve.all_converged
+        levels = curve.d_min + (curve.d_max - curve.d_min) * np.arange(1, 11) / 10
+        tol_f = solver._Problem(build_amended(src, d, m.f), src.z_marginal).tol_f
+        for p in flagged:  # certified points on the curve, off every level
+            assert p.gap <= GAP_TOL
+            assert abs(bsc_irdf(m, p.distortion) - p.rate) <= 1e-9
+            assert np.abs(levels - p.f_distortion).min() > tol_f
+
+    def test_rate_target_raises(self, capped):
+        # ln 2 - 1e-6 nats needs a slope ~8 times -1/span: two doublings
+        m, src, d = bsc_problem(0.1)
+        with pytest.raises(NotConverged):
+            distortion_at_rate(src, d, m.f, LN2 - 1e-6)
+
+    def test_cli_curve_exits_3(self, capped, capsys):
+        from irdf import cli
+
+        code = cli.main(["curve", "--model", "bsc", "--beta", "0.1", "--points", "10"])
+        assert code == 3 and "did not converge" in capsys.readouterr().err
+
+
+class TestUnusedObservations:
+    """An unused z (p(z) = 0) stays in the reduced problem as a zero-weight
+    row: its amended row is zero, so it tilts to 1, and its conditional is
+    the output pmf. Every entry point gives the curve of the problem
+    without it."""
+
+    @staticmethod
+    def _points(src, d, f):
+        """A sweep's points, a lone level's and a fixed slope's."""
+        curve = sweep_curve(src, d, f, 10)
+        lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
+        lone = solve_at_distortion(src, d, f, float(f.invert(lo + 0.4 * (hi - lo))))
+        fixed = ba_fixed_slope(build_amended(src, d, f), src.z_marginal, -2.0 / (hi - lo))
+        return [*curve.points, lone, fixed]
+
+    @pytest.mark.parametrize(
+        "f", [FTransform.identity(), FTransform.sqrt(), FTransform.exponential(9.2)],
+        ids=["identity", "sqrt", "exponential"])
+    def test_erasure_free_bec(self, f):
+        # at delta = 0 the erasure symbol is never observed
+        m, src, d = bec_problem(0.0, f)
+        assert src.used_z.tolist() == [True, False, True]
+        for pt in self._points(src, d, f):
+            assert pt.converged
+            assert abs(pt.rate - bec_irdf(m, pt.distortion)) <= 1e-9
+            np.testing.assert_array_max_ulp(pt.q_cond[1], pt.q_out, maxulp=1)
+        for rate in (0.1, 0.5 * LN2):
+            assert abs(bec_irdf(m, distortion_at_rate(src, d, f, rate)) - rate) <= 1e-9
+
+    def test_zero_column(self):
+        # a random joint with an all-zero z column against the same joint
+        # with that column removed
+        rng = np.random.default_rng(5)
+        joint = rng.random((3, 4)) ** 2
+        joint[:, 2] = 0.0
+        joint /= joint.sum()
+        src, ref = JointSource.from_joint(joint), JointSource.from_joint(np.delete(joint, 2, 1))
+        d, f = DistortionMatrix(rng.random((3, 3))), FTransform.sqrt()
+        lo, hi = f_domain_bounds(build_amended(src, d, f), src.z_marginal)
+        np.testing.assert_allclose(f_domain_bounds(build_amended(ref, d, f), ref.z_marginal),
+                                   (lo, hi), rtol=1e-14)
+        tol_f = BISECTION_TOL * max(1.0, hi - lo)
+        for pt, want in zip(self._points(src, d, f), self._points(ref, d, f)):
+            assert pt.converged and want.converged
+            # on the same level, or at the same slope: within |s| tol_f in rate
+            assert abs(pt.f_distortion - want.f_distortion) <= 2.0 * tol_f
+            assert abs(pt.rate - want.rate) <= 2.0 * -pt.slope * tol_f + 2.0 * GAP_TOL
+            np.testing.assert_array_max_ulp(pt.q_cond[2], pt.q_out, maxulp=1)
+            np.testing.assert_allclose(np.delete(pt.q_cond, 2, 0), want.q_cond, atol=1e-6)
+        for rate in (0.05, 0.2):
+            D, want = (distortion_at_rate(x, d, f, rate) for x in (src, ref))
+            assert abs(float(f.apply(D)) - float(f.apply(want))) <= 2.0 * tol_f
 
 
 class TestSweepDeterminism:
@@ -1403,6 +1565,22 @@ class TestKernel:
             assert all(np.all(np.isfinite(v)) for v in (q_cond, q_out, f_dist, rate, gap))
         assert first[5] == pytest.approx(math.log(0.5) + 23.0 + 300.0 * math.log(10.0), rel=1e-12)
         assert final[5] <= 1e-12
+
+    def test_overflowing_gradient_with_a_zero_weight_row(self):
+        # the same lane with a zero row of weight 0: its log p / den is -inf
+        # in the log-sum-exp, with no divide warning, and it changes nothing
+        e = np.array([[0.023, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        pz = np.array([0.5, 0.5, 0.0])
+        q0 = [1e-300, 1.0, 0.0]
+        for max_iters in (1, 20000):
+            with np.errstate(all="raise"):
+                q_cond, q_out, *rest = _one_lane(e, pz, -1000.0, max_iters, 1e-12, q0)
+                want = _one_lane(e[:2], pz[:2], -1000.0, max_iters, 1e-12, q0)
+            assert all(np.all(np.isfinite(v)) for v in (q_cond, q_out, *rest))
+            np.testing.assert_array_equal(q_cond[:2], want[0])
+            for got, ref in zip((q_out, *rest), want[1:]):
+                np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_max_ulp(q_cond[2], q_out, maxulp=1)
 
     def test_flat_direction_certifies(self):
         # the whole gap lies along a direction of near-zero curvature: the
