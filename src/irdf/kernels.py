@@ -44,11 +44,14 @@ toward the point of the curve at a given distortion. Its start
 (``level_start``) is the ascent of one lane from the uniform pmf, solved
 only loosely, to the gap _START_GAP, with its distortion read off the
 ascent's last tilt and no end assembly; ``level_newton`` takes over the
-start's support, pmf and shifted rows as they are. ``level_newton`` hands
-back only its last slope and pmf, which the caller certifies with a
-one-iteration lane of the fixed-point kernel, so one piece of code
-certifies every point, once, where it lands, instead of at every slope a
-root search on s would try.
+start's support, pmf and shifted rows as they are. ``level_newton``
+certifies its last point where it lands, once, instead of at every slope a
+root search on s would try: the evaluation its stop test reads (tilt, den,
+c over every letter, E[e | z] and f) also gives that point's conditional,
+rate and gap, with no second tilt. The one exception is a tilt capped off
+the support, which understates c there; such a point goes back to the
+caller uncertified, and a one-iteration lane of the fixed-point kernel,
+whose end assembly reads c off the support by log-sum-exp, certifies it.
 
 On these small systems the time goes to numpy's per-call overhead, not to
 arithmetic, so each point and each step is written in as few calls as the
@@ -161,8 +164,8 @@ def _assemble(expected_f, pz, s, q, m, x, a, den, c, gap):
     """The results of lanes at their output pmfs q, stacked over lanes: the
     tilted conditional, the distortion, the rate and Blahut's gap, from
     ``_tilted``'s row minima m, shifted rows x, tilt a, den, c and gap at q.
-    Every point is certified here, from its slope and its pmf alone, as a
-    lane of ``ba_fixed_slope_loop``: a lone level's joint point too.
+    Every lane is certified here, from its slope and its pmf alone; so is
+    a lone level's joint point whose tilt is capped off its support.
     """
     if np.maximum.reduce(a, axis=None, initial=0.0) >= _A_CAP or math.inf in gap.tolist():
         # a capped tilt understates c off the support, and c there may
@@ -350,11 +353,18 @@ def level_newton(expected_f, pz, s, start, level, tol_f, gap_tol):
 
     It stops once a point meets gap <= gap_tol over every letter and |f -
     level| <= tol_f, and gives up once it has evaluated _NEWTON_ITERS
-    points, or when no step reduces the residual. Either way
-    it returns (s, q, iters): the last slope, the last pmf over all letters
-    and the number of points evaluated. It assembles nothing: the caller
-    certifies (s, q) as a one-iteration lane of ``ba_fixed_slope_loop`` and
-    reads from its gap and f_dist whether the point is on the level.
+    points, or when no step reduces the residual. Either way it returns (s,
+    q, iters, point): the last slope, the last pmf over all letters, the
+    number of points evaluated, and the results at (s, q) from the last
+    point's evaluation, (q_cond, f, rate, gap) in ``ba_fixed_slope_loop``'s
+    order: the tilted conditional over all letters (a zero-weight zero
+    row's is q), the distortion, the rate sum_z p(z) (s E[e - m | z] - log
+    den(z)) - sum_S q c log c, and the gap log max c over every letter, from
+    which the caller reads whether the point is certified and on the level.
+    point is None where the tilt is capped off the support (s (e - m) >=
+    _EXP_CAP at a dropped letter): c there is understated, and only
+    ``_assemble``'s log-sum-exp, in a one-iteration lane of
+    ``ba_fixed_slope_loop`` at (s, q), certifies the point.
     """
     sup, out, q, rows = start
     out = list(out)
@@ -422,9 +432,20 @@ def level_newton(expected_f, pz, s, start, level, tol_f, gap_tol):
             else:
                 break  # no step reduces the residual
             q, s, sup, out, rows, at = q_new, s + alpha * ds, sup_new, out_new, rows_new, trial
-    q_out = np.zeros(expected_f.shape[1])
-    q_out[sup] = q
-    return s, q_out, iters
+        q_out = np.zeros(expected_f.shape[1])
+        q_out[sup] = q
+        # the largest exponent s (e - m) off the support
+        peak = s * float(np.minimum.reduce(rows[2][:, q.size:], axis=None, initial=math.inf))
+        if peak >= _EXP_CAP:  # the capped tilt understates c there
+            return s, q_out, iters, None
+        a, den, _, cl, mean, f = at[:6]
+        q_cond = np.zeros((den.size, q_out.size))
+        q_cond[:, sup] = a * (q / den[:, None])
+        c = np.array(cl[:q.size])
+        mix = q * c  # pz @ q_cond on the support
+        log_c = np.log(np.where(mix > 0.0, c, 1.0))
+        rate = float((s * mean - np.log(den)).dot(pz) - mix.dot(log_c))
+    return s, q_out, iters, (q_cond, f, rate, math.log(max(cl)))
 
 
 def _split(expected_f, q_row):

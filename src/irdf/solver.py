@@ -46,19 +46,21 @@ which ``_Problem`` computes once; a rate target to |s| * tol_f in rate.
 Only the points a search returns become ``SlopePoint``s, with raw
 distortions from one vectorized f.invert (``_points``).
 
-A lone level target (``solve_at_distortion``) makes one kernel call. Its
-start (``kernels.level_start``) climbs from the uniform pmf at s0 = -1/span
-only to a loose start gap, and from that pmf the joint Newton iteration on
-(q, s) (``kernels.level_newton``) solves the slope and the fixed point
-together. It starts at the slope where the level meets the secant through
-the start's own point (s0, f0) and the zero-rate end (0, hi), clamped to
-[0.5, 1.2] s0. The kernel call certifies its last point, a one-iteration
-lane at its slope and pmf; certified and on the level, it is the result,
-with no memo, no zero-rate solve and no search round. Otherwise a lane at s0
-is solved on to _GAP_TOL from the start's pmf and seeds the search. A
-sweep with a single level below hi is that lone level; other sweeps and the
-rate target of ``distortion_at_rate`` run the search alone. A NaN
-level or rate raises DomainError before any solve.
+A lone level target (``solve_at_distortion``) makes no call of the
+fixed-point kernel. Its start (``kernels.level_start``) climbs from the
+uniform pmf at s0 = -1/span only to a loose start gap, and from that pmf
+the joint Newton iteration on (q, s) (``kernels.level_newton``) solves the
+slope and the fixed point together. It starts at the slope where the level
+meets the secant through the start's own point (s0, f0) and the zero-rate
+end (0, hi), clamped to [0.5, 1.2] s0. The iteration certifies its last
+point where it lands, from that point's own evaluation; only a point whose
+tilt is capped off its support is certified by a one-iteration lane of the
+fixed-point kernel at its slope and pmf. Certified and on the level, the
+point is the result, with no memo, no zero-rate solve and no search round.
+Otherwise a lane at s0 is solved on to _GAP_TOL from the start's pmf and
+seeds the search. A sweep with a single level below hi is that lone level;
+other sweeps and the rate target of ``distortion_at_rate`` run the search
+alone. A NaN level or rate raises DomainError before any solve.
 All rates are nats internally; unit conversion happens only at reporting
 boundaries.
 
@@ -504,38 +506,50 @@ def _solve_levels(problem: _Problem, levels) -> list[SlopePoint]:
 
 
 def _newton_seed(problem: _Problem, level: float) -> tuple[tuple, bool]:
-    """A lone level in one kernel call: the start at s0 = -1/span
-    (``kernels.level_start``, to the gap ``kernels._START_GAP``), then the
-    joint Newton iteration on (q, s) (``kernels.level_newton``) from its
-    pmf, started at the slope where the level meets the secant through the
-    start's own point (s0, f0) and the zero-rate end (0, hi): s0 (hi -
-    level) / (hi - f0), clamped to [_SECANT_LO, _SECANT_HI] s0. The kernel
-    call certifies the joint point, a one-iteration lane at its slope and
-    pmf. Returns its solve and True when it is certified and within
-    ``problem.tol_f`` of the level; otherwise the solve of a lane at s0
-    solved on from the start's pmf to _GAP_TOL, which seeds the search, and
-    False. The start's iterations count toward the solve's.
+    """A lone level with no fixed-point kernel call: the start at s0 =
+    -1/span (``kernels.level_start``, to the gap ``kernels._START_GAP``),
+    then the joint Newton iteration on (q, s) (``kernels.level_newton``)
+    from its pmf, started at the slope where the level meets the secant
+    through the start's own point (s0, f0) and the zero-rate end (0, hi):
+    s0 (hi - level) / (hi - f0), clamped to [_SECANT_LO, _SECANT_HI] s0.
+    The iteration hands back its last point's results, which make the
+    solve; where its tilt is capped off its support they come from a
+    one-iteration lane at its slope and pmf instead. Returns the solve and
+    True when it is certified and within ``problem.tol_f`` of the level;
+    otherwise the solve of a lane at s0 solved on from the start's pmf to
+    _GAP_TOL, which seeds the search, and False. The start's iterations
+    count toward the solve's.
     """
     e, w, hi, tol_f = problem.e, problem.w, problem.hi, problem.tol_f
     s0 = -1.0 / (hi - problem.lo)
     q0, f0, climbed, start = kernels.level_start(e, w, s0, _MAX_ITERS)
     ratio = (hi - level) / (hi - f0) if f0 < hi else _SECANT_HI
     s1 = s0 * min(max(ratio, _SECANT_LO), _SECANT_HI)
-    s, q, points = kernels.level_newton(e, w, s1, start, level, tol_f, _GAP_TOL)
-    (joint,) = _lanes(e, w, [s], q[None], 1)
-    hit = joint[3] <= _GAP_TOL and abs(joint[1] - level) <= tol_f
-    s, f, r, g, iters, q_out, q_cond = joint if hit else _lanes(e, w, [s0], q0[None])[0]
-    return (s, f, r, g, (points if hit else iters) + climbed, q_out, q_cond), hit
+    s, q, points, joint = kernels.level_newton(e, w, s1, start, level, tol_f, _GAP_TOL)
+    if joint is None:  # capped off its support: only the lane's log-sum-exp certifies it
+        (_, f, r, g, _, q, q_cond), = _lanes(e, w, [s], q[None], 1)
+    else:
+        q_cond, f, r, g = joint
+    if g <= _GAP_TOL and abs(f - level) <= tol_f:
+        return (s, f, r, g, points + climbed, q, q_cond), True
+    s, f, r, g, iters, q_out, q_cond = _lanes(e, w, [s0], q0[None])[0]
+    return (s, f, r, g, iters + climbed, q_out, q_cond), False
 
 
-def _certified(pt: SlopePoint) -> SlopePoint:
-    """pt itself; NotConverged if its gap exceeds the gap tolerance."""
-    if not pt.converged:
+def _certified(pt: SlopePoint, goal: float) -> SlopePoint:
+    """pt itself; NotConverged if its gap exceeds the gap tolerance, or else
+    if the search gave up on it off its rate goal (nats)."""
+    if pt.converged:
+        return pt
+    if pt.gap <= _GAP_TOL:
         raise NotConverged(
-            f"slope {pt.slope:g}: duality gap {pt.gap:g} nats after {pt.iterations} "
-            f"iterations exceeds gap_tol {_GAP_TOL:g}"
+            f"slope {pt.slope:g}: rate {pt.rate:.9g} nats is off its rate target "
+            f"{goal:.9g} nats: the slope search gave up"
         )
-    return pt
+    raise NotConverged(
+        f"slope {pt.slope:g}: duality gap {pt.gap:g} nats after {pt.iterations} "
+        f"iterations exceeds gap_tol {_GAP_TOL:g}"
+    )
 
 
 def solve_at_distortion(
@@ -604,6 +618,6 @@ def distortion_at_rate(
         return d_lo
     memo = _lanes(problem.e, problem.w, [-1.0 / (hi - lo)], None) + [problem.zero]
     found = _search(problem, [rate_nats], memo, by_rate=True)
-    pt = _certified(_points(problem.amended, *found)[0])
+    pt = _certified(_points(problem.amended, *found)[0], rate_nats)
     # short of rate_nats within the level tolerance of d_min
     return d_lo if rate_nats > pt.rate and pt.f_distortion <= lo + tol_f else pt.distortion

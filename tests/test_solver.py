@@ -779,17 +779,17 @@ class TestLoneLevel:
         assert work <= 357
 
     def test_kernel_calls_per_solve(self, monkeypatch, criterion_05_targets):
-        # the slope search alone took 7.0 one-lane calls per solve, and a
-        # second call that certified the joint point 2; the start climbs
-        # outside the fixed-point kernel, whose one call per solve certifies
-        # the joint point
+        # the slope search alone took 7.0 one-lane calls per solve, a second
+        # call that certified the joint point 2, and a one-iteration lane that
+        # certified it 1; the start climbs outside the fixed-point kernel, and
+        # the joint iteration certifies its own last point
         slopes = _count_solves(monkeypatch)
         calls = []
         for src, d, f, _, D in criterion_05_targets:
             before = len(slopes)
             solve_at_distortion(src, d, f, D)
-            calls.append(len(slopes) - before)  # the certifying call's one lane
-        assert calls == [1] * len(criterion_05_targets)
+            calls.append(len(slopes) - before)
+        assert calls == [0] * len(criterion_05_targets)
 
     @pytest.mark.parametrize(
         "f", [FTransform.identity(), FTransform.sqrt(), FTransform.exponential(9.2)],
@@ -797,8 +797,8 @@ class TestLoneLevel:
     @pytest.mark.parametrize("beta", [0.05, 0.15, 0.3])
     def test_sweep_with_one_unsolved_level(self, monkeypatch, beta, f):
         # a 2-point sweep's second level is the zero-rate end, so its first
-        # is a lone level: one kernel call and no search (a cold lane at
-        # -1/span and doubling took 6 to 8 calls)
+        # is a lone level: no fixed-point kernel call and no search (a cold
+        # lane at -1/span and doubling took 6 to 8 calls)
         def no_search(*args, **kwargs):
             raise AssertionError("the slope search ran")
 
@@ -806,7 +806,7 @@ class TestLoneLevel:
         slopes = _count_solves(monkeypatch)
         m, src, d = bsc_problem(beta, f)
         curve = sweep_curve(src, d, f, 2)
-        assert len(slopes) == 1 and curve.all_converged
+        assert len(slopes) == 0 and curve.all_converged
         tol_f = solver._Problem(build_amended(src, d, f), src.z_marginal).tol_f
         level = f.apply(0.5 * (curve.d_min + curve.d_max))
         assert abs(curve.points[0].f_distortion - level) <= tol_f
@@ -851,9 +851,56 @@ class TestLoneLevel:
         slopes = _count_solves(monkeypatch)
         m, src, d = bsc_problem(0.1)
         pt = solve_at_distortion(src, d, m.f, D)
-        assert raised == [1] and len(slopes) == 1  # no fallback lane
+        assert raised == [1] and len(slopes) == 0  # no fallback lane
         assert pt.converged and abs(pt.f_distortion - D) <= BISECTION_TOL
         assert abs(pt.rate - bsc_irdf(m, D)) <= 1e-9
+
+    @pytest.mark.parametrize("loss, certified", [(1000.0, False), (300.0, True)],
+                             ids=["uncertified", "certified"])
+    def test_tilt_capped_off_the_support(self, monkeypatch, loss, certified):
+        # z = 2, of weight 1e-200, is seen only with x = 2, which costs
+        # ``loss`` on letters 0 and 1 and nothing on letter 2; letter 2 costs
+        # 1 elsewhere, so the level's point drops it, with s (e - m) = |s|
+        # loss >= _EXP_CAP on row 2. There the capped tilt understates c(2)
+        # by a factor exp(|s| loss - _EXP_CAP), and the point is certified by
+        # the one-iteration lane's log-sum-exp at (s, q), with that lane's
+        # verdict, gap and point: at loss 1000 c(2) is ~e**638, and the
+        # search takes over; at 300 it is ~e**-131, and the point stands
+        ends, searches = [], []
+        real_newton, real_search = kernels.level_newton, solver._search
+
+        def newton(*args):
+            ends.append(real_newton(*args))
+            return ends[-1]
+
+        def search(*args, **kwargs):
+            searches.append(args[1])
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "level_newton", newton)
+        monkeypatch.setattr(solver, "_search", search)
+        src = JointSource.from_joint(np.diag([0.5, 0.5, 1e-200]))
+        d = DistortionMatrix([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [loss, loss, 0.0]])
+        f = FTransform.identity()
+        problem = solver._Problem(build_amended(src, d, f), src.z_marginal)
+        pt = solve_at_distortion(src, d, f, 0.25)
+        (s, q, _, joint), = ends
+        e, pz = problem.e, problem.w
+        assert joint is None and q[2] == 0.0 and -s * loss >= kernels._EXP_CAP
+        # the gap the capped tilt reads certifies the point either way
+        a = np.exp(np.minimum(s * (e - e[:, :2].min(axis=1, keepdims=True)), kernels._EXP_CAP))
+        assert math.log(((pz / (a @ q)) @ a).max()) <= GAP_TOL
+        q_cond, q_out, f_dist, rate, _, gap = _one_lane(e, pz, s, 1, GAP_TOL, q)
+        assert pt.converged == certified == (gap <= GAP_TOL)
+        if certified:
+            assert not searches
+            assert (pt.slope, pt.f_distortion, pt.rate, pt.gap) == (s, f_dist, rate, gap)
+            np.testing.assert_array_equal(pt.q_out, q_out)
+            np.testing.assert_array_equal(pt.q_cond, q_cond)
+            assert abs(pt.rate - (LN2 - binary_entropy(pt.distortion))) <= 1e-12
+        else:
+            assert searches == [[0.25]] and gap > 600.0
+            assert abs(pt.f_distortion - 0.25) <= problem.tol_f
 
     def test_joint_iteration_starts_at_the_secant_slope(self, monkeypatch,
                                                         criterion_05_targets):
@@ -933,14 +980,13 @@ class TestLoneLevel:
             c = rng.uniform(-10.0, 10.0, len(e)) * max(1.0, hi - lo)
             start = kernels.level_start(e, pz, s0, MAX_ITERS)[3]
             start_c = kernels.level_start(e + c[:, None], pz, s0, MAX_ITERS)[3]
-            s, q_out, _ = kernels.level_newton(e, pz, s0, start, level, tol_f, GAP_TOL)
-            s_c, q_c, _ = kernels.level_newton(e + c[:, None], pz, s0, start_c, level + pz @ c,
-                                               tol_f, GAP_TOL)
+            s, q_out, _, (_, f_dist, *_) = kernels.level_newton(e, pz, s0, start, level, tol_f,
+                                                                GAP_TOL)
+            s_c, q_c, _, (_, f_c, *_) = kernels.level_newton(e + c[:, None], pz, s0, start_c,
+                                                             level + pz @ c, tol_f, GAP_TOL)
             assert s_c == pytest.approx(s, rel=1e-9, abs=0.0)
             np.testing.assert_allclose(q_c, q_out, rtol=1e-9, atol=0.0)
-            # the distortions of the two points, as the lone level certifies them
-            f_dist = _one_lane(e, pz, s, 1, GAP_TOL, q_out)[2]
-            f_c = _one_lane(e + c[:, None], pz, s_c, 1, GAP_TOL, q_c)[2]
+            # the distortions of the two points, as the joint iteration certifies them
             assert f_c == pytest.approx(f_dist + pz @ c, rel=1e-12, abs=1e-12)
 
     def test_zero_rate_point_is_built_only_when_a_level_needs_it(self, monkeypatch,
@@ -987,10 +1033,10 @@ def _stress_targets():
 
 
 def test_lone_levels_under_stress(monkeypatch):
-    # every lone level of the stress recipe is certified and on its level in
-    # one kernel call: the joint point, never the search's fallback; its
-    # start iterations and joint points stay within the budget (7,878 when
-    # it was set)
+    # every lone level of the stress recipe is certified and on its level by
+    # its joint iteration, with no fixed-point kernel call: never the
+    # search's fallback, nor the lane of a capped tilt; its start iterations
+    # and joint points stay within the budget (7,878 when it was set)
     slopes = _count_solves(monkeypatch)
     n = work = 0
     for src, d, f, am, lo, hi, level in _stress_targets():
@@ -999,7 +1045,7 @@ def test_lone_levels_under_stress(monkeypatch):
         pt = solve_at_distortion(src, d, f, D)
         assert pt.converged and pt.gap <= GAP_TOL
         assert abs(pt.f_distortion - f.apply(D)) <= solver._Problem(am, src.z_marginal).tol_f
-        assert len(slopes) - before == 1
+        assert len(slopes) == before
         n += 1
         work += pt.iterations
     assert n == 692 and work <= 7878
@@ -1106,9 +1152,12 @@ class TestSearchExits:
             assert np.abs(levels - p.f_distortion).min() > tol_f
 
     def test_rate_target_raises(self, capped):
-        # ln 2 - 1e-6 nats needs a slope ~8 times -1/span: two doublings
+        # ln 2 - 1e-6 nats needs a slope ~8 times -1/span: two doublings. The
+        # point given up on is certified, so the error names its rate and the
+        # goal, not its gap
         m, src, d = bsc_problem(0.1)
-        with pytest.raises(NotConverged):
+        with pytest.raises(NotConverged, match=r"rate 0\.\d+ nats is off its rate target "
+                                               r"0\.693146181 nats"):
             distortion_at_rate(src, d, m.f, LN2 - 1e-6)
 
     def test_cli_curve_exits_3(self, capped, capsys):
@@ -1504,35 +1553,37 @@ class TestKernel:
 
     def test_joint_points_are_certified_from_their_pmfs(self, monkeypatch,
                                                         criterion_05_targets):
-        # a lone level's point is the fixed-point kernel's one-iteration
-        # result at level_newton's last slope and pmf, bit for bit, from the
-        # one kernel call the level makes
-        real_newton, real_lane = kernels.level_newton, kernels.ba_fixed_slope_loop
-        ends, lanes = [], []
+        # a lone level's point is certified where its joint iteration lands,
+        # from that iteration's last evaluation: it is the fixed-point
+        # kernel's one-iteration lane at level_newton's last slope and pmf, to
+        # roundoff, with the same verdict, on every criterion-05 and stress
+        # level. The lane renormalizes the pmf (q_out within 2 ulps) and sums
+        # E[e | z] in another order (f_distortion within 1 ulp)
+        real_newton = kernels.level_newton
+        ends = []
 
         def newton(e, pz, *args):
             out = real_newton(e, pz, *args)
-            ends.append(out)
+            ends.append((e, pz, out))
             return out
 
-        def lane(e, pz, s, max_iters, *args):
-            lanes.append((s.tolist(), max_iters))
-            return real_lane(e, pz, s, max_iters, *args)
-
         monkeypatch.setattr(kernels, "level_newton", newton)
-        monkeypatch.setattr(kernels, "ba_fixed_slope_loop", lane)
-        for src, d, f, am, D in criterion_05_targets:
+        stress = ((src, d, f, am, float(f.invert(level)))
+                  for src, d, f, am, _, _, level in _stress_targets())
+        n = 0
+        for src, d, f, am, D in itertools.chain(criterion_05_targets, stress):
             ends.clear()
-            lanes.clear()
             pt = solve_at_distortion(src, d, f, D)
-            (s, q, _), = ends
-            assert lanes == [([s], 1)]
-            e, pz = _reduced(am, src.z_marginal)
+            (e, pz, (s, q, _, joint)), = ends
+            assert joint is not None and pt.slope == s
             q_cond, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s, 1, GAP_TOL, q)
-            assert iters == 1 and pt.slope == s and pt.rate == max(rate, 0.0)
-            for got, want in ((pt.q_cond[am.used_z], q_cond), (pt.q_out, q_out),
-                              (pt.f_distortion, f_dist), (pt.gap, gap)):
-                np.testing.assert_array_equal(got, want)
+            assert iters == 1 and pt.converged and gap <= GAP_TOL
+            np.testing.assert_array_max_ulp(pt.q_out, q_out, maxulp=2)
+            np.testing.assert_array_max_ulp(pt.f_distortion, f_dist, maxulp=1)
+            assert abs(pt.rate - max(rate, 0.0)) <= 1e-15 and abs(pt.gap - gap) <= 1e-15
+            assert np.abs(pt.q_cond - q_cond).max() <= 1e-15
+            n += 1
+        assert n == len(criterion_05_targets) + 692
 
     def test_start_climb_is_the_lane_kernels_climb(self, criterion_05_targets):
         # a lone level's start is the ascent of a fixed-point lane at s0 =
