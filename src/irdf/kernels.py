@@ -46,12 +46,13 @@ only loosely, to the gap _START_GAP, with its distortion read off the
 ascent's last tilt and no end assembly; ``level_newton`` takes over the
 start's support, pmf and shifted rows as they are. ``level_newton``
 certifies its last point where it lands, once, instead of at every slope a
-root search on s would try: the evaluation its stop test reads (tilt, den,
-c over every letter, E[e | z] and f) also gives that point's conditional,
-rate and gap, with no second tilt. The one exception is a tilt capped off
-the support, which understates c there; such a point goes back to the
-caller uncertified, and a one-iteration lane of the fixed-point kernel,
-whose end assembly reads c off the support by log-sum-exp, certifies it.
+root search on s would try, and with no call of the fixed-point kernel. It
+lays the tilt of its last evaluation out in the letters' order, and the
+lanes' own code (``_conditional``) gives the point's conditional and
+distortion there at the pmf renormalized, as a one-iteration lane at that
+slope and pmf gives them, bit for bit; the rate and the gap come from the
+same evaluation's c. A tilt capped off the support understates c there,
+and then the gap is the lanes' log-sum-exp (``_capped``).
 
 On these small systems the time goes to numpy's per-call overhead, not to
 arithmetic, so each point and each step is written in as few calls as the
@@ -164,30 +165,42 @@ def _assemble(expected_f, pz, s, q, m, x, a, den, c, gap):
     """The results of lanes at their output pmfs q, stacked over lanes: the
     tilted conditional, the distortion, the rate and Blahut's gap, from
     ``_tilted``'s row minima m, shifted rows x, tilt a, den, c and gap at q.
-    Every lane is certified here, from its slope and its pmf alone; so is
-    a lone level's joint point whose tilt is capped off its support.
+    Every lane is certified here, from its slope and its pmf alone.
     """
     if np.maximum.reduce(a, axis=None, initial=0.0) >= _A_CAP or math.inf in gap.tolist():
-        # a capped tilt understates c off the support, and c there may
-        # overflow: there log c comes by log-sum-exp over z
-        sup = q > 0.0
-        # log(p / den) is -inf on a zero-weight row, whose terms drop out
-        log_w = np.log(pz / den, out=np.full_like(den, -np.inf), where=pz > 0.0)
-        terms = log_w[:, :, None] + s[:, None, None] * x
-        top = terms.max(axis=1)
-        off = top + np.log(np.exp(terms - top[:, None, :]).sum(axis=1))
-        c = np.where(sup, c, 0.0)
-        gap = np.maximum(np.log(c.max(axis=1)), np.where(sup, -np.inf, off).max(axis=1))
-    q_cond = a * (q[:, None, :] / den[:, :, None])
-    ones = np.ones(q.shape[1])  # sums over letters as products, which beat reductions
-    above = (q_cond * x).dot(ones)  # E[e | z] - m(z)
-    f_dist = (above + m).dot(pz)
+        c, gap = _capped(pz, s, q, x, den, c)
+    q_cond, above, f_dist = _conditional(pz, q, m, x, a, den)
     # I(Z; Xhat) = sum p q_cond log(q_cond / q) - mix . log(mix / q), with
     # mix = q * c = pz @ q_cond and mix / q = c on the support
     mix = q * c
     log_c = np.log(np.where(mix > 0.0, c, 1.0))
-    rate = (s[:, None] * above - np.log(den)).dot(pz) - (mix * log_c).dot(ones)
+    rate = (s[:, None] * above - np.log(den)).dot(pz) - (mix * log_c).dot(np.ones(q.shape[1]))
     return q_cond, f_dist, rate, gap
+
+
+def _capped(pz, s, q, x, den, c):
+    """c and the gap of lanes whose tilt is capped off the support (or whose
+    c overflows there), stacked over lanes: the capped tilt understates c
+    off the support, and c there may overflow, so there log c comes by
+    log-sum-exp over z. Returns c zeroed off the support, and the gap."""
+    sup = q > 0.0
+    # log(p / den) is -inf on a zero-weight row, whose terms drop out
+    log_w = np.log(pz / den, out=np.full_like(den, -np.inf), where=pz > 0.0)
+    terms = log_w[:, :, None] + s[:, None, None] * x
+    top = terms.max(axis=1)
+    off = top + np.log(np.exp(terms - top[:, None, :]).sum(axis=1))
+    c = np.where(sup, c, 0.0)
+    return c, np.maximum(np.log(c.max(axis=1)), np.where(sup, -np.inf, off).max(axis=1))
+
+
+def _conditional(pz, q, m, x, a, den):
+    """The tilted conditional a q / den of lanes at their pmfs q, E[e | z] -
+    m(z) and the distortion, stacked over lanes, from ``_tilted``'s m, x, a
+    and den."""
+    q_cond = a * (q[:, None, :] / den[:, :, None])
+    ones = np.ones(q.shape[1])  # sums over letters as products, which beat reductions
+    above = (q_cond * x).dot(ones)
+    return q_cond, above, (above + m).dot(pz)
 
 
 def _tilted(expected_f, pz, s, q):
@@ -346,25 +359,26 @@ def level_newton(expected_f, pz, s, start, level, tol_f, gap_tol):
     A point's rows depend on S alone (``_shifted``), and each point
     (``_joint_point``) is evaluated once: the tilt exp(s (e - m)), den, c on
     S and off it, E[e | z], f and the residual q (c_S - 1), which serve the
-    stop test, the step's merit test and the next system. The deviations e
-    - E[e | z] are formed only for a point that gets a step, and scaled by
-    |s| before they are squared: unscaled, their squares overflow once the
-    transform-domain spread passes ~1e154.
+    stop test, the step's merit test and the next system, and the last
+    point's tilt its certificate. The deviations e - E[e | z] are formed
+    only for a point that gets a step, and scaled by |s| before they are
+    squared: unscaled, their squares overflow once the transform-domain
+    spread passes ~1e154.
 
     It stops once a point meets gap <= gap_tol over every letter and |f -
     level| <= tol_f, and gives up once it has evaluated _NEWTON_ITERS
     points, or when no step reduces the residual. Either way it returns (s,
     q, iters, point): the last slope, the last pmf over all letters, the
-    number of points evaluated, and the results at (s, q) from the last
-    point's evaluation, (q_cond, f, rate, gap) in ``ba_fixed_slope_loop``'s
-    order: the tilted conditional over all letters (a zero-weight zero
-    row's is q), the distortion, the rate sum_z p(z) (s E[e - m | z] - log
-    den(z)) - sum_S q c log c, and the gap log max c over every letter, from
-    which the caller reads whether the point is certified and on the level.
-    point is None where the tilt is capped off the support (s (e - m) >=
-    _EXP_CAP at a dropped letter): c there is understated, and only
-    ``_assemble``'s log-sum-exp, in a one-iteration lane of
-    ``ba_fixed_slope_loop`` at (s, q), certifies the point.
+    number of points evaluated, and the point at (s, q), (q_cond, q_out, f,
+    rate, gap) in ``ba_fixed_slope_loop``'s order, from which the caller
+    reads whether it is certified and on the level. q_out, q_cond and f are
+    a one-iteration lane's at (s, q), bit for bit: q renormalized, and
+    ``_conditional`` on the last evaluation's tilt in the letters' order.
+    The rate sum_z p(z) (s E[e - m | z] - log den(z)) - sum_S q c log c
+    and the gap log max c over every letter take that evaluation's c, and
+    match the lane's to roundoff; where the tilt is capped off the support
+    (s (e - m) >= _EXP_CAP at a dropped letter) the gap is the lanes'
+    log-sum-exp (``_capped``).
     """
     sup, out, q, rows = start
     out = list(out)
@@ -375,7 +389,7 @@ def level_newton(expected_f, pz, s, start, level, tol_f, gap_tol):
     with np.errstate(under="ignore"):
         at = _joint_point(pz, s, rows, q)
         while True:
-            a, den, t, cl, mean, f, res, res_sq = at
+            a, den, t, cl, mean, f, res, res_sq, _ = at
             k = q.size
             c_top, back = max(cl[:k]), max(cl[k:], default=0.0)
             if iters >= _NEWTON_ITERS or (math.log(max(c_top, back)) <= gap_tol
@@ -432,20 +446,30 @@ def level_newton(expected_f, pz, s, start, level, tol_f, gap_tol):
             else:
                 break  # no step reduces the residual
             q, s, sup, out, rows, at = q_new, s + alpha * ds, sup_new, out_new, rows_new, trial
-        q_out = np.zeros(expected_f.shape[1])
-        q_out[sup] = q
-        # the largest exponent s (e - m) off the support
-        peak = s * float(np.minimum.reduce(rows[2][:, q.size:], axis=None, initial=math.inf))
-        if peak >= _EXP_CAP:  # the capped tilt understates c there
-            return s, q_out, iters, None
-        a, den, _, cl, mean, f = at[:6]
-        q_cond = np.zeros((den.size, q_out.size))
-        q_cond[:, sup] = a * (q / den[:, None])
-        c = np.array(cl[:q.size])
-        mix = q * c  # pz @ q_cond on the support
-        log_c = np.log(np.where(mix > 0.0, c, 1.0))
-        rate = float((s * mean - np.log(den)).dot(pz) - mix.dot(log_c))
-    return s, q_out, iters, (q_cond, f, rate, math.log(max(cl)))
+        # the last point in the letters' order, one lane of ``_tilted``'s
+        # layout: its pmf renormalized and its den as a lane computes them,
+        # and its tilt the last evaluation's, so that ``_conditional`` gives
+        # a lane's conditional and distortion at (s, q), bit for bit
+        q_all = np.zeros((1, expected_f.shape[1]))
+        q_all[0, sup] = q
+        q_out = q_all / np.add.reduce(q_all, axis=1, keepdims=True)
+        a = np.empty((1,) + expected_f.shape)
+        a[0][:, sup + out] = at[8]
+        m = rows[0][None]
+        x = expected_f - m[:, :, None]
+        den = np.matmul(a, q_out[:, :, None])[:, :, 0]
+        q_cond, above, f = _conditional(pz, q_out, m, x, a, den)
+        # the rate and the gap from the last evaluation's c, on S in Python
+        # lists, which beat numpy on a few letters; a capped tilt takes the
+        # lanes' log-sum-exp
+        rate = float((s * above[0] - np.log(den[0])).dot(pz)) - sum(
+            v * w * math.log(w) for v, w in zip(q.tolist(), cl[:q.size]) if w > 0.0)
+        gap = math.log(max(cl))
+        if np.maximum.reduce(a, axis=None, initial=0.0) >= _A_CAP or gap == math.inf:
+            c = np.zeros_like(q_out)
+            c[0, sup] = cl[:q.size]
+            gap = _capped(pz, np.array([s]), q_out, x, den, c)[1].item()
+    return s, q_all[0], iters, (q_cond[0], q_out[0], f.item(), rate, gap)
 
 
 def _split(expected_f, q_row):
@@ -538,8 +562,8 @@ def _joint_point(pz, s, rows, q):
     """At slope s and the pmf q on a support with shifted rows ``rows``
     (``_shifted``): the tilt of the support, den, t = pz / den, c on the
     support and then off it as a list, E[e | z] - m(z), the
-    distortion f, and the residual q (c - 1) of the conditions c_S = 1 with
-    its squared norm."""
+    distortion f, the residual q (c - 1) of the conditions c_S = 1 with
+    its squared norm, and the tilt over all letters (``_tilt``)."""
     m, e, _ = rows
     a_all, a = _tilt(s, rows)
     den = a.dot(q)
@@ -548,7 +572,8 @@ def _joint_point(pz, s, rows, q):
     mean = (a * e).dot(q) / den  # E[e | z] - m(z)
     res = c_all[:q.size] - 1.0
     res *= q
-    return a, den, t, c_all.tolist(), mean, float(pz.dot(mean + m)), res, float(res.dot(res))
+    return (a, den, t, c_all.tolist(), mean, float(pz.dot(mean + m)), res, float(res.dot(res)),
+            a_all)
 
 
 _NEWTON_ITERS = 40   # points a joint Newton iteration evaluates before it gives up

@@ -53,10 +53,11 @@ the joint Newton iteration on (q, s) (``kernels.level_newton``) solves the
 slope and the fixed point together. It starts at the slope where the level
 meets the secant through the start's own point (s0, f0) and the zero-rate
 end (0, hi), clamped to [0.5, 1.2] s0. The iteration certifies its last
-point where it lands, from that point's own evaluation; only a point whose
-tilt is capped off its support is certified by a one-iteration lane of the
-fixed-point kernel at its slope and pmf. Certified and on the level, the
-point is the result, with no memo, no zero-rate solve and no search round.
+point where it lands, from that point's own evaluation: its pmf,
+conditional and distortion are the fixed-point kernel's one-iteration lane
+at its slope and pmf, bit for bit, and its rate and gap agree to roundoff.
+Certified and on the level, the point is the result, with no memo, no
+zero-rate solve and no search round.
 Otherwise a lane at s0 is solved on to _GAP_TOL from the start's pmf and
 seeds the search. A sweep with a single level below hi is that lone level;
 other sweeps and the rate target of ``distortion_at_rate`` run the search
@@ -512,24 +513,20 @@ def _newton_seed(problem: _Problem, level: float) -> tuple[tuple, bool]:
     from its pmf, started at the slope where the level meets the secant
     through the start's own point (s0, f0) and the zero-rate end (0, hi):
     s0 (hi - level) / (hi - f0), clamped to [_SECANT_LO, _SECANT_HI] s0.
-    The iteration hands back its last point's results, which make the
-    solve; where its tilt is capped off its support they come from a
-    one-iteration lane at its slope and pmf instead. Returns the solve and
-    True when it is certified and within ``problem.tol_f`` of the level;
-    otherwise the solve of a lane at s0 solved on from the start's pmf to
-    _GAP_TOL, which seeds the search, and False. The start's iterations
-    count toward the solve's.
+    The iteration hands back its last point, certified from its own
+    evaluation where it lands. Returns its solve and True when it is
+    certified and within ``problem.tol_f`` of the level; otherwise the
+    solve of a lane at s0 solved on from the start's pmf to _GAP_TOL, which
+    seeds the search, and False. The start's iterations count toward the
+    solve's.
     """
     e, w, hi, tol_f = problem.e, problem.w, problem.hi, problem.tol_f
     s0 = -1.0 / (hi - problem.lo)
     q0, f0, climbed, start = kernels.level_start(e, w, s0, _MAX_ITERS)
     ratio = (hi - level) / (hi - f0) if f0 < hi else _SECANT_HI
     s1 = s0 * min(max(ratio, _SECANT_LO), _SECANT_HI)
-    s, q, points, joint = kernels.level_newton(e, w, s1, start, level, tol_f, _GAP_TOL)
-    if joint is None:  # capped off its support: only the lane's log-sum-exp certifies it
-        (_, f, r, g, _, q, q_cond), = _lanes(e, w, [s], q[None], 1)
-    else:
-        q_cond, f, r, g = joint
+    s, _, points, (q_cond, q, f, r, g) = kernels.level_newton(e, w, s1, start, level, tol_f,
+                                                              _GAP_TOL)
     if g <= _GAP_TOL and abs(f - level) <= tol_f:
         return (s, f, r, g, points + climbed, q, q_cond), True
     s, f, r, g, iters, q_out, q_cond = _lanes(e, w, [s0], q0[None])[0]

@@ -779,10 +779,8 @@ class TestLoneLevel:
         assert work <= 357
 
     def test_kernel_calls_per_solve(self, monkeypatch, criterion_05_targets):
-        # the slope search alone took 7.0 one-lane calls per solve, a second
-        # call that certified the joint point 2, and a one-iteration lane that
-        # certified it 1; the start climbs outside the fixed-point kernel, and
-        # the joint iteration certifies its own last point
+        # a lone level makes no fixed-point kernel call: its start climbs
+        # outside the kernel, and its joint iteration certifies its last point
         slopes = _count_solves(monkeypatch)
         calls = []
         for src, d, f, _, D in criterion_05_targets:
@@ -863,9 +861,10 @@ class TestLoneLevel:
         # 1 elsewhere, so the level's point drops it, with s (e - m) = |s|
         # loss >= _EXP_CAP on row 2. There the capped tilt understates c(2)
         # by a factor exp(|s| loss - _EXP_CAP), and the point is certified by
-        # the one-iteration lane's log-sum-exp at (s, q), with that lane's
-        # verdict, gap and point: at loss 1000 c(2) is ~e**638, and the
-        # search takes over; at 300 it is ~e**-131, and the point stands
+        # the fixed-point kernel's log-sum-exp: it is the one-iteration
+        # lane's point at (s, q), with its verdict, and its gap and rate to
+        # roundoff. At loss 1000 c(2) is ~e**638, and the search takes over;
+        # at 300 it is ~e**-131, and the point stands
         ends, searches = [], []
         real_newton, real_search = kernels.level_newton, solver._search
 
@@ -884,17 +883,21 @@ class TestLoneLevel:
         f = FTransform.identity()
         problem = solver._Problem(build_amended(src, d, f), src.z_marginal)
         pt = solve_at_distortion(src, d, f, 0.25)
-        (s, q, _, joint), = ends
+        (s, q, _, point), = ends
         e, pz = problem.e, problem.w
-        assert joint is None and q[2] == 0.0 and -s * loss >= kernels._EXP_CAP
-        # the gap the capped tilt reads certifies the point either way
+        assert q[2] == 0.0 and -s * loss >= kernels._EXP_CAP
+        # the gap the capped tilt reads would certify the point either way
         a = np.exp(np.minimum(s * (e - e[:, :2].min(axis=1, keepdims=True)), kernels._EXP_CAP))
         assert math.log(((pz / (a @ q)) @ a).max()) <= GAP_TOL
         q_cond, q_out, f_dist, rate, _, gap = _one_lane(e, pz, s, 1, GAP_TOL, q)
+        for got, want in zip(point, (q_cond, q_out, f_dist)):
+            np.testing.assert_array_equal(got, want)
+        assert point[3:] == (pytest.approx(rate, rel=1e-15, abs=1e-15),
+                             pytest.approx(gap, rel=1e-15, abs=1e-15))
         assert pt.converged == certified == (gap <= GAP_TOL)
         if certified:
             assert not searches
-            assert (pt.slope, pt.f_distortion, pt.rate, pt.gap) == (s, f_dist, rate, gap)
+            assert (pt.slope, pt.f_distortion, pt.rate, pt.gap) == (s, f_dist) + point[3:]
             np.testing.assert_array_equal(pt.q_out, q_out)
             np.testing.assert_array_equal(pt.q_cond, q_cond)
             assert abs(pt.rate - (LN2 - binary_entropy(pt.distortion))) <= 1e-12
@@ -980,13 +983,13 @@ class TestLoneLevel:
             c = rng.uniform(-10.0, 10.0, len(e)) * max(1.0, hi - lo)
             start = kernels.level_start(e, pz, s0, MAX_ITERS)[3]
             start_c = kernels.level_start(e + c[:, None], pz, s0, MAX_ITERS)[3]
-            s, q_out, _, (_, f_dist, *_) = kernels.level_newton(e, pz, s0, start, level, tol_f,
-                                                                GAP_TOL)
-            s_c, q_c, _, (_, f_c, *_) = kernels.level_newton(e + c[:, None], pz, s0, start_c,
-                                                             level + pz @ c, tol_f, GAP_TOL)
+            s, q_out, _, (_, _, f_dist, *_) = kernels.level_newton(e, pz, s0, start, level,
+                                                                   tol_f, GAP_TOL)
+            s_c, q_c, _, (_, _, f_c, *_) = kernels.level_newton(e + c[:, None], pz, s0, start_c,
+                                                                level + pz @ c, tol_f, GAP_TOL)
             assert s_c == pytest.approx(s, rel=1e-9, abs=0.0)
             np.testing.assert_allclose(q_c, q_out, rtol=1e-9, atol=0.0)
-            # the distortions of the two points, as the joint iteration certifies them
+            # the distortions of the two points, as the lone level certifies them
             assert f_c == pytest.approx(f_dist + pz @ c, rel=1e-12, abs=1e-12)
 
     def test_zero_rate_point_is_built_only_when_a_level_needs_it(self, monkeypatch,
@@ -1034,9 +1037,9 @@ def _stress_targets():
 
 def test_lone_levels_under_stress(monkeypatch):
     # every lone level of the stress recipe is certified and on its level by
-    # its joint iteration, with no fixed-point kernel call: never the
-    # search's fallback, nor the lane of a capped tilt; its start iterations
-    # and joint points stay within the budget (7,878 when it was set)
+    # its joint iteration, with no fixed-point kernel call and never the
+    # search's fallback; its start iterations and joint points stay within
+    # the budget (7,878 when it was set)
     slopes = _count_solves(monkeypatch)
     n = work = 0
     for src, d, f, am, lo, hi, level in _stress_targets():
@@ -1554,11 +1557,11 @@ class TestKernel:
     def test_joint_points_are_certified_from_their_pmfs(self, monkeypatch,
                                                         criterion_05_targets):
         # a lone level's point is certified where its joint iteration lands,
-        # from that iteration's last evaluation: it is the fixed-point
-        # kernel's one-iteration lane at level_newton's last slope and pmf, to
-        # roundoff, with the same verdict, on every criterion-05 and stress
-        # level. The lane renormalizes the pmf (q_out within 2 ulps) and sums
-        # E[e | z] in another order (f_distortion within 1 ulp)
+        # from that iteration's last evaluation and with no fixed-point kernel
+        # call: on every criterion-05 and stress level it is the kernel's
+        # one-iteration lane at level_newton's last slope and pmf, with the
+        # same verdict, pmf, conditional and distortion, bit for bit, and the
+        # same rate and gap to roundoff (they come from the iteration's own c)
         real_newton = kernels.level_newton
         ends = []
 
@@ -1574,14 +1577,12 @@ class TestKernel:
         for src, d, f, am, D in itertools.chain(criterion_05_targets, stress):
             ends.clear()
             pt = solve_at_distortion(src, d, f, D)
-            (e, pz, (s, q, _, joint)), = ends
-            assert joint is not None and pt.slope == s
+            (e, pz, (s, q, _, _)), = ends
             q_cond, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s, 1, GAP_TOL, q)
-            assert iters == 1 and pt.converged and gap <= GAP_TOL
-            np.testing.assert_array_max_ulp(pt.q_out, q_out, maxulp=2)
-            np.testing.assert_array_max_ulp(pt.f_distortion, f_dist, maxulp=1)
+            assert iters == 1 and pt.converged and gap <= GAP_TOL and pt.slope == s
+            for got, want in ((pt.q_cond, q_cond), (pt.q_out, q_out), (pt.f_distortion, f_dist)):
+                np.testing.assert_array_equal(got, want)
             assert abs(pt.rate - max(rate, 0.0)) <= 1e-15 and abs(pt.gap - gap) <= 1e-15
-            assert np.abs(pt.q_cond - q_cond).max() <= 1e-15
             n += 1
         assert n == len(criterion_05_targets) + 692
 
