@@ -302,7 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("brute", help="exhaustive best block code at (n, M)")
+    p = sub.add_parser(
+        "brute", help="exhaustive best block code at (n, M)",
+        description="Exhaustive best block code at (n, M), with the single-letter reference. "
+                    "The reported margin is the code's avg_distortion, the mean over blocks of "
+                    "the pooled distortion f^-1(mean f(d)), less the single-letter distortion "
+                    "at the code's rate ln(M)/n. It is a lower-bound check only for concave f "
+                    "(identity included), where it is >= 0 up to roundoff; under convex f it "
+                    "can be negative at finite n (at n = 1, M = 2 on the bsc with beta 0.1: "
+                    "-0.2162 under --f power --p 2, +0.09 under --f sqrt).")
     _add_model_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--M", type=int, required=True)

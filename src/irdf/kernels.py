@@ -49,9 +49,9 @@ certifies its last point where it lands, once, instead of at every slope a
 root search on s would try, and with no call of the fixed-point kernel. It
 lays the tilt of its last evaluation out in the letters' order, and the
 lanes' own code (``_conditional``) gives the point's conditional and
-distortion there at the pmf renormalized, as a one-iteration lane at that
-slope and pmf gives them, bit for bit; the rate and the gap come from the
-same evaluation's c. A tilt capped off the support understates c there,
+distortion there at the pmf renormalized, as the lanes' end assembly
+(``_assemble``) at that slope and pmf gives them, bit for bit; the rate and
+the gap come from the same evaluation's c. A tilt capped off the support understates c there,
 and then the gap is the lanes' log-sum-exp (``_capped``).
 
 On these small systems the time goes to numpy's per-call overhead, not to
@@ -92,7 +92,7 @@ import math
 import numpy as np
 
 
-def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
+def ba_fixed_slope_loop(expected_f, pz, s, q0=None):
     """Fixed points q(xhat|z) ∝ q(xhat) exp(s[b] * expected_f[z, xhat]), one
     lane b per slope.
 
@@ -100,10 +100,11 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
     pz: (nz,) nonnegative, sums to 1; a row with p(z) = 0 has no weight in
     c, the distortion, the rate or the gap, and its conditional is its tilt
     of q (q itself for a zero row). s: (B,) slopes, all < 0.
-    q0: (B, nx) finite nonnegative start pmfs, one row per lane, or None for
-    the uniform pmf in every lane. The positive letters of a row form its
-    lane's starting support, renormalized; its zero-mass letters start
-    dropped and may return like any other.
+    q0: (B, nx) finite nonnegative start pmfs, one row per lane with positive
+    mass, or None for the uniform pmf in every lane; the caller checks them.
+    The positive letters of a row form its lane's starting support,
+    renormalized; its zero-mass letters start dropped and may return like
+    any other.
 
     In each lane the output pmf q maximizes Phi(q) = sum_z p(z) log (A q)(z)
     on the simplex, with the tilt A[z, x] = exp(s * (e[z, x] - m[z])) and
@@ -112,14 +113,14 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
 
         c(x) = sum_z p(z) A[z, x] / den(z),   den = A q,
 
-    certifies q once gap = max_x log c(x) <= gap_tol over every letter. One
+    certifies q once gap = max_x log c(x) <= _GAP_TOL over every letter. One
     vectorized pass computes the tilt, c and the gap of every lane at its
-    start, and one comparison picks the lanes whose gap exceeds gap_tol: a
+    start, and one comparison picks the lanes whose gap exceeds _GAP_TOL: a
     certified start costs one iteration and no per-lane work. Each other
-    lane climbs on its own (``_ascend``), retires on its own certificate
-    and leaves its final pmf in its row of q. After any climb the final
-    vectorized pass tilts every lane again from its pmf, and then assembles
-    every lane's results there.
+    lane climbs on its own (``_ascend``) for at most _MAX_ITERS iterations,
+    retires on its own certificate and leaves its final pmf in its row of
+    q. After any climb the final vectorized pass tilts every lane again from
+    its pmf, and then assembles every lane's results there.
 
     Returns (q_cond, q_out, f_dist, rate, iters, gap) stacked over lanes, with
     shapes (B, nz, nx), (B, nx), (B,), (B,), (B,), (B,): q_out is the output
@@ -128,35 +129,23 @@ def ba_fixed_slope_loop(expected_f, pz, s, max_iters, gap_tol, q0=None):
     """
     nx = expected_f.shape[1]
     s = np.asarray(s, dtype=float)
-    if s.ndim != 1:
-        raise ValueError("s must be a 1-D array of slopes, one per lane")
     if q0 is None:
         q = np.full((s.size, nx), 1.0 / nx)
     else:
-        q0 = np.asarray(q0, dtype=float)
-        if q0.shape != (s.size, nx):
-            raise ValueError(f"q0 must be a ({s.size}, {nx}) stack")
-        # a NaN or negative entry fails the sign test, and an infinite one
-        # makes its row's mass infinite
-        mass = np.add.reduce(q0, axis=1, keepdims=True)
-        total = mass.ravel().tolist()
-        if not (np.minimum.reduce(q0, axis=None, initial=1.0) >= 0.0
-                and min(total, default=1.0) > 0.0 and max(total, default=0.0) < math.inf):
-            raise ValueError("q0 must be finite and nonnegative, with positive mass in every row")
-        q = q0 / mass
+        q = np.asarray(q0, dtype=float)
+        q = q / np.add.reduce(q, axis=1, keepdims=True)
     iters = [1] * s.size
     # exp of very negative exponents and products of tiny masses underflow to
     # 0 by design; overflow and invalid operations still follow the caller
     with np.errstate(under="ignore"):
         tilt = _tilted(expected_f, pz, s, q)
-        if max_iters > 1:
-            for b in np.flatnonzero(tilt[5] > gap_tol).tolist():
-                iters[b], (sup, _, q_sup, _), _ = _ascend(
-                    expected_f, pz, s[b], _split(expected_f, q[b]), tilt[4][b], max_iters, gap_tol)
-                q[b] = 0.0
-                q[b, sup] = q_sup
-            if max(iters) > 1:  # a lane climbed: its row of q is its final pmf
-                tilt = _tilted(expected_f, pz, s, q)
+        for b in np.flatnonzero(tilt[5] > _GAP_TOL).tolist():
+            iters[b], (sup, _, q_sup, _), _ = _ascend(
+                expected_f, pz, s[b], _split(expected_f, q[b]), tilt[4][b], _GAP_TOL)
+            q[b] = 0.0
+            q[b, sup] = q_sup
+        if max(iters) > 1:  # a lane climbed: its row of q is its final pmf
+            tilt = _tilted(expected_f, pz, s, q)
         q_cond, f_dist, rate, gap = _assemble(expected_f, pz, s, q, *tilt)
     return q_cond, q, f_dist, rate, np.array(iters), gap
 
@@ -216,7 +205,7 @@ def _tilted(expected_f, pz, s, q):
     return m, x, a, den, c, np.log(np.maximum.reduce(c, axis=1))
 
 
-def _ascend(expected_f, pz, s, start, c_row, max_iters, gap_tol):
+def _ascend(expected_f, pz, s, start, c_row, gap_tol):
     """Damped active-set Newton ascent of one lane from ``start``, its pmf
     split on its support (``_split``), with c over all letters there.
     Returns its iteration count, its final pmf split the same way, and the
@@ -233,7 +222,7 @@ def _ascend(expected_f, pz, s, start, c_row, max_iters, gap_tol):
     halved until Phi rises or, with Phi flat to roundoff, max c falls; a
     halving counts as an iteration. A step that drops letters moves the row
     minima m, so Phi is compared across it as sum_z p(z) (log den(z) + s
-    m(z)). The loop also ends, uncertified, at max_iters, when no halved
+    m(z)). The loop also ends, uncertified, at _MAX_ITERS, when no halved
     step is accepted, or once a trial leaves Phi and max c unchanged to the last bit.
 
     The tilt (``_tilt``) is rebuilt from the shifted rows (``_shifted``)
@@ -263,7 +252,7 @@ def _ascend(expected_f, pz, s, start, c_row, max_iters, gap_tol):
         else:
             c_top = max(c.tolist())
         back = max(c_out, default=0.0)
-        if math.log(max(c_top, back)) <= gap_tol or iters >= max_iters:
+        if math.log(max(c_top, back)) <= gap_tol or iters >= _MAX_ITERS:
             break
         iters += 1
         if back > c_top:
@@ -280,7 +269,7 @@ def _ascend(expected_f, pz, s, start, c_row, max_iters, gap_tol):
         rhs[:-1] = q * c
         u = np.linalg.solve(kkt, rhs).tolist()[:-1]
         flat = _FLAT * (1.0 + abs(phi))
-        trials = _trials(expected_f, sup, out, rows, q, u, 1.0, max(map(abs, u)), iters, max_iters)
+        trials = _trials(expected_f, sup, out, rows, q, u, 1.0, max(map(abs, u)), iters, _MAX_ITERS)
         for iters, _, q_new, sup_new, out_new, rows_new in trials:
             a_all_new, a_new = (a_all, a) if rows_new is rows else _tilt(s, rows_new)
             den_new = a_new.dot(q_new)
@@ -304,7 +293,7 @@ def _ascend(expected_f, pz, s, start, c_row, max_iters, gap_tol):
     return iters, (sup, out, q, rows), float(pz.dot((a * rows[1]).dot(q) / den + m))
 
 
-def level_start(expected_f, pz, s, max_iters):
+def level_start(expected_f, pz, s):
     """The start of ``level_newton``: a ``ba_fixed_slope_loop`` lane at s
     from the uniform pmf to the gap _START_GAP, climbed by ``_ascend`` alone
     with no end assembly. Returns (q, f, iters, start): the pmf over all
@@ -315,13 +304,13 @@ def level_start(expected_f, pz, s, max_iters):
     sup = list(range(n))
     start = sup, [], np.full(n, 1.0 / n), _shifted(expected_f, sup, [])
     with np.errstate(under="ignore"):
-        iters, start, f = _ascend(expected_f, pz, s, start, None, max_iters, _START_GAP)
+        iters, start, f = _ascend(expected_f, pz, s, start, None, _START_GAP)
     q = np.zeros(n)
     q[start[0]] = start[2]
     return q, f, iters, start
 
 
-def level_newton(expected_f, pz, s, start, level, tol_f, gap_tol):
+def level_newton(expected_f, pz, s, start, level, tol_f):
     """Joint Newton iteration on (q, s) toward the curve's point at the
     transform-domain distortion ``level`` (below the zero-rate end hi), from
     the pmf of ``start`` (``level_start``'s split pmf, taken over with its
@@ -365,18 +354,18 @@ def level_newton(expected_f, pz, s, start, level, tol_f, gap_tol):
     squared: unscaled, their squares overflow once the transform-domain
     spread passes ~1e154.
 
-    It stops once a point meets gap <= gap_tol over every letter and |f -
+    It stops once a point meets gap <= _GAP_TOL over every letter and |f -
     level| <= tol_f, and gives up once it has evaluated _NEWTON_ITERS
     points, or when no step reduces the residual. Either way it returns (s,
-    q, iters, point): the last slope, the last pmf over all letters, the
-    number of points evaluated, and the point at (s, q), (q_cond, q_out, f,
-    rate, gap) in ``ba_fixed_slope_loop``'s order, from which the caller
-    reads whether it is certified and on the level. q_out, q_cond and f are
-    a one-iteration lane's at (s, q), bit for bit: q renormalized, and
-    ``_conditional`` on the last evaluation's tilt in the letters' order.
+    iters, point): the last slope, the number of points evaluated, and the
+    point at s and the last pmf q, (q_cond, q_out, f, rate, gap) in
+    ``ba_fixed_slope_loop``'s order, from which the caller reads whether it
+    is certified and on the level. q_out, q_cond and f are the lanes' end
+    assembly's at (s, q), bit for bit: q renormalized, and ``_conditional``
+    on the last evaluation's tilt in the letters' order.
     The rate sum_z p(z) (s E[e - m | z] - log den(z)) - sum_S q c log c
     and the gap log max c over every letter take that evaluation's c, and
-    match the lane's to roundoff; where the tilt is capped off the support
+    match the assembly's to roundoff; where the tilt is capped off the support
     (s (e - m) >= _EXP_CAP at a dropped letter) the gap is the lanes'
     log-sum-exp (``_capped``).
     """
@@ -392,7 +381,7 @@ def level_newton(expected_f, pz, s, start, level, tol_f, gap_tol):
             a, den, t, cl, mean, f, res, res_sq, _ = at
             k = q.size
             c_top, back = max(cl[:k]), max(cl[k:], default=0.0)
-            if iters >= _NEWTON_ITERS or (math.log(max(c_top, back)) <= gap_tol
+            if iters >= _NEWTON_ITERS or (math.log(max(c_top, back)) <= _GAP_TOL
                                 and abs(f - level) <= tol_f):
                 break
             iters += 1
@@ -450,9 +439,9 @@ def level_newton(expected_f, pz, s, start, level, tol_f, gap_tol):
         # layout: its pmf renormalized and its den as a lane computes them,
         # and its tilt the last evaluation's, so that ``_conditional`` gives
         # a lane's conditional and distortion at (s, q), bit for bit
-        q_all = np.zeros((1, expected_f.shape[1]))
-        q_all[0, sup] = q
-        q_out = q_all / np.add.reduce(q_all, axis=1, keepdims=True)
+        q_out = np.zeros((1, expected_f.shape[1]))
+        q_out[0, sup] = q
+        q_out /= np.add.reduce(q_out, axis=1, keepdims=True)
         a = np.empty((1,) + expected_f.shape)
         a[0][:, sup + out] = at[8]
         m = rows[0][None]
@@ -469,7 +458,7 @@ def level_newton(expected_f, pz, s, start, level, tol_f, gap_tol):
             c = np.zeros_like(q_out)
             c[0, sup] = cl[:q.size]
             gap = _capped(pz, np.array([s]), q_out, x, den, c)[1].item()
-    return s, q_all[0], iters, (q_cond[0], q_out[0], f.item(), rate, gap)
+    return s, iters, (q_cond[0], q_out[0], f.item(), rate, gap)
 
 
 def _split(expected_f, q_row):
@@ -576,6 +565,8 @@ def _joint_point(pz, s, rows, q):
             a_all)
 
 
+_GAP_TOL = 1e-12     # nats: the Blahut duality gap that certifies a fixed point
+_MAX_ITERS = 20000   # iterations of a fixed-point lane or a start climb
 _NEWTON_ITERS = 40   # points a joint Newton iteration evaluates before it gives up
 _START_GAP = 1e-2    # nats: the gap to which a joint Newton iteration's start is solved
 _S_TOWARD_ZERO = 0.5  # of the way to the flattest slope known to be too flat

@@ -54,23 +54,24 @@ slope and the fixed point together. It starts at the slope where the level
 meets the secant through the start's own point (s0, f0) and the zero-rate
 end (0, hi), clamped to [0.5, 1.2] s0. The iteration certifies its last
 point where it lands, from that point's own evaluation: its pmf,
-conditional and distortion are the fixed-point kernel's one-iteration lane
-at its slope and pmf, bit for bit, and its rate and gap agree to roundoff.
+conditional and distortion are the fixed-point kernel's end assembly at its
+slope and pmf, bit for bit, and its rate and gap agree to roundoff.
 Certified and on the level, the point is the result, with no memo, no
 zero-rate solve and no search round.
-Otherwise a lane at s0 is solved on to _GAP_TOL from the start's pmf and
-seeds the search. A sweep with a single level below hi is that lone level;
+Otherwise a lane at s0 is solved on to the gap tolerance from the start's pmf
+and seeds the search. A sweep with a single level below hi is that lone level;
 other sweeps and the rate target of ``distortion_at_rate`` run the search
 alone. A NaN level or rate raises DomainError before any solve.
 All rates are nats internally; unit conversion happens only at reporting
 boundaries.
 
 The rate of a point is the mutual information of its conditional. A point is
-converged when Blahut's duality gap at its output pmf is at most ``_GAP_TOL``
-nats and, for a point a search returns, when it is on its target; the gap is
-recorded on every point and bounds the rate's distance from the curve. The
-tolerances and the kernel's iteration cap (``_MAX_ITERS``) are module
-constants, the same for every problem.
+converged when Blahut's duality gap at its output pmf is at most
+``kernels._GAP_TOL`` nats and, for a point a search returns, when it is on
+its target; the gap is recorded on every point and bounds the rate's distance
+from the curve. The gap tolerance and the kernel's iteration cap
+(``kernels._MAX_ITERS``) are the kernels' constants, and the search's
+tolerances are this module's, the same for every problem.
 """
 
 from __future__ import annotations
@@ -91,8 +92,6 @@ from .source import JointSource
 
 LN2 = float(np.log(2.0))
 
-_MAX_ITERS = 20000  # kernel iterations per lane
-_GAP_TOL = 1e-12  # Blahut duality gap that certifies a fixed point, nats
 _BISECTION_TOL = 1e-9  # on achieved distortion; scaled by the transform-domain span
 _BRACKET_EPS = 1e-15  # bracket width, relative to its slopes, at which the search stops
 _MAX_SEARCH = 200
@@ -111,8 +110,8 @@ class SlopePoint:
 
     ``gap`` is Blahut's duality gap at ``q_out`` in nats: the rate exceeds
     the curve's lower bound at ``f_distortion`` by at most this much.
-    ``converged`` means ``gap <= _GAP_TOL`` and, for a point returned by a
-    level or rate search, that the point is on its target.
+    ``converged`` means ``gap <= kernels._GAP_TOL`` and, for a point
+    returned by a level or rate search, that the point is on its target.
     """
 
     slope: float
@@ -191,12 +190,11 @@ def f_domain_bounds(amended: AmendedDistortions, pz: np.ndarray) -> tuple[float,
 _SLOPE = operator.itemgetter(0)
 
 
-def _lanes(e: np.ndarray, w: np.ndarray, slopes, q0, max_iters: int = _MAX_ITERS) -> list:
+def _lanes(e: np.ndarray, w: np.ndarray, slopes, q0) -> list:
     """One kernel call on the reduced rows e, w with a lane per slope, started
     from the rows of q0 (uniform when None): a solve per lane."""
     slopes = np.asarray(slopes, dtype=float)
-    q_cond, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
-        e, w, slopes, max_iters, _GAP_TOL, q0)
+    q_cond, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(e, w, slopes, q0)
     return list(zip(slopes.tolist(), f_dist.tolist(), rate.tolist(), gap.tolist(),
                     iters.tolist(), q_out, q_cond))
 
@@ -229,13 +227,19 @@ def ba_fixed_slope(
     q0: np.ndarray | None = None,
 ) -> SlopePoint:
     """Solve the fixed point at one slope s <= 0, starting the kernel from
-    the output pmf q0 (uniform when None). Raises ValueError unless
-    -inf < s <= 0.
+    the output pmf q0 (uniform when None). Raises ValueError unless s is one
+    number with -inf < s <= 0, and unless q0 is finite and nonnegative, with
+    positive mass, over the reconstruction letters.
 
-    This is the public one-slope API. No curve path calls it (a search
-    batches its slopes into one lane-batched kernel call), but it stays: the
-    benchmark hooks it, CI's benchmark smoke step fails when a hook target
-    is missing, and the tests use it as the one-slope reference."""
+    This is the public one-slope API, and the one entry at which a start
+    pmf arrives from outside: the curve paths' starts are valid by
+    construction, so the kernel does not check them. No curve path calls it
+    (a search batches its slopes into one lane-batched kernel call), but it
+    stays: the benchmark hooks it, CI's benchmark smoke step fails when a
+    hook target is missing, and the tests use it as the one-slope
+    reference."""
+    if np.ndim(s) != 0:
+        raise ValueError("slope must be one number")
     if not -math.inf < s <= 0.0:  # NaN fails too
         raise ValueError(f"slope must be finite and <= 0, got {s}")
     problem = _Problem(amended, pz)
@@ -243,9 +247,17 @@ def ba_fixed_slope(
         solve = problem.zero
     else:
         if q0 is not None:
-            q0 = np.asarray(q0, dtype=float)[None]
+            q0 = np.asarray(q0, dtype=float)
+            n = problem.e.shape[1]
+            if q0.shape != (n,):
+                raise ValueError(f"q0 must be a pmf over the {n} reconstruction letters")
+            # a NaN or negative entry fails the sign test, and an infinite one
+            # makes the mass infinite
+            if not (q0.min() >= 0.0 and 0.0 < q0.sum() < math.inf):
+                raise ValueError("q0 must be finite and nonnegative, with positive mass")
+            q0 = q0[None]
         (solve,) = _lanes(problem.e, problem.w, [s], q0)
-    return _points(amended, [solve], [solve[3] <= _GAP_TOL])[0]
+    return _points(amended, [solve], [solve[3] <= kernels._GAP_TOL])[0]
 
 
 def _search(problem: _Problem, goals: list[float], memo: list,
@@ -345,7 +357,7 @@ def _search(problem: _Problem, goals: list[float], memo: list,
                 f_lo, f_hi, r_lo, r_hi = lo[1], hi[1], lo[2], hi[2]
                 if by_rate:
                     goal = _rate_level(s_lo, f_lo, f_hi, r_lo, r_hi, goal)
-                s_new = _step(s_lo, s_hi, f_lo, f_hi, r_lo, r_hi, goal, _GAP_TOL)
+                s_new = _step(s_lo, s_hi, f_lo, f_hi, r_lo, r_hi, goal)
             # started from the nearer end, the lower one on a tie, never the s = 0 solve
             end = lo if i == m or s_new - s_lo <= s_hi - s_new else hi
             lanes.setdefault(s_new, (end[5], []))[1].append(t)
@@ -360,7 +372,7 @@ def _search(problem: _Problem, goals: list[float], memo: list,
             slopes += [x[0] for x in lo]
             starts.extend(_mix(lo, g_lo, hi, g_hi))
         new = _lanes(problem.e, problem.w, slopes, starts)
-        again = [b for b in range(u) if new[b][3] > _GAP_TOL]
+        again = [b for b in range(u) if new[b][3] > kernels._GAP_TOL]
         if again:
             cold = _lanes(problem.e, problem.w, [slopes[b] for b in again], None)
             for b, solve in zip(again, cold):
@@ -375,11 +387,11 @@ def _search(problem: _Problem, goals: list[float], memo: list,
                 found[t], ok[t] = solve, abs(g) <= -s * tol or (g > 0.0 and f <= floor)
             else:
                 found[t], ok[t] = solve, abs(f - goals[t]) <= tol
-    return found, [o and x[3] <= _GAP_TOL for o, x in zip(ok, found)]
+    return found, [o and x[3] <= kernels._GAP_TOL for o, x in zip(ok, found)]
 
 
 def _step(s_lo: float, s_hi: float, f_lo: float, f_hi: float, r_lo: float, r_hi: float,
-          level: float, gap_tol: float) -> float:
+          level: float) -> float:
     """The next slope inside the bracket (s_lo, s_hi) toward ``level``.
 
     In Blahut's parametric form G(s) = s * f - R is convex, with G'(s) = f
@@ -409,8 +421,9 @@ def _step(s_lo: float, s_hi: float, f_lo: float, f_hi: float, r_lo: float, r_hi:
     # h * (mean f - f_lo) is s_hi * d - (r_hi - r_lo), within a bound on its
     # error: each rate is within its gap of the curve, and every term carries
     # roundoff
-    known = 6.0 * (2.0 * gap_tol + 4.0 * _EPS * (abs(s_hi) * (abs(f_lo) + abs(f_hi))
-                                                 + abs(r_lo) + abs(r_hi))) <= _KAPPA_ERR * h * d
+    err = 2.0 * kernels._GAP_TOL + 4.0 * _EPS * (abs(s_hi) * (abs(f_lo) + abs(f_hi))
+                                                 + abs(r_lo) + abs(r_hi))
+    known = 6.0 * err <= _KAPPA_ERR * h * d
     kappa = 6.0 * (s_hi * d - (r_hi - r_lo)) / (h * d) - 3.0 if known else 0.0
     if not kappa < 1.0:
         kappa = 1.0
@@ -516,18 +529,17 @@ def _newton_seed(problem: _Problem, level: float) -> tuple[tuple, bool]:
     The iteration hands back its last point, certified from its own
     evaluation where it lands. Returns its solve and True when it is
     certified and within ``problem.tol_f`` of the level; otherwise the
-    solve of a lane at s0 solved on from the start's pmf to _GAP_TOL, which
-    seeds the search, and False. The start's iterations count toward the
+    solve of a lane at s0 solved on from the start's pmf to the gap
+    tolerance, which seeds the search, and False. The start's iterations count toward the
     solve's.
     """
     e, w, hi, tol_f = problem.e, problem.w, problem.hi, problem.tol_f
     s0 = -1.0 / (hi - problem.lo)
-    q0, f0, climbed, start = kernels.level_start(e, w, s0, _MAX_ITERS)
+    q0, f0, climbed, start = kernels.level_start(e, w, s0)
     ratio = (hi - level) / (hi - f0) if f0 < hi else _SECANT_HI
     s1 = s0 * min(max(ratio, _SECANT_LO), _SECANT_HI)
-    s, _, points, (q_cond, q, f, r, g) = kernels.level_newton(e, w, s1, start, level, tol_f,
-                                                              _GAP_TOL)
-    if g <= _GAP_TOL and abs(f - level) <= tol_f:
+    s, points, (q_cond, q, f, r, g) = kernels.level_newton(e, w, s1, start, level, tol_f)
+    if g <= kernels._GAP_TOL and abs(f - level) <= tol_f:
         return (s, f, r, g, points + climbed, q, q_cond), True
     s, f, r, g, iters, q_out, q_cond = _lanes(e, w, [s0], q0[None])[0]
     return (s, f, r, g, iters + climbed, q_out, q_cond), False
@@ -538,14 +550,14 @@ def _certified(pt: SlopePoint, goal: float) -> SlopePoint:
     if the search gave up on it off its rate goal (nats)."""
     if pt.converged:
         return pt
-    if pt.gap <= _GAP_TOL:
+    if pt.gap <= kernels._GAP_TOL:
         raise NotConverged(
             f"slope {pt.slope:g}: rate {pt.rate:.9g} nats is off its rate target "
             f"{goal:.9g} nats: the slope search gave up"
         )
     raise NotConverged(
         f"slope {pt.slope:g}: duality gap {pt.gap:g} nats after {pt.iterations} "
-        f"iterations exceeds gap_tol {_GAP_TOL:g}"
+        f"iterations exceeds gap_tol {kernels._GAP_TOL:g}"
     )
 
 

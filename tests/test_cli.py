@@ -180,6 +180,12 @@ class TestCurve:
         assert len(rows) == 5
         assert set(rows[0]) == {"D", "f_of_D", "rate_nats", "rate_bits", "slope_s", "converged"}
 
+    def test_single_point_exit_code(self, capsys):
+        # a curve needs the zero-rate end and at least one level below it
+        code, out, err = run(capsys, "curve", "--model", "bsc", "--beta", "0.1", "--points", "1")
+        assert code == 2 and out == ""
+        assert "n_points must be >= 2" in err
+
     def test_svg_format(self, capsys):
         code, out, _ = run(
             capsys, "curve", "--model", "bsc", "--beta", "0.1",

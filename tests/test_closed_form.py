@@ -156,6 +156,12 @@ class TestBecClosedForm:
         m = BecModel(1.0)
         assert bec_irdf(m, 0.5) == 0.0
 
+    def test_full_erasure_past_d_max_warns_and_is_zero(self):
+        # every z is the erasure, so d_min = d_max = 1/2; a level past it is
+        # the zero-rate region
+        with pytest.warns(UserWarning, match="rate is 0"):
+            assert bec_irdf(BecModel(1.0), 0.7) == 0.0
+
     def test_agrees_with_bsc_when_noiseless(self):
         for f in FAMILIES:
             mb = BscModel(0.0, f)
@@ -186,6 +192,12 @@ class TestBecOptimalConditional:
     def test_zero_rate_point_uniform(self):
         q, _ = bec_optimal_conditional(BecModel(0.4), 0.5)
         np.testing.assert_allclose(q, 0.5, atol=1e-14)
+
+    def test_full_erasure_rows_are_uniform(self):
+        # with every z erased no row can depend on x: each is the uniform pmf
+        q, out = bec_optimal_conditional(BecModel(1.0), 0.5)
+        np.testing.assert_array_equal(q, np.full((3, 2), 0.5))
+        np.testing.assert_array_equal(out, [0.5, 0.5])
 
     def test_marginal_mixture(self):
         delta = 0.4

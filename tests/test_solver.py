@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from irdf import (
+    AmendedDistortions,
     BecModel,
     BscModel,
     DistortionMatrix,
@@ -33,7 +34,7 @@ from test_acceptance import (_criterion_05_draws, _random_transform, _reference_
                              _remote_ba_lower_bound)
 
 LN2 = math.log(2.0)
-MAX_ITERS, GAP_TOL, BISECTION_TOL = solver._MAX_ITERS, solver._GAP_TOL, solver._BISECTION_TOL
+GAP_TOL, BISECTION_TOL = kernels._GAP_TOL, solver._BISECTION_TOL
 
 
 def bsc_problem(beta, f=None):
@@ -97,6 +98,30 @@ class TestFixedSlope:
         am = build_amended(src, d, FTransform.identity())
         with pytest.raises(ValueError, match="slope"):
             ba_fixed_slope(am, src.z_marginal, s)
+
+    def test_slope_array_rejected(self):
+        # one slope per call: a one-element array would reach the kernel,
+        # which checks nothing, as a (1, 1) stack of slopes
+        _, src, d = bsc_problem(0.15)
+        am = build_amended(src, d, FTransform.identity())
+        with pytest.raises(ValueError, match="slope"):
+            ba_fixed_slope(am, src.z_marginal, np.array([-0.5]))
+
+    def test_negative_raw_rate_is_clamped(self):
+        # near s = 0 a certified lane's mutual information can come out an
+        # ulp below 0 (the 115th draw of this recipe, at s = -1e-3): the point
+        # reports the rate 0, flagged clamped
+        rng = np.random.default_rng(0)
+        for _ in range(115):
+            nx, nz, nh = rng.integers(2, 5, size=3)
+            joint = rng.random((nx, nz)) ** 2
+            d = DistortionMatrix(rng.random((nx, nh)))
+        src = JointSource.from_joint(joint / joint.sum())
+        am = build_amended(src, d, FTransform.identity())
+        e, pz = _reduced(am, src.z_marginal)
+        assert _one_lane(e, pz, -1e-3)[3] < 0.0
+        pt = ba_fixed_slope(am, src.z_marginal, -1e-3)
+        assert pt.converged and pt.rate == 0.0 and pt.clamped is True
 
     def test_non_finite_start_rejected(self):
         # an inf entry passed the sign and mass checks, then gave NaN rows
@@ -219,6 +244,12 @@ class TestSlopePoint:
 
 
 class TestSweep:
+    def test_single_point_rejected(self):
+        # a sweep's last level is the zero-rate end, so one point is none below it
+        m, src, d = bsc_problem(0.15)
+        with pytest.raises(ValueError, match="n_points must be >= 2"):
+            sweep_curve(src, d, m.f, 1)
+
     def test_non_integer_point_count_rejected(self):
         # 3.5 gave 4 points at uneven levels, all flagged converged
         m, src, d = bsc_problem(0.15)
@@ -397,9 +428,9 @@ class TestDistortionAtRate:
         calls = []
         real = kernels.ba_fixed_slope_loop
 
-        def recorded(expected_f, pz, s, max_iters, gap_tol, q0=None):
+        def recorded(expected_f, pz, s, q0=None):
             calls.append((np.asarray(s).tolist(), q0))
-            return real(expected_f, pz, s, max_iters, gap_tol, q0)
+            return real(expected_f, pz, s, q0)
 
         monkeypatch.setattr(kernels, "ba_fixed_slope_loop", recorded)
         D = distortion_at_rate(src, d, m.f, 0.3)
@@ -607,7 +638,7 @@ class TestSlopeSearch:
             finally:
                 memo_now.pop()
 
-        def kernel(expected_f, pz, s, max_iters, gap_tol, q0=None):
+        def kernel(expected_f, pz, s, q0=None):
             lanes = np.asarray(s).tolist()
             if memo_now:
                 memo = memo_now[-1]
@@ -622,7 +653,7 @@ class TestSlopeSearch:
                     np.testing.assert_array_equal(q_b, memo[j - 1 if lower else j][5])
                     checked[0] += 1
             calls.append(lanes)
-            return real_kernel(expected_f, pz, s, max_iters, gap_tol, q0)
+            return real_kernel(expected_f, pz, s, q0)
 
         monkeypatch.setattr(solver, "_search", search)
         monkeypatch.setattr(kernels, "ba_fixed_slope_loop", kernel)
@@ -683,7 +714,7 @@ class TestSlopeSearch:
             line = f_lo + (r_lo - r_root) / 3.0
             chord = f_lo + (r_lo - r_root) * (f_hi - f_lo) / (r_lo - r_hi)
             assert line < f_root < chord and line < level < chord
-        s = solver._step(-3.0, -1.0, f_lo, f_hi, r_lo, r_hi, level, 1e-12)
+        s = solver._step(-3.0, -1.0, f_lo, f_hi, r_lo, r_hi, level)
         on_level = (math.sqrt(1.0 + 1.2 * (level - 0.4)) - 1.0) / 0.6 - 2.0  # f(s) = level
         assert s == pytest.approx(on_level, abs=1e-12)
 
@@ -705,11 +736,12 @@ class TestSlopeSearch:
         starts = []
         real = kernels.ba_fixed_slope_loop
 
-        def stalled_when_warm(expected_f, pz, s, max_iters, gap_tol, q0=None):
+        def stalled_when_warm(expected_f, pz, s, q0=None):
             starts.extend([q0 is not None] * len(s))
-            if q0 is not None:
-                max_iters = 1
-            return real(expected_f, pz, s, max_iters, gap_tol, q0)
+            if q0 is None:
+                return real(expected_f, pz, s)
+            q = np.asarray(q0, dtype=float)
+            return _cut_lanes(expected_f, pz, s, q / np.add.reduce(q, axis=1, keepdims=True))
 
         monkeypatch.setattr(kernels, "ba_fixed_slope_loop", stalled_when_warm)
         curve = sweep_curve(src, d, f, 8)
@@ -883,13 +915,13 @@ class TestLoneLevel:
         f = FTransform.identity()
         problem = solver._Problem(build_amended(src, d, f), src.z_marginal)
         pt = solve_at_distortion(src, d, f, 0.25)
-        (s, q, _, point), = ends
-        e, pz = problem.e, problem.w
+        (s, _, point), = ends
+        e, pz, q = problem.e, problem.w, point[1]
         assert q[2] == 0.0 and -s * loss >= kernels._EXP_CAP
         # the gap the capped tilt reads would certify the point either way
         a = np.exp(np.minimum(s * (e - e[:, :2].min(axis=1, keepdims=True)), kernels._EXP_CAP))
         assert math.log(((pz / (a @ q)) @ a).max()) <= GAP_TOL
-        q_cond, q_out, f_dist, rate, _, gap = _one_lane(e, pz, s, 1, GAP_TOL, q)
+        q_cond, q_out, f_dist, rate, _, gap = _first_iteration(e, pz, s, q)
         for got, want in zip(point, (q_cond, q_out, f_dist)):
             np.testing.assert_array_equal(got, want)
         assert point[3:] == (pytest.approx(rate, rel=1e-15, abs=1e-15),
@@ -964,8 +996,7 @@ class TestLoneLevel:
         for src, d, f, am, D in criterion_05_targets:
             pt = solve_at_distortion(src, d, f, D)
             e, pz = _reduced(am, src.z_marginal)
-            _, _, f_dist, rate, iters, gap = _one_lane(e, pz, pt.slope, MAX_ITERS, GAP_TOL,
-                                                       pt.q_out)
+            _, _, f_dist, rate, iters, gap = _one_lane(e, pz, pt.slope, pt.q_out)
             assert iters == 1 and gap <= GAP_TOL
             assert abs(rate - pt.rate) <= 1e-12
             assert abs(f_dist - pt.f_distortion) <= 1e-12
@@ -981,12 +1012,11 @@ class TestLoneLevel:
             tol_f = BISECTION_TOL * max(1.0, hi - lo)
             level, s0 = float(f.apply(D)), -1.0 / (hi - lo)
             c = rng.uniform(-10.0, 10.0, len(e)) * max(1.0, hi - lo)
-            start = kernels.level_start(e, pz, s0, MAX_ITERS)[3]
-            start_c = kernels.level_start(e + c[:, None], pz, s0, MAX_ITERS)[3]
-            s, q_out, _, (_, _, f_dist, *_) = kernels.level_newton(e, pz, s0, start, level,
-                                                                   tol_f, GAP_TOL)
-            s_c, q_c, _, (_, _, f_c, *_) = kernels.level_newton(e + c[:, None], pz, s0, start_c,
-                                                                level + pz @ c, tol_f, GAP_TOL)
+            start = kernels.level_start(e, pz, s0)[3]
+            start_c = kernels.level_start(e + c[:, None], pz, s0)[3]
+            s, _, (_, q_out, f_dist, *_) = kernels.level_newton(e, pz, s0, start, level, tol_f)
+            s_c, _, (_, q_c, f_c, *_) = kernels.level_newton(e + c[:, None], pz, s0, start_c,
+                                                             level + pz @ c, tol_f)
             assert s_c == pytest.approx(s, rel=1e-9, abs=0.0)
             np.testing.assert_allclose(q_c, q_out, rtol=1e-9, atol=0.0)
             # the distortions of the two points, as the lone level certifies them
@@ -1298,12 +1328,36 @@ def _starving_problem():
     return e, pz / pz.sum()
 
 
-def _one_lane(e, pz, s, max_iters, gap_tol, q0=None):
+def _one_lane(e, pz, s, q0=None):
     """The kernel's results for a one-lane call at slope s, read at lane 0."""
-    out = kernels.ba_fixed_slope_loop(
-        e, pz, np.array([s]), max_iters, gap_tol, None if q0 is None else np.asarray(q0)[None]
-    )
-    return tuple(v[0] for v in out)
+    q0 = None if q0 is None else np.asarray(q0)[None]
+    return tuple(v[0] for v in kernels.ba_fixed_slope_loop(e, pz, np.array([s]), q0))
+
+
+def _cut_lanes(e, pz, s, q):
+    """The kernel's results for lanes at slopes s cut at their first
+    iteration, stacked over lanes: the lanes' certificate
+    (``kernels._assemble``) at the pmfs q, the rows the lanes renormalize
+    their starts to."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(under="ignore"):
+        q_cond, f_dist, rate, gap = kernels._assemble(e, pz, s, q, *kernels._tilted(e, pz, s, q))
+    return q_cond, q, f_dist, rate, np.ones(s.size, dtype=np.int64), gap
+
+
+def _first_iteration(e, pz, s, q):
+    """``_cut_lanes`` for one lane at slope s and the pmf q, read at lane 0."""
+    return tuple(v[0] for v in _cut_lanes(e, pz, [s], np.asarray(q, dtype=float)[None]))
+
+
+def _capped_lane(monkeypatch, e, pz, s, cap):
+    """A one-lane call at slope s from the uniform pmf, stopped at ``cap``
+    iterations (``kernels._MAX_ITERS``); cut at its first, it is the lanes'
+    certificate at its start."""
+    if cap == 1:
+        return _first_iteration(e, pz, s, np.full(e.shape[1], 1.0 / e.shape[1]))
+    monkeypatch.setattr(kernels, "_MAX_ITERS", cap)
+    return _one_lane(e, pz, s)
 
 
 class TestKernel:
@@ -1311,9 +1365,7 @@ class TestKernel:
         m, src, d = bsc_problem(0.15)
         e, pz = _reduced(build_amended(src, d, m.f), src.z_marginal)
         for s in (-0.5, -3.0, -20.0):
-            _, q_out, f_dist, rate, iters, gap = _one_lane(
-                e, pz, s, 20000, 1e-12
-            )
+            _, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s)
             assert gap <= 1e-12
             assert q_out.sum() == pytest.approx(1.0, abs=1e-14)
             assert rate == pytest.approx(bsc_irdf(m, f_dist), abs=1e-10)
@@ -1335,9 +1387,7 @@ class TestKernel:
         ])
         pz = np.array([0.05, 0.45, 0.1, 0.4])
         with np.errstate(all="raise"):
-            q_cond, q_out, f_dist, rate, iters, gap = _one_lane(
-                e, pz, s, 20000, 1e-12
-            )
+            q_cond, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s)
         for value in (q_cond, q_out, f_dist, rate, gap):
             assert np.all(np.isfinite(value))
         assert q_out[0] == 0.0 and np.all(q_cond[:, 0] == 0.0)
@@ -1357,7 +1407,7 @@ class TestKernel:
         # with gaps up to 5.8e-6 nats
         src, _, _, am, _ = _criterion_05_draw(draw)
         e, pz = _reduced(am, src.z_marginal)
-        _, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s, 20000, 1e-12)
+        _, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s)
         assert gap <= 1e-12 and iters <= 100
         assert rate - _blahut_lower_bound(e, pz, s, q_out, f_dist) <= gap + 1e-12
 
@@ -1367,9 +1417,7 @@ class TestKernel:
         # steep slope a step that empties a row's only letter is refused
         e, pz = _dropping_problem()
         with np.errstate(all="raise"):
-            _, q_out, f_dist, rate, iters, gap = _one_lane(
-                e, pz, s, 20000, 1e-12
-            )
+            _, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s)
         assert gap <= 1e-12 and iters <= 100
         if s == -3.0:
             assert rate - _blahut_lower_bound(e, pz, s, q_out, f_dist) <= gap + 1e-12
@@ -1385,14 +1433,12 @@ class TestKernel:
     def test_zero_mass_start_letter_returns(self):
         # a warm start from a slope where a letter the optimum uses had no mass
         e, pz = _dropping_problem()
-        _, q_cold, _, rate_cold, _, _ = _one_lane(e, pz, -3.0, 20000, 1e-12)
+        _, q_cold, _, rate_cold, _, _ = _one_lane(e, pz, -3.0)
         x = int(np.argmax(q_cold))
         q0 = np.full(q_cold.size, 1.0)
         q0[x] = 0.0
         with np.errstate(all="raise"):
-            _, q_out, f_dist, rate, iters, gap = _one_lane(
-                e, pz, -3.0, 20000, 1e-12, q0
-            )
+            _, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, -3.0, q0)
         assert q_out[x] > 0.0
         assert gap <= 1e-12 and iters <= 100
         assert abs(rate - rate_cold) <= 1e-10
@@ -1402,29 +1448,32 @@ class TestKernel:
                                     [0.5, math.inf, 0.3, 0.3], [0.5, math.nan, 0.3, 0.3]],
                              ids=["no_mass", "negative", "wrong_size", "infinite", "nan"])
     def test_invalid_start_rejected(self, q0):
+        # the public one-slope entry checks a start pmf from outside; the
+        # kernel only renormalizes the starts it is given
         e, pz = _dropping_problem()
+        am = AmendedDistortions(FTransform.identity(), e, np.ones(len(e), dtype=bool))
         with pytest.raises(ValueError, match="q0"):
-            _one_lane(e, pz, -3.0, 20000, 1e-12, np.array(q0))
+            ba_fixed_slope(am, pz, -3.0, q0=np.array(q0))
 
     def test_starved_letter_returns_with_useful_mass(self):
         # a letter that alone serves a light row comes back with mass near
         # its best share; grown by Newton steps alone it needed 142 iterations
         e, pz = _starving_problem()
-        *_, iters, gap = _one_lane(e, pz, -300.0, 20000, 1e-12)
+        *_, iters, gap = _one_lane(e, pz, -300.0)
         assert gap <= 1e-12 and iters <= 30
 
     @pytest.mark.parametrize(
         "problem, s", [(_dropping_problem, -3.0), (_starving_problem, -300.0)],
         ids=["dropping", "starving"],
     )
-    def test_gap_covers_dropped_letters(self, problem, s):
+    def test_gap_covers_dropped_letters(self, monkeypatch, problem, s):
         # stopped at every cap on the way to convergence, the returned gap is
         # max log c over all letters at the returned pmf, dropped ones included
         e, pz = problem()
         tilt = np.exp(s * (e - e.min(axis=1)[:, None]))
         dropped = 0
         for cap in range(1, 101):
-            _, q_out, _, _, iters, gap = _one_lane(e, pz, s, cap, 1e-12)
+            _, q_out, _, _, iters, gap = _capped_lane(monkeypatch, e, pz, s, cap)
             c = (pz / (tilt @ q_out)) @ tilt
             assert gap == pytest.approx(np.log(c.max()), abs=1e-12)
             dropped += bool(np.any(q_out == 0.0))
@@ -1433,7 +1482,7 @@ class TestKernel:
         assert gap <= 1e-12 and dropped > 0
 
     @pytest.mark.parametrize("draw, r", [(49, 0.25), (49, 1.0)])
-    def test_row_minimum_letter_drops(self, draw, r):
+    def test_row_minimum_letter_drops(self, monkeypatch, draw, r):
         # a sweep's ladder lane at -r/span on a stress-recipe draw: an
         # accepted step drops the letter that holds a row's minimum, which
         # moves that row's m, so Phi is compared across the drop as
@@ -1443,7 +1492,7 @@ class TestKernel:
         e, pz = _reduced(am, src.z_marginal)
         moved, before = 0, None
         for cap in range(1, 11):
-            _, q_out, _, _, iters, gap = _one_lane(e, pz, -r / (hi - lo), cap, 1e-12)
+            _, q_out, _, _, iters, gap = _capped_lane(monkeypatch, e, pz, -r / (hi - lo), cap)
             m = np.where(q_out > 0.0, e, np.inf).min(axis=1)
             moved += before is not None and bool(np.any(m > before))
             before = m
@@ -1467,19 +1516,20 @@ class TestKernel:
         ]) / 3.0
         pz = np.array([0.28, 0.12, 0.1, 0.23, 0.06, 0.09, 0.11])
         pz /= pz.sum()
-        *_, iters, gap = _one_lane(e, pz, -30.0, 20000, 1e-12)
+        *_, iters, gap = _one_lane(e, pz, -30.0)
         assert gap <= 1e-12 and iters <= 100
 
-    def test_gap_tol_below_roundoff_ends_uncertified(self):
+    def test_gap_tol_below_roundoff_ends_uncertified(self, monkeypatch):
         # the gap cannot fall below roundoff; once no halved step raises Phi
         # or, with Phi flat to roundoff, lowers max c, the kernel stops
-        # uncertified rather than halving on or stepping to max_iters
+        # uncertified rather than halving on or stepping to _MAX_ITERS
         rng = np.random.default_rng(22)
         e = rng.random((3, 3))
         pz = rng.random(3) + 0.1
         pz /= pz.sum()
+        monkeypatch.setattr(kernels, "_GAP_TOL", 1e-20)
         with np.errstate(all="raise"):
-            _, q_out, _, _, iters, gap = _one_lane(e, pz, -1.0, 20000, 1e-20)
+            _, q_out, _, _, iters, gap = _one_lane(e, pz, -1.0)
         assert iters < 20
         assert 1e-20 < gap <= 1e-15
         assert q_out.sum() == pytest.approx(1.0, abs=1e-14)
@@ -1511,9 +1561,9 @@ class TestKernel:
         src, _, _, am, _ = _criterion_05_draw(draw)
         e, pz = _reduced(am, src.z_marginal)
         slopes = np.array([-0.5, -4.0, -32.0])
-        _, _, _, rates, iters, gaps = kernels.ba_fixed_slope_loop(e, pz, slopes, 20000, 1e-12)
+        _, _, _, rates, iters, gaps = kernels.ba_fixed_slope_loop(e, pz, slopes)
         for b, s in enumerate(slopes):
-            *_, rate, it, gap = _one_lane(e, pz, s, 20000, 1e-12)
+            *_, rate, it, gap = _one_lane(e, pz, s)
             assert iters[b] == it
             assert gaps[b] <= 1e-12 and gap <= 1e-12
             assert abs(rates[b] - rate) <= gaps[b] + gap + 1e-15
@@ -1522,21 +1572,19 @@ class TestKernel:
         # one lane certified at its start, one that needs Newton steps, and
         # one whose start has a zero-mass letter that the optimum uses
         e, pz = _dropping_problem()
-        _, q_opt, *_ = _one_lane(e, pz, -3.0, 20000, 1e-12)
+        _, q_opt, *_ = _one_lane(e, pz, -3.0)
         starved = np.ones(q_opt.size)
         starved[np.argmax(q_opt)] = 0.0
         uniform = np.full(q_opt.size, 1.0 / q_opt.size)
         slopes = np.array([-3.0, -1.0, -3.0])
         starts = np.array([q_opt, uniform, starved])
         with np.errstate(all="raise"):
-            _, q_out, _, rates, iters, gaps = kernels.ba_fixed_slope_loop(
-                e, pz, slopes, 20000, 1e-12, starts
-            )
+            _, q_out, _, rates, iters, gaps = kernels.ba_fixed_slope_loop(e, pz, slopes, starts)
         assert iters[0] == 1 and iters[1] > 1 and iters[2] > 1
         assert np.all(gaps <= 1e-12)
         assert q_out[2, np.argmax(q_opt)] > 0.0
         for b in range(3):
-            *_, rate, it, _ = _one_lane(e, pz, slopes[b], 20000, 1e-12, starts[b])
+            *_, rate, it, _ = _one_lane(e, pz, slopes[b], starts[b])
             assert iters[b] == it and abs(rates[b] - rate) <= 1e-15
 
     @pytest.mark.parametrize("problem", [_dropping_problem, _starving_problem],
@@ -1546,9 +1594,7 @@ class TestKernel:
         # the end assembly at the lane's slope and returned pmf, bit for bit
         e, pz = problem()
         slopes = -np.geomspace(0.5, 80.0, 9)
-        q_cond, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(
-            e, pz, slopes, 20000, 1e-12
-        )
+        q_cond, q_out, f_dist, rate, iters, gap = kernels.ba_fixed_slope_loop(e, pz, slopes)
         assert np.all(iters > 1) and np.any(q_out == 0.0)
         again = kernels._assemble(e, pz, slopes, q_out, *kernels._tilted(e, pz, slopes, q_out))
         for got, want in zip((q_cond, f_dist, rate, gap), again):
@@ -1577,8 +1623,8 @@ class TestKernel:
         for src, d, f, am, D in itertools.chain(criterion_05_targets, stress):
             ends.clear()
             pt = solve_at_distortion(src, d, f, D)
-            (e, pz, (s, q, _, _)), = ends
-            q_cond, q_out, f_dist, rate, iters, gap = _one_lane(e, pz, s, 1, GAP_TOL, q)
+            (e, pz, (s, _, point)), = ends
+            q_cond, q_out, f_dist, rate, iters, gap = _first_iteration(e, pz, s, point[1])
             assert iters == 1 and pt.converged and gap <= GAP_TOL and pt.slope == s
             for got, want in ((pt.q_cond, q_cond), (pt.q_out, q_out), (pt.f_distortion, f_dist)):
                 np.testing.assert_array_equal(got, want)
@@ -1586,17 +1632,17 @@ class TestKernel:
             n += 1
         assert n == len(criterion_05_targets) + 692
 
-    def test_start_climb_is_the_lane_kernels_climb(self, criterion_05_targets):
+    def test_start_climb_is_the_lane_kernels_climb(self, monkeypatch, criterion_05_targets):
         # a lone level's start is the ascent of a fixed-point lane at s0 =
         # -1/span from the uniform pmf to the start gap, with no end assembly
+        monkeypatch.setattr(kernels, "_GAP_TOL", kernels._START_GAP)
         climbed = 0
         for src, d, f, am, D in criterion_05_targets:
             e, pz = _reduced(am, src.z_marginal)
             lo, hi = f_domain_bounds(am, src.z_marginal)
             s0 = -1.0 / (hi - lo)
-            q, f0, iters, _ = kernels.level_start(e, pz, s0, MAX_ITERS)
-            _, q_lane, f_lane, _, it_lane, _ = _one_lane(e, pz, s0, MAX_ITERS,
-                                                         kernels._START_GAP)
+            q, f0, iters, _ = kernels.level_start(e, pz, s0)
+            _, q_lane, f_lane, _, it_lane, _ = _one_lane(e, pz, s0)
             assert iters == it_lane
             assert np.abs(q - q_lane).max() <= 1e-12
             assert abs(f0 - f_lane) <= 1e-12 * max(1.0, abs(f_lane))
@@ -1611,8 +1657,8 @@ class TestKernel:
         pz = np.array([0.5, 0.5])
         q0 = [1e-300, 1.0, 0.0]
         with np.errstate(all="raise"):
-            first = _one_lane(e, pz, -1000.0, 1, 1e-12, q0)
-            final = _one_lane(e, pz, -1000.0, 20000, 1e-12, q0)
+            first = _first_iteration(e, pz, -1000.0, q0)  # q0 is its own renormalized pmf
+            final = _one_lane(e, pz, -1000.0, q0)
         for q_cond, q_out, f_dist, rate, _, gap in (first, final):
             assert all(np.all(np.isfinite(v)) for v in (q_cond, q_out, f_dist, rate, gap))
         assert first[5] == pytest.approx(math.log(0.5) + 23.0 + 300.0 * math.log(10.0), rel=1e-12)
@@ -1624,10 +1670,10 @@ class TestKernel:
         e = np.array([[0.023, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         pz = np.array([0.5, 0.5, 0.0])
         q0 = [1e-300, 1.0, 0.0]
-        for max_iters in (1, 20000):
+        for lane in (_first_iteration, _one_lane):
             with np.errstate(all="raise"):
-                q_cond, q_out, *rest = _one_lane(e, pz, -1000.0, max_iters, 1e-12, q0)
-                want = _one_lane(e[:2], pz[:2], -1000.0, max_iters, 1e-12, q0)
+                q_cond, q_out, *rest = lane(e, pz, -1000.0, q0)
+                want = lane(e[:2], pz[:2], -1000.0, q0)
             assert all(np.all(np.isfinite(v)) for v in (q_cond, q_out, *rest))
             np.testing.assert_array_equal(q_cond[:2], want[0])
             for got, ref in zip((q_out, *rest), want[1:]):
@@ -1641,7 +1687,7 @@ class TestKernel:
         # 2.5e-10
         e = np.array([[5.04e-7, 2.80e-10]])
         with np.errstate(all="raise"):
-            *_, iters, gap = _one_lane(e, np.array([1.0]), -0.001, 20000, 1e-12)
+            *_, iters, gap = _one_lane(e, np.array([1.0]), -0.001)
         assert gap <= 1e-12 and iters <= 5
 
 
